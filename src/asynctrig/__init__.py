@@ -63,8 +63,10 @@ from .plant import (
 )
 from .presets import PRESET_NAMES, preset_config
 from .simulation import (
+    Prepared,
     SimConfig,
     SimTrace,
+    prepare,
     read_trace_csv,
     schur_threshold,
     simulate,
@@ -74,16 +76,13 @@ from .simulation import (
 )
 from .svgplots import emit_plots, parse_polyline
 from .triggers import (
+    GatedPolicy,
     OfflineTable,
-    OnlinePerturbedPolicy,
-    OnlineUnperturbedPolicy,
+    OnlinePolicy,
+    TablePolicy,
     TriggerDecision,
-    build_offline_table_unperturbed,
-    offline_perturbed_machinery,
-    offline_perturbed_select,
-    offline_select,
-    online_perturbed_select,
-    online_unperturbed_select,
+    build_offline_table,
+    table_to_dict,
 )
 
 __version__ = "0.1.0"

@@ -79,15 +79,12 @@ def decay_factor(beta: float, length: int, T: float) -> float:
     return math.exp(-beta * length * T)
 
 
-def choose_sigma_star(dp, horizons) -> tuple:
-    """Most contractive horizon (smallest spectral radius, first wins)."""
-    from .plant import transition_table
-
-    table = transition_table(dp, horizons)
+def choose_sigma_star(phis: dict) -> tuple:
+    """Most contractive horizon of a transition table (smallest spectral radius, first wins)."""
     best = None
     best_sr = math.inf
-    for sigma in horizons:
-        sr = spectral_radius(table[tuple(sigma)])
+    for sigma, Phi in phis.items():
+        sr = spectral_radius(Phi)
         if sr < best_sr:
             best_sr = sr
             best = tuple(sigma)
@@ -123,17 +120,26 @@ def synthesize_unperturbed(
     return UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star)
 
 
+def _scaled_tol(P, tol: float) -> float:
+    """tol * min(1, lambda_max(P)): the inequalities are homogeneous in the
+    certificate, so an absolute tolerance would accept any non-certificate
+    scaled down far enough."""
+    return tol * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
+
+
 def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = 1e-9) -> bool:
     """Check the two perturbed-online matrix inequalities at tolerance tol.
 
     First: Phi'(P+M)Phi + (bbar - gamma) P <= 0.  Second:
-    [[M, P], [P, (gamma/chi) I - P]] >= 0.
+    [[M, P], [P, (gamma/chi) I - P]] >= 0.  Eigenvalues are compared against
+    tol * min(1, lambda_max(P)).
     """
     P = symmetrize(P)
     M = symmetrize(M)
     nn = P.shape[0]
     L1 = symmetrize(Phi.T @ (P + M) @ Phi) + (bbar - gamma) * P
     L2 = np.block([[M, P], [P, (gamma / chi) * np.eye(nn) - P]])
+    tol = _scaled_tol(P, tol)
     return is_psd(-L1, tol) and is_psd(L2, tol)
 
 
@@ -459,7 +465,8 @@ def _positive_definite(*mats) -> bool:
 
 
 def reverify_certificate(cert, Phi_star) -> bool:
-    """Re-check the certificate's defining inequalities from scratch at 1e-9.
+    """Re-check the certificate's defining inequalities from scratch at 1e-9
+    (scaled by min(1, lambda_max(P)) for the perturbed kinds).
 
     Every kind also requires its Lyapunov matrix P (and M for the online
     perturbed kind) to be positive definite: the inequalities alone accept
@@ -487,5 +494,5 @@ def reverify_certificate(cert, Phi_star) -> bool:
             np.zeros((nn, nn)),
             1.0,
         )
-        return is_psd(U, 1e-9) and _positive_definite(cert.P)
+        return is_psd(U, _scaled_tol(cert.P, 1e-9)) and _positive_definite(cert.P)
     raise TypeError(f"not a certificate: {type(cert)!r}")

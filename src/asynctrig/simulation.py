@@ -10,37 +10,36 @@ self-triggering.
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .certificates import (
     choose_sigma_star,
+    decay_factor,
+    max_eps_feasible,
     synthesize_perturbed_offline,
     synthesize_perturbed_online,
     synthesize_unperturbed,
 )
 from .errors import ConfigError
-from .horizons import DEFAULT_CAP, avg_idle_metric, enumerate_horizons, horizon_to_text
+from .horizons import DEFAULT_CAP, enumerate_horizons, horizon_to_text
 from .matrix_core import mat_exp, spectral_radius
-from .partition import make_partition
+from .partition import make_partition, sprocedure_feasible
 from .plant import (
     DiscretePlant,
     PlantModel,
+    _simpson_weights,
     disturbance_step_bound,
     growth_constants,
     selection_matrices,
     step_matrix,
+    transition_table,
 )
-from .triggers import (
-    OfflineTable,
-    OnlinePerturbedPolicy,
-    OnlineUnperturbedPolicy,
-    build_offline_table_unperturbed,
-    offline_perturbed_machinery,
-    offline_perturbed_select,
-    offline_select,
-)
+from .triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, build_offline_table
+
+# perfbench/passes.py still looks these old names up before each loop; simulate never calls them
+offline_select = offline_perturbed_select = None
 
 MODES = (
     "online-unperturbed",
@@ -128,44 +127,54 @@ class _DisturbanceIntegrator:
             raise ConfigError("substeps_per_T must be >= 1")
         self.nodes = np.linspace(0.0, T, 2 * substeps + 1)
         self.EAD = np.array([mat_exp(plant.A, T - s) @ plant.D for s in self.nodes])
-        w = np.ones(2 * substeps + 1)
-        w[1:-1:2] = 4.0
-        w[2:-2:2] = 2.0
-        self.weights = w * (T / (2 * substeps) / 3.0)
+        self.weights = _simpson_weights(substeps, T)
 
     def integrate(self, w: Callable[[float], np.ndarray], t: float) -> np.ndarray:
         vals = np.array([self.EAD[j] @ np.atleast_1d(w(t + s)) for j, s in enumerate(self.nodes)])
         return self.weights @ vals
 
 
-def prepare(config: SimConfig, with_tables: bool = True):
+class Prepared(NamedTuple):
+    dp: DiscretePlant
+    horizons: list
+    cert: object
+    regions: Optional[list]
+    table: Optional[OfflineTable]
+    policy: object  # None only for an offline mode prepared without tables
+
+
+# Per-region tests handed to the table builder.  They look the feasibility
+# functions up at call time, so wrappers installed on this module see them.
+def _sprocedure_test(cert, Phi, sigma, Q):
+    return sprocedure_feasible(Phi, cert.P, decay_factor(cert.beta, len(sigma), cert.T), Q)
+
+
+def _max_eps_test(cert, Phi, sigma, Q):
+    bbar = decay_factor(cert.beta, len(sigma), cert.T)
+    return max_eps_feasible(cert.P, cert.gamma1, cert.gamma2, Phi, bbar, cert.chi_linear_map[len(sigma)], Q)
+
+
+def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     """Run the offline stage: discretize, enumerate, certify, tabulate.
 
-    Returns (dp, horizons, cert, regions, table, policy); any infeasibility
-    surfaces here, before stepping starts.  with_tables=False skips the
-    expensive offline-table builds when only the certificate is wanted.
+    The transition table is built once and shared by the choice of sigma*,
+    the synthesis and the policy; any infeasibility surfaces here, before
+    stepping starts.  with_tables=False skips the expensive offline-table
+    builds when only the certificate is wanted (offline modes then get no
+    policy).
     """
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
     horizons = enumerate_horizons(plant.m, config.l_min, config.l_max, config.horizon_cap)
-    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(dp, horizons)
-    if sigma_star not in set(horizons):
+    phis = transition_table(dp, horizons)
+    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(phis)
+    if sigma_star not in phis:
         raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set")
-    from .plant import transition_table
-
-    Phi_star = transition_table(dp, [sigma_star])[sigma_star]
+    Phi_star = phis[sigma_star]
     hs = len(sigma_star) * config.T
-    regions = None
-    table = None
-    policy = None
-    if config.mode == "online-unperturbed":
+    perturbed = config.mode in PERTURBED_MODES
+    if not perturbed:
         cert = synthesize_unperturbed(Phi_star, config.beta, hs, sigma_star=sigma_star, T=config.T)
-        policy = OnlineUnperturbedPolicy(cert, horizons, dp)
-    elif config.mode == "offline-unperturbed":
-        cert = synthesize_unperturbed(Phi_star, config.beta, hs, sigma_star=sigma_star, T=config.T)
-        regions = make_partition(2 * plant.n, config.N)
-        if with_tables:
-            table = build_offline_table_unperturbed(cert, horizons, regions, dp)
     else:
         varpi = disturbance_step_bound(plant, config.T)
         C, chi_sq, chi_lin = growth_constants(dp, horizons, varpi)
@@ -184,7 +193,6 @@ def prepare(config: SimConfig, with_tables: bool = True):
                 T=config.T,
                 chi_squared=chi_sq,
             )
-            policy = OnlinePerturbedPolicy(cert, horizons, dp)
         else:
             cert = synthesize_perturbed_offline(
                 Phi_star,
@@ -199,15 +207,24 @@ def prepare(config: SimConfig, with_tables: bool = True):
                 C_prime=C_prime,
                 varpi=varpi,
             )
-            regions = make_partition(2 * plant.n, config.N)
-            if with_tables:
-                table = offline_perturbed_machinery(cert, horizons, regions, dp)
-    return dp, horizons, cert, regions, table, policy
+    regions = table = policy = None
+    if config.mode in OFFLINE_MODES:
+        regions = make_partition(2 * plant.n, config.N)
+        if with_tables:
+            region_test = _max_eps_test if perturbed else _sprocedure_test
+            table = build_offline_table(cert, horizons, regions, phis, dp.m, region_test)
+            policy = TablePolicy(table, regions)
+    else:
+        policy = OnlinePolicy(cert, horizons, phis, dp.m)
+    if perturbed and policy is not None:
+        policy = GatedPolicy(policy, cert.P)
+    return Prepared(dp, horizons, cert, regions, table, policy)
 
 
-def simulate(config: SimConfig, prepared=None) -> SimTrace:
+def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace:
     plant = config.plant
-    dp, horizons, cert, regions, table, policy = prepared if prepared is not None else prepare(config)
+    prepared = prepared if prepared is not None else prepare(config)
+    dp, cert, policy = prepared.dp, prepared.cert, prepared.policy
     perturbed = config.mode in PERTURBED_MODES
     w_signal = None
     integrator = None
@@ -236,14 +253,7 @@ def simulate(config: SimConfig, prepared=None) -> SimTrace:
     while steps < config.total_steps:
         V_here = float(eta @ P @ eta)
         inside = int(V_here <= 1.0) if perturbed else 0
-        if config.mode == "online-unperturbed":
-            dec = policy.select(eta, config.seed, steps)
-        elif config.mode == "online-perturbed":
-            dec = policy.select(eta, config.seed, steps)
-        elif config.mode == "offline-unperturbed":
-            dec = offline_select(eta, table, regions, config.seed, steps)
-        else:
-            dec = offline_perturbed_select(eta, table, cert, regions, config.seed, steps)
+        dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
         decision_rows.append(
@@ -274,7 +284,6 @@ def simulate(config: SimConfig, prepared=None) -> SimTrace:
         "steps": steps,
         "readings": readings,
         "utilization_reduction": 1.0 - readings / (plant.m * steps),
-        "idle_fraction": 1.0 - readings / (plant.m * steps),
         "V0": V0,
         "final_V": boundary_V[-1],
         "min_V_ratio": min(boundary_V) / V0 if V0 > 0 else 0.0,
@@ -320,7 +329,6 @@ def utilization_metrics(trace: SimTrace, m: int) -> dict:
         "steps": steps,
         "readings": readings,
         "utilization_reduction": reduction,
-        "idle_fraction": reduction,
         "final_V": float(trace.boundary_V[-1]) if trace.boundary_V else float(trace.V[-1]),
     }
 

@@ -9,6 +9,7 @@ come back to within rounding.
 
 import math
 import os
+import re
 
 import numpy as np
 
@@ -168,8 +169,6 @@ def emit_plots(trace, outdir: str, mu: float = 0.0) -> list:
 
 def parse_polyline(svg_text: str, ident: str):
     """Recover a polyline's data coordinates by inverting the recorded maps."""
-    import re
-
     m = re.search(r"<desc>px = ([^ ]+) \+ ([^ ]+) \* [^;]+; py = ([^ ]+) \+ ([^ ]+) \*", svg_text)
     if not m:
         raise ValueError("no coordinate maps recorded")

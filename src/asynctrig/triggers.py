@@ -1,13 +1,16 @@
-"""The four self-triggering mechanisms.
+"""The four self-triggering mechanisms, as two independent choices.
 
-All four select, at each triggering instant, the horizon maximizing the
-average-idle objective inside a certificate-defined admissible set:
+Each mechanism selects, at each triggering instant, the horizon maximizing
+the average-idle objective inside a certificate-defined admissible set.  The
+set comes either from an online test of every horizon's quadratic form at
+the current state, or from a region table built offline; the perturbed
+variants put the E(P,1) gate in front of either:
 
-  online unperturbed   per-state quadratic test eta'(Phi'P Phi - rho P)eta
-  offline unperturbed  per-region S-procedure table built once
-  online perturbed     per-state test (eta;1)' U_sigma (eta;1), ellipsoid gate
-  offline perturbed    per-region table of assembled U_c checks, same gate
+                 online test              region table
+  unperturbed    OnlinePolicy             TablePolicy
+  perturbed      GatedPolicy(Online...)   GatedPolicy(Table...)
 
+Every policy answers select(eta, rng_seed, step_index) -> TriggerDecision.
 Metric ties are broken uniformly at random with a counter-based generator
 keyed by (seed, step index), so decisions are reproducible and independent
 of execution order.
@@ -17,19 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import (
-    PerturbedOfflineCertificate,
-    PerturbedOnlineCertificate,
-    UnperturbedCertificate,
-    build_U_sigma,
-    decay_factor,
-    max_eps_feasible,
-)
+from .certificates import UnperturbedCertificate, build_U_sigma, decay_factor
 from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
-from .partition import region_of, sprocedure_feasible
-from .plant import transition_table
+from .partition import region_of
 
 IDLE_HORIZON = (0,)
 
@@ -65,202 +60,132 @@ def _argmax_ties(candidates, metrics):
     return best, [s for s in candidates if metrics[s] == best]
 
 
-class OnlineUnperturbedPolicy:
-    """Precomputed per-horizon forms for the unperturbed online trigger."""
-
-    mode = "online-unperturbed"
-
-    def __init__(self, cert: UnperturbedCertificate, horizons, dp):
-        sigma_star = tuple(cert.sigma_star)
-        horizons = [tuple(s) for s in horizons]
-        if sigma_star not in horizons:
-            raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set")
-        self.cert = cert
-        self.horizons = horizons
-        self.sigma_star = sigma_star
-        phis = transition_table(dp, horizons)
-        P = cert.P
-        self.G = {
-            s: phis[s].T @ P @ phis[s] - decay_factor(cert.beta, len(s), cert.T) * P
-            for s in horizons
-        }
-        self.metrics = {s: avg_idle_metric(s, dp.m) for s in horizons}
-        self.P_norm = spectral_norm(P)
-
-    def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
-        eta = np.asarray(eta, dtype=float)
-        slack = FEAS_TOL * (eta @ eta) * self.P_norm
-        feas = [s for s in self.horizons if eta @ self.G[s] @ eta <= slack]
-        if not feas:
-            feas = [self.sigma_star]  # guaranteed admissible; guards roundoff
-        best, ties = _argmax_ties(feas, self.metrics)
-        chosen = _tie_break(ties, rng_seed, step_index)
-        return TriggerDecision(
-            horizon=chosen,
-            metric=best,
-            feasible_count=len(feas),
-            tie_count=len(ties),
-            mode=self.mode,
-        )
+def _mode(kind: str, cert) -> str:
+    return f"{kind}-{'unperturbed' if isinstance(cert, UnperturbedCertificate) else 'perturbed'}"
 
 
-class OnlinePerturbedPolicy:
-    """Perturbed online trigger: ellipsoid gate plus per-horizon U_sigma test."""
-
-    mode = "online-perturbed"
-
-    def __init__(self, cert: PerturbedOnlineCertificate, horizons, dp):
-        sigma_star = tuple(cert.sigma_star)
-        horizons = [tuple(s) for s in horizons]
-        if sigma_star not in horizons:
-            raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set")
-        self.cert = cert
-        self.horizons = horizons
-        self.sigma_star = sigma_star
-        self.m = dp.m
-        phis = transition_table(dp, horizons)
-        self.blocks = {}
-        self.scalars = {}
-        nn = cert.P.shape[0]
-        for s in horizons:
-            U = build_U_sigma(
-                cert.P,
-                cert.M,
-                cert.gamma,
-                phis[s],
-                decay_factor(cert.beta, len(s), cert.T),
-                cert.chi_squared[len(s)],
-            )
-            self.blocks[s] = U[:nn, :nn]
-            self.scalars[s] = U[nn, nn]
-        self.metrics = {s: avg_idle_metric(s, dp.m) for s in horizons}
-
-    def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
-        eta = np.asarray(eta, dtype=float)
-        if eta @ self.cert.P @ eta <= 1.0:
-            # inside E(P,1): wait one period without sampling
-            return TriggerDecision(
-                horizon=IDLE_HORIZON,
-                metric=avg_idle_metric(IDLE_HORIZON, self.m),
-                feasible_count=1,
-                tie_count=1,
-                mode=self.mode,
-            )
-        slack = -FEAS_TOL * max(1.0, float(eta @ eta))
-        feas = [
-            s
-            for s in self.horizons
-            if eta @ self.blocks[s] @ eta + self.scalars[s] >= slack
-        ]
-        if not feas:
-            feas = [self.sigma_star]
-        best, ties = _argmax_ties(feas, self.metrics)
-        chosen = _tie_break(ties, rng_seed, step_index)
-        return TriggerDecision(
-            horizon=chosen,
-            metric=best,
-            feasible_count=len(feas),
-            tie_count=len(ties),
-            mode=self.mode,
-        )
+def _fallback(cert, horizons) -> tuple:
+    sigma_star = tuple(cert.sigma_star)
+    if sigma_star not in horizons:
+        raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set")
+    return sigma_star
 
 
-def online_unperturbed_select(eta, cert, horizons, rng_seed: int, dp, step_index: int = 0):
-    """One-shot form of the unperturbed online selection."""
-    return OnlineUnperturbedPolicy(cert, horizons, dp).select(eta, rng_seed, step_index)
+class OnlinePolicy:
+    """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= -slack.
 
-
-def online_perturbed_select(eta, cert, horizons, rng_seed: int, dp, step_index: int = 0):
-    """One-shot form of the perturbed online selection."""
-    return OnlinePerturbedPolicy(cert, horizons, dp).select(eta, rng_seed, step_index)
-
-
-def build_offline_table_unperturbed(cert: UnperturbedCertificate, horizons, regions, dp) -> OfflineTable:
-    """Per-region optimal-horizon sets via the S-procedure feasibility test.
-
-    A horizon enters a region's candidate set when some multiplier certifies
-    the Lyapunov decay on the whole region; the fallback horizon is inserted
-    when nothing else qualifies.
+    Unperturbed, F_s = rho_s P - Phi_s' P Phi_s with a zero corner c_s, and
+    the slack is FEAS_TOL |eta|^2 ||P||.  Perturbed, (F_s, c_s) are the
+    blocks of U_sigma and the slack is FEAS_TOL max(1, |eta|^2).  All forms
+    are evaluated in one batched product; an empty admissible set falls back
+    to sigma*, which the certificate guarantees (this guards roundoff).
     """
-    horizons = [tuple(s) for s in horizons]
-    sigma_star = tuple(cert.sigma_star)
-    phis = transition_table(dp, horizons)
-    metrics = {s: avg_idle_metric(s, dp.m) for s in horizons}
-    psi = []
-    values = []
-    for reg in regions:
-        feas = []
-        for s in horizons:
-            bbar = decay_factor(cert.beta, len(s), cert.T)
-            if sprocedure_feasible(phis[s], cert.P, bbar, reg.Q) is not None:
-                feas.append(s)
-        if not feas:
-            feas = [sigma_star]
-        best, ties = _argmax_ties(feas, metrics)
-        psi.append(tuple(ties))
-        values.append(best)
-    return OfflineTable(psi=tuple(psi), metric=tuple(values), mode="offline-unperturbed", m=dp.m)
 
+    def __init__(self, cert, horizons, phis, m: int):
+        self.horizons = [tuple(s) for s in horizons]
+        self.fallback_index = self.horizons.index(_fallback(cert, self.horizons))
+        self.mode = _mode("online", cert)
+        self.m = m
+        self.metrics = np.array([avg_idle_metric(s, m) for s in self.horizons])
+        P = cert.P
+        nn = P.shape[0]
+        self.forms = np.empty((len(self.horizons), nn, nn))
+        self.corners = np.zeros(len(self.horizons))
+        unperturbed = isinstance(cert, UnperturbedCertificate)
+        for i, s in enumerate(self.horizons):
+            rho = decay_factor(cert.beta, len(s), cert.T)
+            if unperturbed:
+                self.forms[i] = rho * P - phis[s].T @ P @ phis[s]
+            else:
+                U = build_U_sigma(P, cert.M, cert.gamma, phis[s], rho, cert.chi_squared[len(s)])
+                self.forms[i] = U[:nn, :nn]
+                self.corners[i] = U[nn, nn]
+        self.slack_floor, self.slack_scale = (0.0, spectral_norm(P)) if unperturbed else (1.0, 1.0)
 
-def offline_select(eta, table: OfflineTable, regions, rng_seed: int, step_index: int = 0) -> TriggerDecision:
-    """Look up the precomputed optimal set for the state's region."""
-    c = region_of(np.asarray(eta, dtype=float), regions)
-    ties = table.psi[c]
-    chosen = _tie_break(ties, rng_seed, step_index)
-    return TriggerDecision(
-        horizon=chosen,
-        metric=table.metric[c],
-        feasible_count=len(ties),
-        tie_count=len(ties),
-        mode=table.mode,
-    )
-
-
-def offline_perturbed_machinery(cert: PerturbedOfflineCertificate, horizons, regions, dp) -> OfflineTable:
-    """Per-region admissible sets for the perturbed offline mechanism."""
-    horizons = [tuple(s) for s in horizons]
-    sigma_star = tuple(cert.sigma_star)
-    phis = transition_table(dp, horizons)
-    metrics = {s: avg_idle_metric(s, dp.m) for s in horizons}
-    psi = []
-    values = []
-    for reg in regions:
-        feas = []
-        for s in horizons:
-            bbar = decay_factor(cert.beta, len(s), cert.T)
-            eps = max_eps_feasible(
-                cert.P,
-                cert.gamma1,
-                cert.gamma2,
-                phis[s],
-                bbar,
-                cert.chi_linear_map[len(s)],
-                reg.Q,
-            )
-            if eps is not None:
-                feas.append(s)
-        if not feas:
-            feas = [sigma_star]
-        best, ties = _argmax_ties(feas, metrics)
-        psi.append(tuple(ties))
-        values.append(best)
-    return OfflineTable(psi=tuple(psi), metric=tuple(values), mode="offline-perturbed", m=dp.m)
-
-
-def offline_perturbed_select(
-    eta, table: OfflineTable, cert: PerturbedOfflineCertificate, regions, rng_seed: int, step_index: int = 0
-) -> TriggerDecision:
-    """Ellipsoid gate, then the region's precomputed optimal set."""
-    eta = np.asarray(eta, dtype=float)
-    if eta @ cert.P @ eta <= 1.0:
+    def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
+        eta = np.asarray(eta, dtype=float)
+        H, d, _ = self.forms.shape
+        values = (self.forms.reshape(H * d, d) @ eta).reshape(H, d) @ eta + self.corners
+        slack = FEAS_TOL * max(self.slack_floor, float(eta @ eta)) * self.slack_scale
+        feas = np.flatnonzero(values >= -slack)
+        if feas.size == 0:
+            feas = np.array([self.fallback_index])
+        best = self.metrics[feas].max()
+        ties = feas[self.metrics[feas] == best]
+        chosen = self.horizons[_tie_break(ties, rng_seed, step_index)]
         return TriggerDecision(
+            horizon=chosen,
+            metric=float(best),
+            feasible_count=int(feas.size),
+            tie_count=int(ties.size),
+            mode=self.mode,
+        )
+
+
+class TablePolicy:
+    """Offline trigger: look up the precomputed optimal set for the state's region."""
+
+    def __init__(self, table: OfflineTable, regions):
+        self.table = table
+        self.regions = regions
+        self.mode = table.mode
+        self.m = table.m
+
+    def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
+        c = region_of(np.asarray(eta, dtype=float), self.regions)
+        ties = self.table.psi[c]
+        return TriggerDecision(
+            horizon=_tie_break(ties, rng_seed, step_index),
+            metric=self.table.metric[c],
+            feasible_count=len(ties),
+            tie_count=len(ties),
+            mode=self.mode,
+        )
+
+
+class GatedPolicy:
+    """The perturbed mechanisms' gate: inside E(P,1), wait one period without
+    sampling; elsewhere defer to the wrapped policy."""
+
+    def __init__(self, policy, P):
+        self.policy = policy
+        self.P = P
+        self.mode = policy.mode
+        self.idle = TriggerDecision(
             horizon=IDLE_HORIZON,
-            metric=avg_idle_metric(IDLE_HORIZON, table.m),
+            metric=avg_idle_metric(IDLE_HORIZON, policy.m),
             feasible_count=1,
             tie_count=1,
-            mode=table.mode,
+            mode=self.mode,
         )
-    return offline_select(eta, table, regions, rng_seed, step_index)
+
+    def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
+        eta = np.asarray(eta, dtype=float)
+        if eta @ self.P @ eta <= 1.0:
+            return self.idle
+        return self.policy.select(eta, rng_seed, step_index)
+
+
+def build_offline_table(cert, horizons, regions, phis, m: int, region_test) -> OfflineTable:
+    """Per-region optimal-horizon sets, regions outer and horizons inner.
+
+    region_test(cert, Phi_sigma, sigma, Q_c) returns a multiplier certifying
+    the horizon on the region, or None; the fallback horizon is inserted when
+    nothing else qualifies.
+    """
+    horizons = [tuple(s) for s in horizons]
+    sigma_star = _fallback(cert, horizons)
+    metrics = {s: avg_idle_metric(s, m) for s in horizons}
+    psi = []
+    values = []
+    for reg in regions:
+        feas = [s for s in horizons if region_test(cert, phis[s], s, reg.Q) is not None]
+        if not feas:
+            feas = [sigma_star]
+        best, ties = _argmax_ties(feas, metrics)
+        psi.append(tuple(ties))
+        values.append(best)
+    return OfflineTable(psi=tuple(psi), metric=tuple(values), mode=_mode("offline", cert), m=m)
 
 
 def table_to_dict(table: OfflineTable) -> dict:

@@ -29,7 +29,7 @@ from asynctrig.partition import sprocedure_feasible
 from asynctrig.plant import DiscretePlant, horizon_transition
 from asynctrig.presets import preset_config
 from asynctrig.simulation import SimConfig, prepare, schur_threshold, simulate
-from helpers import benchmark_plant, random_schur_stabilizable, simpson_zoh_B, taylor_expm
+from helpers import M_REF, P_REF, benchmark_plant, random_schur_stabilizable, simpson_zoh_B, taylor_expm
 
 
 @pytest.fixture
@@ -138,22 +138,7 @@ def test_criterion_5_online_perturbed_preset(say):
     p_lo, m_lo = sym_eigs(cert.P)[0], sym_eigs(cert.M)[0]
     cert_ok = cert_verified and l1 < 0 and l2 > 0 and p_lo > 0 and m_lo > 0
 
-    P_ref = np.array(
-        [
-            [4.5107, -0.3699, -0.7505, -1.3990],
-            [-0.3699, 5.0824, 0.4709, -1.3114],
-            [-0.7505, 0.4709, 6.2863, 0.2754],
-            [-1.3990, -1.3114, 0.2754, 2.0002],
-        ]
-    )
-    M_ref = np.array(
-        [
-            [9.6164, -0.2298, -2.4446, -2.3527],
-            [-0.2298, 10.7068, 1.3307, -3.6711],
-            [-2.4446, 1.3307, 10.9375, 0.6381],
-            [-2.3527, -3.6711, 0.6381, 4.5667],
-        ]
-    )
+    P_ref, M_ref = P_REF, M_REF
     ref_verified = verify_lmi_pair(P_ref, M_ref, 0.35, chi_star, Phi_star, bbar_star, tol=1e-6)
     m1, _ = lmi_margins(P_ref, M_ref)
     Phis = np.stack([horizon_transition(dp, s) for s in horizons])

@@ -21,8 +21,14 @@ from asynctrig.certificates import (
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import enumerate_horizons
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
-from asynctrig.plant import DiscretePlant, disturbance_step_bound, growth_constants, horizon_transition
-from helpers import benchmark_plant
+from asynctrig.plant import (
+    DiscretePlant,
+    disturbance_step_bound,
+    growth_constants,
+    horizon_transition,
+    transition_table,
+)
+from helpers import M_REF, P_REF, benchmark_plant
 
 
 def _phi_star_unperturbed():
@@ -33,7 +39,7 @@ def _phi_star_unperturbed():
 def test_choose_sigma_star_picks_smallest_radius():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
     horizons = enumerate_horizons(2, 1, 2)
-    star = choose_sigma_star(dp, horizons)
+    star = choose_sigma_star(transition_table(dp, horizons))
     best = min(spectral_radius(horizon_transition(dp, s)) for s in horizons)
     assert spectral_radius(horizon_transition(dp, star)) == pytest.approx(best)
 
@@ -241,6 +247,23 @@ def test_serialization_round_trip_reverifies():
     zero_off = certificate_from_dict({**certificate_to_dict(off), "P": zero})
     assert not reverify_certificate(zero_on, Phi_on)
     assert not reverify_certificate(zero_off, Phi_off)
+    # The inequalities are homogeneous, so a non-certificate scaled down far
+    # enough slips under an absolute tolerance: the recorded pair of
+    # criterion 5 (rejected as it stands) must stay rejected when scaled.
+    bbar_on = decay_factor(on.beta, 4, on.T)
+    assert not verify_lmi_pair(P_REF, M_REF, on.gamma, on.chi, Phi_on, bbar_on, tol=1e-6)
+    assert not verify_lmi_pair(1e-9 * P_REF, 1e-9 * M_REF, on.gamma, on.chi, Phi_on, bbar_on, tol=1e-6)
+    tiny = certificate_from_dict({**certificate_to_dict(on), "P": 1e-11 * P_REF, "M": 1e-11 * M_REF})
+    assert not reverify_certificate(tiny, Phi_on)
+    # the offline kind: P = I fails its inequality, and so must 1e-11 * I
+    assert not reverify_certificate(certificate_from_dict({**certificate_to_dict(off), "P": np.eye(4)}), Phi_off)
+    tiny_off = certificate_from_dict({**certificate_to_dict(off), "P": 1e-11 * np.eye(4)})
+    assert not reverify_certificate(tiny_off, Phi_off)
+    # control: real certificates scaled down stay certificates
+    small = certificate_from_dict({**certificate_to_dict(on), "P": 1e-3 * on.P, "M": 1e-3 * on.M})
+    assert reverify_certificate(small, Phi_on)
+    small_off = certificate_from_dict({**certificate_to_dict(off), "P": 1e-3 * off.P})
+    assert reverify_certificate(small_off, Phi_off)
 
 
 def test_serialization_round_trip_perturbed_kinds():

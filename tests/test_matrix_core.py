@@ -149,3 +149,19 @@ def test_lyapunov_rejects_bad_rate_and_radius():
         solve_discrete_lyapunov(Phi, 0.81, np.eye(2))  # sr^2 == rho exactly
     with pytest.raises(InfeasibleError):
         solve_discrete_lyapunov(np.diag([1.01, 0.2]), 1.0, np.eye(2))
+
+
+def test_quadrature_oracle_batches_the_node_loop():
+    # same arithmetic as a taylor_expm call per node, summed in node order
+    A = np.array([[0.5, 4.0, -1.0], [-3.0, 1.0, 2.0], [1.5, -2.0, -4.0]])
+    B = np.array([[1.0], [-0.5], [2.0]])
+    T, panels = 0.4, 60
+    w = np.ones(2 * panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    w *= T / (2 * panels) / 3.0
+    acc = np.zeros_like(B)
+    for wi, s in zip(w, np.linspace(0.0, T, 2 * panels + 1)):
+        acc = acc + wi * (taylor_expm(A * s) @ B)
+    np.testing.assert_array_equal(simpson_zoh_B(A, B, T, panels=panels), acc)
+

@@ -7,6 +7,8 @@ import pytest
 from asynctrig.errors import ConfigError
 from asynctrig.horizons import horizon_to_text
 from asynctrig.presets import DEFAULT_SEED, DEFAULT_STEPS, PRESET_NAMES, PRESET_NOTES, preset_config
+from asynctrig.simulation import prepare, simulate
+from asynctrig.triggers import table_to_dict
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -85,3 +87,64 @@ def test_preset_notes_cover_all_names():
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         preset_config("periodic")
+
+
+# Recorded before the four mechanisms shared one policy interface; the
+# offline entries equal the `@total_steps=100` entries of perfbench/reference.json.
+PINNED_ACTIONS = {
+    "online-unperturbed": (
+        "02202120020210202012002001202120021200122000202102"
+        "00210202022120201202102020201020022122022120202010"
+        "20"
+    ),
+    "offline-unperturbed": (
+        "20120202120220201221020202120220210202122021202002"
+        "12022102022020120202120202122012022120200221200221"
+        "20"
+    ),
+    "online-perturbed": (
+        "00000000000020021210021210020021210021210021210021"
+        "21002002121002121002121002121002002121002121002121"
+    ),
+    "offline-perturbed": (
+        "12200000122001221221220012212200122012201221220012"
+        "20012212201220001221220012201220122122001220012212"
+        "2"
+    ),
+}
+PINNED_TABLES = {
+    "offline-unperturbed": [
+        "020212 021202 021220 022120 120202 120220 202012 202102 202120 210202 212020",
+        "020212 021202 022120 201202 202012 202102 210202",
+        "020212 021202 022120 201202 202012 202102 202120 210202",
+        "020212 021202 202012 202102 210202",
+        "020212 021202 120202 120220 202012 202102 210202 212020",
+        "020212 021202 021220 202012 202102 202120 210202 212020",
+        "020212 021202 120202 201202 202012 202102 202120 210202 212020",
+        "020212 021202 022120 202012 202102 210202",
+        "020212 021202 021220 202012 202102 202120 210202 212020",
+        "020212 021202 021220 022120 120202 202012 202102 202120 210202 212020",
+        "020212 021202 202012 202102 210202",
+        "202002",
+        "020212 021202 022120 201202 202012 202102 202120 210202",
+        "020212 021202 022120 202012 202102 210202 212020",
+        "020212 021202 202012 202102 210202",
+    ],
+    "offline-perturbed": ["122"] * 15,
+}
+
+
+def test_preset_actions_and_tables_pinned(prepared_offline_unperturbed, prepared_offline_perturbed):
+    """Seed-154 action strings of all four presets and both offline tables."""
+    prepared = {
+        "offline-unperturbed": prepared_offline_unperturbed[1],
+        "offline-perturbed": prepared_offline_perturbed[1],
+    }
+    for name in PRESET_NAMES:
+        cfg = preset_config(name)
+        prep = prepared.get(name) or prepare(cfg)
+        actions = simulate(cfg, prep).actions
+        assert horizon_to_text(actions) == PINNED_ACTIONS[name], name
+        if name in PINNED_TABLES:
+            texts = [" ".join(r["psi"]) for r in table_to_dict(prep.table)["regions"]]
+            assert texts == PINNED_TABLES[name], name

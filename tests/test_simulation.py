@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from asynctrig.errors import ConfigError
 from asynctrig.matrix_core import mat_exp
-from asynctrig.plant import PlantModel, selection_matrices
-from asynctrig.presets import preset_config
+from asynctrig import simulation
+from asynctrig.plant import PlantModel, selection_matrices, transition_table
+from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import (
     SimConfig,
     SimTrace,
@@ -215,3 +217,41 @@ def test_read_trace_csv_rejects_empty(tmp_path):
     p.write_text("step,t,x_1,x_2,xhat_1,xhat_2,u_1,action,V\n")
     with pytest.raises(ValueError):
         read_trace_csv(str(p))
+
+
+def test_prepare_builds_one_transition_table(monkeypatch):
+    # sigma* chosen automatically in every mode; offline cut small to stay cheap
+    calls = []
+
+    def counting(dp, horizons):
+        calls.append(list(horizons))
+        return transition_table(dp, horizons)
+
+    monkeypatch.setattr(simulation, "transition_table", counting)
+    for name in PRESET_NAMES:
+        small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
+        cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
+        for with_tables in (True, False):
+            calls.clear()
+            prep = prepare(cfg, with_tables=with_tables)
+            assert calls == [prep.horizons], (name, with_tables)
+            offline = name.startswith("offline")
+            assert (prep.table is not None) == (offline and with_tables)
+            assert (prep.policy is not None) == (with_tables or not offline)
+
+
+def test_simulate_decides_through_the_policy(online_run):
+    cfg, prep, _ = online_run
+    seen = []
+    select = prep.policy.select
+
+    def recording(*args):
+        seen.append(select(*args))
+        return seen[-1]
+
+    prep.policy.select = recording
+    try:
+        tr = simulate(cfg, prep)
+    finally:
+        del prep.policy.select
+    assert seen and tr.decisions == seen

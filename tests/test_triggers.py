@@ -18,15 +18,9 @@ from asynctrig.plant import (
     disturbance_step_bound,
     growth_constants,
     horizon_transition,
+    transition_table,
 )
-from asynctrig.triggers import (
-    OnlinePerturbedPolicy,
-    OnlineUnperturbedPolicy,
-    offline_perturbed_select,
-    offline_select,
-    online_unperturbed_select,
-    table_to_dict,
-)
+from asynctrig.triggers import GatedPolicy, OnlinePolicy, TablePolicy, table_to_dict
 from helpers import benchmark_plant
 
 
@@ -37,7 +31,7 @@ def online_unperturbed():
     horizons = enumerate_horizons(2, 1, 3)
     Phi_star = horizon_transition(dp, (1, 2))
     cert = synthesize_unperturbed(Phi_star, 0.0, 0.6, sigma_star=(1, 2), T=0.3)
-    return dp, horizons, cert, OnlineUnperturbedPolicy(cert, horizons, dp)
+    return dp, horizons, cert, OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +46,8 @@ def online_perturbed():
     cert = synthesize_perturbed_online(
         Phi_star, beta, 4 * 0.18, chi_sq[4], 0.35, sigma_star=(2, 1, 2, 1), T=0.18, chi_squared=chi_sq
     )
-    return dp, horizons, cert, OnlinePerturbedPolicy(cert, horizons, dp)
+    policy = OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
+    return dp, horizons, cert, GatedPolicy(policy, cert.P)
 
 
 def _brute_force_feasible(eta, dp, horizons, cert):
@@ -120,15 +115,7 @@ def test_policy_rejects_missing_fallback(online_unperturbed):
     dp, horizons, cert, _ = online_unperturbed
     short = [s for s in horizons if s != (1, 2)]
     with pytest.raises(ConfigError):
-        OnlineUnperturbedPolicy(cert, short, dp)
-
-
-def test_one_shot_wrapper_agrees(online_unperturbed):
-    dp, horizons, cert, policy = online_unperturbed
-    eta = np.array([4.0, -1.0, 4.0, -1.0])
-    a = policy.select(eta, rng_seed=9, step_index=3)
-    b = online_unperturbed_select(eta, cert, horizons, 9, dp, step_index=3)
-    assert a == b
+        OnlinePolicy(cert, short, transition_table(dp, short), dp.m)
 
 
 def test_online_perturbed_idle_inside_ellipsoid(online_perturbed):
@@ -173,6 +160,7 @@ def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
     cfg, prep, _ = prepared_offline_unperturbed
     dp, horizons, cert, regions, table, policy = prep
     assert table.mode == "offline-unperturbed"
+    assert isinstance(policy, TablePolicy) and policy.table is table
     assert table.m == dp.m
     assert len(table.psi) == len(regions) == cfg.N
     for ties, value in zip(table.psi, table.metric):
@@ -183,9 +171,10 @@ def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
     for k in range(50):
         eta = rng.normal(scale=10.0, size=4)
         c = region_of(eta, regions)
-        dec = offline_select(eta, table, regions, rng_seed=2, step_index=k)
+        dec = policy.select(eta, rng_seed=2, step_index=k)
         assert dec.horizon in table.psi[c]
         assert dec.metric == table.metric[c]
+        assert dec.mode == table.mode
 
 
 def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
@@ -206,15 +195,17 @@ def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
 
 def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
     cfg, prep, _ = prepared_offline_perturbed
-    dp, horizons, cert, regions, table, _ = prep
+    dp, horizons, cert, regions, table, policy = prep
     assert table.mode == "offline-perturbed"
+    assert isinstance(policy, GatedPolicy) and policy.policy.table is table
     lam_hi = max(np.linalg.eigvalsh(cert.P))
     inside = np.ones(4) * (0.5 / math.sqrt(lam_hi * 4.0))
-    dec = offline_perturbed_select(inside, table, cert, regions, rng_seed=0)
+    dec = policy.select(inside, rng_seed=0)
     assert dec.horizon == (0,)
+    assert dec.mode == table.mode and dec.metric == avg_idle_metric((0,), dp.m)
     outside = np.array([15.0, -1.5, 15.0, -1.5])
     assert outside @ cert.P @ outside > 1.0
-    dec = offline_perturbed_select(outside, table, cert, regions, rng_seed=0)
+    dec = policy.select(outside, rng_seed=0)
     c = region_of(outside, regions)
     assert dec.horizon in table.psi[c]
     # every tabulated non-fallback pair must re-pass the assembled-form

@@ -8,7 +8,8 @@ disturbance aggregates chi, and yield an ultimate-bound ellipsoid E(P, mu).
 No semidefinite-programming solver is used: all matrices here are small
 (<= 9x9), so certificates are built from a weighted discrete Lyapunov solve
 plus structured scalar searches, and every result is re-checked by direct
-eigenvalue bounds, which are the feasibility authority.
+eigenvalue bounds, which are the feasibility authority.  The region tests
+are exact: one quadratic constraint makes the S-procedure lossless.
 """
 
 import math
@@ -22,6 +23,7 @@ from .matrix_core import (
     is_psd,
     solve_discrete_lyapunov,
     spectral_radius,
+    sprocedure_multiplier,
     sym_eig_bounds,
     symmetrize,
 )
@@ -206,13 +208,9 @@ def synthesize_perturbed_online(
     )
 
 
-def build_U_sigma(P, M, gamma: float, Phi_sigma, bbar_sigma: float, chi_sigma_squared: float) -> np.ndarray:
-    """Feasibility matrix for one horizon in the perturbed-online trigger.
-
-    Block diagonal: the 2n x 2n block -Phi'(P+M)Phi + (bbar - gamma) P and
-    the scalar gamma - chi lambda_max(P M^{-1} P + P) in the last entry.  The
-    horizon is admissible at eta iff (eta; 1)' U (eta; 1) >= 0.
-    """
+def U_sigma_builder(P, M, gamma: float):
+    """build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> U_sigma, with the
+    horizon-independent M > 0 check and lambda_max(P M^{-1} P + P) done once."""
     P = symmetrize(P)
     M = symmetrize(M)
     lo, _ = sym_eig_bounds(M)
@@ -220,10 +218,24 @@ def build_U_sigma(P, M, gamma: float, Phi_sigma, bbar_sigma: float, chi_sigma_sq
         raise ValueError(f"M must be positive definite, lambda_min={lo:.3g}")
     nn = P.shape[0]
     _, lam_bar = sym_eig_bounds(symmetrize(P @ np.linalg.solve(M, P)) + P)
-    U = np.zeros((nn + 1, nn + 1))
-    U[:nn, :nn] = -symmetrize(Phi_sigma.T @ (P + M) @ Phi_sigma) + (bbar_sigma - gamma) * P
-    U[nn, nn] = gamma - chi_sigma_squared * lam_bar
-    return U
+
+    def build(Phi_sigma, bbar_sigma: float, chi_sigma_squared: float) -> np.ndarray:
+        U = np.zeros((nn + 1, nn + 1))
+        U[:nn, :nn] = -symmetrize(Phi_sigma.T @ (P + M) @ Phi_sigma) + (bbar_sigma - gamma) * P
+        U[nn, nn] = gamma - chi_sigma_squared * lam_bar
+        return U
+
+    return build
+
+
+def build_U_sigma(P, M, gamma: float, Phi_sigma, bbar_sigma: float, chi_sigma_squared: float) -> np.ndarray:
+    """Feasibility matrix for one horizon in the perturbed-online trigger.
+
+    Block diagonal: the 2n x 2n block -Phi'(P+M)Phi + (bbar - gamma) P and
+    the scalar gamma - chi lambda_max(P M^{-1} P + P) in the last entry.  The
+    horizon is admissible at eta iff (eta; 1)' U (eta; 1) >= 0.
+    """
+    return U_sigma_builder(P, M, gamma)(Phi_sigma, bbar_sigma, chi_sigma_squared)
 
 
 def build_U_c(
@@ -311,50 +323,16 @@ def synthesize_perturbed_offline(
 def max_eps_feasible(
     P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, tol: float = 1e-9
 ):
-    """Multiplier eps_c > 0 maximizing lambda_min of the assembled region matrix.
+    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -tol, or None.
 
-    Coarse log grid over [1e-8, 1e8], then golden-section refinement; the
-    horizon is admissible for the region iff the maximum reaches -tol.
-    Returns the multiplier, or None.
+    Exact, as U_c(eps) = U_c(0) + eps blockdiag(Q_c, 0, 0): the lossless
+    single-constraint test on S = -U_c(0) and Q = -blockdiag(Q_c, 0, 0).
     """
-
-    def lmin(eps: float) -> float:
-        U = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear, Q_c, eps)
-        lo, _ = sym_eig_bounds(U)
-        return lo
-
-    grid = np.logspace(-8, 8, 17)
-    vals = [lmin(e) for e in grid]
-    i = int(np.argmax(vals))
-    if vals[i] >= -tol:
-        return float(grid[i])
-    best_eps, best_val = float(grid[i]), vals[i]
-    a = math.log(grid[max(0, i - 1)])
-    b = math.log(grid[min(len(grid) - 1, i + 1)])
-    gr = (math.sqrt(5) - 1) / 2
-    c1 = b - gr * (b - a)
-    c2 = a + gr * (b - a)
-    f1, f2 = lmin(math.exp(c1)), lmin(math.exp(c2))
-    for _ in range(25):
-        if f1 > best_val:
-            best_eps, best_val = math.exp(c1), f1
-        if f2 > best_val:
-            best_eps, best_val = math.exp(c2), f2
-        if f1 > f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = lmin(math.exp(c1))
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = lmin(math.exp(c2))
-    mid = math.exp(0.5 * (a + b))
-    vm = lmin(mid)
-    if vm > best_val:
-        best_eps, best_val = mid, vm
-    if best_val >= -tol:
-        return float(best_eps)
-    return None
+    nn = np.asarray(P).shape[0]
+    U0 = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear, Q_c, 0.0)
+    E = np.zeros_like(U0)
+    E[:nn, :nn] = Q_c
+    return sprocedure_multiplier(-U0, -E, tol)
 
 
 def ultimate_bound(P, C_prime: float, varpi: float):

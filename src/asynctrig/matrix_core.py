@@ -1,12 +1,13 @@
 """Dense real matrix kernels used by every other module.
 
 Matrix exponential, zero-order-hold integrals, symmetric eigenvalue bounds,
-spectral norm/radius, a weighted discrete Lyapunov solver, and PSD tests.
+spectral norm/radius, a weighted discrete Lyapunov solver, PSD tests, and the
+exact single-constraint S-procedure multiplier test.
 All functions are pure; inputs are never mutated.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigvals, expm
 
 from .errors import InfeasibleError
 
@@ -129,3 +130,22 @@ def is_psd(S, tol: float = PSD_TOL) -> bool:
     """True iff lambda_min((S+S')/2) >= -tol."""
     lo, _ = sym_eig_bounds(S)
     return lo >= -tol
+
+
+def sprocedure_multiplier(S, Q, tol: float = PSD_TOL):
+    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
+
+    lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
+    interval whose finite ends are real eigenvalues of the pencil
+    (S - tol I, -Q).  One eps below the first positive end, one between each
+    consecutive pair and one past the last therefore decide exactly; the real
+    parts of complex eigenvalues only add test points.
+    """
+    S, Q = symmetrize(S), symmetrize(Q)
+    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q).real
+    ends = np.unique(ends[np.isfinite(ends) & (ends > 0)])  # a singular Q gives infinite ones
+    candidates = [ends[0] / 2, *(ends[:-1] + ends[1:]) / 2, 2 * ends[-1]] if ends.size else [1.0]
+    for eps in candidates:
+        if sym_eig_bounds(S + eps * Q)[1] <= tol:
+            return float(eps)
+    return None

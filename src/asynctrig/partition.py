@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConstructionError
-from .matrix_core import sym_eig_bounds, symmetrize
+from .matrix_core import sprocedure_multiplier, symmetrize
 
 COVERAGE_SAMPLES = 100_000
 COVERAGE_RNG_SEED = 12345  # construction-time check only, not a run seed
@@ -119,51 +119,13 @@ def region_of(x, regions) -> int:
 
 
 def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
-    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= tol.
+    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= tol, or None.
 
-    Coarse log grid, then golden-section refinement around the grid minimum;
-    returns the multiplier found, or None when no multiplier certifies the
-    region (absence is a value, not an error).
+    Exact: with one quadratic constraint the S-procedure is lossless, and
+    `sprocedure_multiplier` finds a multiplier whenever one exists.
     """
     S = symmetrize(Phi_sigma.T @ P @ Phi_sigma) - bbar * np.asarray(P)
-    Q_c = np.asarray(Q_c, dtype=float)
-
-    def lmax(eps: float) -> float:
-        _, hi = sym_eig_bounds(S + eps * Q_c)
-        return hi
-
-    grid = np.logspace(-8, 8, 33)
-    vals = [lmax(e) for e in grid]
-    i = int(np.argmin(vals))
-    if vals[i] <= tol:
-        return float(grid[i])
-    best_eps, best_val = float(grid[i]), vals[i]
-    a = math.log(grid[max(0, i - 1)])
-    b = math.log(grid[min(len(grid) - 1, i + 1)])
-    gr = (math.sqrt(5) - 1) / 2
-    c1 = b - gr * (b - a)
-    c2 = a + gr * (b - a)
-    f1, f2 = lmax(math.exp(c1)), lmax(math.exp(c2))
-    for _ in range(40):
-        if f1 < best_val:
-            best_eps, best_val = math.exp(c1), f1
-        if f2 < best_val:
-            best_eps, best_val = math.exp(c2), f2
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = lmax(math.exp(c1))
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = lmax(math.exp(c2))
-    mid = math.exp(0.5 * (a + b))
-    vm = lmax(mid)
-    if vm < best_val:
-        best_eps, best_val = mid, vm
-    if best_val <= tol:
-        return float(best_eps)
-    return None
+    return sprocedure_multiplier(S, Q_c, tol)
 
 
 def partition_to_dict(regions) -> dict:

@@ -130,8 +130,8 @@ class _DisturbanceIntegrator:
         self.weights = _simpson_weights(substeps, T)
 
     def integrate(self, w: Callable[[float], np.ndarray], t: float) -> np.ndarray:
-        vals = np.array([self.EAD[j] @ np.atleast_1d(w(t + s)) for j, s in enumerate(self.nodes)])
-        return self.weights @ vals
+        W = np.array([np.atleast_1d(w(t + s)) for s in self.nodes])
+        return self.weights @ np.einsum("kij,kj->ki", self.EAD, W)
 
 
 class Prepared(NamedTuple):

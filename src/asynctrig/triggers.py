@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import UnperturbedCertificate, build_U_sigma, decay_factor
+from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor
 from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
@@ -92,12 +92,13 @@ class OnlinePolicy:
         self.forms = np.empty((len(self.horizons), nn, nn))
         self.corners = np.zeros(len(self.horizons))
         unperturbed = isinstance(cert, UnperturbedCertificate)
+        u_sigma = None if unperturbed else U_sigma_builder(P, cert.M, cert.gamma)
         for i, s in enumerate(self.horizons):
             rho = decay_factor(cert.beta, len(s), cert.T)
             if unperturbed:
                 self.forms[i] = rho * P - phis[s].T @ P @ phis[s]
             else:
-                U = build_U_sigma(P, cert.M, cert.gamma, phis[s], rho, cert.chi_squared[len(s)])
+                U = u_sigma(phis[s], rho, cert.chi_squared[len(s)])
                 self.forms[i] = U[:nn, :nn]
                 self.corners[i] = U[nn, nn]
         self.slack_floor, self.slack_scale = (0.0, spectral_norm(P)) if unperturbed else (1.0, 1.0)

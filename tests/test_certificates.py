@@ -189,6 +189,22 @@ def test_max_eps_feasible_directional_relaxation():
     assert max_eps_feasible(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_off) is None
 
 
+def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
+    # with P = I and Phi = diag(sqrt(1.5), 0), Q_c = diag(1e-9, -1e-9) and
+    # (bbar - gamma1, gamma2/chi) = (2, 2), the assembled matrix is PSD
+    # exactly for eps in [1e9, 2e9]: the e1 block needs 0.5 + 1e-9 eps >=
+    # 1.5 and the e2 entry needs 2 - 1e-9 eps >= 0
+    P = np.eye(2)
+    Phi = np.diag([math.sqrt(1.5), 0.0])
+    Q_c = np.diag([1e-9, -1e-9])
+    eps = max_eps_feasible(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c)
+    assert eps is not None and 1e9 <= eps <= 2e9
+    lo, _ = sym_eig_bounds(build_U_c(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c, eps))
+    assert lo >= -1e-9
+    # bbar - gamma1 = 1.2 leaves the two conditions no common multiplier
+    assert max_eps_feasible(P, 0.5, 0.2, Phi, 1.7, 0.1, Q_c) is None
+
+
 def test_ultimate_bound_known_values_and_monotonicity():
     mu, psi = ultimate_bound(np.eye(2), 0.0, 1.0)
     assert mu == pytest.approx(1.0) and psi == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
@@ -9,6 +10,7 @@ from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
+    sprocedure_multiplier,
     sym_eig_bounds,
     symmetrize,
     zoh_pair,
@@ -165,3 +167,50 @@ def test_quadrature_oracle_batches_the_node_loop():
         acc = acc + wi * (taylor_expm(A * s) @ B)
     np.testing.assert_array_equal(simpson_zoh_B(A, B, T, panels=panels), acc)
 
+
+def _multiplier_draw(rng, dim: int):
+    """A random symmetric pair (S, Q) with O(1) entries in S.
+
+    Half the draws are feasible by construction at eps0 = 10^U(-12, 12):
+    S + eps0 Q = -R with R > 0, so the feasible interval can lie far outside
+    any fixed search range.  Half the Q are singular, zero outside a leading
+    block, as the perturbed region test's Q is.
+    """
+    Q0 = symmetrize(rng.normal(size=(dim, dim)))
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, dim))
+        Q0[k:, :] = 0.0
+        Q0[:, k:] = 0.0
+    if rng.random() < 0.5:
+        G = rng.normal(size=(dim, dim))
+        R = G @ G.T / dim + 10.0 ** rng.uniform(-3.0, 0.0) * np.eye(dim)
+        eps0 = 10.0 ** rng.uniform(-12.0, 12.0)
+        return -Q0 - R, Q0 / eps0
+    return symmetrize(rng.normal(size=(dim, dim))), Q0 * 10.0 ** rng.uniform(-6.0, 6.0)
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
+    # oracle: lambda_max(S + eps Q) on 50 points per decade over 1e-14..1e14
+    rng = np.random.default_rng(2024 + dim)
+    tol = 1e-9
+    grid = np.logspace(-14.0, 14.0, 1401)
+    scanned_feasible = outside_old_range = 0
+    for _ in range(150):
+        S, Q = _multiplier_draw(rng, dim)
+        lmax = np.linalg.eigvalsh(S[None] + grid[:, None, None] * Q[None])[:, -1]
+        hits = grid[lmax <= tol]
+        eps = sprocedure_multiplier(S, Q, tol)
+        if hits.size:
+            scanned_feasible += 1
+            outside_old_range += bool(hits.min() > 1e8 or hits.max() < 1e-8)
+            assert eps is not None
+            # an eigenvalue 1e-6 that no multiplier moves: a near miss
+            assert sprocedure_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0), tol) is None
+        if eps is not None:
+            assert eps > 0
+            assert sym_eig_bounds(S + eps * Q)[1] <= tol
+    # the draws must exercise both verdicts and multipliers no log grid over
+    # [1e-8, 1e8] can reach
+    assert 30 <= scanned_feasible <= 120
+    assert outside_old_range >= 10

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from asynctrig.matrix_core import sym_eig_bounds
 from asynctrig.partition import (
     ConicRegion,
     make_partition,
@@ -118,6 +119,20 @@ def test_sprocedure_contractive_needs_tiny_multiplier():
     assert eps is not None
     S = Phi.T @ P @ Phi - P + eps * Q
     assert max(np.linalg.eigvalsh(S)) <= 1e-9
+
+
+def test_sprocedure_finds_multipliers_outside_any_fixed_range():
+    # Phi'P Phi - bbar P = diag(1, -2) and Q = diag(-1e-9, 1e-9): the only
+    # multipliers are eps in [1e9, 2e9]
+    Phi = np.diag([2.0, 1.0])
+    P = np.eye(2)
+    Q = np.diag([-1e-9, 1e-9])
+    eps = sprocedure_feasible(Phi, P, 3.0, Q)
+    assert eps is not None and 1e9 <= eps <= 2e9
+    _, hi = sym_eig_bounds(Phi.T @ P @ Phi - 3.0 * P + eps * Q)
+    assert hi <= 1e-9
+    # and none at all once the interval is closed off
+    assert sprocedure_feasible(Phi, P, 3.0, np.diag([-1e-9, 3e-9])) is None
 
 
 def test_partition_serialization_round_trip():

@@ -153,6 +153,17 @@ def test_disturbance_integrator_matches_dense_quadrature():
         np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-12)
 
 
+def test_disturbance_integrator_matches_the_node_loop():
+    # one disturbance channel: each node's product is a single multiply, so
+    # the stacked product must equal a mat-vec per node exactly
+    plant = benchmark_plant(perturbed=True)
+    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
+    w = default_sine_disturbance(plant)
+    for t0 in (0.0, 0.37, 1.234):
+        vals = np.array([integ.EAD[j] @ np.atleast_1d(w(t0 + s)) for j, s in enumerate(integ.nodes)])
+        np.testing.assert_array_equal(integ.integrate(w, t0), integ.weights @ vals)
+
+
 def test_disturbance_integrator_refines_consistently():
     plant = benchmark_plant(perturbed=True)
     w = default_sine_disturbance(plant)

@@ -19,6 +19,7 @@ from .certificates import (
     choose_sigma_star,
     decay_factor,
     max_eps_feasible,
+    region_forms,
     reverify_certificate,
     synthesize_perturbed_offline,
     synthesize_perturbed_online,

@@ -9,7 +9,8 @@ No semidefinite-programming solver is used: all matrices here are small
 (<= 9x9), so certificates are built from a weighted discrete Lyapunov solve
 plus structured scalar searches, and every result is re-checked by direct
 eigenvalue bounds, which are the feasibility authority.  The region tests
-are exact: one quadratic constraint makes the S-procedure lossless.
+are exact: one quadratic constraint makes the S-procedure lossless, and the
+perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
 """
 
 import math
@@ -23,11 +24,11 @@ from .matrix_core import (
     is_psd,
     solve_discrete_lyapunov,
     spectral_radius,
-    sprocedure_multiplier,
     sym_eig_bounds,
     symmetrize,
 )
 from .horizons import horizon_from_text, horizon_to_text
+from .partition import RegionForms, decay_forms, pair_multiplier
 
 # scan order matters: taking the smallest feasible alpha maximizes the slack
 # of the second LMI, which the online trigger needs
@@ -320,19 +321,51 @@ def synthesize_perturbed_offline(
     raise InfeasibleError("no scaling in [1e-6, 1e6] makes the assembled matrix PSD")
 
 
+def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = 1e-9) -> RegionForms:
+    """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
+
+    lambda_min(U_c(eps)) >= -tol says U = U_c(0) + tol I plus eps
+    blockdiag(Q_c, 0, 0) is PSD, which holds iff u33 >= 0, u22 > 0 (its
+    singular boundary is dropped) and the Schur complement
+    C = u11 - u21' u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two
+    do not depend on the region, so they prune horizons once; the third is
+    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C with
+    sign -1 (U_c adds +eps Q_c).
+    """
+    nn = np.asarray(P).shape[0]
+    zero = np.zeros((nn, nn))
+    U0 = np.array([build_U_c(P, gamma1, gamma2, Phi, b, chi, zero, 0.0) for Phi, b, chi in zip(phis, bbars, chis)])
+    u22 = U0[:, nn : 2 * nn, nn : 2 * nn] + tol * np.eye(nn)
+    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (U0[:, 2 * nn, 2 * nn] + tol >= 0)
+    index = np.flatnonzero(keep)
+    u11, u21 = U0[index, :nn, :nn], U0[index, nn : 2 * nn, :nn]
+    G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
+    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # tol I - C: the two tol I cancel
+    return RegionForms(index, S, -U0[index], -1.0, tol)
+
+
 def max_eps_feasible(
     P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, tol: float = 1e-9
 ):
     """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -tol, or None.
 
     Exact, as U_c(eps) = U_c(0) + eps blockdiag(Q_c, 0, 0): the lossless
-    single-constraint test on S = -U_c(0) and Q = -blockdiag(Q_c, 0, 0).
+    single-constraint test on the Schur-reduced form of `perturbed_forms`,
+    with the assembled matrix as the authority.
     """
-    nn = np.asarray(P).shape[0]
-    U0 = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear, Q_c, 0.0)
-    E = np.zeros_like(U0)
-    E[:nn, :nn] = Q_c
-    return sprocedure_multiplier(-U0, -E, tol)
+    forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
+    return pair_multiplier(forms, Q_c)
+
+
+def region_forms(cert, horizons, phis) -> RegionForms:
+    """The offline region test of an unperturbed or perturbed-offline
+    certificate, stacked over the horizons in order."""
+    stack = np.array([phis[tuple(s)] for s in horizons])
+    bbars = [decay_factor(cert.beta, len(s), cert.T) for s in horizons]
+    if isinstance(cert, UnperturbedCertificate):
+        return decay_forms(cert.P, stack, bbars)
+    chis = [cert.chi_linear_map[len(s)] for s in horizons]
+    return perturbed_forms(cert.P, cert.gamma1, cert.gamma2, stack, bbars, chis)
 
 
 def ultimate_bound(P, C_prime: float, varpi: float):

@@ -132,20 +132,46 @@ def is_psd(S, tol: float = PSD_TOL) -> bool:
     return lo >= -tol
 
 
-def sprocedure_multiplier(S, Q, tol: float = PSD_TOL):
-    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
+def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
+    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q) <= tol, or NaN.
 
     lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
     interval whose finite ends are real eigenvalues of the pencil
-    (S - tol I, -Q).  One eps below the first positive end, one between each
-    consecutive pair and one past the last therefore decide exactly; the real
-    parts of complex eigenvalues only add test points.
+    (S - tol I, -Q); ends[h] holds that pencil's eigenvalues for S[h].  One
+    eps below the first positive end, one between each consecutive pair and
+    one past the last therefore decide exactly; the real parts of complex
+    eigenvalues only add test points, and non-finite ones from a singular Q
+    are dropped.  One batched eigvalsh decides every candidate of the stack,
+    and the smallest feasible one is returned.
+    """
+    ends = np.real(ends)
+    ends = np.where(np.isfinite(ends) & (ends > 0), ends, np.nan)
+    ends.sort(axis=1)  # NaN last
+    ends[:, 1:][ends[:, 1:] == ends[:, :-1]] = np.nan  # each end once
+    ends.sort(axis=1)
+    count = np.count_nonzero(~np.isnan(ends), axis=1)
+    rows = np.arange(len(ends))
+    last = ends[rows, np.maximum(count - 1, 0)]
+    candidates = np.column_stack(
+        [np.where(count > 0, ends[:, 0] / 2, 1.0), (ends[:, :-1] + ends[:, 1:]) / 2, 2 * last]
+    )
+    h, k = np.nonzero(~np.isnan(candidates))
+    feasible = np.zeros(candidates.shape, dtype=bool)
+    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * Q)[:, -1] <= tol
+    first = candidates[rows, feasible.argmax(axis=1)]
+    return np.where(feasible.any(axis=1), first, np.nan)
+
+
+def sprocedure_multiplier(S, Q, tol: float = PSD_TOL):
+    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
+
+    One pair of `sprocedure_multipliers`, for any Q (singular too): the
+    pencil ends come from the generalized eigenproblem, and `sym_eig_bounds`
+    rechecks the eps found.
     """
     S, Q = symmetrize(S), symmetrize(Q)
-    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q).real
-    ends = np.unique(ends[np.isfinite(ends) & (ends > 0)])  # a singular Q gives infinite ones
-    candidates = [ends[0] / 2, *(ends[:-1] + ends[1:]) / 2, 2 * ends[-1]] if ends.size else [1.0]
-    for eps in candidates:
-        if sym_eig_bounds(S + eps * Q)[1] <= tol:
-            return float(eps)
-    return None
+    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q)
+    eps = sprocedure_multipliers(S[None], Q, ends[None], tol)[0]
+    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > tol:
+        return None
+    return float(eps)

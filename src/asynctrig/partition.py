@@ -1,22 +1,27 @@
-"""Conic covering of the collective state space.
+"""Conic covering of the collective state space, and the region test.
 
 Each region is the symmetric double cone {x : x'Q_c x >= 0} with
 Q_c = v v' - cos^2(theta) I around a unit direction v.  The form is even, so
-each cone covers +/-x at once; N overlapping cones with a 5% angular margin
-cover the whole space, and membership is a single quadratic form.
+each cone covers +/-x at once.  The half-angle is grown until it reaches the
+exact covering radius of the directions +/-v, then widened by a 5% margin,
+so the N overlapping cones cover the whole space and membership is a single
+quadratic form.
+
+A horizon is certified on a region by a multiplier eps > 0 with
+lambda_max(S + eps Q_c) <= tol for its certificate form S.  `RegionForms`
+stacks those forms over the horizons once, and `region_multipliers` decides
+all of them on one region at once.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConstructionError
-from .matrix_core import sprocedure_multiplier, symmetrize
+from .matrix_core import PSD_TOL, sprocedure_multiplier, sprocedure_multipliers, sym_eig_bounds, symmetrize
 
-COVERAGE_SAMPLES = 100_000
-COVERAGE_RNG_SEED = 12345  # construction-time check only, not a run seed
 MEMBERSHIP_TOL = 1e-12
 
 
@@ -59,21 +64,34 @@ def _directions(dim: int, N: int) -> np.ndarray:
     return np.array(vs)
 
 
-def _coverage_ok(vs: np.ndarray, cos2: float, nsamp: int = COVERAGE_SAMPLES) -> bool:
-    rng = np.random.default_rng(COVERAGE_RNG_SEED)
-    U = rng.normal(size=(nsamp, vs.shape[1]))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    dots = (U @ vs.T) ** 2
-    return bool((dots.max(axis=1) >= cos2).all())
+def _covering_radius(vs: np.ndarray) -> float:
+    """Largest angle from any direction to its nearest +/-v, exactly.
+
+    A facet of the convex hull of +/-v at distance h from the origin has its
+    vertices at angle arccos(h) from its normal and every other point
+    farther, and every direction passes through some facet; so the deepest
+    hole is a facet normal and the radius is arccos of the smallest h.  When
+    +/-v do not span R^dim, Qhull refuses them, and a direction orthogonal to
+    them all lies pi/2 away.
+    """
+    # imported here, not at module level: qhull adds ~4 MB to every process,
+    # and only the offline modes build a partition
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(np.vstack([vs, -vs]))
+    except QhullError:
+        return math.pi / 2
+    return math.acos(min(1.0, -hull.equations[:, -1].max()))
 
 
 def make_partition(dim: int, N: int):
     """N conic regions covering R^dim.
 
     dim 2 uses exact equiangular sectors; higher dimensions take
-    deterministic low-discrepancy directions and grow the half-angle until a
-    sampled coverage check passes, then add a 5% margin (capped at pi/2,
-    where a cone degenerates to the whole space).
+    deterministic low-discrepancy directions and grow the half-angle in 10%
+    steps until it reaches their exact covering radius, then add a 5% margin
+    (capped at pi/2, where a cone degenerates to the whole space).
     """
     if N < 1 or dim < 2:
         raise ValueError(f"need N >= 1 and dim >= 2, got N={N}, dim={dim}")
@@ -87,20 +105,11 @@ def make_partition(dim: int, N: int):
             regions.append(ConicRegion(index=c, direction=v, half_angle=theta, Q=Q))
         return regions
     vs = _directions(dim, N)
+    radius = _covering_radius(vs)
     theta = math.pi / (2 * N)
-    found = False
-    while True:
-        capped = min(theta, math.pi / 2)
-        if _coverage_ok(vs, math.cos(capped) ** 2):
-            theta = capped * 1.05  # coverage margin
-            found = True
-            break
-        if capped >= math.pi / 2:  # degenerate cones cover everything
-            break
+    while theta < radius:  # radius <= pi/2, so this ends
         theta *= 1.1
-    if not found:
-        raise ConstructionError(f"no covering found for dim={dim}, N={N}")
-    theta = min(theta, math.pi / 2)
+    theta = min(theta * 1.05, math.pi / 2)  # coverage margin
     cos2 = math.cos(theta) ** 2
     return [
         ConicRegion(index=c, direction=vs[c], half_angle=theta, Q=np.outer(vs[c], vs[c]) - cos2 * np.eye(dim))
@@ -108,14 +117,83 @@ def make_partition(dim: int, N: int):
     ]
 
 
-def region_of(x, regions) -> int:
-    """Lowest-index region whose quadratic form is nonnegative at x."""
+def region_of(x, regions):
+    """Lowest-index region whose quadratic form is nonnegative at x, or None.
+
+    None is a miss, which a covering partition leaves only to roundoff at a
+    cone boundary; no region's entries are certified there.
+    """
     x = np.asarray(x, dtype=float)
     for reg in regions:
         if x @ reg.Q @ x >= -MEMBERSHIP_TOL:
             return reg.index
-    # unreachable with a verified covering; pick the least-negative form
-    return int(np.argmax([x @ reg.Q @ x for reg in regions]))
+    return None
+
+
+class RegionForms(NamedTuple):
+    """One certificate's region test, stacked over horizons.
+
+    Horizon index[k] is certified on the region with form Q_c by eps > 0
+    iff lambda_max(S[k] + eps sign Q_c) <= tol.  full[k] is the unreduced
+    matrix of the same test, with sign Q_c entering its leading block, and
+    is the authority.  Horizons missing from index fail on every region.
+    """
+
+    index: np.ndarray
+    S: np.ndarray
+    full: np.ndarray
+    sign: float
+    tol: float
+
+
+def decay_forms(P, phis, bbars, tol: float = PSD_TOL) -> RegionForms:
+    """The unperturbed region test: S_sigma = Phi'P Phi - bbar P for a stack of horizons."""
+    P = symmetrize(P)
+    M = np.swapaxes(phis, 1, 2) @ P @ phis
+    S = 0.5 * (M + np.swapaxes(M, 1, 2)) - np.asarray(bbars, dtype=float)[:, None, None] * P
+    return RegionForms(np.arange(len(S)), S, S, 1.0, tol)
+
+
+def _full_test(forms: RegionForms, k: int, Q_c, eps: float) -> bool:
+    d = Q_c.shape[0]
+    E = np.zeros(forms.full.shape[1:])
+    E[:d, :d] = forms.sign * Q_c
+    return sym_eig_bounds(forms.full[k] + eps * E)[1] <= forms.tol
+
+
+def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
+    """A multiplier per stacked horizon on the form Q_c, NaN where none certifies.
+
+    The pencil ends of every horizon are the reciprocals of one batched
+    eigvals of M = -(S - tol I)^{-1} sign Q_c.  That form stays accurate at
+    the pi/2 cap, where Q_c is singular to working precision and Q_c^{-1}
+    would swamp the finite ends.  An eigenvalue of M below its rounding
+    level, d eps_mach ||M||_F, is zero: its end lies at infinity.  Each
+    certified pair is then rechecked once on its full matrix.
+    """
+    Q = forms.sign * Q_c
+    M = -np.linalg.solve(forms.S - forms.tol * np.eye(len(Q)), Q)
+    mu = np.linalg.eigvals(M)
+    zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
+    ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
+    eps = sprocedure_multipliers(forms.S, Q, ends, forms.tol)
+    for k in np.flatnonzero(~np.isnan(eps)):
+        if not _full_test(forms, k, Q_c, eps[k]):
+            eps[k] = np.nan
+    return eps
+
+
+def pair_multiplier(forms: RegionForms, Q_c):
+    """Multiplier certifying a one-horizon stack on the form Q_c, or None.
+
+    Any symmetric Q_c will do, and S - tol I may be singular: the pencil is
+    solved as a generalized eigenproblem, one pair at a time.
+    """
+    if not forms.index.size:
+        return None
+    Q_c = np.asarray(Q_c, dtype=float)
+    eps = sprocedure_multiplier(forms.S[0], forms.sign * Q_c, forms.tol)
+    return eps if eps is not None and _full_test(forms, 0, Q_c, eps) else None
 
 
 def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
@@ -124,8 +202,7 @@ def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
     Exact: with one quadratic constraint the S-procedure is lossless, and
     `sprocedure_multiplier` finds a multiplier whenever one exists.
     """
-    S = symmetrize(Phi_sigma.T @ P @ Phi_sigma) - bbar * np.asarray(P)
-    return sprocedure_multiplier(S, Q_c, tol)
+    return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar], tol), Q_c)
 
 
 def partition_to_dict(regions) -> dict:

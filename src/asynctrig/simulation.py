@@ -16,8 +16,7 @@ import numpy as np
 
 from .certificates import (
     choose_sigma_star,
-    decay_factor,
-    max_eps_feasible,
+    region_forms,
     synthesize_perturbed_offline,
     synthesize_perturbed_online,
     synthesize_unperturbed,
@@ -25,7 +24,7 @@ from .certificates import (
 from .errors import ConfigError
 from .horizons import DEFAULT_CAP, enumerate_horizons, horizon_to_text
 from .matrix_core import mat_exp, spectral_radius
-from .partition import make_partition, sprocedure_feasible
+from .partition import make_partition
 from .plant import (
     DiscretePlant,
     PlantModel,
@@ -143,17 +142,6 @@ class Prepared(NamedTuple):
     policy: object  # None only for an offline mode prepared without tables
 
 
-# Per-region tests handed to the table builder.  They look the feasibility
-# functions up at call time, so wrappers installed on this module see them.
-def _sprocedure_test(cert, Phi, sigma, Q):
-    return sprocedure_feasible(Phi, cert.P, decay_factor(cert.beta, len(sigma), cert.T), Q)
-
-
-def _max_eps_test(cert, Phi, sigma, Q):
-    bbar = decay_factor(cert.beta, len(sigma), cert.T)
-    return max_eps_feasible(cert.P, cert.gamma1, cert.gamma2, Phi, bbar, cert.chi_linear_map[len(sigma)], Q)
-
-
 def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     """Run the offline stage: discretize, enumerate, certify, tabulate.
 
@@ -211,9 +199,8 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     if config.mode in OFFLINE_MODES:
         regions = make_partition(2 * plant.n, config.N)
         if with_tables:
-            region_test = _max_eps_test if perturbed else _sprocedure_test
-            table = build_offline_table(cert, horizons, regions, phis, dp.m, region_test)
-            policy = TablePolicy(table, regions)
+            table = build_offline_table(cert, horizons, regions, region_forms(cert, horizons, phis), dp.m)
+            policy = TablePolicy(table, regions, sigma_star)
     else:
         policy = OnlinePolicy(cert, horizons, phis, dp.m)
     if perturbed and policy is not None:

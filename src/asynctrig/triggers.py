@@ -24,7 +24,7 @@ from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor
 from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
-from .partition import region_of
+from .partition import RegionForms, region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
@@ -124,20 +124,25 @@ class OnlinePolicy:
 
 
 class TablePolicy:
-    """Offline trigger: look up the precomputed optimal set for the state's region."""
+    """Offline trigger: look up the precomputed optimal set for the state's
+    region; a lookup miss falls back to sigma*, which is certified everywhere."""
 
-    def __init__(self, table: OfflineTable, regions):
+    def __init__(self, table: OfflineTable, regions, fallback):
         self.table = table
         self.regions = regions
         self.mode = table.mode
         self.m = table.m
+        self.fallback = tuple(fallback)
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         c = region_of(np.asarray(eta, dtype=float), self.regions)
-        ties = self.table.psi[c]
+        if c is None:
+            ties, metric = (self.fallback,), avg_idle_metric(self.fallback, self.m)
+        else:
+            ties, metric = self.table.psi[c], self.table.metric[c]
         return TriggerDecision(
             horizon=_tie_break(ties, rng_seed, step_index),
-            metric=self.table.metric[c],
+            metric=metric,
             feasible_count=len(ties),
             tie_count=len(ties),
             mode=self.mode,
@@ -167,12 +172,12 @@ class GatedPolicy:
         return self.policy.select(eta, rng_seed, step_index)
 
 
-def build_offline_table(cert, horizons, regions, phis, m: int, region_test) -> OfflineTable:
-    """Per-region optimal-horizon sets, regions outer and horizons inner.
+def build_offline_table(cert, horizons, regions, forms: RegionForms, m: int) -> OfflineTable:
+    """Per-region optimal-horizon sets.
 
-    region_test(cert, Phi_sigma, sigma, Q_c) returns a multiplier certifying
-    the horizon on the region, or None; the fallback horizon is inserted when
-    nothing else qualifies.
+    forms stacks the certificate's region test over the horizons, in order;
+    each region decides every horizon at once (`region_multipliers`), and
+    the fallback horizon is inserted when nothing else qualifies.
     """
     horizons = [tuple(s) for s in horizons]
     sigma_star = _fallback(cert, horizons)
@@ -180,9 +185,8 @@ def build_offline_table(cert, horizons, regions, phis, m: int, region_test) -> O
     psi = []
     values = []
     for reg in regions:
-        feas = [s for s in horizons if region_test(cert, phis[s], s, reg.Q) is not None]
-        if not feas:
-            feas = [sigma_star]
+        certified = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
+        feas = [horizons[i] for i in certified] or [sigma_star]
         best, ties = _argmax_ties(feas, metrics)
         psi.append(tuple(ties))
         values.append(best)

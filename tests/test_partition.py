@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from asynctrig.matrix_core import sym_eig_bounds
 from asynctrig.partition import (
@@ -65,6 +66,41 @@ def test_higher_dim_coverage_fresh_seed():
     for x in X:
         idx = region_of(x, regions)
         assert x @ regions[idx].Q @ x >= -1e-12
+
+
+def _deepest_holes(regions):
+    """Facet normals of the hull of +/-v and their angles to the nearest +/-v.
+
+    Every direction passes through some facet, and no direction is farther
+    from all of +/-v than the normal of the facet it passes through.
+    """
+    vs = np.array([reg.direction for reg in regions])
+    hull = ConvexHull(np.vstack([vs, -vs]))
+    return hull.equations[:, :-1], np.arccos(np.minimum(1.0, -hull.equations[:, -1]))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("count", ["dim", 15, 30])
+def test_half_angle_reaches_the_exact_covering_radius(dim, count):
+    N = dim if count == "dim" else count
+    regions = make_partition(dim, N)
+    normals, angles = _deepest_holes(regions)
+    assert angles.max() <= regions[0].half_angle
+    # and each candidate hole is inside a cone, not just near one
+    forms = np.einsum("hi,cij,hj->hc", normals, np.array([reg.Q for reg in regions]), normals)
+    assert (forms.max(axis=1) >= 0).all()
+
+
+def test_deepest_hole_of_six_dim_partition_is_covered():
+    # the covering radius of these 15 directions is 68.294 deg, just above
+    # the 68.259 deg a 100k-sample check settled on; at the deepest hole
+    # every cone's form was negative
+    regions = make_partition(6, 15)
+    normals, angles = _deepest_holes(regions)
+    hole = normals[np.argmax(angles)]
+    c = region_of(hole, regions)
+    assert c is not None
+    assert hole @ regions[c].Q @ hole >= 0
 
 
 def test_degenerate_cap_covers_everything():

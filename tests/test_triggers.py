@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from asynctrig.certificates import (
+    UnperturbedCertificate,
     decay_factor,
     max_eps_feasible,
+    region_forms,
     synthesize_perturbed_online,
     synthesize_unperturbed,
 )
 from asynctrig.errors import ConfigError
 from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
 from asynctrig.matrix_core import spectral_norm
-from asynctrig.partition import region_of
+from asynctrig.partition import (
+    ConicRegion,
+    make_partition,
+    region_multipliers,
+    region_of,
+    sprocedure_feasible,
+)
 from asynctrig.plant import (
     DiscretePlant,
     disturbance_step_bound,
@@ -20,7 +28,7 @@ from asynctrig.plant import (
     horizon_transition,
     transition_table,
 )
-from asynctrig.triggers import GatedPolicy, OnlinePolicy, TablePolicy, table_to_dict
+from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, table_to_dict
 from helpers import benchmark_plant
 
 
@@ -253,3 +261,75 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
     for entry, ties, value in zip(data["regions"], table.psi, table.metric):
         assert entry["metric"] == value
         assert tuple(horizon_from_text(t) for t in entry["psi"]) == ties
+
+
+def _pair_verdicts(prep, regions):
+    """Every (region, horizon) verdict of the one-pair region tests."""
+    dp, horizons, cert, _, _, _ = prep
+    phis = transition_table(dp, horizons)
+    verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
+    for j, s in enumerate(horizons):
+        bbar = decay_factor(cert.beta, len(s), cert.T)
+        for r, reg in enumerate(regions):
+            if isinstance(cert, UnperturbedCertificate):
+                eps = sprocedure_feasible(phis[s], cert.P, bbar, reg.Q)
+            else:
+                eps = max_eps_feasible(
+                    cert.P, cert.gamma1, cert.gamma2, phis[s], bbar, cert.chi_linear_map[len(s)], reg.Q
+                )
+            verdicts[r, j] = eps is not None
+    return verdicts
+
+
+def _batched_verdicts(prep, regions):
+    dp, horizons, cert, _, _, _ = prep
+    forms = region_forms(cert, horizons, transition_table(dp, horizons))
+    verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
+    for r, reg in enumerate(regions):
+        verdicts[r, forms.index[~np.isnan(region_multipliers(forms, reg.Q))]] = True
+    return forms, verdicts
+
+
+@pytest.mark.parametrize("fixture", ["prepared_offline_unperturbed", "prepared_offline_perturbed"])
+def test_batched_region_test_matches_the_pair_tests(fixture, request):
+    # the table builder decides each region for all horizons at once, from
+    # batched pencil ends; the one-pair tests solve each generalized pencil
+    # on its own, and the perturbed one also reduces U_c to its Schur form
+    _, prep, _ = request.getfixturevalue(fixture)
+    forms, batched = _batched_verdicts(prep, prep.regions)
+    np.testing.assert_array_equal(batched, _pair_verdicts(prep, prep.regions))
+    assert batched.any()
+    if fixture == "prepared_offline_perturbed":
+        # u22 fails for the long horizons on every region, before any region work
+        pruned = np.setdiff1d(np.arange(len(prep.horizons)), forms.index)
+        assert pruned.size > 0 and not batched[:, pruned].any()
+
+
+@pytest.mark.parametrize("fixture", ["prepared_offline_unperturbed", "prepared_offline_perturbed"])
+def test_batched_region_test_on_capped_cones(fixture, request):
+    # make_partition(4, 3) caps the half-angle at pi/2: cos^2 theta is ~4e-33,
+    # Q_c is singular to working precision, and the batched pencil must keep
+    # the finite ends and drop the ones that are only rounding
+    _, prep, _ = request.getfixturevalue(fixture)
+    regions = make_partition(4, 3)
+    assert math.cos(regions[0].half_angle) ** 2 < 1e-30
+    _, batched = _batched_verdicts(prep, regions)
+    np.testing.assert_array_equal(batched, _pair_verdicts(prep, regions))
+
+
+def test_table_lookup_miss_falls_back_to_sigma_star():
+    # one narrow cone around e1 leaves e2 uncovered: a miss must take the
+    # globally certified fallback, not the entries of the nearest region
+    theta = 0.1
+    e1 = np.array([1.0, 0.0])
+    Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(2)
+    regions = [ConicRegion(index=0, direction=e1, half_angle=theta, Q=Q)]
+    table = OfflineTable(psi=(((1, 0, 0),),), metric=(avg_idle_metric((1, 0, 0), 2),), mode="offline-unperturbed", m=2)
+    policy = TablePolicy(table, regions, (1, 2))
+    hole = np.array([0.0, 3.0])
+    assert region_of(hole, regions) is None
+    dec = policy.select(hole, rng_seed=0)
+    assert dec.horizon == (1, 2)
+    assert dec.metric == avg_idle_metric((1, 2), 2)
+    assert dec.feasible_count == dec.tie_count == 1
+    assert policy.select(2.0 * e1, rng_seed=0).horizon == (1, 0, 0)

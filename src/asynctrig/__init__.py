@@ -27,7 +27,7 @@ from .certificates import (
     ultimate_bound,
     verify_lmi_pair,
 )
-from .errors import ConfigError, ConstructionError, InfeasibleError, ResourceCapError
+from .errors import ConfigError, InfeasibleError, ResourceCapError
 from .horizons import (
     avg_idle_metric,
     enumerate_horizons,

@@ -247,17 +247,21 @@ def build_U_c(
     Symmetric (4n+1)x(4n+1) blocks: u11 = eps Q_c - Phi'P Phi + (bbar -
     gamma1) P, u21 = -P Phi, u22 = (gamma2/chi) I - P, u33 = -gamma2 +
     gamma1, u31 = u32 = 0.  A horizon belongs to the region's admissible set
-    iff this matrix is PSD for some multiplier eps_c > 0.
+    iff this matrix is PSD for some multiplier eps_c > 0.  Stacked horizons
+    (..., 2n, 2n), with bbar and chi_linear of shape (...), give a stack.
     """
     P = symmetrize(P)
     nn = P.shape[0]
-    U = np.zeros((2 * nn + 1, 2 * nn + 1))
-    U[:nn, :nn] = eps_c * symmetrize(Q_c) - symmetrize(Phi_sigma.T @ P @ Phi_sigma) + (bbar - gamma1) * P
+    bbar = np.asarray(bbar, dtype=float)[..., None, None]
+    chi = np.asarray(chi_linear, dtype=float)[..., None, None]
+    G = np.swapaxes(Phi_sigma, -1, -2) @ P @ Phi_sigma
+    U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn + 1, 2 * nn + 1))
+    U[..., :nn, :nn] = eps_c * symmetrize(Q_c) - 0.5 * (G + np.swapaxes(G, -1, -2)) + (bbar - gamma1) * P
     off = -P @ Phi_sigma
-    U[nn : 2 * nn, :nn] = off
-    U[:nn, nn : 2 * nn] = off.T
-    U[nn : 2 * nn, nn : 2 * nn] = (gamma2 / chi_linear) * np.eye(nn) - P
-    U[2 * nn, 2 * nn] = -gamma2 + gamma1
+    U[..., nn : 2 * nn, :nn] = off
+    U[..., :nn, nn : 2 * nn] = np.swapaxes(off, -1, -2)
+    U[..., nn : 2 * nn, nn : 2 * nn] = (gamma2 / chi) * np.eye(nn) - P
+    U[..., 2 * nn, 2 * nn] = -gamma2 + gamma1
     return U
 
 
@@ -333,8 +337,7 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: flo
     sign -1 (U_c adds +eps Q_c).
     """
     nn = np.asarray(P).shape[0]
-    zero = np.zeros((nn, nn))
-    U0 = np.array([build_U_c(P, gamma1, gamma2, Phi, b, chi, zero, 0.0) for Phi, b, chi in zip(phis, bbars, chis)])
+    U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis, np.zeros((nn, nn)), 0.0)
     u22 = U0[:, nn : 2 * nn, nn : 2 * nn] + tol * np.eye(nn)
     keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (U0[:, 2 * nn, 2 * nn] + tol >= 0)
     index = np.flatnonzero(keep)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .certificates import certificate_to_dict
-from .errors import ConfigError, ConstructionError, InfeasibleError, ResourceCapError
+from .errors import ConfigError, InfeasibleError, ResourceCapError
 from .horizons import (
     DEFAULT_CAP,
     avg_idle_metric,
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ConstructionError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except ResourceCapError as exc:

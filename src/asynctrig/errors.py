@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each maps to one CLI exit code: ConfigError -> 2, InfeasibleError and
-ConstructionError -> 3, ResourceCapError -> 4.
+Each maps to one CLI exit code: ConfigError -> 2, InfeasibleError -> 3,
+ResourceCapError -> 4.
 """
 
 
@@ -11,10 +11,6 @@ class ConfigError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A certificate or scaling search failed; carries the offending numbers."""
-
-
-class ConstructionError(RuntimeError):
-    """A geometric construction (conic covering) could not be completed."""
 
 
 class ResourceCapError(RuntimeError):

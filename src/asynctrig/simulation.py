@@ -1,10 +1,10 @@
 """Closed-loop simulator and the periodic-sampling stability threshold.
 
 The true plant is advanced with the exact ZOH linear map each period; the
-disturbance convolution integral is added by fixed-substep quadrature.  A
-trigger policy is consulted at horizon boundaries only: inside a horizon the
-committed actions are applied open-loop, which is the whole point of
-self-triggering.
+disturbance convolution integral is added by fixed-substep quadrature, with
+the signal sampled once per period at all nodes.  A trigger policy is
+consulted at horizon boundaries only: inside a horizon the committed actions
+are applied open-loop, which is the whole point of self-triggering.
 """
 
 import csv
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .certificates import (
     choose_sigma_star,
@@ -23,7 +24,7 @@ from .certificates import (
 )
 from .errors import ConfigError
 from .horizons import DEFAULT_CAP, enumerate_horizons, horizon_to_text
-from .matrix_core import mat_exp, spectral_radius
+from .matrix_core import spectral_radius
 from .partition import make_partition
 from .plant import (
     DiscretePlant,
@@ -67,7 +68,8 @@ class SimConfig:
     seed: int = 0
     substeps_per_T: int = 100
     sigma_star: Optional[tuple] = None
-    disturbance: Optional[Callable[[float], np.ndarray]] = None
+    # w(times) -> shape times.shape + (n_w,), called once per period on all quadrature times
+    disturbance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     horizon_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
@@ -105,32 +107,32 @@ class SimTrace:
     metrics: dict = field(default_factory=dict)
 
 
-def default_sine_disturbance(plant: PlantModel, pi_multiple: float = 5.0) -> Callable[[float], np.ndarray]:
-    """w(t) = w_max sin(k pi t), split across channels at unit overall norm."""
+def default_sine_disturbance(plant: PlantModel, pi_multiple: float = 5.0) -> Callable[[np.ndarray], np.ndarray]:
+    """w(t) = w_max sin(k pi t), split across channels at unit overall norm;
+    t is a scalar or an array of times, and w(t) has shape t.shape + (n_w,)."""
     n_w = plant.D.shape[1]
     scale = plant.w_max / math.sqrt(n_w)
-    return lambda t: np.full(n_w, scale * math.sin(pi_multiple * math.pi * t))
+    return lambda t: np.repeat((scale * np.sin(pi_multiple * math.pi * t))[..., None], n_w, axis=-1)
 
 
 class _DisturbanceIntegrator:
     """Quadrature of int_0^T e^{As} D w(t+s) ds on a fixed substep grid.
 
-    The matrices e^{A(T-s)}D are precomputed at the 2*substeps+1 half-step
-    nodes (the sample at offset s propagates for the remaining T-s); per step
-    only the scalar signal is sampled.  Weights follow the classic
-    fourth-order rule (ends 1, odd nodes 4, even nodes 2, times h/6).
+    The matrices e^{A(T-s)}D are one stacked exponential at the 2*substeps+1
+    half-step nodes (the sample at offset s propagates for the remaining T-s);
+    per step the signal is sampled once, at all nodes.  Weights follow the
+    classic fourth-order rule (ends 1, odd nodes 4, even nodes 2, times h/6).
     """
 
     def __init__(self, plant: PlantModel, T: float, substeps: int):
         if substeps < 1:
             raise ConfigError("substeps_per_T must be >= 1")
         self.nodes = np.linspace(0.0, T, 2 * substeps + 1)
-        self.EAD = np.array([mat_exp(plant.A, T - s) @ plant.D for s in self.nodes])
+        self.EAD = expm(plant.A[None] * (T - self.nodes)[:, None, None]) @ plant.D
         self.weights = _simpson_weights(substeps, T)
 
-    def integrate(self, w: Callable[[float], np.ndarray], t: float) -> np.ndarray:
-        W = np.array([np.atleast_1d(w(t + s)) for s in self.nodes])
-        return self.weights @ np.einsum("kij,kj->ki", self.EAD, W)
+    def integrate(self, w: Callable[[np.ndarray], np.ndarray], t: float) -> np.ndarray:
+        return self.weights @ np.einsum("kij,kj->ki", self.EAD, w(t + self.nodes))
 
 
 class Prepared(NamedTuple):
@@ -219,7 +221,6 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         w_signal = config.disturbance or default_sine_disturbance(plant)
         integrator = _DisturbanceIntegrator(plant, config.T, config.substeps_per_T)
     P = cert.P
-    mu = cert.mu if perturbed else None
 
     n = plant.n
     sel = [selection_matrices(a, plant.blocks) for a in range(plant.m + 1)]
@@ -238,8 +239,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     decision_rows = []
 
     while steps < config.total_steps:
-        V_here = float(eta @ P @ eta)
-        inside = int(V_here <= 1.0) if perturbed else 0
+        inside = int(boundary_V[-1] <= 1.0) if perturbed else 0
         dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
@@ -247,19 +247,19 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
             (steps, t, dec.mode, horizon_to_text(dec.horizon), dec.metric, dec.feasible_count, inside)
         )
         for a in dec.horizon:
+            eta = np.concatenate([x, xh])
             rows_t.append(t)
             rows_x.append(x.copy())
-            rows_V.append(float(np.concatenate([x, xh]) @ P @ np.concatenate([x, xh])))
+            rows_V.append(float(eta @ P @ eta))
             M_sel, N_sel = sel[a]
             xh = M_sel @ x + N_sel @ xh
             u = K @ xh
-            x_next = A_T @ x + B_T @ u
+            x = A_T @ x + B_T @ u
             if perturbed:
-                x_next = x_next + integrator.integrate(w_signal, t)
+                x = x + integrator.integrate(w_signal, t)
             rows_xh.append(xh.copy())
             rows_u.append(np.atleast_1d(u).copy())
             rows_a.append(a)
-            x = x_next
             t += config.T
             steps += 1
             readings += int(a != 0)
@@ -280,14 +280,14 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         max_after = 0.0
         for k, v in enumerate(boundary_V):
             if entered is None:
-                if v <= mu:
+                if v <= cert.mu:
                     entered = k
             else:
                 max_after = max(max_after, v)
-        metrics["mu"] = mu
+        metrics["mu"] = cert.mu
         metrics["guub_entered_boundary"] = entered
         metrics["max_V_after_entry"] = max_after
-        metrics["guub_contained"] = bool(entered is not None and max_after <= mu + 1e-6)
+        metrics["guub_contained"] = bool(entered is not None and max_after <= cert.mu + 1e-6)
 
     trace = SimTrace(
         times=np.array(rows_t),

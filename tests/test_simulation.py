@@ -174,10 +174,49 @@ def test_disturbance_integrator_refines_consistently():
         _DisturbanceIntegrator(plant, 0.18, substeps=0)
 
 
+@pytest.mark.parametrize("n_w", [1, 2])
+def test_sine_disturbance_samples_all_nodes_at_once(n_w):
+    base = benchmark_plant(perturbed=True)
+    plant = dataclasses.replace(base, D=np.ones((2, n_w)), w_max=0.8)
+    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
+    for k in (5.0, 3.0):
+        w = default_sine_disturbance(plant, pi_multiple=k)
+        for t in (0.0, 0.37, 12.345):
+            W = w(t + integ.nodes)
+            assert W.shape == (integ.nodes.size, n_w)
+            expect = [0.8 / math.sqrt(n_w) * math.sin(k * math.pi * (t + s)) for s in integ.nodes]
+            for j in range(n_w):
+                assert W[:, j].tolist() == expect
+
+
+def test_integrate_samples_the_disturbance_once_per_step():
+    plant = benchmark_plant(perturbed=True)
+    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
+    w = default_sine_disturbance(plant)
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return w(t)
+
+    for t0 in (0.0, 0.18, 0.36):
+        integ.integrate(counting, t0)
+    assert calls == [integ.nodes.shape] * 3
+
+
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
+def test_stacked_node_exponentials_match_the_node_loop(name):
+    cfg = preset_config(name)
+    plant, T = cfg.plant, cfg.T
+    integ = _DisturbanceIntegrator(plant, T, cfg.substeps_per_T)
+    loop = np.array([mat_exp(plant.A, T - s) @ plant.D for s in integ.nodes])
+    np.testing.assert_array_equal(integ.EAD, loop)
+
+
 def test_zero_disturbance_reduces_to_linear_advance():
     cfg = preset_config("online-perturbed")
     cfg.total_steps = 20
-    cfg.disturbance = lambda t: np.zeros(1)
+    cfg.disturbance = lambda t: np.zeros(np.shape(t) + (1,))
     prep = prepare(cfg)
     tr = simulate(cfg, prep)
     dp = prep[0]

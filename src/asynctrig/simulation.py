@@ -8,6 +8,7 @@ are applied open-loop, which is the whole point of self-triggering.
 """
 
 import csv
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -49,6 +50,7 @@ MODES = (
 )
 PERTURBED_MODES = ("online-perturbed", "offline-perturbed")
 OFFLINE_MODES = ("offline-unperturbed", "offline-perturbed")
+COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before building transition forms this large
 
 
 @dataclass
@@ -156,6 +158,10 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
     horizons = enumerate_horizons(plant.m, config.l_min, config.l_max, config.horizon_cap)
+    if len(horizons) * (2 * plant.n) ** 2 * 8 >= COLLECT_BEFORE_BYTES:
+        # an earlier prepare's tables caught in a reference cycle (a policy whose bound
+        # select a caller wrapped) stay resident until the oldest generation is collected
+        gc.collect()
     phis = transition_table(dp, horizons)
     sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(phis)
     if sigma_star not in phis:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -289,6 +291,23 @@ def test_prepare_builds_one_transition_table(monkeypatch):
             assert (prep.table is not None) == (offline and with_tables)
             assert (prep.policy is not None) == (with_tables or not offline)
 
+
+
+@pytest.mark.parametrize("limit, collected", [(0, True), (2**62, False)])
+def test_prepare_collects_before_large_tables(monkeypatch, limit, collected):
+    # an old policy whose select a caller wrapped is a reference cycle; with the
+    # automatic collector off, only prepare's own collection can free it
+    monkeypatch.setattr(simulation, "COLLECT_BEFORE_BYTES", limit)
+    gc.disable()
+    try:
+        old = prepare(preset_config("online-unperturbed")).policy
+        old.select = (lambda select: lambda *a: select(*a))(old.select)
+        ref = weakref.ref(old)
+        del old
+        prepare(preset_config("online-unperturbed"))
+        assert (ref() is None) == collected
+    finally:
+        gc.enable()
 
 def test_simulate_decides_through_the_policy(online_run):
     cfg, prep, _ = online_run

@@ -82,18 +82,14 @@ def decay_factor(beta: float, length: int, T: float) -> float:
     return math.exp(-beta * length * T)
 
 
-def choose_sigma_star(phis: dict) -> tuple:
-    """Most contractive horizon of a transition table (smallest spectral radius, first wins)."""
-    best = None
-    best_sr = math.inf
-    for sigma, Phi in phis.items():
-        sr = spectral_radius(Phi)
-        if sr < best_sr:
-            best_sr = sr
-            best = tuple(sigma)
-    if best is None:
+def choose_sigma_star(horizons, phis) -> tuple:
+    """Horizon of smallest spectral radius in a stacked transition table (first wins)."""
+    if len(horizons) == 0:
         raise InfeasibleError("empty horizon set")
-    return best
+    if not np.isfinite(phis).all():
+        raise ValueError("matrix entries must be finite")
+    radii = np.abs(np.linalg.eigvals(phis)).max(axis=1)
+    return tuple(horizons[int(np.argmin(radii))])
 
 
 def synthesize_unperturbed(
@@ -210,8 +206,8 @@ def synthesize_perturbed_online(
 
 
 def U_sigma_builder(P, M, gamma: float):
-    """build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> U_sigma, with the
-    horizon-independent M > 0 check and lambda_max(P M^{-1} P + P) done once."""
+    """build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> U_sigma, for one horizon or a stack
+    (..., 2n, 2n) with bbar and chi of shape (...); M > 0 and lambda_max(P M^{-1} P + P) are done once."""
     P = symmetrize(P)
     M = symmetrize(M)
     lo, _ = sym_eig_bounds(M)
@@ -220,10 +216,12 @@ def U_sigma_builder(P, M, gamma: float):
     nn = P.shape[0]
     _, lam_bar = sym_eig_bounds(symmetrize(P @ np.linalg.solve(M, P)) + P)
 
-    def build(Phi_sigma, bbar_sigma: float, chi_sigma_squared: float) -> np.ndarray:
-        U = np.zeros((nn + 1, nn + 1))
-        U[:nn, :nn] = -symmetrize(Phi_sigma.T @ (P + M) @ Phi_sigma) + (bbar_sigma - gamma) * P
-        U[nn, nn] = gamma - chi_sigma_squared * lam_bar
+    def build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> np.ndarray:
+        bbar = np.asarray(bbar_sigma, dtype=float)[..., None, None]
+        G = np.swapaxes(Phi_sigma, -1, -2) @ (P + M) @ Phi_sigma
+        U = np.zeros(G.shape[:-2] + (nn + 1, nn + 1))
+        U[..., :nn, :nn] = -(0.5 * (G + np.swapaxes(G, -1, -2))) + (bbar - gamma) * P
+        U[..., nn, nn] = gamma - np.asarray(chi_sigma_squared, dtype=float) * lam_bar
         return U
 
     return build
@@ -362,13 +360,12 @@ def max_eps_feasible(
 
 def region_forms(cert, horizons, phis) -> RegionForms:
     """The offline region test of an unperturbed or perturbed-offline
-    certificate, stacked over the horizons in order."""
-    stack = np.array([phis[tuple(s)] for s in horizons])
+    certificate; phis is the transition table stacked in horizon order."""
     bbars = [decay_factor(cert.beta, len(s), cert.T) for s in horizons]
     if isinstance(cert, UnperturbedCertificate):
-        return decay_forms(cert.P, stack, bbars)
+        return decay_forms(cert.P, phis, bbars)
     chis = [cert.chi_linear_map[len(s)] for s in horizons]
-    return perturbed_forms(cert.P, cert.gamma1, cert.gamma2, stack, bbars, chis)
+    return perturbed_forms(cert.P, cert.gamma1, cert.gamma2, phis, bbars, chis)
 
 
 def ultimate_bound(P, C_prime: float, varpi: float):

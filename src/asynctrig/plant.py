@@ -8,6 +8,7 @@ A~_(a) selected by the action a (0 = no sensor read).
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,17 +169,17 @@ def disturbance_step_bound(plant: PlantModel, T: float, panels: int = 1000) -> f
     return plant.w_max * (full + err)
 
 
-def transition_table(dp: DiscretePlant, horizons) -> dict:
-    """Cache Phi_sigma for every horizon, sharing the m+1 step matrices."""
+def transition_table(dp: DiscretePlant, horizons) -> np.ndarray:
+    """Phi_sigma for every horizon, stacked in order as (H, 2n, 2n): each (position, action)
+    pair steps all rows taking that action there at once, as `horizon_transition` does one."""
     steps = [step_matrix(dp, a) for a in range(dp.m + 1)]
-    table = {}
-    for sigma in horizons:
-        sigma = tuple(sigma)
-        Phi = np.eye(2 * dp.n)
-        for a in sigma:
-            Phi = steps[a] @ Phi
-        table[sigma] = Phi
-    return table
+    codes = np.array(list(zip_longest(*horizons, fillvalue=-1)), dtype=np.int8)  # (position, horizon)
+    phis = np.empty((len(horizons), 2 * dp.n, 2 * dp.n))
+    phis[:] = np.eye(2 * dp.n)
+    for pos, a in np.ndindex(len(codes), dp.m + 1):
+        rows = np.flatnonzero(codes[pos] == a)
+        phis[rows] = steps[a] @ phis[rows]
+    return phis
 
 
 def growth_constants(dp: DiscretePlant, horizons, varpi: float):

@@ -50,7 +50,7 @@ MODES = (
 )
 PERTURBED_MODES = ("online-perturbed", "offline-perturbed")
 OFFLINE_MODES = ("offline-unperturbed", "offline-perturbed")
-COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before building transition forms this large
+COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before a transition stack of this many bytes
 
 
 @dataclass
@@ -163,10 +163,10 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
         # select a caller wrapped) stay resident until the oldest generation is collected
         gc.collect()
     phis = transition_table(dp, horizons)
-    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(phis)
-    if sigma_star not in phis:
+    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(horizons, phis)
+    if sigma_star not in horizons:
         raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set")
-    Phi_star = phis[sigma_star]
+    Phi_star = phis[horizons.index(sigma_star)]
     hs = len(sigma_star) * config.T
     perturbed = config.mode in PERTURBED_MODES
     if not perturbed:

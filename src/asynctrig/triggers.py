@@ -31,6 +31,7 @@ IDLE_HORIZON = (0,)
 # admissibility slack, scaled by the state magnitude so triggering behaves
 # uniformly near and far from the origin
 FEAS_TOL = 1e-12
+FORM_CHUNK = 64  # horizons per slice of OnlinePolicy's form build
 
 
 @dataclass(frozen=True)
@@ -89,18 +90,19 @@ class OnlinePolicy:
         self.metrics = np.array([avg_idle_metric(s, m) for s in self.horizons])
         P = cert.P
         nn = P.shape[0]
+        rhos = np.array([decay_factor(cert.beta, len(s), cert.T) for s in self.horizons])
         self.forms = np.empty((len(self.horizons), nn, nn))
         self.corners = np.zeros(len(self.horizons))
         unperturbed = isinstance(cert, UnperturbedCertificate)
         u_sigma = None if unperturbed else U_sigma_builder(P, cert.M, cert.gamma)
-        for i, s in enumerate(self.horizons):
-            rho = decay_factor(cert.beta, len(s), cert.T)
+        chis = None if unperturbed else [cert.chi_squared[len(s)] for s in self.horizons]
+        for lo in range(0, len(self.horizons), FORM_CHUNK):  # slices are views: no temporary spans the stack
+            sl = slice(lo, lo + FORM_CHUNK)
             if unperturbed:
-                self.forms[i] = rho * P - phis[s].T @ P @ phis[s]
+                self.forms[sl] = rhos[sl, None, None] * P - np.swapaxes(phis[sl], 1, 2) @ P @ phis[sl]
             else:
-                U = u_sigma(phis[s], rho, cert.chi_squared[len(s)])
-                self.forms[i] = U[:nn, :nn]
-                self.corners[i] = U[nn, nn]
+                U = u_sigma(phis[sl], rhos[sl], chis[sl])
+                self.forms[sl], self.corners[sl] = U[:, :nn, :nn], U[:, nn, nn]
         self.slack_floor, self.slack_scale = (0.0, spectral_norm(P)) if unperturbed else (1.0, 1.0)
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:

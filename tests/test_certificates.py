@@ -23,6 +23,7 @@ from asynctrig.horizons import enumerate_horizons
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
 from asynctrig.plant import (
     DiscretePlant,
+    PlantModel,
     disturbance_step_bound,
     growth_constants,
     horizon_transition,
@@ -39,9 +40,34 @@ def _phi_star_unperturbed():
 def test_choose_sigma_star_picks_smallest_radius():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
     horizons = enumerate_horizons(2, 1, 2)
-    star = choose_sigma_star(transition_table(dp, horizons))
+    star = choose_sigma_star(horizons, transition_table(dp, horizons))
     best = min(spectral_radius(horizon_transition(dp, s)) for s in horizons)
     assert spectral_radius(horizon_transition(dp, star)) == pytest.approx(best)
+
+
+def test_choose_sigma_star_first_wins_on_exact_tie():
+    # the same transition listed twice: the earlier horizon is the fallback
+    dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
+    idle, best = horizon_transition(dp, (0,)), horizon_transition(dp, (1, 2))
+    assert spectral_radius(best) < spectral_radius(idle)
+    assert choose_sigma_star([(0,), (1, 2), (2, 1)], np.array([idle, best, best])) == (1, 2)
+    assert choose_sigma_star([(2, 1), (1, 2), (0,)], np.array([best, best, idle])) == (2, 1)
+
+
+def test_choose_sigma_star_rejects_empty_set():
+    with pytest.raises(InfeasibleError, match="empty"):
+        choose_sigma_star([], np.empty((0, 4, 4)))
+
+
+def test_choose_sigma_star_rejects_overflowed_products():
+    # e^300 per period: the three-step products of this unstable plant overflow
+    dp = DiscretePlant.from_plant(PlantModel(A=[[300.0]], B=[[1.0]], K=[[-1.0]], blocks=(1,)), 1.0)
+    horizons = enumerate_horizons(1, 1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = transition_table(dp, horizons)
+    assert np.isfinite(phis[:6]).all() and not np.isfinite(phis[6:]).all()
+    with pytest.raises(ValueError, match="must be finite"):
+        choose_sigma_star(horizons, phis)
 
 
 def test_unperturbed_certificate_decay_margin():

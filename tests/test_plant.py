@@ -83,8 +83,18 @@ def test_transition_table_matches_direct_products():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
     horizons = [(0,), (1, 2), (2, 0, 1)]
     table = transition_table(dp, horizons)
-    for s in horizons:
-        assert np.allclose(table[s], horizon_transition(dp, s))
+    for i, s in enumerate(horizons):
+        assert np.allclose(table[i], horizon_transition(dp, s))
+
+
+def test_transition_table_rows_equal_horizon_transition_exactly():
+    # mixed lengths out of order, one horizon listed twice, none shorter than 3
+    dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
+    horizons = [(2, 0, 1, 1), (1, 2, 0), (0, 0, 0, 2, 1), (1, 2, 0), (2, 2, 2), (0, 1, 2, 1)]
+    table = transition_table(dp, horizons)
+    assert table.shape == (len(horizons), 4, 4)
+    for Phi, s in zip(table, horizons):
+        assert np.array_equal(Phi, horizon_transition(dp, s)), s
 
 
 def test_discretization_matches_zoh_pair():

@@ -271,6 +271,14 @@ def test_read_trace_csv_rejects_empty(tmp_path):
         read_trace_csv(str(p))
 
 
+def test_prepare_rejects_overflowing_transition_products():
+    # the length-3 products of this unstable plant overflow before sigma* is chosen
+    plant = PlantModel(A=[[300.0]], B=[[1.0]], K=[[-1.0]], blocks=(1,))
+    cfg = SimConfig(plant=plant, T=1.0, l_min=1, l_max=3, mode="online-unperturbed", x0=[1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        prepare(cfg)
+
+
 def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
     calls = []

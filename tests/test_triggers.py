@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from asynctrig.certificates import (
+    PerturbedOnlineCertificate,
     UnperturbedCertificate,
+    build_U_sigma,
     decay_factor,
     max_eps_feasible,
     region_forms,
@@ -13,7 +16,7 @@ from asynctrig.certificates import (
 )
 from asynctrig.errors import ConfigError
 from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
-from asynctrig.matrix_core import spectral_norm
+from asynctrig.matrix_core import spectral_norm, symmetrize
 from asynctrig.partition import (
     ConicRegion,
     make_partition,
@@ -23,11 +26,14 @@ from asynctrig.partition import (
 )
 from asynctrig.plant import (
     DiscretePlant,
+    PlantModel,
     disturbance_step_bound,
     growth_constants,
     horizon_transition,
     transition_table,
 )
+from asynctrig.presets import preset_config
+from asynctrig.simulation import prepare
 from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, table_to_dict
 from helpers import benchmark_plant
 
@@ -124,6 +130,58 @@ def test_policy_rejects_missing_fallback(online_unperturbed):
     short = [s for s in horizons if s != (1, 2)]
     with pytest.raises(ConfigError):
         OnlinePolicy(cert, short, transition_table(dp, short), dp.m)
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
+def test_online_forms_equal_the_per_horizon_formulas(name):
+    # byte-identical traces start here: the stacked build must give every
+    # horizon's own form bit for bit, not merely to rounding
+    prep = prepare(preset_config(name))
+    policy = prep.policy.policy if isinstance(prep.policy, GatedPolicy) else prep.policy
+    cert, P = prep.cert, prep.cert.P
+    nn = P.shape[0]
+    for i, s in enumerate(prep.horizons):
+        Phi = horizon_transition(prep.dp, s)
+        rho = decay_factor(cert.beta, len(s), cert.T)
+        if isinstance(cert, UnperturbedCertificate):
+            form, corner = rho * P - Phi.T @ P @ Phi, 0.0
+        else:
+            U = build_U_sigma(P, cert.M, cert.gamma, Phi, rho, cert.chi_squared[len(s)])
+            form, corner = U[:nn, :nn], U[nn, nn]
+            PM = symmetrize(P) + symmetrize(cert.M)  # the one-horizon block, written out
+            assert np.array_equal(form, -symmetrize(Phi.T @ PM @ Phi) + (rho - cert.gamma) * symmetrize(P)), s
+        assert np.array_equal(policy.forms[i], form), s
+        assert policy.corners[i] == corner, s
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_stacked_builds_peak_below_twice_their_result(perturbed):
+    # 5460 horizons, a 1.5 MB stack: a full-size gather of step matrices, or
+    # full-size rho P and Phi'P temporaries, would each add a whole stack
+    plant = PlantModel(A=-np.eye(3), B=np.ones((3, 1)), K=-0.1 * np.ones((1, 3)), blocks=(1, 1, 1))
+    dp = DiscretePlant.from_plant(plant, 0.1)
+    horizons = enumerate_horizons(3, 1, 6)
+    P, T, star = np.eye(6), 0.1, (1, 2, 3)
+    if perturbed:
+        cert = PerturbedOnlineCertificate(
+            P=P, M=P, gamma=0.5, chi=0.03, C=1.0, varpi=0.1, C_prime=1.0, mu=1.0, psi=1.0,
+            sigma_star=star, beta=0.0, T=T, chi_squared={l: 0.01 * l for l in range(1, 7)},
+        )
+    else:
+        cert = UnperturbedCertificate(P=P, beta=0.0, T=T, sigma_star=star)
+    tracemalloc.start()
+    try:
+        phis = transition_table(dp, horizons)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        policy = OnlinePolicy(cert, horizons, phis, dp.m)
+        policy_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(horizons) == 5460 and phis.nbytes >= 2**20
+    assert table_peak <= 2 * phis.nbytes
+    assert policy_peak <= 2 * policy.forms.nbytes
 
 
 def test_online_perturbed_idle_inside_ellipsoid(online_perturbed):
@@ -272,10 +330,10 @@ def _pair_verdicts(prep, regions):
         bbar = decay_factor(cert.beta, len(s), cert.T)
         for r, reg in enumerate(regions):
             if isinstance(cert, UnperturbedCertificate):
-                eps = sprocedure_feasible(phis[s], cert.P, bbar, reg.Q)
+                eps = sprocedure_feasible(phis[j], cert.P, bbar, reg.Q)
             else:
                 eps = max_eps_feasible(
-                    cert.P, cert.gamma1, cert.gamma2, phis[s], bbar, cert.chi_linear_map[len(s)], reg.Q
+                    cert.P, cert.gamma1, cert.gamma2, phis[j], bbar, cert.chi_linear_map[len(s)], reg.Q
                 )
             verdicts[r, j] = eps is not None
     return verdicts

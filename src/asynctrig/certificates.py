@@ -14,8 +14,7 @@ perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,16 +91,15 @@ def choose_sigma_star(horizons, phis) -> tuple:
     return tuple(horizons[int(np.argmin(radii))])
 
 
-def synthesize_unperturbed(
-    Phi_star, beta: float, horizon_seconds: float, *, sigma_star=(), T: float = 0.0
-) -> UnperturbedCertificate:
+def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -> UnperturbedCertificate:
     """P > 0 with Phi*' P Phi* - e^{-beta |sigma*| T} P < 0.
 
     Solved exactly: P is the weighted discrete Lyapunov solution with unit
     right-hand side, which makes the strict-inequality margin exactly
     lambda_min(I) = 1 before scaling.
     """
-    rho = math.exp(-beta * horizon_seconds)
+    sigma_star = tuple(sigma_star)
+    rho = math.exp(-beta * (len(sigma_star) * T))
     sr = spectral_radius(Phi_star)
     if sr >= math.sqrt(rho):
         raise InfeasibleError(
@@ -113,9 +111,6 @@ def synthesize_unperturbed(
     lo, _ = sym_eig_bounds(rho * P - symmetrize(Phi_star.T @ P @ Phi_star))
     if lo < 1e-9:
         raise InfeasibleError(f"decay margin {lo:.3g} below 1e-9")
-    sigma_star = tuple(sigma_star)
-    if sigma_star and not T:
-        T = horizon_seconds / len(sigma_star)
     return UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star)
 
 
@@ -145,28 +140,28 @@ def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float
 def synthesize_perturbed_online(
     Phi_star,
     beta: float,
-    horizon_seconds: float,
-    chi: float,
     gamma: float,
+    sigma_star: tuple,
+    T: float,
+    chi_squared: dict,
     *,
-    C: float = 0.0,
-    varpi: float = 0.0,
-    C_prime: float = 0.0,
-    sigma_star=(),
-    T: float = 0.0,
-    chi_squared: Optional[dict] = None,
+    C: float,
+    varpi: float,
+    C_prime: float,
 ) -> PerturbedOnlineCertificate:
     """Find (P, M) satisfying both perturbed-online inequalities.
 
     Structured search with M = alpha P: the first inequality is
     scale-invariant and reduces to sr(Phi*)^2 < (gamma - bbar)/(1 + alpha);
-    the second reduces to gamma/chi >= s (1 + 1/alpha) lambda_max(P1), so the
-    scale s is set with a 10% margin.  alpha is scanned ascending and the
-    first feasible value wins.
+    the second reduces to gamma/chi >= s (1 + 1/alpha) lambda_max(P1), with
+    chi = chi_squared[|sigma*|], so the scale s is set with a 10% margin.
+    alpha is scanned ascending and the first feasible value wins.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    bbar = math.exp(-beta * horizon_seconds)
+    sigma_star = tuple(sigma_star)
+    chi = chi_squared[len(sigma_star)]
+    bbar = math.exp(-beta * (len(sigma_star) * T))
     sr2 = spectral_radius(Phi_star) ** 2
     nn = np.asarray(Phi_star).shape[0]
     for alpha in ALPHA_GRID:
@@ -181,9 +176,6 @@ def synthesize_perturbed_online(
         M = alpha * P
         if verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
             mu, psi = ultimate_bound(P, C_prime, varpi)
-            sigma_star = tuple(sigma_star)
-            if sigma_star and not T:
-                T = horizon_seconds / len(sigma_star)
             return PerturbedOnlineCertificate(
                 P=P,
                 M=M,
@@ -197,7 +189,7 @@ def synthesize_perturbed_online(
                 sigma_star=sigma_star,
                 beta=beta,
                 T=T,
-                chi_squared=dict(chi_squared or {len(sigma_star) or 1: chi}),
+                chi_squared=dict(chi_squared),
             )
     raise InfeasibleError(
         f"no alpha in [2^-6, 2^6] satisfies the first inequality: "
@@ -266,28 +258,29 @@ def build_U_c(
 def synthesize_perturbed_offline(
     Phi_star,
     beta: float,
-    horizon_seconds: float,
-    chi_linear: float,
     gamma1: float,
     gamma2: float,
+    sigma_star: tuple,
+    T: float,
+    chi_linear_map: dict,
     *,
-    sigma_star=(),
-    T: float = 0.0,
-    chi_linear_map: Optional[dict] = None,
-    C_prime: float = 0.0,
-    varpi: float = 0.0,
+    C_prime: float,
+    varpi: float,
 ) -> PerturbedOfflineCertificate:
     """P for the perturbed-offline mechanism via Lyapunov ansatz and scaling.
 
     P1 solves the weighted Lyapunov equation at the midpoint rate between
     sr(Phi*)^2 and bbar - gamma1; the scale s is then searched over a
     descending log grid and the first (largest) value whose assembled
-    unregioned feasibility matrix has lambda_min >= -1e-9 wins.  The
-    assembled eigenvalue check is the authority, not the ansatz.
+    unregioned feasibility matrix, at chi = chi_linear_map[|sigma*|], has
+    lambda_min >= -1e-9 wins.  The assembled eigenvalue check is the
+    authority, not the ansatz.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
-    bbar = math.exp(-beta * horizon_seconds)
+    sigma_star = tuple(sigma_star)
+    chi_linear = chi_linear_map[len(sigma_star)]
+    bbar = math.exp(-beta * (len(sigma_star) * T))
     sr2 = spectral_radius(Phi_star) ** 2
     target = bbar - gamma1
     if target <= sr2:
@@ -304,9 +297,6 @@ def synthesize_perturbed_offline(
         lo, _ = sym_eig_bounds(U)
         if lo >= -1e-9:
             mu, _ = ultimate_bound(P, C_prime, varpi)
-            sigma_star = tuple(sigma_star)
-            if sigma_star and not T:
-                T = horizon_seconds / len(sigma_star)
             return PerturbedOfflineCertificate(
                 P=P,
                 gamma1=gamma1,
@@ -316,7 +306,7 @@ def synthesize_perturbed_offline(
                 sigma_star=sigma_star,
                 beta=beta,
                 T=T,
-                chi_linear_map=dict(chi_linear_map or {len(sigma_star) or 1: chi_linear}),
+                chi_linear_map=dict(chi_linear_map),
                 C_prime=C_prime,
                 varpi=varpi,
             )
@@ -382,93 +372,40 @@ def ultimate_bound(P, C_prime: float, varpi: float):
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON-safe dicts, matrices as row-major nested lists
+# serialization: JSON-safe dicts holding "kind" and then every field in
+# declaration order, each converted by its declared type
+
+CERTIFICATE_KINDS = {
+    "unperturbed": UnperturbedCertificate,
+    "perturbed-online": PerturbedOnlineCertificate,
+    "perturbed-offline": PerturbedOfflineCertificate,
+}
+
+# field type -> (to JSON, from JSON): matrices as row-major nested lists, the
+# fallback horizon as its digit string, length-keyed maps with string keys
+_FIELD_CODECS = {
+    np.ndarray: (np.ndarray.tolist, lambda v: np.array(v, dtype=float)),
+    float: (lambda v: v, float),
+    tuple: (horizon_to_text, horizon_from_text),
+    dict: (
+        lambda d: {str(k): v for k, v in d.items()},
+        lambda d: {int(k): float(v) for k, v in d.items()},
+    ),
+}
 
 
 def certificate_to_dict(cert) -> dict:
-    if isinstance(cert, UnperturbedCertificate):
-        return {
-            "kind": "unperturbed",
-            "P": cert.P.tolist(),
-            "beta": cert.beta,
-            "T": cert.T,
-            "sigma_star": horizon_to_text(cert.sigma_star),
-        }
-    if isinstance(cert, PerturbedOnlineCertificate):
-        return {
-            "kind": "perturbed-online",
-            "P": cert.P.tolist(),
-            "M": cert.M.tolist(),
-            "gamma": cert.gamma,
-            "chi": cert.chi,
-            "C": cert.C,
-            "varpi": cert.varpi,
-            "C_prime": cert.C_prime,
-            "mu": cert.mu,
-            "psi": cert.psi,
-            "sigma_star": horizon_to_text(cert.sigma_star),
-            "beta": cert.beta,
-            "T": cert.T,
-            "chi_squared": {str(k): v for k, v in cert.chi_squared.items()},
-        }
-    if isinstance(cert, PerturbedOfflineCertificate):
-        return {
-            "kind": "perturbed-offline",
-            "P": cert.P.tolist(),
-            "gamma1": cert.gamma1,
-            "gamma2": cert.gamma2,
-            "chi_linear": cert.chi_linear,
-            "mu": cert.mu,
-            "sigma_star": horizon_to_text(cert.sigma_star),
-            "beta": cert.beta,
-            "T": cert.T,
-            "chi_linear_map": {str(k): v for k, v in cert.chi_linear_map.items()},
-            "C_prime": cert.C_prime,
-            "varpi": cert.varpi,
-        }
-    raise TypeError(f"not a certificate: {type(cert)!r}")
+    kind = {cls: k for k, cls in CERTIFICATE_KINDS.items()}.get(type(cert))
+    if kind is None:
+        raise TypeError(f"not a certificate: {type(cert)!r}")
+    return {"kind": kind, **{f.name: _FIELD_CODECS[f.type][0](getattr(cert, f.name)) for f in fields(cert)}}
 
 
 def certificate_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "unperturbed":
-        return UnperturbedCertificate(
-            P=np.array(data["P"], dtype=float),
-            beta=float(data["beta"]),
-            T=float(data["T"]),
-            sigma_star=horizon_from_text(data["sigma_star"]),
-        )
-    if kind == "perturbed-online":
-        return PerturbedOnlineCertificate(
-            P=np.array(data["P"], dtype=float),
-            M=np.array(data["M"], dtype=float),
-            gamma=float(data["gamma"]),
-            chi=float(data["chi"]),
-            C=float(data["C"]),
-            varpi=float(data["varpi"]),
-            C_prime=float(data["C_prime"]),
-            mu=float(data["mu"]),
-            psi=float(data["psi"]),
-            sigma_star=horizon_from_text(data["sigma_star"]),
-            beta=float(data["beta"]),
-            T=float(data["T"]),
-            chi_squared={int(k): float(v) for k, v in data["chi_squared"].items()},
-        )
-    if kind == "perturbed-offline":
-        return PerturbedOfflineCertificate(
-            P=np.array(data["P"], dtype=float),
-            gamma1=float(data["gamma1"]),
-            gamma2=float(data["gamma2"]),
-            chi_linear=float(data["chi_linear"]),
-            mu=float(data["mu"]),
-            sigma_star=horizon_from_text(data["sigma_star"]),
-            beta=float(data["beta"]),
-            T=float(data["T"]),
-            chi_linear_map={int(k): float(v) for k, v in data["chi_linear_map"].items()},
-            C_prime=float(data["C_prime"]),
-            varpi=float(data["varpi"]),
-        )
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    cls = CERTIFICATE_KINDS.get(data.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown certificate kind {data.get('kind')!r}")
+    return cls(**{f.name: _FIELD_CODECS[f.type][1](data[f.name]) for f in fields(cls)})
 
 
 def _positive_definite(*mats) -> bool:

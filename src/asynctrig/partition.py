@@ -88,20 +88,21 @@ def _covering_radius(vs: np.ndarray) -> float:
 def make_partition(dim: int, N: int):
     """N conic regions covering R^dim.
 
-    dim 2 uses exact equiangular sectors; higher dimensions take
-    deterministic low-discrepancy directions and grow the half-angle in 10%
-    steps until it reaches their exact covering radius, then add a 5% margin
-    (capped at pi/2, where a cone degenerates to the whole space).
+    dim 2 uses exact equiangular sectors with a 5% margin; higher dimensions
+    take deterministic low-discrepancy directions and grow the half-angle in
+    10% steps until it reaches their exact covering radius, then add the same
+    margin.  Either half-angle is capped at pi/2, where a cone degenerates to
+    the whole space.
     """
     if N < 1 or dim < 2:
         raise ValueError(f"need N >= 1 and dim >= 2, got N={N}, dim={dim}")
     if dim == 2:
-        theta = math.pi / (2 * N) * 1.05
+        theta = min(math.pi / (2 * N) * 1.05, math.pi / 2)
         regions = []
         for c in range(N):
             ang = math.pi * c / N
             v = np.array([math.cos(ang), math.sin(ang)])
-            Q = np.outer(v, v) - math.cos(min(theta, math.pi / 2)) ** 2 * np.eye(2)
+            Q = np.outer(v, v) - math.cos(theta) ** 2 * np.eye(2)
             regions.append(ConicRegion(index=c, direction=v, half_angle=theta, Q=Q))
         return regions
     vs = _directions(dim, N)

@@ -167,41 +167,21 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     if sigma_star not in horizons:
         raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set")
     Phi_star = phis[horizons.index(sigma_star)]
-    hs = len(sigma_star) * config.T
     perturbed = config.mode in PERTURBED_MODES
     if not perturbed:
-        cert = synthesize_unperturbed(Phi_star, config.beta, hs, sigma_star=sigma_star, T=config.T)
+        cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
     else:
         varpi = disturbance_step_bound(plant, config.T)
         C, chi_sq, chi_lin = growth_constants(dp, horizons, varpi)
         C_prime = float(np.linalg.norm(step_matrix(dp, 0), 2))
         if config.mode == "online-perturbed":
             cert = synthesize_perturbed_online(
-                Phi_star,
-                config.beta,
-                hs,
-                chi_sq[len(sigma_star)],
-                config.gamma,
-                C=C,
-                varpi=varpi,
-                C_prime=C_prime,
-                sigma_star=sigma_star,
-                T=config.T,
-                chi_squared=chi_sq,
+                Phi_star, config.beta, config.gamma, sigma_star, config.T, chi_sq, C=C, varpi=varpi, C_prime=C_prime
             )
         else:
             cert = synthesize_perturbed_offline(
-                Phi_star,
-                config.beta,
-                hs,
-                chi_lin[len(sigma_star)],
-                config.gamma1,
-                config.gamma2,
-                sigma_star=sigma_star,
-                T=config.T,
-                chi_linear_map=chi_lin,
-                C_prime=C_prime,
-                varpi=varpi,
+                Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi_lin,
+                C_prime=C_prime, varpi=varpi,
             )
     regions = table = policy = None
     if config.mode in OFFLINE_MODES:

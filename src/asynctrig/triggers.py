@@ -56,9 +56,17 @@ def _tie_break(ties, rng_seed: int, step_index: int):
     return ties[rng.integers(len(ties))]
 
 
-def _argmax_ties(candidates, metrics):
-    best = max(metrics[s] for s in candidates)
-    return best, [s for s in candidates if metrics[s] == best]
+def _metrics(horizons, m: int) -> np.ndarray:
+    """avg_idle_metric of every horizon, bit for bit: both divide the same two exact integers."""
+    lengths = np.array([len(s) for s in horizons], dtype=np.int64)
+    idle = np.array([s.count(0) for s in horizons], dtype=np.int64)
+    return (idle + lengths) / (m * lengths)
+
+
+def _best_ties(metrics: np.ndarray, feas: np.ndarray):
+    """Best metric over the horizon indices feas, and the indices attaining it."""
+    best = metrics[feas].max()
+    return best, feas[metrics[feas] == best]
 
 
 def _mode(kind: str, cert) -> str:
@@ -87,7 +95,7 @@ class OnlinePolicy:
         self.fallback_index = self.horizons.index(_fallback(cert, self.horizons))
         self.mode = _mode("online", cert)
         self.m = m
-        self.metrics = np.array([avg_idle_metric(s, m) for s in self.horizons])
+        self.metrics = _metrics(self.horizons, m)
         P = cert.P
         nn = P.shape[0]
         rhos = np.array([decay_factor(cert.beta, len(s), cert.T) for s in self.horizons])
@@ -113,8 +121,7 @@ class OnlinePolicy:
         feas = np.flatnonzero(values >= -slack)
         if feas.size == 0:
             feas = np.array([self.fallback_index])
-        best = self.metrics[feas].max()
-        ties = feas[self.metrics[feas] == best]
+        best, ties = _best_ties(self.metrics, feas)
         chosen = self.horizons[_tie_break(ties, rng_seed, step_index)]
         return TriggerDecision(
             horizon=chosen,
@@ -182,16 +189,15 @@ def build_offline_table(cert, horizons, regions, forms: RegionForms, m: int) -> 
     the fallback horizon is inserted when nothing else qualifies.
     """
     horizons = [tuple(s) for s in horizons]
-    sigma_star = _fallback(cert, horizons)
-    metrics = {s: avg_idle_metric(s, m) for s in horizons}
+    fallback = np.array([horizons.index(_fallback(cert, horizons))])
+    metrics = _metrics(horizons, m)
     psi = []
     values = []
     for reg in regions:
-        certified = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
-        feas = [horizons[i] for i in certified] or [sigma_star]
-        best, ties = _argmax_ties(feas, metrics)
-        psi.append(tuple(ties))
-        values.append(best)
+        feas = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
+        best, ties = _best_ties(metrics, feas if feas.size else fallback)
+        psi.append(tuple(horizons[i] for i in ties))
+        values.append(float(best))
     return OfflineTable(psi=tuple(psi), metric=tuple(values), mode=_mode("offline", cert), m=m)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -30,6 +32,8 @@ from asynctrig.plant import (
     transition_table,
 )
 from helpers import M_REF, P_REF, benchmark_plant
+
+NO_DISTURBANCE = dict(C=0.0, varpi=0.0, C_prime=0.0)
 
 
 def _phi_star_unperturbed():
@@ -72,7 +76,7 @@ def test_choose_sigma_star_rejects_overflowed_products():
 
 def test_unperturbed_certificate_decay_margin():
     Phi = _phi_star_unperturbed()
-    cert = synthesize_unperturbed(Phi, 0.0, 0.6, sigma_star=(1, 2), T=0.3)
+    cert = synthesize_unperturbed(Phi, 0.0, (1, 2), 0.3)
     lo, _ = sym_eig_bounds(cert.P)
     assert lo > 0
     G = symmetrize(Phi.T @ cert.P @ Phi) - cert.P
@@ -84,11 +88,11 @@ def test_unperturbed_certificate_decay_margin():
 
 def test_unperturbed_rejects_noncontractive_fallback():
     with pytest.raises(InfeasibleError, match="spectral radius"):
-        synthesize_unperturbed(np.diag([1.0, 0.5]), 0.0, 1.0)
+        synthesize_unperturbed(np.diag([1.0, 0.5]), 0.0, (1,), 1.0)
     # decay demand beyond the horizon's contraction
     Phi = _phi_star_unperturbed()  # sr ~ 0.991
     with pytest.raises(InfeasibleError):
-        synthesize_unperturbed(Phi, 1.0, 0.6)
+        synthesize_unperturbed(Phi, 1.0, (1, 2), 0.3)
 
 
 def test_verify_lmi_pair_known_values():
@@ -100,10 +104,10 @@ def test_verify_lmi_pair_known_values():
 def test_perturbed_online_scalar_toy():
     # Phi = 0 forces LMI1 to (bbar - gamma)P <= 0, so gamma must beat bbar
     Phi = np.zeros((1, 1))
-    cert = synthesize_perturbed_online(Phi, 0.0, 1.0, 1.0, 1.5, sigma_star=(1,), T=1.0)
+    cert = synthesize_perturbed_online(Phi, 0.0, 1.5, (1,), 1.0, {1: 1.0}, **NO_DISTURBANCE)
     assert verify_lmi_pair(cert.P, cert.M, 1.5, 1.0, Phi, 1.0)
     with pytest.raises(InfeasibleError):
-        synthesize_perturbed_online(Phi, 0.0, 1.0, 1.0, 0.5)
+        synthesize_perturbed_online(Phi, 0.0, 0.5, (1,), 1.0, {1: 1.0}, **NO_DISTURBANCE)
 
 
 def test_perturbed_online_self_verification_random():
@@ -113,7 +117,7 @@ def test_perturbed_online_self_verification_random():
         Phi = rng.normal(size=(4, 4))
         Phi *= rng.uniform(0.1, 0.6) / spectral_radius(Phi)
         chi = float(rng.uniform(0.05, 5.0))
-        cert = synthesize_perturbed_online(Phi, beta, 1.0, chi, 1.0, sigma_star=(1,), T=1.0)
+        cert = synthesize_perturbed_online(Phi, beta, 1.0, (1,), 1.0, {1: chi}, **NO_DISTURBANCE)
         assert verify_lmi_pair(cert.P, cert.M, 1.0, chi, Phi, 0.5)
 
 
@@ -136,9 +140,7 @@ def test_build_U_sigma_matches_summand_recomputation():
     C, chi_sq, _ = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
-    cert = synthesize_perturbed_online(
-        Phi_star, beta, 4 * 0.18, chi_sq[4], 0.35, sigma_star=(2, 1, 2, 1), T=0.18, chi_squared=chi_sq
-    )
+    cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, **NO_DISTURBANCE)
     rng = np.random.default_rng(4)
     Minv = np.linalg.inv(cert.M)
     lam_bar = max(np.linalg.eigvalsh(symmetrize(cert.P @ Minv @ cert.P) + cert.P))
@@ -186,17 +188,15 @@ def test_perturbed_offline_synthesis_eigencheck():
     horizons = enumerate_horizons(2, 3, 6)
     _, _, chi_lin = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (1, 2, 2))
-    cert = synthesize_perturbed_offline(
-        Phi_star, 0.0, 3 * 0.205, chi_lin[3], 0.3, 0.1, sigma_star=(1, 2, 2), T=0.205
-    )
+    cert = synthesize_perturbed_offline(Phi_star, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3], np.zeros((4, 4)), 1.0)
     lo, _ = sym_eig_bounds(U)
     assert lo >= -1e-9
     with pytest.raises(ValueError):
-        synthesize_perturbed_offline(Phi_star, 0.0, 0.615, chi_lin[3], -0.3, 0.1)
+        synthesize_perturbed_offline(Phi_star, 0.0, -0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     with pytest.raises(InfeasibleError):
         # gamma1 >= bbar leaves no decay budget at all
-        synthesize_perturbed_offline(Phi_star, 0.0, 0.615, chi_lin[3], 1.0, 0.1)
+        synthesize_perturbed_offline(Phi_star, 0.0, 1.0, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
 
 
 def test_max_eps_feasible_directional_relaxation():
@@ -254,26 +254,20 @@ def _perturbed_certificates():
     C, chi_sq, chi_lin = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
-    on = synthesize_perturbed_online(
-        Phi_star, beta, 4 * 0.18, chi_sq[4], 0.35,
-        C=C, varpi=varpi, C_prime=2.0, sigma_star=(2, 1, 2, 1), T=0.18, chi_squared=chi_sq,
-    )
+    on = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, C=C, varpi=varpi, C_prime=2.0)
 
     dp2 = DiscretePlant.from_plant(plant, 0.205)
     varpi2 = disturbance_step_bound(plant, 0.205)
     hs2 = enumerate_horizons(2, 3, 6)
     _, _, chi_lin2 = growth_constants(dp2, hs2, varpi2)
     Phi2 = horizon_transition(dp2, (1, 2, 2))
-    off = synthesize_perturbed_offline(
-        Phi2, 0.0, 0.615, chi_lin2[3], 0.3, 0.1,
-        sigma_star=(1, 2, 2), T=0.205, chi_linear_map=chi_lin2, C_prime=2.0, varpi=varpi2,
-    )
+    off = synthesize_perturbed_offline(Phi2, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin2, C_prime=2.0, varpi=varpi2)
     return on, Phi_star, off, Phi2
 
 
 def test_serialization_round_trip_reverifies():
     Phi = _phi_star_unperturbed()
-    cert = synthesize_unperturbed(Phi, 0.0, 0.6, sigma_star=(1, 2), T=0.3)
+    cert = synthesize_unperturbed(Phi, 0.0, (1, 2), 0.3)
     back = certificate_from_dict(certificate_to_dict(cert))
     assert np.allclose(back.P, cert.P)
     assert back.sigma_star == (1, 2)
@@ -319,6 +313,26 @@ def test_serialization_round_trip_perturbed_kinds():
     assert np.allclose(back2.P, off.P)
     assert back2.chi_linear_map == off.chi_linear_map
     assert reverify_certificate(back2, Phi2)
+
+
+def test_certificate_codec_is_field_driven():
+    on, _, off, _ = _perturbed_certificates()
+    unperturbed = synthesize_unperturbed(_phi_star_unperturbed(), 0.0, (1, 2), 0.3)
+    for cert in (unperturbed, on, off):
+        names = [f.name for f in dataclasses.fields(cert)]
+        data = certificate_to_dict(cert)
+        assert list(data) == ["kind", *names]
+        assert certificate_to_dict(certificate_from_dict(json.loads(json.dumps(data)))) == data
+        for name in names:
+            with pytest.raises(KeyError) as missing:
+                certificate_from_dict({k: v for k, v in data.items() if k != name})
+            assert missing.value.args == (name,)
+        with pytest.raises(ValueError, match="^unknown certificate kind 'bogus'$"):
+            certificate_from_dict({**data, "kind": "bogus"})
+    with pytest.raises(ValueError, match="^unknown certificate kind None$"):
+        certificate_from_dict({})
+    with pytest.raises(TypeError, match="not a certificate"):
+        certificate_to_dict(object())
 
 
 def test_decay_factor():

@@ -115,12 +115,13 @@ def test_degenerate_cap_covers_everything():
 
 
 def test_Q_eigenstructure():
-    regions = make_partition(4, 15)
-    for reg in regions[:3]:
-        w = np.sort(np.linalg.eigvalsh(reg.Q))
-        c2 = math.cos(reg.half_angle) ** 2
-        np.testing.assert_allclose(w[:3], [-c2] * 3, atol=1e-12)
-        assert w[3] == pytest.approx(1.0 - c2, abs=1e-12)
+    # (2, 1) is the one-cone plane partition, whose half-angle is capped at pi/2
+    for dim, N in [(4, 15), (2, 1), (2, 15)]:
+        for reg in make_partition(dim, N)[:3]:
+            w = np.sort(np.linalg.eigvalsh(reg.Q))
+            c2 = math.cos(reg.half_angle) ** 2
+            np.testing.assert_allclose(w[: dim - 1], [-c2] * (dim - 1), atol=1e-12)
+            assert w[dim - 1] == pytest.approx(1.0 - c2, abs=1e-12)
 
 
 def test_make_partition_rejects_bad_shape():

@@ -44,7 +44,7 @@ def online_unperturbed():
     dp = DiscretePlant.from_plant(plant, 0.3)
     horizons = enumerate_horizons(2, 1, 3)
     Phi_star = horizon_transition(dp, (1, 2))
-    cert = synthesize_unperturbed(Phi_star, 0.0, 0.6, sigma_star=(1, 2), T=0.3)
+    cert = synthesize_unperturbed(Phi_star, 0.0, (1, 2), 0.3)
     return dp, horizons, cert, OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
 
 
@@ -58,7 +58,7 @@ def online_perturbed():
     beta = math.log(10.0) / (4 * 0.18)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     cert = synthesize_perturbed_online(
-        Phi_star, beta, 4 * 0.18, chi_sq[4], 0.35, sigma_star=(2, 1, 2, 1), T=0.18, chi_squared=chi_sq
+        Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, C=0.0, varpi=0.0, C_prime=0.0
     )
     policy = OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
     return dp, horizons, cert, GatedPolicy(policy, cert.P)

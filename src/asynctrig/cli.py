@@ -222,8 +222,7 @@ def cmd_horizons(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg, _, _ = _load_sim_config(args)
-    _, _, cert, _, _, _ = prepare(cfg, with_tables=False)
-    _write_json(certificate_to_dict(cert), args.out)
+    _write_json(certificate_to_dict(prepare(cfg, with_tables=False).cert), args.out)
     return 0
 
 
@@ -254,7 +253,7 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
         if not seeds:
             raise ConfigError("--sweep got an empty seed list")
     prepared = prepare(cfg)
-    cert = prepared[2]
+    cert = prepared.cert
     outputs = []
     cert_path = os.path.join(outdir, "certificate.json")
     _write_json(certificate_to_dict(cert), cert_path)
@@ -278,11 +277,10 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
         "preset": preset_name,
         "certificate": _cert_summary(cert),
         "metrics": all_metrics[seeds[-1]] if len(seeds) == 1 else {str(s): m for s, m in all_metrics.items()},
-        "outputs": outputs,
+        "outputs": [os.path.relpath(p, outdir) for p in outputs],  # the same wherever --out-dir points
     }
     manifest_path = os.path.join(outdir, "manifest.json")
     _write_json(manifest, manifest_path)
-    outputs.append(manifest_path)
     for seed in seeds:
         if preset_name:
             print(f"preset {preset_name} seed {seed}")

@@ -124,6 +124,8 @@ class _DisturbanceIntegrator:
     half-step nodes (the sample at offset s propagates for the remaining T-s);
     per step the signal is sampled once, at all nodes.  Weights follow the
     classic fourth-order rule (ends 1, odd nodes 4, even nodes 2, times h/6).
+    It depends on the plant, T and the substep count only, so `prepare`
+    builds it once and every `simulate` on that preparation shares it.
     """
 
     def __init__(self, plant: PlantModel, T: float, substeps: int):
@@ -144,6 +146,7 @@ class Prepared(NamedTuple):
     regions: Optional[list]
     table: Optional[OfflineTable]
     policy: object  # None only for an offline mode prepared without tables
+    integrator: Optional[_DisturbanceIntegrator]  # None for the unperturbed modes
 
 
 def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
@@ -193,19 +196,16 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
         policy = OnlinePolicy(cert, horizons, phis, dp.m)
     if perturbed and policy is not None:
         policy = GatedPolicy(policy, cert.P)
-    return Prepared(dp, horizons, cert, regions, table, policy)
+    integrator = _DisturbanceIntegrator(plant, config.T, config.substeps_per_T) if perturbed else None
+    return Prepared(dp, horizons, cert, regions, table, policy, integrator)
 
 
 def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace:
     plant = config.plant
     prepared = prepared if prepared is not None else prepare(config)
-    dp, cert, policy = prepared.dp, prepared.cert, prepared.policy
+    dp, cert, policy, integrator = prepared.dp, prepared.cert, prepared.policy, prepared.integrator
     perturbed = config.mode in PERTURBED_MODES
-    w_signal = None
-    integrator = None
-    if perturbed:
-        w_signal = config.disturbance or default_sine_disturbance(plant)
-        integrator = _DisturbanceIntegrator(plant, config.T, config.substeps_per_T)
+    w_signal = (config.disturbance or default_sine_disturbance(plant)) if perturbed else None
     P = cert.P
 
     n = plant.n
@@ -235,7 +235,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         for a in dec.horizon:
             eta = np.concatenate([x, xh])
             rows_t.append(t)
-            rows_x.append(x.copy())
+            rows_x.append(x)  # x and xh are rebound each step, never mutated
             rows_V.append(float(eta @ P @ eta))
             M_sel, N_sel = sel[a]
             xh = M_sel @ x + N_sel @ xh
@@ -243,8 +243,8 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
             x = A_T @ x + B_T @ u
             if perturbed:
                 x = x + integrator.integrate(w_signal, t)
-            rows_xh.append(xh.copy())
-            rows_u.append(np.atleast_1d(u).copy())
+            rows_xh.append(xh)
+            rows_u.append(u)
             rows_a.append(a)
             t += config.T
             steps += 1
@@ -337,41 +337,37 @@ def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -
 # trace and decision-log CSV (LF endings, full-precision floats)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_trace_csv(trace: SimTrace, path: str):
     n = trace.X.shape[1]
     m_u = trace.U.shape[1]
-    header = (
+    header = ",".join(
         ["step", "t"]
         + [f"x_{i+1}" for i in range(n)]
         + [f"xhat_{i+1}" for i in range(n)]
         + [f"u_{j+1}" for j in range(m_u)]
         + ["action", "V"]
     )
+    # tolist() yields Python floats, whose repr is the shortest round-tripping text
+    values = np.column_stack([trace.times, trace.X, trace.XHAT, trace.U]).astype(float, copy=False).tolist()
+    actions = trace.actions.astype(int, copy=False).tolist()
+    V = trace.V.astype(float, copy=False).tolist()
+    lines = [header]
+    lines += [
+        f"{k},{','.join(map(repr, row))},{a},{v!r}" for k, (row, a, v) in enumerate(zip(values, actions, V))
+    ]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for k in range(trace.actions.size):
-            row = (
-                [str(k), _fmt(trace.times[k])]
-                + [_fmt(v) for v in trace.X[k]]
-                + [_fmt(v) for v in trace.XHAT[k]]
-                + [_fmt(v) for v in trace.U[k]]
-                + [str(int(trace.actions[k])), _fmt(trace.V[k])]
-            )
-            w.writerow(row)
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_decision_csv(trace: SimTrace, path: str):
-    header = ["step", "tau", "mode", "horizon", "metric", "feasible_count", "inside_ellipsoid"]
+    # no field needs CSV quoting: modes and horizon texts are letters, digits and dashes
+    lines = ["step,tau,mode,horizon,metric,feasible_count,inside_ellipsoid"]
+    lines += [
+        f"{step},{float(tau)!r},{mode},{horizon},{float(metric)!r},{fc},{inside}"
+        for step, tau, mode, horizon, metric, fc, inside in trace.decision_rows
+    ]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for step, tau, mode, horizon, metric, fc, inside in trace.decision_rows:
-            w.writerow([str(step), _fmt(tau), mode, horizon, _fmt(metric), str(fc), str(inside)])
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str) -> SimTrace:

@@ -27,7 +27,10 @@ def _affine(lo: float, hi: float, p0: float, p1: float):
 
 
 def _poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
-    pts = " ".join(f"{ax + sx * float(x)!r},{ay + sy * float(y)!r}" for x, y in zip(xs, ys))
+    # the same two IEEE operations per coordinate as scalar Python arithmetic
+    pxs = (ax + sx * np.asarray(xs, float)).tolist()
+    pys = (ay + sy * np.asarray(ys, float)).tolist()
+    pts = " ".join(f"{px!r},{py!r}" for px, py in zip(pxs, pys))
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline id="{ident}" fill="none" stroke="{stroke}" stroke-width="1.5"{extra} points="{pts}"/>'
 
@@ -137,10 +140,9 @@ def schedule_svg(trace) -> str:
     steps = acts.size
     m = int(acts.max()) if steps else 1
     # step-post: the action chosen at step k holds on [k, k+1)
-    xs, ys = [], []
-    for k, a in enumerate(acts):
-        xs += [k, k + 1]
-        ys += [int(a), int(a)]
+    k = np.arange(steps)
+    xs = np.column_stack([k, k + 1]).ravel()
+    ys = np.repeat(acts, 2)
     ax, sx = _affine(0.0, float(steps), ML, W - MR)
     ay, sy = _affine(-0.5, max(m, 1) + 0.5, H - MB, MT)
     body = _frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, max(m, 1) + 0.5, ax, sx, ay, sy)

@@ -52,6 +52,8 @@ class OfflineTable:
 
 
 def _tie_break(ties, rng_seed: int, step_index: int):
+    if len(ties) == 1:  # the draw below would be integers(1), which is always 0
+        return ties[0]
     rng = np.random.Generator(np.random.Philox(key=[rng_seed, step_index]))
     return ties[rng.integers(len(ties))]
 

@@ -1,5 +1,7 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
+import csv
+
 import numpy as np
 
 from asynctrig.plant import PlantModel
@@ -127,3 +129,89 @@ def random_schur_stabilizable(rng, t_lo=0.05, t_hi=0.3):
         if sr < 0.9:
             return plant, T
     return None
+
+
+# ---------------------------------------------------------------------------
+# per-element writer oracles: one repr(float(...)) per value, csv.writer rows
+# and one f-string per polyline point; the package's writers must match them
+# byte for byte
+
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def oracle_write_trace_csv(trace, path: str):
+    n = trace.X.shape[1]
+    m_u = trace.U.shape[1]
+    header = (
+        ["step", "t"]
+        + [f"x_{i+1}" for i in range(n)]
+        + [f"xhat_{i+1}" for i in range(n)]
+        + [f"u_{j+1}" for j in range(m_u)]
+        + ["action", "V"]
+    )
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for k in range(trace.actions.size):
+            row = (
+                [str(k), _fmt(trace.times[k])]
+                + [_fmt(v) for v in trace.X[k]]
+                + [_fmt(v) for v in trace.XHAT[k]]
+                + [_fmt(v) for v in trace.U[k]]
+                + [str(int(trace.actions[k])), _fmt(trace.V[k])]
+            )
+            w.writerow(row)
+
+
+def oracle_write_decision_csv(trace, path: str):
+    header = ["step", "tau", "mode", "horizon", "metric", "feasible_count", "inside_ellipsoid"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for step, tau, mode, horizon, metric, fc, inside in trace.decision_rows:
+            w.writerow([str(step), _fmt(tau), mode, horizon, _fmt(metric), str(fc), str(inside)])
+
+
+def oracle_poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
+    pts = " ".join(f"{ax + sx * float(x)!r},{ay + sy * float(y)!r}" for x, y in zip(xs, ys))
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'<polyline id="{ident}" fill="none" stroke="{stroke}" stroke-width="1.5"{extra} points="{pts}"/>'
+
+
+def special_value_traces():
+    """Hand-made traces that stress float formatting: signed zero, the least
+    subnormal, a huge value and nan; integer schedule points; one step only."""
+    from asynctrig.simulation import SimTrace
+
+    tiny, huge, nan = 5e-324, 1e300, float("nan")
+    wide = SimTrace(
+        times=np.array([0.0, -0.0, tiny, 0.1 + 0.2]),
+        X=np.array([[-0.0, huge], [tiny, -tiny], [nan, 1.0], [1 / 3, -huge]]),
+        XHAT=np.array([[0.0, -0.0], [huge, nan], [2.5, tiny], [-1e-300, 7.0]]),
+        U=np.array([[nan], [-0.0], [huge], [tiny]]),
+        actions=np.array([0, 2, 1, 2], dtype=int),
+        V=np.array([tiny, 1.0, huge, 0.5]),
+        boundaries=[0, 2],
+        boundary_V=[tiny, huge, 0.5],
+        decisions=[],
+        decision_rows=[
+            (0, -0.0, "online-perturbed", "02", tiny, 3, 1),
+            (2, np.float64(huge), "offline-perturbed", "12", np.float64(nan), 1, 0),
+            (3, 0.1 + 0.2, "online-unperturbed", "0", 1 / 3, 12, 0),
+        ],
+    )
+    one_step = SimTrace(
+        times=np.array([0.0]),
+        X=np.array([[1.0, -2.0]]),
+        XHAT=np.array([[1.0, -2.0]]),
+        U=np.array([[7.0]]),
+        actions=np.array([2], dtype=int),
+        V=np.array([3.5]),
+        boundaries=[0],
+        boundary_V=[3.5],
+        decisions=[],
+        decision_rows=[(0, 0.0, "offline-unperturbed", "2", 0.5, 1, 0)],
+    )
+    return [wide, one_step]

@@ -119,7 +119,7 @@ def test_criterion_5_online_perturbed_preset(say):
     contained = tr.metrics["guub_contained"]
     sim_ok = contained and 0.61 <= red <= 0.76 and dt < 30.0
 
-    dp, horizons, cert, _, _, _ = prep
+    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     Phi_star = horizon_transition(dp, tuple(cert.sigma_star))
     bbar_star = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
     chi_star = cert.chi_squared[len(cert.sigma_star)]
@@ -204,7 +204,7 @@ def _decay_suite(runs_online=1000, runs_offline=20):
             continue
         todo.pop()
         tr = simulate(cfg, prep)
-        cert = prep[2]
+        cert = prep.cert
         lo, hi = sym_eig_bounds(cert.P)
         slack = 1e-12 * hi / lo  # admissibility slack mapped into V units
         for i, dec in enumerate(tr.decisions):
@@ -220,7 +220,8 @@ def _decay_suite(runs_online=1000, runs_offline=20):
 def _step_inequality_suite(draws=1000):
     """One-step certified bound under worst-case lumped disturbances."""
     cfg = preset_config("online-perturbed")
-    dp, horizons, cert, _, _, policy = prepare(cfg)
+    prep = prepare(cfg)
+    dp, horizons, cert, policy = prep.dp, prep.horizons, prep.cert, prep.policy
     P, gamma = cert.P, cert.gamma
     phis = {s: horizon_transition(dp, s) for s in horizons}
     rng = np.random.default_rng(1234)
@@ -277,7 +278,7 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
     synthesis-level guarantee instead and are rechecked against it.
     """
     rng = np.random.default_rng(4321)
-    dp, _, cert, regions, table, _ = prep_unpert
+    dp, cert, regions, table = prep_unpert.dp, prep_unpert.cert, prep_unpert.regions, prep_unpert.table
     rechecked = 0
     for reg, ties in zip(regions, table.psi):
         X = _sample_members(reg, samples, rng)
@@ -289,7 +290,7 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
             if not (vals <= 1e-9).all():
                 return False, f"unperturbed entry {s} fails pointwise decay on region {reg.index}"
             rechecked += 1
-    dp2, horizons2, cert2, regions2, table2, _ = prep_pert
+    dp2, cert2, regions2, table2 = prep_pert.dp, prep_pert.cert, prep_pert.regions, prep_pert.table
     fallback = tuple(cert2.sigma_star)
     Phi_fb = horizon_transition(dp2, fallback)
     for reg, ties in zip(regions2, table2.psi):

@@ -66,6 +66,8 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     assert m1["config_digest"] == m2["config_digest"]
     assert m1["metrics"] == m2["metrics"]
     assert m1["certificate"]["kind"] == "unperturbed"
+    # outputs are recorded relative to --out-dir, so the manifests agree too
+    assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
 
 def test_digest_tracks_semantic_changes(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from asynctrig.errors import ConfigError
 from asynctrig.horizons import horizon_to_text
 from asynctrig.presets import DEFAULT_SEED, DEFAULT_STEPS, PRESET_NAMES, PRESET_NOTES, preset_config
-from asynctrig.simulation import prepare, simulate
 from asynctrig.triggers import table_to_dict
 
 README = Path(__file__).parent.parent / "README.md"
@@ -134,17 +133,12 @@ PINNED_TABLES = {
 }
 
 
-def test_preset_actions_and_tables_pinned(prepared_offline_unperturbed, prepared_offline_perturbed):
+def test_preset_actions_and_tables_pinned(preset_traces):
     """Seed-154 action strings of all four presets and both offline tables."""
-    prepared = {
-        "offline-unperturbed": prepared_offline_unperturbed[1],
-        "offline-perturbed": prepared_offline_perturbed[1],
-    }
     for name in PRESET_NAMES:
-        cfg = preset_config(name)
-        prep = prepared.get(name) or prepare(cfg)
-        actions = simulate(cfg, prep).actions
-        assert horizon_to_text(actions) == PINNED_ACTIONS[name], name
+        cfg, prep, trace = preset_traces[name]
+        assert cfg.seed == 154
+        assert horizon_to_text(trace.actions) == PINNED_ACTIONS[name], name
         if name in PINNED_TABLES:
             texts = [" ".join(r["psi"]) for r in table_to_dict(prep.table)["regions"]]
             assert texts == PINNED_TABLES[name], name

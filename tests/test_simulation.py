@@ -24,7 +24,12 @@ from asynctrig.simulation import (
     write_decision_csv,
     write_trace_csv,
 )
-from helpers import benchmark_plant
+from helpers import (
+    benchmark_plant,
+    oracle_write_decision_csv,
+    oracle_write_trace_csv,
+    special_value_traces,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,7 @@ def test_x0_expansion_to_collective_state():
 def test_trace_replays_exactly(online_run):
     # every recorded column must be reproducible from the recorded actions
     cfg, prep, tr = online_run
-    dp, _, cert, _, _, _ = prep
+    dp, cert = prep.dp, prep.cert
     n = cfg.plant.n
     sel = [selection_matrices(a, cfg.plant.blocks) for a in range(cfg.plant.m + 1)]
     x = cfg.x0[:n].copy()
@@ -221,7 +226,7 @@ def test_zero_disturbance_reduces_to_linear_advance():
     cfg.disturbance = lambda t: np.zeros(np.shape(t) + (1,))
     prep = prepare(cfg)
     tr = simulate(cfg, prep)
-    dp = prep[0]
+    dp = prep.dp
     for k in range(tr.actions.size - 1):
         step = dp.A_T @ tr.X[k] + dp.B_T @ tr.U[k]
         np.testing.assert_array_equal(tr.X[k + 1], step)
@@ -264,6 +269,19 @@ def test_decision_csv_shape(online_run, tmp_path):
     assert first[0] == "0" and first[2] == "online-unperturbed"
 
 
+def test_writers_match_the_per_element_oracles(preset_traces, tmp_path):
+    traces = [tr for _, _, tr in preset_traces.values()] + special_value_traces()
+    for i, tr in enumerate(traces):
+        for write, oracle in (
+            (write_trace_csv, oracle_write_trace_csv),
+            (write_decision_csv, oracle_write_decision_csv),
+        ):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            write(tr, str(got))
+            oracle(tr, str(want))
+            assert got.read_bytes() == want.read_bytes(), (i, write.__name__)
+
+
 def test_read_trace_csv_rejects_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("step,t,x_1,x_2,xhat_1,xhat_2,u_1,action,V\n")
@@ -299,6 +317,28 @@ def test_prepare_builds_one_transition_table(monkeypatch):
             assert (prep.table is not None) == (offline and with_tables)
             assert (prep.policy is not None) == (with_tables or not offline)
 
+
+def test_prepare_builds_the_quadrature_table_once(monkeypatch):
+    built = []
+
+    class Spy(_DisturbanceIntegrator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulation, "_DisturbanceIntegrator", Spy)
+    for name in PRESET_NAMES:
+        small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
+        cfg = dataclasses.replace(preset_config(name), sigma_star=None, total_steps=12, **small)
+        perturbed = name in simulation.PERTURBED_MODES
+        built.clear()
+        prep = prepare(cfg)
+        assert len(built) == int(perturbed), name
+        assert isinstance(prep.integrator, Spy) if perturbed else prep.integrator is None, name
+        built.clear()
+        simulate(cfg, prep)
+        simulate(dataclasses.replace(cfg, seed=7), prep)
+        assert built == [], name
 
 
 @pytest.mark.parametrize("limit, collected", [(0, True), (2**62, False)])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from asynctrig.presets import preset_config
+from asynctrig import svgplots
 from asynctrig.simulation import SimTrace, prepare, simulate
 from asynctrig.svgplots import emit_plots, lyapunov_svg, parse_polyline, schedule_svg, states_svg
+from helpers import oracle_poly, special_value_traces
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +102,29 @@ def test_parse_polyline_unknown_id(trace):
         parse_polyline(states_svg(trace), "nonexistent")
     with pytest.raises(ValueError):
         parse_polyline("<svg></svg>", "x_1")
+
+
+def test_documents_match_the_per_point_oracle(preset_traces, monkeypatch):
+    traces = [tr for _, _, tr in preset_traces.values()] + special_value_traces()
+    calls = []
+    poly = svgplots._poly
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return poly(*args, **kwargs)
+
+    def render(tr):
+        return [states_svg(tr), lyapunov_svg(tr, mu=4.0), schedule_svg(tr)]
+
+    for tr in traces:
+        monkeypatch.setattr(svgplots, "_poly", recording)
+        calls.clear()
+        got = render(tr)
+        for args, kwargs in calls:
+            assert poly(*args, **kwargs) == oracle_poly(*args, **kwargs)
+        # the step-post outline: the action chosen at step k holds on [k, k+1)
+        xs, ys = calls[-1][0][:2]
+        assert list(xs) == [v for k in range(tr.actions.size) for v in (k, k + 1)]
+        assert list(ys) == [int(a) for a in tr.actions for _ in range(2)]
+        monkeypatch.setattr(svgplots, "_poly", oracle_poly)
+        assert got == render(tr)

@@ -34,7 +34,7 @@ from asynctrig.plant import (
 )
 from asynctrig.presets import preset_config
 from asynctrig.simulation import prepare
-from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, table_to_dict
+from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, _tie_break, table_to_dict
 from helpers import benchmark_plant
 
 
@@ -224,7 +224,7 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
 
 def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
     cfg, prep, _ = prepared_offline_unperturbed
-    dp, horizons, cert, regions, table, policy = prep
+    dp, regions, table, policy = prep.dp, prep.regions, prep.table, prep.policy
     assert table.mode == "offline-unperturbed"
     assert isinstance(policy, TablePolicy) and policy.table is table
     assert table.m == dp.m
@@ -248,7 +248,7 @@ def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
     from asynctrig.partition import sprocedure_feasible
 
     _, prep, _ = prepared_offline_unperturbed
-    dp, horizons, cert, regions, table, _ = prep
+    dp, cert, regions, table = prep.dp, prep.cert, prep.regions, prep.table
     fallback = tuple(cert.sigma_star)
     for reg, ties in zip(regions, table.psi):
         for s in ties:
@@ -261,7 +261,9 @@ def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
 
 def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
     cfg, prep, _ = prepared_offline_perturbed
-    dp, horizons, cert, regions, table, policy = prep
+    dp, horizons, cert, regions, table, policy = (
+        prep.dp, prep.horizons, prep.cert, prep.regions, prep.table, prep.policy
+    )
     assert table.mode == "offline-perturbed"
     assert isinstance(policy, GatedPolicy) and policy.policy.table is table
     lam_hi = max(np.linalg.eigvalsh(cert.P))
@@ -311,7 +313,7 @@ def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
 
 def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
     _, prep, _ = prepared_offline_unperturbed
-    dp, _, _, regions, table, _ = prep
+    dp, regions, table = prep.dp, prep.regions, prep.table
     data = table_to_dict(table)
     assert data["mode"] == table.mode
     assert data["m"] == dp.m
@@ -323,7 +325,7 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
 
 def _pair_verdicts(prep, regions):
     """Every (region, horizon) verdict of the one-pair region tests."""
-    dp, horizons, cert, _, _, _ = prep
+    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     phis = transition_table(dp, horizons)
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     for j, s in enumerate(horizons):
@@ -340,7 +342,7 @@ def _pair_verdicts(prep, regions):
 
 
 def _batched_verdicts(prep, regions):
-    dp, horizons, cert, _, _, _ = prep
+    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     forms = region_forms(cert, horizons, transition_table(dp, horizons))
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     for r, reg in enumerate(regions):
@@ -391,3 +393,21 @@ def test_table_lookup_miss_falls_back_to_sigma_star():
     assert dec.metric == avg_idle_metric((1, 2), 2)
     assert dec.feasible_count == dec.tie_count == 1
     assert policy.select(2.0 * e1, rng_seed=0).horizon == (1, 0, 0)
+
+
+def test_tie_break_skips_the_generator_for_a_lone_tie(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lone tie needs no generator")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    assert _tie_break(((1, 2),), 3, 4) == (1, 2)
+    assert _tie_break(np.array([17]), 0, 0) == 17
+
+
+def test_tie_break_draws_from_the_keyed_generator():
+    rng = np.random.default_rng(5)
+    for i in range(200):
+        seed, step = (int(v) for v in rng.integers(0, 2**31, size=2))
+        ties = tuple(range(10, 12 + i % 6))  # 2 to 7 ties
+        expect = np.random.Generator(np.random.Philox(key=[seed, step])).integers(len(ties))
+        assert _tie_break(ties, seed, step) == ties[expect]

@@ -13,12 +13,10 @@ from .certificates import (
     PerturbedOnlineCertificate,
     UnperturbedCertificate,
     build_U_c,
-    build_U_sigma,
     certificate_from_dict,
     certificate_to_dict,
     choose_sigma_star,
     decay_factor,
-    max_eps_feasible,
     region_forms,
     reverify_certificate,
     synthesize_perturbed_offline,
@@ -36,7 +34,6 @@ from .horizons import (
 )
 from .matrix_core import (
     is_psd,
-    is_schur,
     mat_exp,
     solve_discrete_lyapunov,
     spectral_norm,
@@ -50,14 +47,12 @@ from .partition import (
     partition_from_dict,
     partition_to_dict,
     region_of,
-    sprocedure_feasible,
 )
 from .plant import (
     DiscretePlant,
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    horizon_transition,
     selection_matrices,
     step_matrix,
     transition_table,
@@ -69,7 +64,6 @@ from .simulation import (
     SimTrace,
     prepare,
     read_trace_csv,
-    schur_threshold,
     simulate,
     utilization_metrics,
     write_decision_csv,

@@ -27,7 +27,7 @@ from .matrix_core import (
     symmetrize,
 )
 from .horizons import horizon_from_text, horizon_to_text
-from .partition import RegionForms, decay_forms, pair_multiplier
+from .partition import RegionForms, decay_forms
 
 # scan order matters: taking the smallest feasible alpha maximizes the slack
 # of the second LMI, which the online trigger needs
@@ -219,16 +219,6 @@ def U_sigma_builder(P, M, gamma: float):
     return build
 
 
-def build_U_sigma(P, M, gamma: float, Phi_sigma, bbar_sigma: float, chi_sigma_squared: float) -> np.ndarray:
-    """Feasibility matrix for one horizon in the perturbed-online trigger.
-
-    Block diagonal: the 2n x 2n block -Phi'(P+M)Phi + (bbar - gamma) P and
-    the scalar gamma - chi lambda_max(P M^{-1} P + P) in the last entry.  The
-    horizon is admissible at eta iff (eta; 1)' U (eta; 1) >= 0.
-    """
-    return U_sigma_builder(P, M, gamma)(Phi_sigma, bbar_sigma, chi_sigma_squared)
-
-
 def build_U_c(
     P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps_c: float
 ) -> np.ndarray:
@@ -333,19 +323,6 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: flo
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
     S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # tol I - C: the two tol I cancel
     return RegionForms(index, S, -U0[index], -1.0, tol)
-
-
-def max_eps_feasible(
-    P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, tol: float = 1e-9
-):
-    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -tol, or None.
-
-    Exact, as U_c(eps) = U_c(0) + eps blockdiag(Q_c, 0, 0): the lossless
-    single-constraint test on the Schur-reduced form of `perturbed_forms`,
-    with the assembled matrix as the authority.
-    """
-    forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
-    return pair_multiplier(forms, Q_c)
 
 
 def region_forms(cert, horizons, phis) -> RegionForms:

@@ -2,16 +2,16 @@
 
 Matrix exponential, zero-order-hold integrals, symmetric eigenvalue bounds,
 spectral norm/radius, a weighted discrete Lyapunov solver, PSD tests, and the
-exact single-constraint S-procedure multiplier test.
+batched decision step of the exact single-constraint S-procedure.
 All functions are pure; inputs are never mutated.
 """
 
 import numpy as np
-from scipy.linalg import eigvals, expm
+from scipy.linalg import expm
 
 from .errors import InfeasibleError
 
-# default numerical margins: PSD tests and Schur-stability tests
+# default numerical margins: PSD tests and the Lyapunov solver's stability check
 PSD_TOL = 1e-9
 SCHUR_MARGIN = 1.0 - 1e-9
 
@@ -96,10 +96,6 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def is_schur(M, margin: float = SCHUR_MARGIN) -> bool:
-    return spectral_radius(M) < margin
-
-
 def solve_discrete_lyapunov(Phi, rho: float, Q) -> np.ndarray:
     """Solve F' P F - rho P = -Q for symmetric P by vectorization.
 
@@ -160,18 +156,3 @@ def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
     feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * Q)[:, -1] <= tol
     first = candidates[rows, feasible.argmax(axis=1)]
     return np.where(feasible.any(axis=1), first, np.nan)
-
-
-def sprocedure_multiplier(S, Q, tol: float = PSD_TOL):
-    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
-
-    One pair of `sprocedure_multipliers`, for any Q (singular too): the
-    pencil ends come from the generalized eigenproblem, and `sym_eig_bounds`
-    rechecks the eps found.
-    """
-    S, Q = symmetrize(S), symmetrize(Q)
-    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q)
-    eps = sprocedure_multipliers(S[None], Q, ends[None], tol)[0]
-    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > tol:
-        return None
-    return float(eps)

@@ -9,8 +9,8 @@ quadratic form.
 
 A horizon is certified on a region by a multiplier eps > 0 with
 lambda_max(S + eps Q_c) <= tol for its certificate form S.  `RegionForms`
-stacks those forms over the horizons once, and `region_multipliers` decides
-all of them on one region at once.
+stacks those forms over the horizons once, and `region_multipliers`, the
+package's one region test, decides all of them on one region at once.
 """
 
 import math
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .matrix_core import PSD_TOL, sprocedure_multiplier, sprocedure_multipliers, sym_eig_bounds, symmetrize
+from .matrix_core import PSD_TOL, sprocedure_multipliers, symmetrize
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -155,13 +155,6 @@ def decay_forms(P, phis, bbars, tol: float = PSD_TOL) -> RegionForms:
     return RegionForms(np.arange(len(S)), S, S, 1.0, tol)
 
 
-def _full_test(forms: RegionForms, k: int, Q_c, eps: float) -> bool:
-    d = Q_c.shape[0]
-    E = np.zeros(forms.full.shape[1:])
-    E[:d, :d] = forms.sign * Q_c
-    return sym_eig_bounds(forms.full[k] + eps * E)[1] <= forms.tol
-
-
 def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     """A multiplier per stacked horizon on the form Q_c, NaN where none certifies.
 
@@ -169,8 +162,9 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     eigvals of M = -(S - tol I)^{-1} sign Q_c.  That form stays accurate at
     the pi/2 cap, where Q_c is singular to working precision and Q_c^{-1}
     would swamp the finite ends.  An eigenvalue of M below its rounding
-    level, d eps_mach ||M||_F, is zero: its end lies at infinity.  Each
-    certified pair is then rechecked once on its full matrix.
+    level, d eps_mach ||M||_F, is zero: its end lies at infinity.  The
+    certified pairs are then rechecked on their full matrices, with sign Q_c
+    in the leading block, by one batched eigvalsh.
     """
     Q = forms.sign * Q_c
     M = -np.linalg.solve(forms.S - forms.tol * np.eye(len(Q)), Q)
@@ -178,32 +172,11 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
     ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
     eps = sprocedure_multipliers(forms.S, Q, ends, forms.tol)
-    for k in np.flatnonzero(~np.isnan(eps)):
-        if not _full_test(forms, k, Q_c, eps[k]):
-            eps[k] = np.nan
+    k = np.flatnonzero(~np.isnan(eps))
+    E = np.zeros(forms.full.shape[1:])
+    E[: len(Q), : len(Q)] = Q
+    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > forms.tol]] = np.nan
     return eps
-
-
-def pair_multiplier(forms: RegionForms, Q_c):
-    """Multiplier certifying a one-horizon stack on the form Q_c, or None.
-
-    Any symmetric Q_c will do, and S - tol I may be singular: the pencil is
-    solved as a generalized eigenproblem, one pair at a time.
-    """
-    if not forms.index.size:
-        return None
-    Q_c = np.asarray(Q_c, dtype=float)
-    eps = sprocedure_multiplier(forms.S[0], forms.sign * Q_c, forms.tol)
-    return eps if eps is not None and _full_test(forms, 0, Q_c, eps) else None
-
-
-def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
-    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= tol, or None.
-
-    Exact: with one quadratic constraint the S-procedure is lossless, and
-    `sprocedure_multiplier` finds a multiplier whenever one exists.
-    """
-    return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar], tol), Q_c)
 
 
 def partition_to_dict(regions) -> dict:

@@ -126,20 +126,6 @@ def step_matrix(dp: DiscretePlant, action: int) -> np.ndarray:
     )
 
 
-def horizon_transition(dp: DiscretePlant, sigma) -> np.ndarray:
-    """Ordered product Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]).
-
-    The first action is applied first, so it sits rightmost in the product.
-    """
-    sigma = tuple(sigma)
-    if len(sigma) == 0:
-        raise ValueError("horizon must be nonempty")
-    Phi = np.eye(2 * dp.n)
-    for a in sigma:
-        Phi = step_matrix(dp, a) @ Phi
-    return Phi
-
-
 def _simpson_weights(panels: int, width: float) -> np.ndarray:
     # composite Simpson over 2*panels subintervals: h/3 * [1,4,2,...,4,1]
     w = np.ones(2 * panels + 1)
@@ -170,8 +156,9 @@ def disturbance_step_bound(plant: PlantModel, T: float, panels: int = 1000) -> f
 
 
 def transition_table(dp: DiscretePlant, horizons) -> np.ndarray:
-    """Phi_sigma for every horizon, stacked in order as (H, 2n, 2n): each (position, action)
-    pair steps all rows taking that action there at once, as `horizon_transition` does one."""
+    """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon, stacked in order as
+    (H, 2n, 2n): the first action sits rightmost, and each (position, action) pair steps
+    all rows taking that action there at once."""
     steps = [step_matrix(dp, a) for a in range(dp.m + 1)]
     codes = np.array(list(zip_longest(*horizons, fillvalue=-1)), dtype=np.int8)  # (position, horizon)
     phis = np.empty((len(horizons), 2 * dp.n, 2 * dp.n))

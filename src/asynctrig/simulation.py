@@ -1,4 +1,4 @@
-"""Closed-loop simulator and the periodic-sampling stability threshold.
+"""Closed-loop simulator.
 
 The true plant is advanced with the exact ZOH linear map each period; the
 disturbance convolution integral is added by fixed-substep quadrature, with
@@ -25,7 +25,6 @@ from .certificates import (
 )
 from .errors import ConfigError
 from .horizons import DEFAULT_CAP, enumerate_horizons, horizon_to_text
-from .matrix_core import spectral_radius
 from .partition import make_partition
 from .plant import (
     DiscretePlant,
@@ -304,33 +303,6 @@ def utilization_metrics(trace: SimTrace, m: int) -> dict:
         "utilization_reduction": reduction,
         "final_V": float(trace.boundary_V[-1]) if trace.boundary_V else float(trace.V[-1]),
     }
-
-
-def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -> float:
-    """Largest sampling period keeping the fully sampled loop Schur-stable.
-
-    Full sampling means the estimate is refreshed entirely every period, so
-    the closed-loop block is A_T + B_T K and the threshold is where its
-    spectral radius crosses 1.  Bisection; if the loop never destabilizes on
-    the range, the upper end is returned.
-    """
-
-    def radius(T: float) -> float:
-        dp = DiscretePlant.from_plant(plant, T)
-        return spectral_radius(dp.A_T + dp.BK_T)
-
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if radius(lo) >= 1.0:
-        raise ValueError(f"closed loop already unstable at T={lo}")
-    if radius(hi) < 1.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if radius(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

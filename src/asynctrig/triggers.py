@@ -24,7 +24,7 @@ from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor
 from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
-from .partition import RegionForms, region_multipliers, region_of
+from .partition import RegionForms, decay_forms, region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
@@ -85,11 +85,12 @@ def _fallback(cert, horizons) -> tuple:
 class OnlinePolicy:
     """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= -slack.
 
-    Unperturbed, F_s = rho_s P - Phi_s' P Phi_s with a zero corner c_s, and
-    the slack is FEAS_TOL |eta|^2 ||P||.  Perturbed, (F_s, c_s) are the
-    blocks of U_sigma and the slack is FEAS_TOL max(1, |eta|^2).  All forms
-    are evaluated in one batched product; an empty admissible set falls back
-    to sigma*, which the certificate guarantees (this guards roundoff).
+    Unperturbed, F_s = rho_s P - Phi_s' P Phi_s, the negated `decay_forms`
+    form, with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
+    Perturbed, (F_s, c_s) are the blocks of U_sigma and the slack is
+    FEAS_TOL max(1, |eta|^2).  All forms are evaluated in one batched
+    product; an empty admissible set falls back to sigma*, which the
+    certificate guarantees (this guards roundoff).
     """
 
     def __init__(self, cert, horizons, phis, m: int):
@@ -109,7 +110,7 @@ class OnlinePolicy:
         for lo in range(0, len(self.horizons), FORM_CHUNK):  # slices are views: no temporary spans the stack
             sl = slice(lo, lo + FORM_CHUNK)
             if unperturbed:
-                self.forms[sl] = rhos[sl, None, None] * P - np.swapaxes(phis[sl], 1, 2) @ P @ phis[sl]
+                self.forms[sl] = -decay_forms(P, phis[sl], rhos[sl]).S
             else:
                 U = u_sigma(phis[sl], rhos[sl], chis[sl])
                 self.forms[sl], self.corners[sl] = U[:, :nn, :nn], U[:, nn, nn]

@@ -3,8 +3,12 @@
 import csv
 
 import numpy as np
+from scipy.linalg import eigvals
 
-from asynctrig.plant import PlantModel
+from asynctrig.certificates import perturbed_forms
+from asynctrig.matrix_core import spectral_radius, sprocedure_multipliers, sym_eig_bounds, symmetrize
+from asynctrig.partition import decay_forms
+from asynctrig.plant import DiscretePlant, PlantModel, step_matrix
 
 # the two-state benchmark plant used across the suite
 A2 = np.array([[0.0, 1.0], [-2.0, 3.0]])
@@ -116,8 +120,6 @@ def random_schur_stabilizable(rng, t_lo=0.05, t_hi=0.3):
     Rejection sampling: random dynamics, then random gains until one
     contracts.  Returns None when the draw admits no gain in 60 tries.
     """
-    from asynctrig.plant import DiscretePlant
-
     A = rng.normal(scale=1.0, size=(2, 2))
     B = rng.normal(scale=1.0, size=(2, 1))
     T = float(rng.uniform(t_lo, t_hi))
@@ -215,3 +217,100 @@ def special_value_traces():
         decision_rows=[(0, 0.0, "offline-unperturbed", "2", 0.5, 1, 0)],
     )
     return [wide, one_step]
+
+
+# ---------------------------------------------------------------------------
+# one-at-a-time oracles: the per-horizon transition product, the fully
+# sampled stability threshold, and the region test one (horizon, region)
+# pair at a time, which solves each pencil as a generalized eigenproblem
+# where the package solves all of them in one batch
+
+
+def horizon_transition(dp, sigma) -> np.ndarray:
+    """Ordered product Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]).
+
+    The first action is applied first, so it sits rightmost in the product.
+    """
+    sigma = tuple(sigma)
+    if len(sigma) == 0:
+        raise ValueError("horizon must be nonempty")
+    Phi = np.eye(2 * dp.n)
+    for a in sigma:
+        Phi = step_matrix(dp, a) @ Phi
+    return Phi
+
+
+def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -> float:
+    """Largest sampling period keeping the fully sampled loop Schur-stable.
+
+    Full sampling means the estimate is refreshed entirely every period, so
+    the closed-loop block is A_T + B_T K and the threshold is where its
+    spectral radius crosses 1.  Bisection; if the loop never destabilizes on
+    the range, the upper end is returned.
+    """
+    def radius(T: float) -> float:
+        dp = DiscretePlant.from_plant(plant, T)
+        return spectral_radius(dp.A_T + dp.BK_T)
+
+    lo, hi = float(t_range[0]), float(t_range[1])
+    if radius(lo) >= 1.0:
+        raise ValueError(f"closed loop already unstable at T={lo}")
+    if radius(hi) < 1.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if radius(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sprocedure_multiplier(S, Q, tol: float = 1e-9):
+    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
+
+    One pair of `sprocedure_multipliers`, for any Q (singular too): the
+    pencil ends come from the generalized eigenproblem, and `sym_eig_bounds`
+    rechecks the eps found.
+    """
+    S, Q = symmetrize(S), symmetrize(Q)
+    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q)
+    eps = sprocedure_multipliers(S[None], Q, ends[None], tol)[0]
+    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > tol:
+        return None
+    return float(eps)
+
+
+def pair_multiplier(forms, Q_c):
+    """Multiplier certifying a one-horizon stack on the form Q_c, or None.
+
+    Any symmetric Q_c will do, and S - tol I may be singular.  The eps found
+    is rechecked on the full matrix, with sign Q_c in its leading block.
+    """
+    if not forms.index.size:
+        return None
+    Q_c = np.asarray(Q_c, dtype=float)
+    eps = sprocedure_multiplier(forms.S[0], forms.sign * Q_c, forms.tol)
+    if eps is None:
+        return None
+    d = Q_c.shape[0]
+    E = np.zeros(forms.full.shape[1:])
+    E[:d, :d] = forms.sign * Q_c
+    return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= forms.tol else None
+
+
+def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
+    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= tol, or None."""
+    return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar], tol), Q_c)
+
+
+def max_eps_feasible(
+    P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, tol: float = 1e-9
+):
+    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -tol, or None.
+
+    The one-pair test on the Schur-reduced form of `perturbed_forms`, with
+    the assembled matrix as the authority.
+    """
+    forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
+    return pair_multiplier(forms, Q_c)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from asynctrig.certificates import decay_factor, max_eps_feasible, build_U_c, build_U_sigma, verify_lmi_pair
+from asynctrig.certificates import U_sigma_builder, build_U_c, decay_factor, verify_lmi_pair
 from asynctrig.cli import main
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import avg_idle_metric
@@ -25,11 +25,20 @@ from asynctrig.matrix_core import (
     sym_eig_bounds,
     symmetrize,
 )
-from asynctrig.partition import sprocedure_feasible
-from asynctrig.plant import DiscretePlant, horizon_transition
+from asynctrig.plant import DiscretePlant
 from asynctrig.presets import preset_config
-from asynctrig.simulation import SimConfig, prepare, schur_threshold, simulate
-from helpers import M_REF, P_REF, benchmark_plant, random_schur_stabilizable, simpson_zoh_B, taylor_expm
+from asynctrig.simulation import SimConfig, prepare, simulate
+from helpers import (
+    M_REF,
+    P_REF,
+    benchmark_plant,
+    horizon_transition,
+    max_eps_feasible,
+    random_schur_stabilizable,
+    schur_threshold,
+    simpson_zoh_B,
+    taylor_expm,
+)
 
 
 @pytest.fixture
@@ -224,6 +233,7 @@ def _step_inequality_suite(draws=1000):
     dp, horizons, cert, policy = prep.dp, prep.horizons, prep.cert, prep.policy
     P, gamma = cert.P, cert.gamma
     phis = {s: horizon_transition(dp, s) for s in horizons}
+    u_sigma = U_sigma_builder(P, cert.M, gamma)
     rng = np.random.default_rng(1234)
     done = 0
     forced = 0
@@ -237,7 +247,7 @@ def _step_inequality_suite(draws=1000):
         eta = d * (r / math.sqrt(d @ P @ d))
         dec = policy.select(eta, rng_seed=0, step_index=attempts)
         s = dec.horizon
-        U = build_U_sigma(P, cert.M, gamma, phis[s], decay_factor(cert.beta, len(s), cert.T), cert.chi_squared[len(s)])
+        U = u_sigma(phis[s], decay_factor(cert.beta, len(s), cert.T), cert.chi_squared[len(s)])
         v = np.concatenate([eta, [1.0]])
         if v @ U @ v < -1e-9 * max(1.0, float(eta @ eta)):
             forced += 1  # fallback forced by an empty admissible set: not a certified choice

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from asynctrig.certificates import (
+    U_sigma_builder,
     build_U_c,
-    build_U_sigma,
     certificate_from_dict,
     certificate_to_dict,
     choose_sigma_star,
     decay_factor,
-    max_eps_feasible,
+    perturbed_forms,
     reverify_certificate,
     synthesize_perturbed_offline,
     synthesize_perturbed_online,
@@ -23,15 +23,15 @@ from asynctrig.certificates import (
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import enumerate_horizons
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
+from asynctrig.partition import region_multipliers
 from asynctrig.plant import (
     DiscretePlant,
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    horizon_transition,
     transition_table,
 )
-from helpers import M_REF, P_REF, benchmark_plant
+from helpers import M_REF, P_REF, benchmark_plant, horizon_transition
 
 NO_DISTURBANCE = dict(C=0.0, varpi=0.0, C_prime=0.0)
 
@@ -123,12 +123,12 @@ def test_perturbed_online_self_verification_random():
 
 def test_build_U_sigma_known_values():
     I = np.eye(2)
-    U = build_U_sigma(I, I, 1.0, np.zeros((2, 2)), 1.0, 0.0)
+    U = U_sigma_builder(I, I, 1.0)(np.zeros((2, 2)), 1.0, 0.0)
     assert U.shape == (3, 3)
     assert np.allclose(U[:2, :2], np.zeros((2, 2)))
     assert U[2, 2] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        build_U_sigma(I, np.zeros((2, 2)), 1.0, I, 1.0, 1.0)
+        U_sigma_builder(I, np.zeros((2, 2)), 1.0)
 
 
 def test_build_U_sigma_matches_summand_recomputation():
@@ -148,7 +148,7 @@ def test_build_U_sigma_matches_summand_recomputation():
         sigma = horizons[rng.integers(len(horizons))]
         Phi = horizon_transition(dp, sigma)
         bbar = decay_factor(beta, len(sigma), 0.18)
-        U = build_U_sigma(cert.P, cert.M, 0.35, Phi, bbar, chi_sq[len(sigma)])
+        U = U_sigma_builder(cert.P, cert.M, 0.35)(Phi, bbar, chi_sq[len(sigma)])
         eta = rng.normal(scale=rng.uniform(0.1, 10.0), size=4)
         v = np.concatenate([eta, [1.0]])
         got = v @ U @ v
@@ -199,6 +199,11 @@ def test_perturbed_offline_synthesis_eigencheck():
         synthesize_perturbed_offline(Phi_star, 0.0, 1.0, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
 
 
+def _perturbed_multiplier(P, gamma1, gamma2, Phi, bbar, chi_linear, Q_c):
+    """The region test of one horizon's reduced perturbed-offline form."""
+    return region_multipliers(perturbed_forms(P, gamma1, gamma2, Phi[None], [bbar], [chi_linear]), Q_c)[0]
+
+
 def test_max_eps_feasible_directional_relaxation():
     # the multiplier relaxes along the cone axis: a wide cone whose axis is
     # the expanding direction of Phi admits eps > 0, while a narrow cone on
@@ -206,13 +211,13 @@ def test_max_eps_feasible_directional_relaxation():
     P = np.eye(2)
     Phi = np.diag([1.01, 0.1])
     Q_axis = np.outer(np.array([1.0, 0.0]), np.array([1.0, 0.0])) - np.cos(np.deg2rad(80.0)) ** 2 * np.eye(2)
-    eps = max_eps_feasible(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis)
-    assert eps is not None and eps > 0
+    eps = _perturbed_multiplier(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis)
+    assert eps > 0
     U = build_U_c(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis, eps)
     lo, _ = sym_eig_bounds(U)
     assert lo >= -1e-9
     Q_off = np.outer(np.array([0.0, 1.0]), np.array([0.0, 1.0])) - np.cos(np.pi / 6) ** 2 * np.eye(2)
-    assert max_eps_feasible(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_off) is None
+    assert np.isnan(_perturbed_multiplier(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_off))
 
 
 def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
@@ -223,12 +228,12 @@ def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
     P = np.eye(2)
     Phi = np.diag([math.sqrt(1.5), 0.0])
     Q_c = np.diag([1e-9, -1e-9])
-    eps = max_eps_feasible(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c)
-    assert eps is not None and 1e9 <= eps <= 2e9
+    eps = _perturbed_multiplier(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c)
+    assert 1e9 <= eps <= 2e9
     lo, _ = sym_eig_bounds(build_U_c(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c, eps))
     assert lo >= -1e-9
     # bbar - gamma1 = 1.2 leaves the two conditions no common multiplier
-    assert max_eps_feasible(P, 0.5, 0.2, Phi, 1.7, 0.1, Q_c) is None
+    assert np.isnan(_perturbed_multiplier(P, 0.5, 0.2, Phi, 1.7, 0.1, Q_c))
 
 
 def test_ultimate_bound_known_values_and_monotonicity():

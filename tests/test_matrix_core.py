@@ -5,17 +5,16 @@ from scipy.linalg import block_diag
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     is_psd,
-    is_schur,
     mat_exp,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
-    sprocedure_multiplier,
     sym_eig_bounds,
     symmetrize,
     zoh_pair,
 )
-from helpers import A2, B2, power_iteration_norm, simpson_zoh_B, taylor_expm
+from asynctrig.partition import RegionForms, region_multipliers
+from helpers import A2, B2, power_iteration_norm, simpson_zoh_B, sprocedure_multiplier, taylor_expm
 
 
 def test_mat_exp_matches_series_oracle():
@@ -84,8 +83,6 @@ def test_spectral_radius_and_schur():
     assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
     rot = 1.1 * np.array([[0.0, -1.0], [1.0, 0.0]])  # complex pair of modulus 1.1
     assert spectral_radius(rot) == pytest.approx(1.1, rel=1e-12)
-    assert is_schur(np.diag([0.99, 0.5]))
-    assert not is_schur(np.diag([1.0, 0.5]))
 
 
 def test_spectral_norm_matches_power_iteration():
@@ -189,9 +186,15 @@ def _multiplier_draw(rng, dim: int):
     return symmetrize(rng.normal(size=(dim, dim))), Q0 * 10.0 ** rng.uniform(-6.0, 6.0)
 
 
+def _region_multiplier(S, Q, tol):
+    """region_multipliers on a one-horizon stack whose full matrix is S itself."""
+    return region_multipliers(RegionForms(np.arange(1), S[None], S[None], 1.0, tol), Q)[0]
+
+
 @pytest.mark.parametrize("dim", [4, 9])
 def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
-    # oracle: lambda_max(S + eps Q) on 50 points per decade over 1e-14..1e14
+    # oracle: lambda_max(S + eps Q) on 50 points per decade over 1e-14..1e14;
+    # the one-pair oracle and the package's batched region test both face it
     rng = np.random.default_rng(2024 + dim)
     tol = 1e-9
     grid = np.logspace(-14.0, 14.0, 1401)
@@ -201,15 +204,19 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
         lmax = np.linalg.eigvalsh(S[None] + grid[:, None, None] * Q[None])[:, -1]
         hits = grid[lmax <= tol]
         eps = sprocedure_multiplier(S, Q, tol)
+        batched = _region_multiplier(S, Q, tol)
+        assert np.isnan(batched) == (eps is None)
         if hits.size:
             scanned_feasible += 1
             outside_old_range += bool(hits.min() > 1e8 or hits.max() < 1e-8)
             assert eps is not None
             # an eigenvalue 1e-6 that no multiplier moves: a near miss
             assert sprocedure_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0), tol) is None
-        if eps is not None:
-            assert eps > 0
-            assert sym_eig_bounds(S + eps * Q)[1] <= tol
+            assert np.isnan(_region_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0), tol))
+        for found in (eps, None if np.isnan(batched) else batched):
+            if found is not None:
+                assert found > 0
+                assert sym_eig_bounds(S + found * Q)[1] <= tol
     # the draws must exercise both verdicts and multipliers no log grid over
     # [1e-8, 1e8] can reach
     assert 30 <= scanned_feasible <= 120

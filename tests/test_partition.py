@@ -7,11 +7,13 @@ from scipy.spatial import ConvexHull
 from asynctrig.matrix_core import sym_eig_bounds
 from asynctrig.partition import (
     ConicRegion,
+    RegionForms,
+    decay_forms,
     make_partition,
     partition_from_dict,
     partition_to_dict,
+    region_multipliers,
     region_of,
-    sprocedure_feasible,
 )
 
 
@@ -131,19 +133,24 @@ def test_make_partition_rejects_bad_shape():
         make_partition(1, 4)
 
 
+def _decay_multiplier(Phi, P, bbar, Q_c):
+    """The region test of one horizon's decay form Phi'P Phi - bbar P."""
+    return region_multipliers(decay_forms(P, Phi[None], [bbar]), Q_c)[0]
+
+
 def test_sprocedure_feasible_and_not():
     P = np.eye(2)
     Phi = np.diag([1.05, 0.2])
     v2 = np.array([0.0, 1.0])
     Q_away = np.outer(v2, v2) - math.cos(math.pi / 6) ** 2 * np.eye(2)
-    eps = sprocedure_feasible(Phi, P, 1.0, Q_away)
-    assert eps is not None and eps > 0
+    eps = _decay_multiplier(Phi, P, 1.0, Q_away)
+    assert eps > 0
     S = Phi.T @ P @ Phi - P + eps * Q_away
     assert max(np.linalg.eigvalsh(S)) <= 1e-9
     # cone containing the expanding axis cannot be certified
     v1 = np.array([1.0, 0.0])
     Q_on = np.outer(v1, v1) - math.cos(math.pi / 6) ** 2 * np.eye(2)
-    assert sprocedure_feasible(Phi, P, 1.0, Q_on) is None
+    assert np.isnan(_decay_multiplier(Phi, P, 1.0, Q_on))
 
 
 def test_sprocedure_contractive_needs_tiny_multiplier():
@@ -152,8 +159,8 @@ def test_sprocedure_contractive_needs_tiny_multiplier():
     Phi = 0.5 * rng.normal(size=(3, 3)) / 3.0
     v = np.array([1.0, 0.0, 0.0])
     Q = np.outer(v, v) - math.cos(0.4) ** 2 * np.eye(3)
-    eps = sprocedure_feasible(Phi, P, 1.0, Q)
-    assert eps is not None
+    eps = _decay_multiplier(Phi, P, 1.0, Q)
+    assert eps > 0
     S = Phi.T @ P @ Phi - P + eps * Q
     assert max(np.linalg.eigvalsh(S)) <= 1e-9
 
@@ -164,12 +171,31 @@ def test_sprocedure_finds_multipliers_outside_any_fixed_range():
     Phi = np.diag([2.0, 1.0])
     P = np.eye(2)
     Q = np.diag([-1e-9, 1e-9])
-    eps = sprocedure_feasible(Phi, P, 3.0, Q)
-    assert eps is not None and 1e9 <= eps <= 2e9
+    eps = _decay_multiplier(Phi, P, 3.0, Q)
+    assert 1e9 <= eps <= 2e9
     _, hi = sym_eig_bounds(Phi.T @ P @ Phi - 3.0 * P + eps * Q)
     assert hi <= 1e-9
     # and none at all once the interval is closed off
-    assert sprocedure_feasible(Phi, P, 3.0, np.diag([-1e-9, 3e-9])) is None
+    assert np.isnan(_decay_multiplier(Phi, P, 3.0, np.diag([-1e-9, 3e-9])))
+
+
+def test_region_recheck_rejects_what_only_the_full_matrix_fails():
+    # full is S with one extra diagonal entry: -1 leaves the verdict to S,
+    # +1 makes lambda_max of full exceed tol whatever the multiplier, so the
+    # recheck alone must reject that one horizon
+    P = np.eye(2)
+    phis = np.array([np.diag([0.5, 0.5]), np.diag([1.05, 0.2]), np.diag([0.9, 0.3])])
+    v2 = np.array([0.0, 1.0])
+    Q = np.outer(v2, v2) - math.cos(math.pi / 6) ** 2 * np.eye(2)
+    forms = decay_forms(P, phis, [1.0, 1.0, 1.0])
+    pencil = region_multipliers(forms, Q)
+    assert not np.isnan(pencil).any()
+    corner = np.array([-1.0, 1.0, -1.0])
+    full = np.zeros((3, 3, 3))
+    full[:, :2, :2] = forms.S
+    full[:, 2, 2] = corner
+    stricter = RegionForms(forms.index, forms.S, full, forms.sign, forms.tol)
+    np.testing.assert_array_equal(region_multipliers(stricter, Q), np.where(corner > 0, np.nan, pencil))
 
 
 def test_partition_serialization_round_trip():

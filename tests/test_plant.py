@@ -7,12 +7,11 @@ from asynctrig.plant import (
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    horizon_transition,
     selection_matrices,
     step_matrix,
     transition_table,
 )
-from helpers import A2, B2, K2, benchmark_plant
+from helpers import A2, B2, K2, benchmark_plant, horizon_transition
 
 
 def test_plant_model_validation():

@@ -18,7 +18,6 @@ from asynctrig.simulation import (
     default_sine_disturbance,
     prepare,
     read_trace_csv,
-    schur_threshold,
     simulate,
     utilization_metrics,
     write_decision_csv,
@@ -28,6 +27,7 @@ from helpers import (
     benchmark_plant,
     oracle_write_decision_csv,
     oracle_write_trace_csv,
+    schur_threshold,
     special_value_traces,
 )
 

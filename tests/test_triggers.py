@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,10 +7,9 @@ import pytest
 
 from asynctrig.certificates import (
     PerturbedOnlineCertificate,
+    U_sigma_builder,
     UnperturbedCertificate,
-    build_U_sigma,
     decay_factor,
-    max_eps_feasible,
     region_forms,
     synthesize_perturbed_online,
     synthesize_unperturbed,
@@ -22,20 +22,18 @@ from asynctrig.partition import (
     make_partition,
     region_multipliers,
     region_of,
-    sprocedure_feasible,
 )
 from asynctrig.plant import (
     DiscretePlant,
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    horizon_transition,
     transition_table,
 )
 from asynctrig.presets import preset_config
 from asynctrig.simulation import prepare
 from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, _tie_break, table_to_dict
-from helpers import benchmark_plant
+from helpers import benchmark_plant, horizon_transition, max_eps_feasible, sprocedure_feasible
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +142,9 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
         Phi = horizon_transition(prep.dp, s)
         rho = decay_factor(cert.beta, len(s), cert.T)
         if isinstance(cert, UnperturbedCertificate):
-            form, corner = rho * P - Phi.T @ P @ Phi, 0.0
+            form, corner = rho * P - symmetrize(Phi.T @ P @ Phi), 0.0
         else:
-            U = build_U_sigma(P, cert.M, cert.gamma, Phi, rho, cert.chi_squared[len(s)])
+            U = U_sigma_builder(P, cert.M, cert.gamma)(Phi, rho, cert.chi_squared[len(s)])
             form, corner = U[:nn, :nn], U[nn, nn]
             PM = symmetrize(P) + symmetrize(cert.M)  # the one-horizon block, written out
             assert np.array_equal(form, -symmetrize(Phi.T @ PM @ Phi) + (rho - cert.gamma) * symmetrize(P)), s
@@ -197,14 +195,11 @@ def test_online_perturbed_idle_inside_ellipsoid(online_perturbed):
 
 def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
     dp, horizons, cert, policy = online_perturbed
-    from asynctrig.certificates import build_U_sigma
-
+    u_sigma = U_sigma_builder(cert.P, cert.M, cert.gamma)
     U_all = {}
     for s in horizons:
-        U_all[s] = build_U_sigma(
-            cert.P, cert.M, cert.gamma, horizon_transition(dp, s),
-            decay_factor(cert.beta, len(s), cert.T), cert.chi_squared[len(s)],
-        )
+        rho = decay_factor(cert.beta, len(s), cert.T)
+        U_all[s] = u_sigma(horizon_transition(dp, s), rho, cert.chi_squared[len(s)])
     rng = np.random.default_rng(21)
     for k in range(40):
         eta = rng.normal(size=4)
@@ -245,8 +240,6 @@ def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
 
 def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
     # every tabulated horizon must re-pass its own S-procedure feasibility
-    from asynctrig.partition import sprocedure_feasible
-
     _, prep, _ = prepared_offline_unperturbed
     dp, cert, regions, table = prep.dp, prep.cert, prep.regions, prep.table
     fallback = tuple(cert.sigma_star)
@@ -350,16 +343,27 @@ def _batched_verdicts(prep, regions):
     return forms, verdicts
 
 
-@pytest.mark.parametrize("fixture", ["prepared_offline_unperturbed", "prepared_offline_perturbed"])
-def test_batched_region_test_matches_the_pair_tests(fixture, request):
+# the benchmark's offline presets, with lengths cut to 4 (120 and 108 horizons)
+CUT_PRESETS = {
+    "offline-unperturbed-cut": ("offline-unperturbed", dict(l_max=4, sigma_star=(1, 2, 1, 2))),
+    "offline-perturbed-cut": ("offline-perturbed", dict(l_max=4)),
+}
+
+
+@pytest.mark.parametrize("case", ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CUT_PRESETS])
+def test_batched_region_test_matches_the_pair_tests(case, request):
     # the table builder decides each region for all horizons at once, from
     # batched pencil ends; the one-pair tests solve each generalized pencil
     # on its own, and the perturbed one also reduces U_c to its Schur form
-    _, prep, _ = request.getfixturevalue(fixture)
+    if case in CUT_PRESETS:
+        name, changes = CUT_PRESETS[case]
+        prep = prepare(dataclasses.replace(preset_config(name), **changes))
+    else:
+        _, prep, _ = request.getfixturevalue(case)
     forms, batched = _batched_verdicts(prep, prep.regions)
     np.testing.assert_array_equal(batched, _pair_verdicts(prep, prep.regions))
     assert batched.any()
-    if fixture == "prepared_offline_perturbed":
+    if case == "prepared_offline_perturbed":
         # u22 fails for the long horizons on every region, before any region work
         pruned = np.setdiff1d(np.arange(len(prep.horizons)), forms.index)
         assert pruned.size > 0 and not batched[:, pruned].any()

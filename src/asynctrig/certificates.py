@@ -7,19 +7,24 @@ disturbance aggregates chi, and yield an ultimate-bound ellipsoid E(P, mu).
 
 No semidefinite-programming solver is used: all matrices here are small
 (<= 9x9), so certificates are built from a weighted discrete Lyapunov solve
-plus structured scalar searches, and every result is re-checked by direct
-eigenvalue bounds, which are the feasibility authority.  The region tests
-are exact: one quadratic constraint makes the S-procedure lossless, and the
-perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
+and a scale that is constructed, not searched: the online pair passes by
+construction at one fixed alpha, and the offline matrix is affine in the
+scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
+result is re-checked by direct eigenvalue bounds, which are the feasibility
+authority.  The region tests are exact: one quadratic constraint makes the
+S-procedure lossless, and the perturbed one reduces exactly to the same
+2n x 2n form as the unperturbed.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from .errors import InfeasibleError
 from .matrix_core import (
+    PSD_TOL,
     is_psd,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -29,11 +34,9 @@ from .matrix_core import (
 from .horizons import horizon_from_text, horizon_to_text
 from .partition import RegionForms, decay_forms
 
-# scan order matters: taking the smallest feasible alpha maximizes the slack
-# of the second LMI, which the online trigger needs
-ALPHA_GRID = [2.0**k for k in range(-6, 7)]
-
-SCALE_GRID_POINTS = 121  # log grid over [1e-6, 1e6] for the offline scaling
+# M = ALPHA P for the online pair: a small alpha leaves the first inequality
+# most room and gives the second the slack the online trigger needs
+ALPHA = 2.0**-6
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,16 @@ def synthesize_perturbed_online(
     varpi: float,
     C_prime: float,
 ) -> PerturbedOnlineCertificate:
-    """Find (P, M) satisfying both perturbed-online inequalities.
+    """(P, M) satisfying both perturbed-online inequalities, by construction.
 
-    Structured search with M = alpha P: the first inequality is
-    scale-invariant and reduces to sr(Phi*)^2 < (gamma - bbar)/(1 + alpha);
-    the second reduces to gamma/chi >= s (1 + 1/alpha) lambda_max(P1), with
-    chi = chi_squared[|sigma*|], so the scale s is set with a 10% margin.
-    alpha is scanned ascending and the first feasible value wins.
+    M = ALPHA P turns the first inequality into sr(Phi*)^2 < rho_max =
+    (gamma - bbar)/(1 + ALPHA), and P = s P1, with P1 the weighted Lyapunov
+    solution at the rate rho between the two, gives it the margin (1 +
+    ALPHA) s (I + (rho_max - rho) P1) > 0 at any s.  The second reduces to
+    gamma/chi >= s (1 + 1/ALPHA) lambda_max(P1), with chi =
+    chi_squared[|sigma*|], so s takes it with a 10% margin.  A larger alpha
+    only shrinks rho_max, so no other alpha succeeds where this one fails.
+    `verify_lmi_pair` is the authority.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -163,37 +169,34 @@ def synthesize_perturbed_online(
     chi = chi_squared[len(sigma_star)]
     bbar = math.exp(-beta * (len(sigma_star) * T))
     sr2 = spectral_radius(Phi_star) ** 2
+    rho_max = (gamma - bbar) / (1.0 + ALPHA)
+    if sr2 >= rho_max:
+        raise InfeasibleError(
+            f"no alpha >= 2^-6 satisfies the first inequality: "
+            f"sr^2={sr2:.6g}, gamma={gamma}, bbar={bbar:.6g}"
+        )
     nn = np.asarray(Phi_star).shape[0]
-    for alpha in ALPHA_GRID:
-        rho_max = (gamma - bbar) / (1.0 + alpha)
-        if sr2 >= rho_max:
-            continue
-        rho = 0.5 * (sr2 + rho_max)
-        P1 = solve_discrete_lyapunov(Phi_star, min(rho, 1.0), np.eye(nn))
-        _, lmax1 = sym_eig_bounds(P1)
-        s = 0.9 * (gamma / chi) / ((1.0 + 1.0 / alpha) * lmax1)
-        P = s * P1
-        M = alpha * P
-        if verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
-            mu, psi = ultimate_bound(P, C_prime, varpi)
-            return PerturbedOnlineCertificate(
-                P=P,
-                M=M,
-                gamma=gamma,
-                chi=chi,
-                C=C,
-                varpi=varpi,
-                C_prime=C_prime,
-                mu=mu,
-                psi=psi,
-                sigma_star=sigma_star,
-                beta=beta,
-                T=T,
-                chi_squared=dict(chi_squared),
-            )
-    raise InfeasibleError(
-        f"no alpha in [2^-6, 2^6] satisfies the first inequality: "
-        f"sr^2={sr2:.6g}, gamma={gamma}, bbar={bbar:.6g}"
+    P1 = solve_discrete_lyapunov(Phi_star, min(0.5 * (sr2 + rho_max), 1.0), np.eye(nn))
+    _, lmax1 = sym_eig_bounds(P1)
+    P = 0.9 * (gamma / chi) / ((1.0 + 1.0 / ALPHA) * lmax1) * P1
+    M = ALPHA * P
+    if not verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
+        raise InfeasibleError("the constructed pair fails its own eigenvalue check")
+    mu, psi = ultimate_bound(P, C_prime, varpi)
+    return PerturbedOnlineCertificate(
+        P=P,
+        M=M,
+        gamma=gamma,
+        chi=chi,
+        C=C,
+        varpi=varpi,
+        C_prime=C_prime,
+        mu=mu,
+        psi=psi,
+        sigma_star=sigma_star,
+        beta=beta,
+        T=T,
+        chi_squared=dict(chi_squared),
     )
 
 
@@ -219,16 +222,14 @@ def U_sigma_builder(P, M, gamma: float):
     return build
 
 
-def build_U_c(
-    P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps_c: float
-) -> np.ndarray:
-    """Region-wise feasibility matrix for the perturbed-offline trigger.
+def build_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float) -> np.ndarray:
+    """Unregioned feasibility matrix for the perturbed-offline trigger.
 
-    Symmetric (4n+1)x(4n+1) blocks: u11 = eps Q_c - Phi'P Phi + (bbar -
-    gamma1) P, u21 = -P Phi, u22 = (gamma2/chi) I - P, u33 = -gamma2 +
-    gamma1, u31 = u32 = 0.  A horizon belongs to the region's admissible set
-    iff this matrix is PSD for some multiplier eps_c > 0.  Stacked horizons
-    (..., 2n, 2n), with bbar and chi_linear of shape (...), give a stack.
+    Symmetric (4n+1)x(4n+1) blocks: u11 = -Phi'P Phi + (bbar - gamma1) P,
+    u21 = -P Phi, u22 = (gamma2/chi) I - P, u33 = -gamma2 + gamma1, u31 =
+    u32 = 0.  It is affine in P.  The region term enters only through
+    `perturbed_forms`.  Stacked horizons (..., 2n, 2n), with bbar and
+    chi_linear of shape (...), give a stack.
     """
     P = symmetrize(P)
     nn = P.shape[0]
@@ -236,7 +237,7 @@ def build_U_c(
     chi = np.asarray(chi_linear, dtype=float)[..., None, None]
     G = np.swapaxes(Phi_sigma, -1, -2) @ P @ Phi_sigma
     U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn + 1, 2 * nn + 1))
-    U[..., :nn, :nn] = eps_c * symmetrize(Q_c) - 0.5 * (G + np.swapaxes(G, -1, -2)) + (bbar - gamma1) * P
+    U[..., :nn, :nn] = (bbar - gamma1) * P - 0.5 * (G + np.swapaxes(G, -1, -2))
     off = -P @ Phi_sigma
     U[..., nn : 2 * nn, :nn] = off
     U[..., :nn, nn : 2 * nn] = np.swapaxes(off, -1, -2)
@@ -257,14 +258,18 @@ def synthesize_perturbed_offline(
     C_prime: float,
     varpi: float,
 ) -> PerturbedOfflineCertificate:
-    """P for the perturbed-offline mechanism via Lyapunov ansatz and scaling.
+    """P for the perturbed-offline mechanism: Lyapunov ansatz, exact scale.
 
     P1 solves the weighted Lyapunov equation at the midpoint rate between
-    sr(Phi*)^2 and bbar - gamma1; the scale s is then searched over a
-    descending log grid and the first (largest) value whose assembled
-    unregioned feasibility matrix, at chi = chi_linear_map[|sigma*|], has
-    lambda_min >= -1e-9 wins.  The assembled eigenvalue check is the
-    authority, not the ansatz.
+    sr(Phi*)^2 and bbar - gamma1.  The unregioned matrix at chi =
+    chi_linear_map[|sigma*|] is affine in the scale, U(s P1) = B0 + s B1,
+    so lambda_min(U) >= -PSD_TOL holds on an interval of s.  It holds at
+    s = 0 unless gamma2 > gamma1 + PSD_TOL, and then at no s, as u33 does
+    not depend on P; so the interval is [0, s_max], and s_max is the least
+    positive finite eigenvalue of the pencil (B0 + PSD_TOL I, -B1).  The
+    scale taken is the largest point of a log grid over [1e-6, 1e6] not
+    above s_max, which keeps P on a fixed set of scales.  The eigenvalue
+    check of the assembled matrix at that scale is the authority.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
@@ -280,42 +285,46 @@ def synthesize_perturbed_offline(
     rho = 0.5 * (sr2 + target)
     nn = np.asarray(Phi_star).shape[0]
     P1 = solve_discrete_lyapunov(Phi_star, min(rho, 1.0), np.eye(nn))
-    Q_zero = np.zeros((nn, nn))
-    for s in np.logspace(6, -6, SCALE_GRID_POINTS):
-        P = s * P1
-        U = build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear, Q_zero, 1.0)
-        lo, _ = sym_eig_bounds(U)
-        if lo >= -1e-9:
-            mu, _ = ultimate_bound(P, C_prime, varpi)
-            return PerturbedOfflineCertificate(
-                P=P,
-                gamma1=gamma1,
-                gamma2=gamma2,
-                chi_linear=chi_linear,
-                mu=mu,
-                sigma_star=sigma_star,
-                beta=beta,
-                T=T,
-                chi_linear_map=dict(chi_linear_map),
-                C_prime=C_prime,
-                varpi=varpi,
-            )
-    raise InfeasibleError("no scaling in [1e-6, 1e6] makes the assembled matrix PSD")
+    B0 = build_U_c(np.zeros((nn, nn)), gamma1, gamma2, Phi_star, bbar, chi_linear)
+    B1 = build_U_c(P1, gamma1, gamma2, Phi_star, bbar, chi_linear) - B0
+    ends = eigvals(B0 + PSD_TOL * np.eye(B0.shape[0]), -B1)
+    ends = ends.real[np.isfinite(ends) & (ends.real > 0)]
+    s_max = ends.min() if ends.size else math.inf
+    scales = np.logspace(6, -6, 121)
+    scales = scales[scales <= s_max]
+    P = scales[0] * P1 if scales.size else None
+    if P is None or not is_psd(build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear)):
+        raise InfeasibleError(f"no scaling in [1e-6, 1e6] makes the assembled matrix PSD: s_max={s_max:.6g}")
+    mu, _ = ultimate_bound(P, C_prime, varpi)
+    return PerturbedOfflineCertificate(
+        P=P,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        chi_linear=chi_linear,
+        mu=mu,
+        sigma_star=sigma_star,
+        beta=beta,
+        T=T,
+        chi_linear_map=dict(chi_linear_map),
+        C_prime=C_prime,
+        varpi=varpi,
+    )
 
 
 def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = 1e-9) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
-    lambda_min(U_c(eps)) >= -tol says U = U_c(0) + tol I plus eps
-    blockdiag(Q_c, 0, 0) is PSD, which holds iff u33 >= 0, u22 > 0 (its
-    singular boundary is dropped) and the Schur complement
+    A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0, 0)
+    is PSD for some eps > 0, with U_c from `build_U_c`; the returned sign
+    -1 (on full = -U_c) is the one place that states the region term's
+    sign.  With u.. the blocks of U_c + tol I, that holds iff u33 >= 0,
+    u22 > 0 (its singular boundary is dropped) and the Schur complement
     C = u11 - u21' u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two
     do not depend on the region, so they prune horizons once; the third is
-    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C with
-    sign -1 (U_c adds +eps Q_c).
+    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C.
     """
     nn = np.asarray(P).shape[0]
-    U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis, np.zeros((nn, nn)), 0.0)
+    U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
     u22 = U0[:, nn : 2 * nn, nn : 2 * nn] + tol * np.eye(nn)
     keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (U0[:, 2 * nn, 2 * nn] + tol >= 0)
     index = np.flatnonzero(keep)
@@ -408,16 +417,6 @@ def reverify_certificate(cert, Phi_star) -> bool:
         return pair_ok and _positive_definite(cert.P, cert.M)
     if isinstance(cert, PerturbedOfflineCertificate):
         bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
-        nn = cert.P.shape[0]
-        U = build_U_c(
-            cert.P,
-            cert.gamma1,
-            cert.gamma2,
-            Phi_star,
-            bbar,
-            cert.chi_linear,
-            np.zeros((nn, nn)),
-            1.0,
-        )
+        U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, cert.chi_linear)
         return is_psd(U, _scaled_tol(cert.P, 1e-9)) and _positive_definite(cert.P)
     raise TypeError(f"not a certificate: {type(cert)!r}")

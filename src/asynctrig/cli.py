@@ -129,25 +129,20 @@ def _load_sim_config(args):
         raise ConfigError("give either --config or --preset, not both")
     if preset:
         cfg = preset_config(preset)
-        semantic = {"preset": preset}
     elif path:
         data = load_config(path)
         cfg = config_from_dict(data)
-        semantic = data
     else:
         raise ConfigError("provide --config FILE or --preset NAME")
     cfg.seed = _resolve_seed(getattr(args, "seed", None), cfg.seed)
     steps = getattr(args, "steps", None)
     if steps is not None:
         cfg.total_steps = int(steps)
-    if "preset" in semantic:
-        semantic = {"preset": preset, "seed": cfg.seed, "total_steps": cfg.total_steps}
+    run = {"seed": cfg.seed, "total_steps": cfg.total_steps}
+    if preset:
+        semantic = {"preset": preset, **run}
     else:
-        semantic = dict(semantic)
-        semantic.setdefault("simulation", {})
-        semantic["simulation"] = dict(semantic["simulation"])
-        semantic["simulation"]["seed"] = cfg.seed
-        semantic["simulation"]["total_steps"] = cfg.total_steps
+        semantic = {**data, "simulation": {**data.get("simulation", {}), **run}}
     return cfg, semantic, preset
 
 
@@ -172,18 +167,8 @@ def _cert_summary(cert) -> dict:
     return out
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON-serializable: {type(o)!r}")
-
-
 def _write_json(payload: dict, path):
-    text = json.dumps(payload, indent=2, default=_json_default)
+    text = json.dumps(payload, indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -388,16 +373,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:  # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

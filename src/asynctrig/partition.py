@@ -122,11 +122,14 @@ def region_of(x, regions):
     """Lowest-index region whose quadratic form is nonnegative at x, or None.
 
     None is a miss, which a covering partition leaves only to roundoff at a
-    cone boundary; no region's entries are certified there.
+    cone boundary; no region's entries are certified there.  The tolerance
+    is relative to |x|^2, as the cones are: an absolute one would put every
+    small enough state in region 0, whatever its direction.
     """
     x = np.asarray(x, dtype=float)
+    tol = -MEMBERSHIP_TOL * x.dot(x)
     for reg in regions:
-        if x @ reg.Q @ x >= -MEMBERSHIP_TOL:
+        if x.dot(reg.Q).dot(x) >= tol:  # same value as x @ Q @ x at half its call cost
             return reg.index
     return None
 

@@ -1,12 +1,20 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
 import csv
+import math
 
 import numpy as np
 from scipy.linalg import eigvals
 
-from asynctrig.certificates import perturbed_forms
-from asynctrig.matrix_core import spectral_radius, sprocedure_multipliers, sym_eig_bounds, symmetrize
+from asynctrig.certificates import build_U_c, perturbed_forms, verify_lmi_pair
+from asynctrig.errors import InfeasibleError
+from asynctrig.matrix_core import (
+    solve_discrete_lyapunov,
+    spectral_radius,
+    sprocedure_multipliers,
+    sym_eig_bounds,
+    symmetrize,
+)
 from asynctrig.partition import decay_forms
 from asynctrig.plant import DiscretePlant, PlantModel, step_matrix
 
@@ -314,3 +322,55 @@ def max_eps_feasible(
     """
     forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
     return pair_multiplier(forms, Q_c)
+
+
+def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps: float):
+    """`build_U_c` with the region term eps Q_c added to u11, the sign `perturbed_forms` tests."""
+    U = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear)
+    nn = np.asarray(P).shape[0]
+    U[:nn, :nn] += eps * symmetrize(Q_c)
+    return U
+
+
+# ---------------------------------------------------------------------------
+# scan oracles for the perturbed syntheses: the searches the package's
+# constructions replace, each returning the first feasible point of its scan
+
+
+def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_squared):
+    """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes, or InfeasibleError."""
+    chi = chi_squared[len(sigma_star)]
+    bbar = math.exp(-beta * (len(sigma_star) * T))
+    sr2 = spectral_radius(Phi_star) ** 2
+    nn = np.asarray(Phi_star).shape[0]
+    for alpha in [2.0**k for k in range(-6, 7)]:
+        rho_max = (gamma - bbar) / (1.0 + alpha)
+        if sr2 >= rho_max:
+            continue
+        rho = 0.5 * (sr2 + rho_max)
+        P1 = solve_discrete_lyapunov(Phi_star, min(rho, 1.0), np.eye(nn))
+        _, lmax1 = sym_eig_bounds(P1)
+        s = 0.9 * (gamma / chi) / ((1.0 + 1.0 / alpha) * lmax1)
+        P = s * P1
+        M = alpha * P
+        if verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
+            return P, M
+    raise InfeasibleError("no alpha passes")
+
+
+def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, sigma_star, T: float, chi_linear_map):
+    """P at the largest scale of a descending log grid over [1e-6, 1e6] whose
+    unregioned matrix passes, or InfeasibleError."""
+    chi_linear = chi_linear_map[len(sigma_star)]
+    bbar = math.exp(-beta * (len(sigma_star) * T))
+    sr2 = spectral_radius(Phi_star) ** 2
+    target = bbar - gamma1
+    if target <= sr2:
+        raise InfeasibleError("no decay budget")
+    nn = np.asarray(Phi_star).shape[0]
+    P1 = solve_discrete_lyapunov(Phi_star, min(0.5 * (sr2 + target), 1.0), np.eye(nn))
+    for s in np.logspace(6, -6, 121):
+        P = s * P1
+        if sym_eig_bounds(build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear))[0] >= -1e-9:
+            return P
+    raise InfeasibleError("no scale passes")

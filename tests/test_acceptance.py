@@ -35,6 +35,7 @@ from helpers import (
     horizon_transition,
     max_eps_feasible,
     random_schur_stabilizable,
+    regioned_U_c,
     schur_threshold,
     simpson_zoh_B,
     taylor_expm,
@@ -317,10 +318,10 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
                 U = build_U_c(
                     cert2.P, cert2.gamma1, cert2.gamma2, Phi_fb,
                     decay_factor(cert2.beta, len(fallback), cert2.T),
-                    cert2.chi_linear, np.zeros((4, 4)), 1.0,
+                    cert2.chi_linear,
                 )
             else:
-                U = build_U_c(cert2.P, cert2.gamma1, cert2.gamma2, Phi, bbar, chi_lin, reg.Q, eps)
+                U = regioned_U_c(cert2.P, cert2.gamma1, cert2.gamma2, Phi, bbar, chi_lin, reg.Q, eps)
             lo, _ = sym_eig_bounds(U)
             if not lo >= -1e-9:
                 return False, f"assembled form for entry {s} on region {reg.index} has min eig {lo:.3e}"

@@ -31,7 +31,15 @@ from asynctrig.plant import (
     growth_constants,
     transition_table,
 )
-from helpers import M_REF, P_REF, benchmark_plant, horizon_transition
+from helpers import (
+    M_REF,
+    P_REF,
+    benchmark_plant,
+    horizon_transition,
+    regioned_U_c,
+    scan_perturbed_offline,
+    scan_perturbed_online,
+)
 
 NO_DISTURBANCE = dict(C=0.0, varpi=0.0, C_prime=0.0)
 
@@ -161,7 +169,7 @@ def test_build_U_c_block_layout():
     # Phi = 0, P = I, gamma1=0.1, gamma2=0.2, bbar=1, chi=1: blocks are
     # 0.9 I and 0.2 I - I; the corner scalar follows -gamma2+gamma1
     n4 = 4
-    U = build_U_c(np.eye(n4), 0.1, 0.2, np.zeros((n4, n4)), 1.0, 1.0, np.zeros((n4, n4)), 1e-9)
+    U = build_U_c(np.eye(n4), 0.1, 0.2, np.zeros((n4, n4)), 1.0, 1.0)
     assert U.shape == (9, 9)
     assert np.allclose(U[:4, :4], 0.9 * np.eye(4))
     assert np.allclose(U[4:8, 4:8], 0.2 * np.eye(4) - np.eye(4))
@@ -169,16 +177,6 @@ def test_build_U_c_block_layout():
     assert U[8, 8] == pytest.approx(-0.2 + 0.1)
     assert np.allclose(U[8, :8], 0.0)
     assert np.array_equal(U, U.T)
-
-
-def test_build_U_c_zero_multiplier_is_unregioned():
-    rng = np.random.default_rng(9)
-    P = np.eye(4)
-    Phi = rng.normal(size=(4, 4))
-    Q = rng.normal(size=(4, 4))
-    U0 = build_U_c(P, 0.3, 0.1, Phi, 1.0, 2.0, Q, 0.0)
-    U1 = build_U_c(P, 0.3, 0.1, Phi, 1.0, 2.0, np.zeros((4, 4)), 5.0)
-    assert np.allclose(U0, U1)
 
 
 def test_perturbed_offline_synthesis_eigencheck():
@@ -189,7 +187,7 @@ def test_perturbed_offline_synthesis_eigencheck():
     _, _, chi_lin = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (1, 2, 2))
     cert = synthesize_perturbed_offline(Phi_star, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
-    U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3], np.zeros((4, 4)), 1.0)
+    U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3])
     lo, _ = sym_eig_bounds(U)
     assert lo >= -1e-9
     with pytest.raises(ValueError):
@@ -197,6 +195,51 @@ def test_perturbed_offline_synthesis_eigencheck():
     with pytest.raises(InfeasibleError):
         # gamma1 >= bbar leaves no decay budget at all
         synthesize_perturbed_offline(Phi_star, 0.0, 1.0, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
+
+
+def _outcome(synthesize, *args, **kwargs):
+    try:
+        return synthesize(*args, **kwargs)
+    except InfeasibleError:
+        return None
+
+
+def test_constructed_scales_match_the_scans():
+    # the one-alpha online pair and the pencil-rounded offline scale must
+    # give bit for bit what the scans found, or fail where they failed
+    rng = np.random.default_rng(12)
+    seen = dict.fromkeys(["online", "online-infeasible", "offline", "gamma2>gamma1", "budget", "scale"], 0)
+    for _ in range(300):
+        nn = int(rng.choice([2, 4, 6]))
+        Phi = rng.normal(size=(nn, nn))
+        Phi *= rng.uniform(0.05, 0.99) / spectral_radius(Phi)
+        sigma = (1,) * int(rng.integers(1, 5))
+        T, beta = rng.uniform(0.05, 0.3), rng.uniform(0.0, 2.0)
+        gamma, chi = rng.uniform(0.01, 2.0), {len(sigma): 10 ** rng.uniform(-3, 3)}
+        got = _outcome(synthesize_perturbed_online, Phi, beta, gamma, sigma, T, chi, **NO_DISTURBANCE)
+        want = _outcome(scan_perturbed_online, Phi, beta, gamma, sigma, T, chi)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.P, want[0]) and np.array_equal(got.M, want[1])
+        seen["online" if want is not None else "online-infeasible"] += 1
+
+        gamma1 = rng.uniform(0.01, 0.6)
+        gamma2 = gamma1 * rng.uniform(0.2, 1.3)
+        chi_lin = {len(sigma): 10 ** rng.uniform(-3, 5)}
+        args = (Phi, beta, gamma1, gamma2, sigma, T, chi_lin)
+        got = _outcome(synthesize_perturbed_offline, *args, C_prime=0.0, varpi=0.0)
+        want = _outcome(scan_perturbed_offline, *args)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.P, want)
+            seen["offline"] += 1
+        elif gamma2 > gamma1:
+            seen["gamma2>gamma1"] += 1
+        elif math.exp(-beta * (len(sigma) * T)) - gamma1 <= spectral_radius(Phi) ** 2:
+            seen["budget"] += 1
+        else:  # the largest feasible scale lies below the grid's 1e-6
+            seen["scale"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _perturbed_multiplier(P, gamma1, gamma2, Phi, bbar, chi_linear, Q_c):
@@ -213,7 +256,7 @@ def test_max_eps_feasible_directional_relaxation():
     Q_axis = np.outer(np.array([1.0, 0.0]), np.array([1.0, 0.0])) - np.cos(np.deg2rad(80.0)) ** 2 * np.eye(2)
     eps = _perturbed_multiplier(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis)
     assert eps > 0
-    U = build_U_c(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis, eps)
+    U = regioned_U_c(P, 0.3, 0.1, Phi, 1.0, 0.001, Q_axis, eps)
     lo, _ = sym_eig_bounds(U)
     assert lo >= -1e-9
     Q_off = np.outer(np.array([0.0, 1.0]), np.array([0.0, 1.0])) - np.cos(np.pi / 6) ** 2 * np.eye(2)
@@ -230,7 +273,7 @@ def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
     Q_c = np.diag([1e-9, -1e-9])
     eps = _perturbed_multiplier(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c)
     assert 1e9 <= eps <= 2e9
-    lo, _ = sym_eig_bounds(build_U_c(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c, eps))
+    lo, _ = sym_eig_bounds(regioned_U_c(P, 0.5, 0.2, Phi, 2.5, 0.1, Q_c, eps))
     assert lo >= -1e-9
     # bbar - gamma1 = 1.2 leaves the two conditions no common multiplier
     assert np.isnan(_perturbed_multiplier(P, 0.5, 0.2, Phi, 1.7, 0.1, Q_c))

@@ -81,6 +81,28 @@ def test_digest_tracks_semantic_changes(tmp_path, capsys):
     assert config_digest({"preset": "online-unperturbed", "seed": 154, "total_steps": 100}) == m1["config_digest"]
 
 
+def test_config_with_a_preset_key_is_digested_whole(tmp_path, capsys):
+    # a config file's own "preset" key must not turn its digest into a
+    # preset digest: two configs that differ only in T must differ
+    digests = []
+    for T in (0.3, 0.25):
+        path = tmp_path / f"cfg_{T}.json"
+        path.write_text(json.dumps(_config_dict(preset="mine", discretization={"T": T})))
+        out = tmp_path / f"out_{T}"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["config_digest"])
+    capsys.readouterr()
+    assert digests[0] != digests[1]
+    # without that key the digest is the one the file has always had
+    cfg = _config_dict()
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert manifest["config_digest"] == config_digest(cfg)
+
+
 def test_env_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):
     denv, dflag = tmp_path / "env", tmp_path / "flag"
     monkeypatch.setenv("ASYNCTRIG_SEED", "7")

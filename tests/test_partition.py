@@ -52,6 +52,18 @@ def test_region_of_prefers_lowest_index():
     assert region_of(regions[0].direction, regions) == 0
 
 
+def test_region_of_is_scale_invariant():
+    # cones are invariant under scaling, so a state's region must not change
+    # when it shrinks toward the origin
+    regions = make_partition(4, 15)
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(200, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    found = [region_of(x, regions) for x in X]
+    assert sum(c != 0 for c in found) > 100
+    assert [region_of(1e-7 * x, regions) for x in X] == found
+
+
 def test_higher_dim_frozen_half_angle():
     regions = make_partition(4, 15)
     assert len(regions) == 15

@@ -80,21 +80,29 @@ def _plant_from_section(sec: dict) -> PlantModel:
     )
 
 
+def _section(data, name: str, required: bool = True) -> dict:
+    """The named section of a config object; a section that is not an object is a configuration error."""
+    sec = data[name] if required else data.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {json.dumps(sec)[:40]}")
+    return sec
+
+
 def config_from_dict(data: dict) -> SimConfig:
     try:
-        plant = _plant_from_section(data["plant"])
-        disc = data["discretization"]
-        hz = data["horizons"]
+        plant = _plant_from_section(_section(data, "plant"))
+        disc = _section(data, "discretization")
+        hz = _section(data, "horizons")
         mode = data["mode"]
-        sim = data.get("simulation", {})
-        cert = data.get("certificate", {})
-        part = data.get("partition", {})
+        sim = _section(data, "simulation", required=False)
+        cert = _section(data, "certificate", required=False)
+        part = _section(data, "partition", required=False)
         sigma_star = None
         if hz.get("sigma_star"):
             sigma_star = horizon_from_text(str(hz["sigma_star"]))
         disturbance = None
-        dd = sim.get("disturbance")
-        if dd is not None:
+        if sim.get("disturbance") is not None:
+            dd = _section(sim, "disturbance")
             if dd.get("kind") != "sine":
                 raise ConfigError(f"unknown disturbance kind {dd.get('kind')!r}; only 'sine' is built in")
             disturbance = default_sine_disturbance(plant, float(dd.get("pi_multiple", 5.0)))

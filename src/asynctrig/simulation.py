@@ -104,7 +104,7 @@ class SimTrace:
     boundaries: list
     boundary_V: list
     decisions: list
-    decision_rows: list  # (step, tau, mode, horizon text, metric, feasible_count, inside)
+    decision_rows: list  # (step, tau, mode, horizon text, metric, evaluated, inside, reason, region, margin)
     metrics: dict = field(default_factory=dict)
 
 
@@ -228,9 +228,8 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
-        decision_rows.append(
-            (steps, t, dec.mode, horizon_to_text(dec.horizon), dec.metric, dec.feasible_count, inside)
-        )
+        decision_rows.append((steps, t, dec.mode, horizon_to_text(dec.horizon), dec.metric, dec.evaluated, inside,
+                              dec.reason, dec.region, dec.margin))
         for a in dec.horizon:
             eta = np.concatenate([x, xh])
             rows_t.append(t)
@@ -259,6 +258,8 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         "V0": V0,
         "final_V": boundary_V[-1],
         "min_V_ratio": min(boundary_V) / V0 if V0 > 0 else 0.0,
+        "forced_fallbacks": sum(dec.reason == "forced-fallback" for dec in decisions),
+        "table_misses": sum(dec.reason == "table-miss" for dec in decisions),
     }
     if perturbed:
         entered = None
@@ -332,11 +333,12 @@ def write_trace_csv(trace: SimTrace, path: str):
 
 
 def write_decision_csv(trace: SimTrace, path: str):
-    # no field needs CSV quoting: modes and horizon texts are letters, digits and dashes
-    lines = ["step,tau,mode,horizon,metric,feasible_count,inside_ellipsoid"]
+    # no field needs CSV quoting (all texts are letters, digits and dashes); a missing region or margin is empty
+    lines = ["step,tau,mode,horizon,metric,evaluated,inside_ellipsoid,reason,region,margin"]
     lines += [
-        f"{step},{float(tau)!r},{mode},{horizon},{float(metric)!r},{fc},{inside}"
-        for step, tau, mode, horizon, metric, fc, inside in trace.decision_rows
+        f"{step},{float(tau)!r},{mode},{horizon},{float(metric)!r},{evaluated},{inside},{reason},"
+        f"{'' if region is None else region},{'' if margin is None else repr(float(margin))}"
+        for step, tau, mode, horizon, metric, evaluated, inside, reason, region, margin in trace.decision_rows
     ]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

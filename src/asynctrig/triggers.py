@@ -2,7 +2,7 @@
 
 Each mechanism selects, at each triggering instant, the horizon maximizing
 the average-idle objective inside a certificate-defined admissible set.  The
-set comes either from an online test of every horizon's quadratic form at
+set comes either from an online test of the horizons' quadratic forms at
 the current state, or from a region table built offline; the perturbed
 variants put the E(P,1) gate in front of either:
 
@@ -17,6 +17,7 @@ of execution order.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,16 +32,20 @@ IDLE_HORIZON = (0,)
 # admissibility slack, scaled by the state magnitude so triggering behaves
 # uniformly near and far from the origin
 FEAS_TOL = 1e-12
-FORM_CHUNK = 64  # horizons per slice of OnlinePolicy's form build
+# horizons per slice of OnlinePolicy's form build; also the least width of
+# select's first block, so retuning the build moves select's early exit
+FORM_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class TriggerDecision:
+class TriggerDecision(NamedTuple):  # a tuple: built once per decision, and cheaper to build than a dataclass
     horizon: tuple
     metric: float
-    feasible_count: int
+    evaluated: int  # forms the decision scored; 0 for gate and table decisions
     tie_count: int
     mode: str
+    reason: str  # gate, certified, forced-fallback, table or table-miss
+    region: Optional[int] = None  # the looked-up region of a table decision
+    margin: Optional[float] = None  # the chosen horizon's eta' F eta + c, where the online test scored it
 
 
 @dataclass(frozen=True)
@@ -88,50 +93,72 @@ class OnlinePolicy:
     Unperturbed, F_s = rho_s P - Phi_s' P Phi_s, the negated `decay_forms`
     form, with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
     Perturbed, (F_s, c_s) are the blocks of U_sigma and the slack is
-    FEAS_TOL max(1, |eta|^2).  All forms are evaluated in one batched
-    product; an empty admissible set falls back to sigma*, which the
-    certificate guarantees (this guards roundoff).
+    FEAS_TOL max(1, |eta|^2).  The horizons are stored in metric order,
+    best first, each metric level in horizon order, so the first admissible
+    position holds the best metric and its level's admissible positions are
+    the ties, in the order a full scan lists them.  `select` scores at most
+    two blocks, each one product of the flattened forms with vec(eta eta'):
+    the best levels up to the first level end at or past FORM_CHUNK forms,
+    then the rest.  When nothing is admissible, sigma* is taken and the
+    decision's reason is forced-fallback.
     """
 
     def __init__(self, cert, horizons, phis, m: int):
-        self.horizons = [tuple(s) for s in horizons]
-        self.fallback_index = self.horizons.index(_fallback(cert, self.horizons))
+        horizons = [tuple(s) for s in horizons]
+        fallback = horizons.index(_fallback(cert, horizons))
+        metrics = _metrics(horizons, m)
+        order = np.argsort(-metrics, kind="stable")
+        self.horizons = [horizons[i] for i in order.tolist()]
+        self.metrics = metrics[order]
+        self.fallback_index = int(np.flatnonzero(order == fallback)[0])
         self.mode = _mode("online", cert)
         self.m = m
-        self.metrics = _metrics(self.horizons, m)
+        H = len(horizons)
+        level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
+        self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
+        split = int(level_ends[level_ends >= min(FORM_CHUNK, H)][0])
+        self.blocks = ((0, split), (split, H))
         P = cert.P
         nn = P.shape[0]
         rhos = np.array([decay_factor(cert.beta, len(s), cert.T) for s in self.horizons])
-        self.forms = np.empty((len(self.horizons), nn, nn))
-        self.corners = np.zeros(len(self.horizons))
+        self.forms = np.empty((H, nn, nn))
+        self.corners = np.zeros(H)
         unperturbed = isinstance(cert, UnperturbedCertificate)
         u_sigma = None if unperturbed else U_sigma_builder(P, cert.M, cert.gamma)
         chis = None if unperturbed else [cert.chi_squared[len(s)] for s in self.horizons]
-        for lo in range(0, len(self.horizons), FORM_CHUNK):  # slices are views: no temporary spans the stack
+        for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
             sl = slice(lo, lo + FORM_CHUNK)
             if unperturbed:
-                self.forms[sl] = -decay_forms(P, phis[sl], rhos[sl]).S
+                self.forms[sl] = -decay_forms(P, phis[order[sl]], rhos[sl]).S
             else:
-                U = u_sigma(phis[sl], rhos[sl], chis[sl])
+                U = u_sigma(phis[order[sl]], rhos[sl], chis[sl])
                 self.forms[sl], self.corners[sl] = U[:, :nn, :nn], U[:, nn, nn]
+        self.flat = self.forms.reshape(H, nn * nn)
         self.slack_floor, self.slack_scale = (0.0, spectral_norm(P)) if unperturbed else (1.0, 1.0)
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)
-        H, d, _ = self.forms.shape
-        values = (self.forms.reshape(H * d, d) @ eta).reshape(H, d) @ eta + self.corners
+        outer = np.multiply.outer(eta, eta).ravel()
         slack = FEAS_TOL * max(self.slack_floor, float(eta @ eta)) * self.slack_scale
-        feas = np.flatnonzero(values >= -slack)
-        if feas.size == 0:
-            feas = np.array([self.fallback_index])
-        best, ties = _best_ties(self.metrics, feas)
-        chosen = self.horizons[_tie_break(ties, rng_seed, step_index)]
+        for lo, hi in self.blocks:
+            values = self.flat[lo:hi] @ outer + self.corners[lo:hi]
+            feas = np.flatnonzero(values >= -slack)
+            if feas.size:
+                ties = lo + feas[: np.searchsorted(feas, self.level_end[lo + feas[0]] - lo)]
+                i = _tie_break(ties, rng_seed, step_index)
+                reason, tie_count, margin = "certified", ties.size, values[i - lo]
+                break
+        else:  # hi is now the stack's end: every form was scored
+            i = self.fallback_index
+            reason, tie_count, margin = "forced-fallback", 1, self.flat[i] @ outer + self.corners[i]
         return TriggerDecision(
-            horizon=chosen,
-            metric=float(best),
-            feasible_count=int(feas.size),
-            tie_count=int(ties.size),
+            horizon=self.horizons[i],
+            metric=float(self.metrics[i]),
+            evaluated=hi,
+            tie_count=int(tie_count),
             mode=self.mode,
+            reason=reason,
+            margin=float(margin),
         )
 
 
@@ -155,9 +182,11 @@ class TablePolicy:
         return TriggerDecision(
             horizon=_tie_break(ties, rng_seed, step_index),
             metric=metric,
-            feasible_count=len(ties),
+            evaluated=0,
             tie_count=len(ties),
             mode=self.mode,
+            reason="table-miss" if c is None else "table",
+            region=c,
         )
 
 
@@ -172,9 +201,10 @@ class GatedPolicy:
         self.idle = TriggerDecision(
             horizon=IDLE_HORIZON,
             metric=avg_idle_metric(IDLE_HORIZON, policy.m),
-            feasible_count=1,
+            evaluated=0,
             tie_count=1,
             mode=self.mode,
+            reason="gate",
         )
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 from scipy.linalg import eigvals
 
+from asynctrig import triggers
 from asynctrig.certificates import build_U_c, perturbed_forms, verify_lmi_pair
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
@@ -122,18 +123,19 @@ def power_iteration_norm(M: np.ndarray, iters: int = 2000, seed: int = 0) -> flo
     return float(np.sqrt(lam))
 
 
-def random_schur_stabilizable(rng, t_lo=0.05, t_hi=0.3):
+def random_schur_stabilizable(rng, t_lo=0.05, t_hi=0.3, n=2):
     """Sample (PlantModel, T) whose fully sampled loop is strictly Schur.
 
-    Rejection sampling: random dynamics, then random gains until one
-    contracts.  Returns None when the draw admits no gain in 60 tries.
+    Rejection sampling: random n-state dynamics with one sensor per state,
+    then random gains until one contracts.  Returns None when the draw
+    admits no gain in 60 tries.
     """
-    A = rng.normal(scale=1.0, size=(2, 2))
-    B = rng.normal(scale=1.0, size=(2, 1))
+    A = rng.normal(scale=1.0, size=(n, n))
+    B = rng.normal(scale=1.0, size=(n, 1))
     T = float(rng.uniform(t_lo, t_hi))
     for _ in range(60):
-        K = rng.normal(scale=1.5, size=(1, 2))
-        plant = PlantModel(A=A, B=B, K=K, blocks=(1, 1))
+        K = rng.normal(scale=1.5, size=(1, n))
+        plant = PlantModel(A=A, B=B, K=K, blocks=(1,) * n)
         dp = DiscretePlant.from_plant(plant, T)
         sr = np.max(np.abs(np.linalg.eigvals(dp.A_T + dp.BK_T)))
         if sr < 0.9:
@@ -176,12 +178,17 @@ def oracle_write_trace_csv(trace, path: str):
 
 
 def oracle_write_decision_csv(trace, path: str):
-    header = ["step", "tau", "mode", "horizon", "metric", "feasible_count", "inside_ellipsoid"]
+    header = [
+        "step", "tau", "mode", "horizon", "metric", "evaluated", "inside_ellipsoid", "reason", "region", "margin",
+    ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for step, tau, mode, horizon, metric, fc, inside in trace.decision_rows:
-            w.writerow([str(step), _fmt(tau), mode, horizon, _fmt(metric), str(fc), str(inside)])
+        for step, tau, mode, horizon, metric, evaluated, inside, reason, region, margin in trace.decision_rows:
+            w.writerow(
+                [str(step), _fmt(tau), mode, horizon, _fmt(metric), str(evaluated), str(inside), reason,
+                 "" if region is None else str(region), "" if margin is None else _fmt(margin)]
+            )
 
 
 def oracle_poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
@@ -207,9 +214,11 @@ def special_value_traces():
         boundary_V=[tiny, huge, 0.5],
         decisions=[],
         decision_rows=[
-            (0, -0.0, "online-perturbed", "02", tiny, 3, 1),
-            (2, np.float64(huge), "offline-perturbed", "12", np.float64(nan), 1, 0),
-            (3, 0.1 + 0.2, "online-unperturbed", "0", 1 / 3, 12, 0),
+            (0, -0.0, "online-perturbed", "02", tiny, 0, 1, "gate", None, None),
+            (2, np.float64(huge), "offline-perturbed", "12", np.float64(nan), 0, 0, "table", 14, None),
+            (3, 0.1 + 0.2, "online-unperturbed", "0", 1 / 3, 12, 0, "certified", None, -0.0),
+            (5, 0.5, "online-perturbed", "2121", 0.5, 1092, 0, "forced-fallback", None, np.float64(-huge)),
+            (9, 0.9, "offline-unperturbed", "12", 0.5, 0, 0, "table-miss", None, None),
         ],
     )
     one_step = SimTrace(
@@ -222,7 +231,7 @@ def special_value_traces():
         boundaries=[0],
         boundary_V=[3.5],
         decisions=[],
-        decision_rows=[(0, 0.0, "offline-unperturbed", "2", 0.5, 1, 0)],
+        decision_rows=[(0, 0.0, "offline-unperturbed", "2", 0.5, 0, 0, "table", 0, None)],
     )
     return [wide, one_step]
 
@@ -330,6 +339,53 @@ def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_li
     nn = np.asarray(P).shape[0]
     U[:nn, :nn] += eps * symmetrize(Q_c)
     return U
+
+
+# ---------------------------------------------------------------------------
+# the online select as a full scan, and the tie set a select drew from
+
+
+def full_scan_select(policy, eta, rng_seed: int, step_index: int = 0):
+    """(horizon, metric, tie horizons) of an `OnlinePolicy` scoring every stored form.
+
+    Two chained products over the whole stack, then the best metric over
+    the admissible positions and the positions attaining it; an empty
+    admissible set falls back to sigma*.
+    """
+    eta = np.asarray(eta, dtype=float)
+    H, d, _ = policy.forms.shape
+    values = (policy.forms.reshape(H * d, d) @ eta).reshape(H, d) @ eta + policy.corners
+    slack = triggers.FEAS_TOL * max(policy.slack_floor, float(eta @ eta)) * policy.slack_scale
+    feas = np.flatnonzero(values >= -slack)
+    if feas.size == 0:
+        feas = np.array([policy.fallback_index])
+    best, ties = triggers._best_ties(policy.metrics, feas)
+    chosen = policy.horizons[triggers._tie_break(ties, rng_seed, step_index)]
+    return chosen, float(best), tuple(policy.horizons[i] for i in ties)
+
+
+def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):
+    """policy.select(...) and the tie horizons its draw chose from.
+
+    The policy is an `OnlinePolicy`, or a `GatedPolicy` around one at a
+    state outside the gate; a select that made no draw took the fallback
+    alone.
+    """
+    online = getattr(policy, "policy", policy)
+    seen = []
+    draw = triggers._tie_break
+
+    def record(ties, seed, step):
+        seen.append(tuple(ties))
+        return draw(ties, seed, step)
+
+    triggers._tie_break = record
+    try:
+        dec = policy.select(eta, rng_seed, step_index)
+    finally:
+        triggers._tie_break = draw
+    positions = seen[0] if seen else (online.fallback_index,)
+    return dec, tuple(online.horizons[i] for i in positions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(metrics, correct=True):
+    return {"correct": correct, "failed": 0, "attempted": 5, "metrics": metrics}
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    pairs = [
+        {"parent": _run({"speed": p_speed, "time": p_time}), "change": _run({"speed": c_speed, "time": c_time})}
+        for p_speed, c_speed, p_time, c_time in [(1.0, 2.0, 1.0, 0.5), (1.0, 1.0, 1.0, 2.0), (2.0, 1.0, 1.0, 0.9)]
+    ]
+    summary = _bench_pairs().summarize(pairs, {"speed": "higher", "time": "lower"})
+    speed, time = summary["metrics"]["speed"], summary["metrics"]["time"]
+    assert speed["change_wins"] == 1  # a tie counts for neither side
+    assert time["change_wins"] == 2
+    assert speed["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.5}
+    assert time["change"]["median"] == 0.9 and time["change_over_parent"] == 0.9
+    assert summary["correct"] and summary["attempted"] == {"parent": 15, "change": 15}
+    pairs[0]["change"]["correct"] = False
+    assert not _bench_pairs().summarize(pairs, {"speed": "higher"})["correct"]

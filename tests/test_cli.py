@@ -185,6 +185,25 @@ def test_exit_codes_for_bad_configuration(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section, value", [("simulation", None), ("certificate", [1, 2]), ("plant", None), ("horizons", "x")])
+def test_a_section_that_is_not_an_object_is_a_configuration_error(tmp_path, capsys, section, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_config_dict(), section: value}))
+    assert main(["synthesize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config section {section!r} must be an object" in err
+    assert "Traceback" not in err
+
+
+def test_a_null_disturbance_is_no_disturbance(tmp_path, capsys):
+    cfgd = _config_dict()
+    cfgd["simulation"]["disturbance"] = None
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    assert main(["synthesize", "--config", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_infeasible(tmp_path, capsys):
     cfgd = _config_dict(
         plant={

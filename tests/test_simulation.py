@@ -263,10 +263,32 @@ def test_decision_csv_shape(online_run, tmp_path):
     path = tmp_path / "decisions.csv"
     write_decision_csv(tr, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,tau,mode,horizon,metric,feasible_count,inside_ellipsoid"
+    assert lines[0] == "step,tau,mode,horizon,metric,evaluated,inside_ellipsoid,reason,region,margin"
     assert len(lines) == 1 + len(tr.decision_rows)
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] == "online-unperturbed"
+    for line, dec in zip(lines[1:], tr.decisions):
+        evaluated, _, reason, region, margin = line.split(",")[5:]
+        assert (int(evaluated), reason, region) == (dec.evaluated, dec.reason, "")
+        assert float(margin) == dec.margin
+    assert tr.metrics["forced_fallbacks"] == sum(dec.reason == "forced-fallback" for dec in tr.decisions)
+    assert tr.metrics["table_misses"] == 0
+
+
+def test_decision_reasons_follow_the_mechanism(preset_traces):
+    # gate rows are exactly the ellipsoid rows; only table rows name a
+    # region, only online tests carry a margin, and the counts match
+    for name, (_, _, tr) in preset_traces.items():
+        online = name.startswith("online")
+        for step, _, _, _, _, evaluated, inside, reason, region, margin in tr.decision_rows:
+            assert (reason == "gate") == bool(inside), (name, step)
+            assert reason in (("gate", "certified", "forced-fallback") if online else ("gate", "table", "table-miss"))
+            assert (region is not None) == (reason == "table")
+            assert (margin is not None) == (reason in ("certified", "forced-fallback"))
+            assert (evaluated > 0) == (margin is not None)
+        reasons = [row[7] for row in tr.decision_rows]
+        assert tr.metrics["forced_fallbacks"] == reasons.count("forced-fallback")
+        assert tr.metrics["table_misses"] == reasons.count("table-miss")
 
 
 def test_writers_match_the_per_element_oracles(preset_traces, tmp_path):

@@ -14,7 +14,7 @@ from asynctrig.certificates import (
     synthesize_perturbed_online,
     synthesize_unperturbed,
 )
-from asynctrig.errors import ConfigError
+from asynctrig.errors import ConfigError, InfeasibleError
 from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
 from asynctrig.matrix_core import spectral_norm, symmetrize
 from asynctrig.partition import (
@@ -31,9 +31,25 @@ from asynctrig.plant import (
     transition_table,
 )
 from asynctrig.presets import preset_config
-from asynctrig.simulation import prepare
-from asynctrig.triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, _tie_break, table_to_dict
-from helpers import benchmark_plant, horizon_transition, max_eps_feasible, sprocedure_feasible
+from asynctrig.simulation import SimConfig, prepare
+from asynctrig.triggers import (
+    FORM_CHUNK,
+    GatedPolicy,
+    OfflineTable,
+    OnlinePolicy,
+    TablePolicy,
+    _tie_break,
+    table_to_dict,
+)
+from helpers import (
+    benchmark_plant,
+    full_scan_select,
+    horizon_transition,
+    max_eps_feasible,
+    random_schur_stabilizable,
+    select_with_ties,
+    sprocedure_feasible,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +95,13 @@ def test_online_unperturbed_matches_brute_force(online_unperturbed):
     for k in range(60):
         eta = rng.normal(scale=rng.uniform(0.5, 20.0), size=4)
         feas = _brute_force_feasible(eta, dp, horizons, cert)
-        dec = policy.select(eta, rng_seed=0, step_index=k)
-        assert dec.feasible_count == len(feas)
+        dec, ties = select_with_ties(policy, eta, rng_seed=0, step_index=k)
         best = max(avg_idle_metric(s, dp.m) for s in feas)
+        assert ties == tuple(s for s in feas if avg_idle_metric(s, dp.m) == best)
+        assert dec.tie_count == len(ties)
         assert dec.metric == best
-        assert dec.horizon in feas
-        assert avg_idle_metric(dec.horizon, dp.m) == best
+        assert dec.horizon in ties
+        assert dec.reason == "certified" and 0 < dec.evaluated <= len(horizons)
 
 
 def test_fallback_horizon_always_feasible(online_unperturbed):
@@ -138,7 +155,8 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
     policy = prep.policy.policy if isinstance(prep.policy, GatedPolicy) else prep.policy
     cert, P = prep.cert, prep.cert.P
     nn = P.shape[0]
-    for i, s in enumerate(prep.horizons):
+    assert sorted(policy.horizons) == sorted(prep.horizons)
+    for i, s in enumerate(policy.horizons):
         Phi = horizon_transition(prep.dp, s)
         rho = decay_factor(cert.beta, len(s), cert.T)
         if isinstance(cert, UnperturbedCertificate):
@@ -150,6 +168,76 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
             assert np.array_equal(form, -symmetrize(Phi.T @ PM @ Phi) + (rho - cert.gamma) * symmetrize(P)), s
         assert np.array_equal(policy.forms[i], form), s
         assert policy.corners[i] == corner, s
+
+
+def _random_plant_policy():
+    """OnlinePolicy of online-unperturbed on a random 3-state, 3-sensor plant, lengths 1..6."""
+    rng = np.random.default_rng(31)
+    while True:
+        draw = random_schur_stabilizable(rng, n=3)
+        if draw is None:
+            continue
+        plant, T = draw
+        config = SimConfig(plant=plant, T=T, l_min=1, l_max=6, mode="online-unperturbed", x0=np.ones(3))
+        try:
+            return prepare(config).policy
+        except (ConfigError, InfeasibleError):
+            continue
+
+
+@pytest.fixture(scope="module")
+def online_policies():
+    preset = {name: prepare(preset_config(name)) for name in ("online-unperturbed", "online-perturbed")}
+    policies = {name: (prep.policy, prep.cert.P) for name, prep in preset.items()}
+    random_policy = _random_plant_policy()
+    assert len(random_policy.horizons) == 5460
+    policies["random-3x3"] = (random_policy, None)
+    return policies
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
+def test_select_matches_the_full_scan_oracle(online_policies, name):
+    # the early exit scores the forms with one product per block, the oracle
+    # with two chained products over every form: rounding of the test values
+    # differs, so the identity of the decisions is checked, not assumed
+    policy, P = online_policies[name]
+    online = getattr(policy, "policy", policy)
+    rng = np.random.default_rng(41)
+    reasons = set()
+    for k in range(300):
+        d = rng.normal(size=online.forms.shape[1])
+        if P is None:
+            eta = d * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:  # V = eta' P eta log-uniform over [1, 1e4], outside the gate
+            eta = d * math.sqrt(10.0 ** rng.uniform(0.0, 4.0) / (d @ P @ d))
+        seed = int(rng.integers(2**31 - 1))
+        dec, ties = select_with_ties(policy, eta, seed, k)
+        assert (dec.horizon, dec.metric, ties) == full_scan_select(online, eta, seed, k), k
+        assert dec.tie_count == len(ties)
+        assert dec.evaluated in {hi for _, hi in online.blocks}
+        reasons.add(dec.reason)
+    assert "certified" in reasons
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
+def test_online_policy_stores_horizons_in_metric_order(online_policies, name):
+    online = getattr(online_policies[name][0], "policy", online_policies[name][0])
+    metrics = online.metrics
+    assert np.all(np.diff(metrics) <= 0.0)
+    assert np.array_equal(metrics, [avg_idle_metric(s, online.m) for s in online.horizons])
+    levels = {}
+    for s, value in zip(online.horizons, metrics):
+        levels.setdefault(value, []).append(s)
+    rank = {s: i for i, s in enumerate(enumerate_horizons(online.m, 1, max(map(len, online.horizons))))}
+    for members in levels.values():
+        assert [rank[s] for s in members] == sorted(rank[s] for s in members)
+    # each position's level end, and the first block ends at the first level end at or past FORM_CHUNK
+    H = len(metrics)
+    for i, end in enumerate(online.level_end):
+        assert metrics[end - 1] == metrics[i] and (end == H or metrics[end] < metrics[i])
+    level_ends = [i + 1 for i in np.flatnonzero(np.diff(metrics))] + [H]
+    split = min(end for end in level_ends if end >= FORM_CHUNK) if H >= FORM_CHUNK else H
+    assert online.blocks == ((0, split), (split, H))
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -190,7 +278,7 @@ def test_online_perturbed_idle_inside_ellipsoid(online_perturbed):
     dec = policy.select(eta, rng_seed=0, step_index=0)
     assert dec.horizon == (0,)
     assert dec.metric == avg_idle_metric((0,), 2)
-    assert dec.feasible_count == 1
+    assert dec.evaluated == 0 and dec.reason == "gate" and dec.margin is None
 
 
 def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
@@ -211,10 +299,12 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
         feas = [s for s in horizons if v @ U_all[s] @ v >= slack]
         if not feas:
             feas = [(2, 1, 2, 1)]
-        dec = policy.select(eta, rng_seed=1, step_index=k)
-        assert dec.feasible_count == len(feas)
-        assert dec.horizon in feas
-        assert dec.metric == max(avg_idle_metric(s, dp.m) for s in feas)
+        dec, ties = select_with_ties(policy, eta, rng_seed=1, step_index=k)
+        best = max(avg_idle_metric(s, dp.m) for s in feas)
+        assert ties == tuple(s for s in feas if avg_idle_metric(s, dp.m) == best)
+        assert dec.tie_count == len(ties)
+        assert dec.horizon in ties
+        assert dec.metric == best
 
 
 def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
@@ -395,7 +485,8 @@ def test_table_lookup_miss_falls_back_to_sigma_star():
     dec = policy.select(hole, rng_seed=0)
     assert dec.horizon == (1, 2)
     assert dec.metric == avg_idle_metric((1, 2), 2)
-    assert dec.feasible_count == dec.tie_count == 1
+    assert dec.tie_count == 1
+    assert (dec.reason, dec.region, dec.evaluated) == ("table-miss", None, 0)
     assert policy.select(2.0 * e1, rng_seed=0).horizon == (1, 0, 0)
 
 

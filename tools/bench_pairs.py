@@ -1,0 +1,106 @@
+"""Alternating parent/change benchmark pairs, summarized into one BENCH_<n>.json record.
+
+    python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_13.json --seed 11
+
+For every workload `BENCHMARK.json` lists, each of the PAIRS pairs runs
+`perfbench/run.py --workload W --seed S --seconds X --trace 0`, X being
+`BENCHMARK.json`'s `run_seconds`, once in the parent checkout and once in the
+change checkout (this one by default), one after the other; which side runs
+first alternates from pair to pair.  Both sides use their own checkout's
+perfbench and sources.  The
+record holds the change side's machine record, the protocol, and per
+workload the seven end-to-end metrics: every run's values, each side's
+median and quartiles, and the number of pairs the change won by the
+direction `BENCHMARK.json` gives.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating pairs per workload, as the benchmark protocol asks
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd + ["--trace", "0"], cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    return {
+        "machine": json.loads(lines[0])["machine"],
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def summarize(pairs, better: dict) -> dict:
+    out = {
+        "correct": all(run["correct"] for pair in pairs for run in pair.values()),
+        "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in ("parent", "change")},
+        "attempted": {side: sum(pair[side]["attempted"] for pair in pairs) for side in ("parent", "change")},
+        "metrics": {},
+    }
+    for name, direction in better.items():
+        parent = [pair["parent"]["metrics"][name] for pair in pairs]
+        change = [pair["change"]["metrics"][name] for pair in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        out["metrics"][name] = {
+            "better": direction,
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_over_parent": statistics.median(change) / statistics.median(parent),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+            "parent_runs": parent,
+            "change_runs": change,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    record = {
+        "machine": None,
+        "protocol": {
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
+            "pairs": PAIRS,
+            "order": "alternating: the parent runs first in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, ...",
+        },
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in bench["workloads"]):
+        pairs = []
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {side: run_once(checkouts[side], workload, args.seed, seconds) for side in order}
+            record["machine"] = {k: v for k, v in pair["change"]["machine"].items() if k not in ("commit", "src_sha256")}
+            pairs.append(pair)
+            print(f"{workload} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
+        record["workloads"][workload] = summarize(pairs, better)
+        record["workloads"][workload]["src_sha256"] = {side: pairs[0][side]["machine"]["src_sha256"] for side in checkouts}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

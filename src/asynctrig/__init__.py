@@ -72,11 +72,9 @@ from .simulation import (
 from .svgplots import emit_plots, parse_polyline
 from .triggers import (
     GatedPolicy,
-    OfflineTable,
     OnlinePolicy,
     TablePolicy,
     TriggerDecision,
-    build_offline_table,
     table_to_dict,
 )
 

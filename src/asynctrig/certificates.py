@@ -102,7 +102,7 @@ def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -
     lambda_min(I) = 1 before scaling.
     """
     sigma_star = tuple(sigma_star)
-    rho = math.exp(-beta * (len(sigma_star) * T))
+    rho = decay_factor(beta, len(sigma_star), T)
     sr = spectral_radius(Phi_star)
     if sr >= math.sqrt(rho):
         raise InfeasibleError(
@@ -167,7 +167,7 @@ def synthesize_perturbed_online(
         raise ValueError(f"gamma must be positive, got {gamma}")
     sigma_star = tuple(sigma_star)
     chi = chi_squared[len(sigma_star)]
-    bbar = math.exp(-beta * (len(sigma_star) * T))
+    bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     rho_max = (gamma - bbar) / (1.0 + ALPHA)
     if sr2 >= rho_max:
@@ -275,7 +275,7 @@ def synthesize_perturbed_offline(
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
     sigma_star = tuple(sigma_star)
     chi_linear = chi_linear_map[len(sigma_star)]
-    bbar = math.exp(-beta * (len(sigma_star) * T))
+    bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     target = bbar - gamma1
     if target <= sr2:

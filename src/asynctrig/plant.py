@@ -16,6 +16,9 @@ from scipy.linalg import expm
 
 from .matrix_core import _as_matrix, spectral_norm, zoh_pair
 
+# Simpson panels of disturbance_step_bound; even, as its half-resolution error estimate needs
+BOUND_PANELS = 1000
+
 
 @dataclass(frozen=True)
 class PlantModel:
@@ -134,23 +137,21 @@ def _simpson_weights(panels: int, width: float) -> np.ndarray:
     return w * (width / (2 * panels) / 3.0)
 
 
-def disturbance_step_bound(plant: PlantModel, T: float, panels: int = 1000) -> float:
+def disturbance_step_bound(plant: PlantModel, T: float) -> float:
     """Per-period disturbance norm bound w_max * int_0^T ||e^{As} D||_2 ds.
 
-    Composite Simpson with >= 1000 panels; the Richardson error estimate
-    against the half-resolution rule is added so the result is a certified
-    upper bound.
+    Composite Simpson with BOUND_PANELS panels; the Richardson error
+    estimate against the half-resolution rule is added so the result is a
+    certified upper bound.
     """
     if plant.w_max <= 0 or plant.D is None:
         raise ValueError("plant has no disturbance channel")
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    panels = max(int(panels), 1000)
-    panels += panels % 2  # the half-resolution error estimate needs an even count
-    s = np.linspace(0.0, T, 2 * panels + 1)
+    s = np.linspace(0.0, T, 2 * BOUND_PANELS + 1)
     f = np.linalg.norm(expm(plant.A[None] * s[:, None, None]) @ plant.D, 2, axis=(1, 2))
-    full = float(f @ _simpson_weights(panels, T))
-    half = float(f[::2] @ _simpson_weights(panels // 2, T))
+    full = float(f @ _simpson_weights(BOUND_PANELS, T))
+    half = float(f[::2] @ _simpson_weights(BOUND_PANELS // 2, T))
     err = abs(full - half) / 15.0
     return plant.w_max * (full + err)
 

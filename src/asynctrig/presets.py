@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .plant import PlantModel
-from .simulation import SimConfig
+from .simulation import MODES, SimConfig
 
 DEFAULT_SEED = 154
 DEFAULT_STEPS = 100
@@ -36,12 +36,7 @@ def _plant(perturbed: bool) -> PlantModel:
     return PlantModel(A=np.array(_A), B=np.array(_B), K=np.array(_K), blocks=_BLOCKS)
 
 
-PRESET_NAMES = (
-    "online-unperturbed",
-    "offline-unperturbed",
-    "online-perturbed",
-    "offline-perturbed",
-)
+PRESET_NAMES = MODES  # one preset per mode, named after it
 
 PRESET_NOTES = {
     "online-unperturbed": "T=0.3, lengths 1..3, online test at every boundary",

@@ -18,7 +18,6 @@ from scipy.linalg import expm
 
 from .certificates import (
     choose_sigma_star,
-    region_forms,
     synthesize_perturbed_offline,
     synthesize_perturbed_online,
     synthesize_unperturbed,
@@ -36,7 +35,7 @@ from .plant import (
     step_matrix,
     transition_table,
 )
-from .triggers import GatedPolicy, OfflineTable, OnlinePolicy, TablePolicy, build_offline_table
+from .triggers import GatedPolicy, OnlinePolicy, TablePolicy
 
 # perfbench/passes.py still looks these old names up before each loop; simulate never calls them
 offline_select = offline_perturbed_select = None
@@ -143,7 +142,7 @@ class Prepared(NamedTuple):
     horizons: list
     cert: object
     regions: Optional[list]
-    table: Optional[OfflineTable]
+    table: Optional[TablePolicy]  # the offline modes' table policy, also inside policy
     policy: object  # None only for an offline mode prepared without tables
     integrator: Optional[_DisturbanceIntegrator]  # None for the unperturbed modes
 
@@ -185,12 +184,12 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
                 Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi_lin,
                 C_prime=C_prime, varpi=varpi,
             )
-    regions = table = policy = None
+    regions = table = None
     if config.mode in OFFLINE_MODES:
         regions = make_partition(2 * plant.n, config.N)
         if with_tables:
-            table = build_offline_table(cert, horizons, regions, region_forms(cert, horizons, phis), dp.m)
-            policy = TablePolicy(table, regions, sigma_star)
+            table = TablePolicy(cert, horizons, phis, dp.m, regions)
+        policy = table
     else:
         policy = OnlinePolicy(cert, horizons, phis, dp.m)
     if perturbed and policy is not None:
@@ -224,12 +223,11 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     decision_rows = []
 
     while steps < config.total_steps:
-        inside = int(boundary_V[-1] <= 1.0) if perturbed else 0
         dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
-        decision_rows.append((steps, t, dec.mode, horizon_to_text(dec.horizon), dec.metric, dec.evaluated, inside,
-                              dec.reason, dec.region, dec.margin))
+        decision_rows.append((steps, t, config.mode, horizon_to_text(dec.horizon), dec.metric, dec.evaluated,
+                              int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
         for a in dec.horizon:
             eta = np.concatenate([x, xh])
             rows_t.append(t)

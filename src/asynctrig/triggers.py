@@ -16,16 +16,15 @@ keyed by (seed, step index), so decisions are reproducible and independent
 of execution order.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor
+from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor, region_forms
 from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
-from .partition import RegionForms, decay_forms, region_multipliers, region_of
+from .partition import decay_forms, region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
@@ -42,18 +41,9 @@ class TriggerDecision(NamedTuple):  # a tuple: built once per decision, and chea
     metric: float
     evaluated: int  # forms the decision scored; 0 for gate and table decisions
     tie_count: int
-    mode: str
     reason: str  # gate, certified, forced-fallback, table or table-miss
     region: Optional[int] = None  # the looked-up region of a table decision
     margin: Optional[float] = None  # the chosen horizon's eta' F eta + c, where the online test scored it
-
-
-@dataclass(frozen=True)
-class OfflineTable:
-    psi: tuple  # per-region tuple of optimal horizons
-    metric: tuple  # the shared metric value per region
-    mode: str
-    m: int  # sensor count, needed to score the idle horizon
 
 
 def _tie_break(ties, rng_seed: int, step_index: int):
@@ -74,10 +64,6 @@ def _best_ties(metrics: np.ndarray, feas: np.ndarray):
     """Best metric over the horizon indices feas, and the indices attaining it."""
     best = metrics[feas].max()
     return best, feas[metrics[feas] == best]
-
-
-def _mode(kind: str, cert) -> str:
-    return f"{kind}-{'unperturbed' if isinstance(cert, UnperturbedCertificate) else 'perturbed'}"
 
 
 def _fallback(cert, horizons) -> tuple:
@@ -101,6 +87,17 @@ class OnlinePolicy:
     the best levels up to the first level end at or past FORM_CHUNK forms,
     then the rest.  When nothing is admissible, sigma* is taken and the
     decision's reason is forced-fallback.
+
+    Perturbed, that fallback is common.  With W = eta' Phi'(P + M) Phi eta
+    and V = eta' P eta, the certificate's first inequality gives sigma*
+    W <= (gamma - bbar) V at every state (so V+ <= (gamma - bbar) V +
+    lambda_bar chi), but the test asks for W <= (bbar - gamma) V + c_s,
+    with c_s = gamma - chi lambda_bar.  Synthesis requires gamma
+    > bbar(|sigma*|), so sigma*'s F is negative definite and the test admits
+    it only inside a bounded ellipsoid.  On the online-perturbed preset F's
+    eigenvalues run from -1.0e-4 to -8.6e-7 with c = 0.035, while W reaches
+    only 0.174 V against gamma - bbar = 0.25.  The two signs of gamma - bbar
+    cannot both match the paper.
     """
 
     def __init__(self, cert, horizons, phis, m: int):
@@ -111,7 +108,6 @@ class OnlinePolicy:
         self.horizons = [horizons[i] for i in order.tolist()]
         self.metrics = metrics[order]
         self.fallback_index = int(np.flatnonzero(order == fallback)[0])
-        self.mode = _mode("online", cert)
         self.m = m
         H = len(horizons)
         level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
@@ -156,7 +152,6 @@ class OnlinePolicy:
             metric=float(self.metrics[i]),
             evaluated=hi,
             tie_count=int(tie_count),
-            mode=self.mode,
             reason=reason,
             margin=float(margin),
         )
@@ -164,27 +159,43 @@ class OnlinePolicy:
 
 class TablePolicy:
     """Offline trigger: look up the precomputed optimal set for the state's
-    region; a lookup miss falls back to sigma*, which is certified everywhere."""
+    region; a lookup miss falls back to sigma*, which is certified everywhere.
 
-    def __init__(self, table: OfflineTable, regions, fallback):
-        self.table = table
+    The table is built here: the certificate's region test is stacked over
+    the horizons once (`region_forms`), each region decides every horizon
+    at once (`region_multipliers`), and a region where nothing qualifies
+    gets sigma* alone.  psi holds each region's tuple of optimal horizons,
+    metric their shared metric value.
+    """
+
+    def __init__(self, cert, horizons, phis, m: int, regions):
+        horizons = [tuple(s) for s in horizons]
+        fallback = np.array([horizons.index(_fallback(cert, horizons))])
+        metrics = _metrics(horizons, m)
+        forms = region_forms(cert, horizons, phis)
+        psi = []
+        values = []
+        for reg in regions:
+            feas = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
+            best, ties = _best_ties(metrics, feas if feas.size else fallback)
+            psi.append(tuple(horizons[i] for i in ties))
+            values.append(float(best))
+        self.psi, self.metric = tuple(psi), tuple(values)
         self.regions = regions
-        self.mode = table.mode
-        self.m = table.m
-        self.fallback = tuple(fallback)
+        self.m = m
+        self.fallback = horizons[fallback[0]]
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         c = region_of(np.asarray(eta, dtype=float), self.regions)
         if c is None:
             ties, metric = (self.fallback,), avg_idle_metric(self.fallback, self.m)
         else:
-            ties, metric = self.table.psi[c], self.table.metric[c]
+            ties, metric = self.psi[c], self.metric[c]
         return TriggerDecision(
             horizon=_tie_break(ties, rng_seed, step_index),
             metric=metric,
             evaluated=0,
             tie_count=len(ties),
-            mode=self.mode,
             reason="table-miss" if c is None else "table",
             region=c,
         )
@@ -197,13 +208,11 @@ class GatedPolicy:
     def __init__(self, policy, P):
         self.policy = policy
         self.P = P
-        self.mode = policy.mode
         self.idle = TriggerDecision(
             horizon=IDLE_HORIZON,
             metric=avg_idle_metric(IDLE_HORIZON, policy.m),
             evaluated=0,
             tie_count=1,
-            mode=self.mode,
             reason="gate",
         )
 
@@ -214,29 +223,8 @@ class GatedPolicy:
         return self.policy.select(eta, rng_seed, step_index)
 
 
-def build_offline_table(cert, horizons, regions, forms: RegionForms, m: int) -> OfflineTable:
-    """Per-region optimal-horizon sets.
-
-    forms stacks the certificate's region test over the horizons, in order;
-    each region decides every horizon at once (`region_multipliers`), and
-    the fallback horizon is inserted when nothing else qualifies.
-    """
-    horizons = [tuple(s) for s in horizons]
-    fallback = np.array([horizons.index(_fallback(cert, horizons))])
-    metrics = _metrics(horizons, m)
-    psi = []
-    values = []
-    for reg in regions:
-        feas = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
-        best, ties = _best_ties(metrics, feas if feas.size else fallback)
-        psi.append(tuple(horizons[i] for i in ties))
-        values.append(float(best))
-    return OfflineTable(psi=tuple(psi), metric=tuple(values), mode=_mode("offline", cert), m=m)
-
-
-def table_to_dict(table: OfflineTable) -> dict:
+def table_to_dict(table: TablePolicy) -> dict:
     return {
-        "mode": table.mode,
         "m": table.m,
         "regions": [
             {"psi": [horizon_to_text(s) for s in ties], "metric": value}

@@ -1,13 +1,12 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
 import csv
-import math
 
 import numpy as np
 from scipy.linalg import eigvals
 
 from asynctrig import triggers
-from asynctrig.certificates import build_U_c, perturbed_forms, verify_lmi_pair
+from asynctrig.certificates import build_U_c, decay_factor, perturbed_forms, verify_lmi_pair
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
@@ -396,7 +395,7 @@ def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):
 def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_squared):
     """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes, or InfeasibleError."""
     chi = chi_squared[len(sigma_star)]
-    bbar = math.exp(-beta * (len(sigma_star) * T))
+    bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     nn = np.asarray(Phi_star).shape[0]
     for alpha in [2.0**k for k in range(-6, 7)]:
@@ -418,7 +417,7 @@ def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, 
     """P at the largest scale of a descending log grid over [1e-6, 1e6] whose
     unregioned matrix passes, or InfeasibleError."""
     chi_linear = chi_linear_map[len(sigma_star)]
-    bbar = math.exp(-beta * (len(sigma_star) * T))
+    bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     target = bbar - gamma1
     if target <= sr2:

@@ -235,7 +235,7 @@ def test_constructed_scales_match_the_scans():
             seen["offline"] += 1
         elif gamma2 > gamma1:
             seen["gamma2>gamma1"] += 1
-        elif math.exp(-beta * (len(sigma) * T)) - gamma1 <= spectral_radius(Phi) ** 2:
+        elif decay_factor(beta, len(sigma), T) - gamma1 <= spectral_radius(Phi) ** 2:
             seen["budget"] += 1
         else:  # the largest feasible scale lies below the grid's 1e-6
             seen["scale"] += 1

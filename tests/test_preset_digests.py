@@ -1,0 +1,31 @@
+import hashlib
+import importlib.util
+from pathlib import Path
+
+from asynctrig.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _preset_digests():
+    spec = importlib.util.spec_from_file_location("preset_digests", ROOT / "tools" / "preset_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_preset_digests_hash_every_output_of_a_run(tmp_path, monkeypatch):
+    # run from an empty directory: the tool must write nothing where it runs
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    lines = _preset_digests().preset_digests(["online-unperturbed"], [154])
+    assert list(work.iterdir()) == []
+    out = tmp_path / "out"
+    assert main(["preset", "online-unperturbed", "--seed", "154", "--plots", "--out-dir", str(out)]) == 0
+    expected = [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  online-unperturbed/154/{p.relative_to(out).as_posix()}"
+        for p in sorted(p for p in out.rglob("*") if p.is_file())
+    ]
+    assert len(expected) == 7  # trace, decisions, certificate, manifest and three plots
+    assert lines == expected

@@ -276,11 +276,13 @@ def test_decision_csv_shape(online_run, tmp_path):
 
 
 def test_decision_reasons_follow_the_mechanism(preset_traces):
-    # gate rows are exactly the ellipsoid rows; only table rows name a
-    # region, only online tests carry a margin, and the counts match
-    for name, (_, _, tr) in preset_traces.items():
+    # gate rows are exactly the ellipsoid rows; every row names the run's
+    # mode; only table rows name a region, only online tests carry a margin,
+    # and the counts match
+    for name, (cfg, _, tr) in preset_traces.items():
         online = name.startswith("online")
-        for step, _, _, _, _, evaluated, inside, reason, region, margin in tr.decision_rows:
+        for step, _, mode, _, _, evaluated, inside, reason, region, margin in tr.decision_rows:
+            assert mode == cfg.mode, (name, step)
             assert (reason == "gate") == bool(inside), (name, step)
             assert reason in (("gate", "certified", "forced-fallback") if online else ("gate", "table", "table-miss"))
             assert (region is not None) == (reason == "table")

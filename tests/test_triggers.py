@@ -35,7 +35,6 @@ from asynctrig.simulation import SimConfig, prepare
 from asynctrig.triggers import (
     FORM_CHUNK,
     GatedPolicy,
-    OfflineTable,
     OnlinePolicy,
     TablePolicy,
     _tie_break,
@@ -310,8 +309,7 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
 def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
     cfg, prep, _ = prepared_offline_unperturbed
     dp, regions, table, policy = prep.dp, prep.regions, prep.table, prep.policy
-    assert table.mode == "offline-unperturbed"
-    assert isinstance(policy, TablePolicy) and policy.table is table
+    assert isinstance(policy, TablePolicy) and policy is table
     assert table.m == dp.m
     assert len(table.psi) == len(regions) == cfg.N
     for ties, value in zip(table.psi, table.metric):
@@ -325,7 +323,6 @@ def test_offline_table_shape_and_lookup(prepared_offline_unperturbed):
         dec = policy.select(eta, rng_seed=2, step_index=k)
         assert dec.horizon in table.psi[c]
         assert dec.metric == table.metric[c]
-        assert dec.mode == table.mode
 
 
 def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
@@ -347,13 +344,12 @@ def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
     dp, horizons, cert, regions, table, policy = (
         prep.dp, prep.horizons, prep.cert, prep.regions, prep.table, prep.policy
     )
-    assert table.mode == "offline-perturbed"
-    assert isinstance(policy, GatedPolicy) and policy.policy.table is table
+    assert isinstance(policy, GatedPolicy) and policy.policy is table
     lam_hi = max(np.linalg.eigvalsh(cert.P))
     inside = np.ones(4) * (0.5 / math.sqrt(lam_hi * 4.0))
     dec = policy.select(inside, rng_seed=0)
     assert dec.horizon == (0,)
-    assert dec.mode == table.mode and dec.metric == avg_idle_metric((0,), dp.m)
+    assert (dec.reason, dec.metric) == ("gate", avg_idle_metric((0,), dp.m))
     outside = np.array([15.0, -1.5, 15.0, -1.5])
     assert outside @ cert.P @ outside > 1.0
     dec = policy.select(outside, rng_seed=0)
@@ -398,7 +394,7 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
     _, prep, _ = prepared_offline_unperturbed
     dp, regions, table = prep.dp, prep.regions, prep.table
     data = table_to_dict(table)
-    assert data["mode"] == table.mode
+    assert set(data) == {"m", "regions"}
     assert data["m"] == dp.m
     assert len(data["regions"]) == len(regions)
     for entry, ties, value in zip(data["regions"], table.psi, table.metric):
@@ -471,23 +467,28 @@ def test_batched_region_test_on_capped_cones(fixture, request):
     np.testing.assert_array_equal(batched, _pair_verdicts(prep, regions))
 
 
-def test_table_lookup_miss_falls_back_to_sigma_star():
+def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed):
     # one narrow cone around e1 leaves e2 uncovered: a miss must take the
     # globally certified fallback, not the entries of the nearest region
+    _, prep, _ = prepared_offline_unperturbed
+    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     theta = 0.1
-    e1 = np.array([1.0, 0.0])
-    Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(2)
+    e1 = np.eye(4)[0]
+    Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(4)
     regions = [ConicRegion(index=0, direction=e1, half_angle=theta, Q=Q)]
-    table = OfflineTable(psi=(((1, 0, 0),),), metric=(avg_idle_metric((1, 0, 0), 2),), mode="offline-unperturbed", m=2)
-    policy = TablePolicy(table, regions, (1, 2))
-    hole = np.array([0.0, 3.0])
+    policy = TablePolicy(cert, horizons, transition_table(dp, horizons), dp.m, regions)
+    sigma_star = tuple(cert.sigma_star)
+    assert len(policy.psi) == len(policy.metric) == 1 and sigma_star not in policy.psi[0]
+    hole = 3.0 * np.eye(4)[1]
     assert region_of(hole, regions) is None
     dec = policy.select(hole, rng_seed=0)
-    assert dec.horizon == (1, 2)
-    assert dec.metric == avg_idle_metric((1, 2), 2)
+    assert dec.horizon == sigma_star
+    assert dec.metric == avg_idle_metric(sigma_star, dp.m)
     assert dec.tie_count == 1
     assert (dec.reason, dec.region, dec.evaluated) == ("table-miss", None, 0)
-    assert policy.select(2.0 * e1, rng_seed=0).horizon == (1, 0, 0)
+    dec = policy.select(2.0 * e1, rng_seed=0)
+    assert (dec.reason, dec.region) == ("table", 0)
+    assert dec.horizon in policy.psi[0] and dec.metric == policy.metric[0]
 
 
 def test_tie_break_skips_the_generator_for_a_lone_tie(monkeypatch):

@@ -27,6 +27,7 @@ from .certificates import (
 )
 from .errors import ConfigError, InfeasibleError, ResourceCapError
 from .horizons import (
+    action_codes,
     avg_idle_metric,
     enumerate_horizons,
     horizon_from_text,

@@ -31,12 +31,19 @@ from .matrix_core import (
     sym_eig_bounds,
     symmetrize,
 )
-from .horizons import horizon_from_text, horizon_to_text
+from .horizons import action_codes, horizon_from_text, horizon_to_text, rotation_classes
 from .partition import RegionForms, decay_forms
 
 # M = ALPHA P for the online pair: a small alpha leaves the first inequality
 # most room and gives the second the slack the online trigger needs
 ALPHA = 2.0**-6
+# choose_sigma_star re-solves, member by member, each rotation class whose radius
+# is within SIGMA_STAR_RTOL of the least, or SIGMA_STAR_ATOL where that is larger
+# (so the floor governs below radius 1).  Rotations of the plants in the tests
+# differ by at most ~1e-13 relative; the floor covers radii at roundoff level,
+# where a double zero eigenvalue alone spreads rotations by up to ~1e-7
+SIGMA_STAR_RTOL = 1e-6
+SIGMA_STAR_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,35 @@ def decay_factor(beta: float, length: int, T: float) -> float:
     return math.exp(-beta * length * T)
 
 
-def choose_sigma_star(horizons, phis) -> tuple:
-    """Horizon of smallest spectral radius in a stacked transition table (first wins)."""
+def _radii(phis) -> np.ndarray:
+    return np.abs(np.linalg.eigvals(phis)).max(axis=1)
+
+
+def choose_sigma_star(horizons, phis, codes=None) -> tuple:
+    """Horizon of smallest spectral radius in its transition table (first wins).
+
+    phis must be the transition table of horizons, stacked in the same order;
+    codes, when given, is their `action_codes` array.  A rotation of a horizon
+    multiplies the same step matrices in rotated order: where sigma gives XY,
+    its rotation gives YX, and XY and YX have the same eigenvalues.  So every
+    horizon of a rotation class has the same spectral radius in exact
+    arithmetic, and one eigensolve per class (its first member) finds the
+    least.  Roundoff can still order the members of a class, so every member
+    of each class whose radius is within SIGMA_STAR_RTOL of the least, or
+    SIGMA_STAR_ATOL where that is larger, is solved again, and the first of
+    them with the smallest radius is returned: the horizon one eigensolve per
+    horizon picks.
+    """
     if len(horizons) == 0:
         raise InfeasibleError("empty horizon set")
     if not np.isfinite(phis).all():
         raise ValueError("matrix entries must be finite")
-    radii = np.abs(np.linalg.eigvals(phis)).max(axis=1)
-    return tuple(horizons[int(np.argmin(radii))])
+    cls, first = rotation_classes(action_codes(horizons) if codes is None else codes)
+    radii = _radii(phis[first])
+    least = radii.min()
+    near = np.flatnonzero(radii <= least + max(SIGMA_STAR_RTOL * least, SIGMA_STAR_ATOL))
+    members = np.flatnonzero(np.isin(cls, near))
+    return tuple(horizons[members[np.argmin(_radii(phis[members]))]])
 
 
 def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -> UnperturbedCertificate:

@@ -8,12 +8,12 @@ A~_(a) selected by the action a (0 = no sensor read).
 """
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
+from .horizons import action_codes
 from .matrix_core import _as_matrix, spectral_norm, zoh_pair
 
 # Simpson panels of disturbance_step_bound; even, as its half-resolution error estimate needs
@@ -156,12 +156,13 @@ def disturbance_step_bound(plant: PlantModel, T: float) -> float:
     return plant.w_max * (full + err)
 
 
-def transition_table(dp: DiscretePlant, horizons) -> np.ndarray:
+def transition_table(dp: DiscretePlant, horizons, codes=None) -> np.ndarray:
     """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon, stacked in order as
     (H, 2n, 2n): the first action sits rightmost, and each (position, action) pair steps
-    all rows taking that action there at once."""
+    all rows taking that action there at once.  codes, when given, is the horizons'
+    `action_codes` array."""
     steps = [step_matrix(dp, a) for a in range(dp.m + 1)]
-    codes = np.array(list(zip_longest(*horizons, fillvalue=-1)), dtype=np.int8)  # (position, horizon)
+    codes = action_codes(horizons) if codes is None else codes
     phis = np.empty((len(horizons), 2 * dp.n, 2 * dp.n))
     phis[:] = np.eye(2 * dp.n)
     for pos, a in np.ndindex(len(codes), dp.m + 1):

@@ -23,7 +23,7 @@ from .certificates import (
     synthesize_unperturbed,
 )
 from .errors import ConfigError
-from .horizons import DEFAULT_CAP, enumerate_horizons, horizon_to_text
+from .horizons import DEFAULT_CAP, action_codes, enumerate_horizons, horizon_to_text
 from .partition import make_partition
 from .plant import (
     DiscretePlant,
@@ -151,10 +151,10 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     """Run the offline stage: discretize, enumerate, certify, tabulate.
 
     The transition table is built once and shared by the choice of sigma*,
-    the synthesis and the policy; any infeasibility surfaces here, before
-    stepping starts.  with_tables=False skips the expensive offline-table
-    builds when only the certificate is wanted (offline modes then get no
-    policy).
+    the synthesis and the policy, as is the horizons' action-code array;
+    any infeasibility surfaces here, before stepping starts.
+    with_tables=False skips the expensive offline-table builds when only the
+    certificate is wanted (offline modes then get no policy).
     """
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
@@ -163,11 +163,13 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
         # an earlier prepare's tables caught in a reference cycle (a policy whose bound
         # select a caller wrapped) stay resident until the oldest generation is collected
         gc.collect()
-    phis = transition_table(dp, horizons)
-    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(horizons, phis)
-    if sigma_star not in horizons:
-        raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set")
-    Phi_star = phis[horizons.index(sigma_star)]
+    codes = action_codes(horizons)
+    phis = transition_table(dp, horizons, codes)
+    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(horizons, phis, codes)
+    try:
+        Phi_star = phis[horizons.index(sigma_star)]
+    except ValueError:
+        raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set") from None
     perturbed = config.mode in PERTURBED_MODES
     if not perturbed:
         cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
@@ -188,10 +190,10 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     if config.mode in OFFLINE_MODES:
         regions = make_partition(2 * plant.n, config.N)
         if with_tables:
-            table = TablePolicy(cert, horizons, phis, dp.m, regions)
+            table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
         policy = table
     else:
-        policy = OnlinePolicy(cert, horizons, phis, dp.m)
+        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes)
     if perturbed and policy is not None:
         policy = GatedPolicy(policy, cert.P)
     integrator = _DisturbanceIntegrator(plant, config.T, config.substeps_per_T) if perturbed else None

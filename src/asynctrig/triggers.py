@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor, region_forms
 from .errors import ConfigError
-from .horizons import avg_idle_metric, horizon_to_text
+from .horizons import action_codes, avg_idle_metric, horizon_to_text
 from .matrix_core import spectral_norm
 from .partition import decay_forms, region_multipliers, region_of
 
@@ -53,11 +53,17 @@ def _tie_break(ties, rng_seed: int, step_index: int):
     return ties[rng.integers(len(ties))]
 
 
-def _metrics(horizons, m: int) -> np.ndarray:
-    """avg_idle_metric of every horizon, bit for bit: both divide the same two exact integers."""
-    lengths = np.array([len(s) for s in horizons], dtype=np.int64)
-    idle = np.array([s.count(0) for s in horizons], dtype=np.int64)
-    return (idle + lengths) / (m * lengths)
+def _metrics(codes, m: int) -> np.ndarray:
+    """avg_idle_metric of every horizon of an `action_codes` array, bit for bit: both
+    divide the same two exact integers."""
+    lengths = (codes >= 0).sum(axis=0)
+    return ((codes == 0).sum(axis=0) + lengths) / (m * lengths)
+
+
+def _per_length(f, lengths) -> np.ndarray:
+    """f(l) for every entry of lengths, with one call per distinct length."""
+    distinct, inverse = np.unique(lengths, return_inverse=True)
+    return np.array([f(l) for l in distinct.tolist()])[inverse]
 
 
 def _best_ties(metrics: np.ndarray, feas: np.ndarray):
@@ -66,11 +72,12 @@ def _best_ties(metrics: np.ndarray, feas: np.ndarray):
     return best, feas[metrics[feas] == best]
 
 
-def _fallback(cert, horizons) -> tuple:
+def _fallback_index(cert, horizons) -> int:
     sigma_star = tuple(cert.sigma_star)
-    if sigma_star not in horizons:
-        raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set")
-    return sigma_star
+    try:
+        return horizons.index(sigma_star)
+    except ValueError:
+        raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set") from None
 
 
 class OnlinePolicy:
@@ -86,7 +93,8 @@ class OnlinePolicy:
     two blocks, each one product of the flattened forms with vec(eta eta'):
     the best levels up to the first level end at or past FORM_CHUNK forms,
     then the rest.  When nothing is admissible, sigma* is taken and the
-    decision's reason is forced-fallback.
+    decision's reason is forced-fallback.  codes, when given, is the
+    horizons' `action_codes` array.
 
     Perturbed, that fallback is common.  With W = eta' Phi'(P + M) Phi eta
     and V = eta' P eta, the certificate's first inequality gives sigma*
@@ -100,14 +108,13 @@ class OnlinePolicy:
     cannot both match the paper.
     """
 
-    def __init__(self, cert, horizons, phis, m: int):
-        horizons = [tuple(s) for s in horizons]
-        fallback = horizons.index(_fallback(cert, horizons))
-        metrics = _metrics(horizons, m)
+    def __init__(self, cert, horizons, phis, m: int, codes=None):
+        codes = action_codes(horizons) if codes is None else codes
+        metrics = _metrics(codes, m)
         order = np.argsort(-metrics, kind="stable")
-        self.horizons = [horizons[i] for i in order.tolist()]
+        self.horizons = [tuple(horizons[i]) for i in order.tolist()]
         self.metrics = metrics[order]
-        self.fallback_index = int(np.flatnonzero(order == fallback)[0])
+        self.fallback_index = _fallback_index(cert, self.horizons)  # stable order: first of its level
         self.m = m
         H = len(horizons)
         level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
@@ -116,12 +123,13 @@ class OnlinePolicy:
         self.blocks = ((0, split), (split, H))
         P = cert.P
         nn = P.shape[0]
-        rhos = np.array([decay_factor(cert.beta, len(s), cert.T) for s in self.horizons])
+        lengths = (codes >= 0).sum(axis=0)[order]
+        rhos = _per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
         self.forms = np.empty((H, nn, nn))
         self.corners = np.zeros(H)
         unperturbed = isinstance(cert, UnperturbedCertificate)
         u_sigma = None if unperturbed else U_sigma_builder(P, cert.M, cert.gamma)
-        chis = None if unperturbed else [cert.chi_squared[len(s)] for s in self.horizons]
+        chis = None if unperturbed else _per_length(cert.chi_squared.__getitem__, lengths)
         for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
             sl = slice(lo, lo + FORM_CHUNK)
             if unperturbed:
@@ -165,13 +173,14 @@ class TablePolicy:
     the horizons once (`region_forms`), each region decides every horizon
     at once (`region_multipliers`), and a region where nothing qualifies
     gets sigma* alone.  psi holds each region's tuple of optimal horizons,
-    metric their shared metric value.
+    metric their shared metric value.  codes, when given, is the horizons'
+    `action_codes` array.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, regions):
+    def __init__(self, cert, horizons, phis, m: int, regions, codes=None):
         horizons = [tuple(s) for s in horizons]
-        fallback = np.array([horizons.index(_fallback(cert, horizons))])
-        metrics = _metrics(horizons, m)
+        fallback = np.array([_fallback_index(cert, horizons)])
+        metrics = _metrics(action_codes(horizons) if codes is None else codes, m)
         forms = region_forms(cert, horizons, phis)
         psi = []
         values = []

@@ -256,6 +256,16 @@ def horizon_transition(dp, sigma) -> np.ndarray:
     return Phi
 
 
+def full_scan_sigma_star(horizons, phis) -> tuple:
+    """Horizon of smallest spectral radius, one eigensolve per horizon (first wins)."""
+    if len(horizons) == 0:
+        raise InfeasibleError("empty horizon set")
+    if not np.isfinite(phis).all():
+        raise ValueError("matrix entries must be finite")
+    radii = np.abs(np.linalg.eigvals(phis)).max(axis=1)
+    return tuple(horizons[int(np.argmin(radii))])
+
+
 def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -> float:
     """Largest sampling period keeping the fully sampled loop Schur-stable.
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +30,25 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert summary["correct"] and summary["attempted"] == {"parent": 15, "change": 15}
     pairs[0]["change"]["correct"] = False
     assert not _bench_pairs().summarize(pairs, {"speed": "higher"})["correct"]
+
+
+def test_traced_run_output_parses_to_its_layer_metrics():
+    machine = {"nproc": 2, "src_sha256": "ab"}
+    result = {
+        "correct": True,
+        "attempted": 4,
+        "failed": 0,
+        "metrics": {"plant.transition_table_s": {"value": 0.03, "unit": "s"}, "horizons.count": {"value": 7, "unit": "count"}},
+    }
+    stdout = "\n".join(
+        [
+            json.dumps({"machine": machine, "workload": "wide-horizons", "seed": 11}),
+            "passes 2 (1 untraced), loops/pass 3",
+            "setup_s 0.1 s",
+            json.dumps(result),
+        ]
+    )
+    run = _bench_pairs().parse_run(stdout + "\n")
+    assert run["machine"] == machine
+    assert run["metrics"] == {"plant.transition_table_s": 0.03, "horizons.count": 7}
+    assert (run["correct"], run["failed"], run["attempted"]) == (True, 0, 4)

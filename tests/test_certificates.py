@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asynctrig import certificates
 from asynctrig.certificates import (
     U_sigma_builder,
     build_U_c,
@@ -35,7 +38,9 @@ from helpers import (
     M_REF,
     P_REF,
     benchmark_plant,
+    full_scan_sigma_star,
     horizon_transition,
+    random_schur_stabilizable,
     regioned_U_c,
     scan_perturbed_offline,
     scan_perturbed_online,
@@ -80,6 +85,54 @@ def test_choose_sigma_star_rejects_overflowed_products():
     assert np.isfinite(phis[:6]).all() and not np.isfinite(phis[6:]).all()
     with pytest.raises(ValueError, match="must be finite"):
         choose_sigma_star(horizons, phis)
+
+
+def test_choose_sigma_star_matches_the_full_scan_on_the_wide_horizons_plant():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.wide_config(15)
+    dp = DiscretePlant.from_plant(config.plant, config.T)
+    horizons = enumerate_horizons(dp.m, 1, 7)
+    phis = transition_table(dp, horizons)
+    assert choose_sigma_star(horizons, phis) == full_scan_sigma_star(horizons, phis)
+
+
+def test_choose_sigma_star_matches_the_full_scan_on_random_plants():
+    rng = np.random.default_rng(15)
+    plants = {2: 0, 3: 0}
+    while min(plants.values()) < 50:
+        n = min(plants, key=plants.get)
+        draw = random_schur_stabilizable(rng, n=n)
+        if draw is None:
+            continue
+        dp = DiscretePlant.from_plant(*draw)
+        horizons = enumerate_horizons(n, 1, 6 if n == 2 else 5)
+        phis = transition_table(dp, horizons)
+        assert choose_sigma_star(horizons, phis) == full_scan_sigma_star(horizons, phis)
+        plants[n] += 1
+
+
+def test_choose_sigma_star_rechecks_rotations_at_roundoff_level(monkeypatch):
+    # XY is nilpotent, so XY and YX have radius 0 and their computed radii are
+    # roundoff; Z's exact radius lies between the two.  Z's class sets the
+    # least radius, and only the absolute floor brings (2, 1) into the recheck
+    rng = np.random.default_rng(0)
+    X, Q = rng.normal(size=(2, 6, 6))
+    J = np.diag([1.0, 0, 0, 0, 0], 1)
+    Y = np.linalg.solve(X, Q @ J @ np.linalg.inv(Q))
+    XY, YX = X @ Y, Y @ X
+    r_xy, r_yx = (spectral_radius(M) for M in (XY, YX))
+    assert r_xy != r_yx and max(r_xy, r_yx) < 1e-6
+    pair = [XY, YX] if r_xy > r_yx else [YX, XY]  # the larger radius first: it represents the class
+    Z = np.diag([(r_xy + r_yx) / 2, 0, 0, 0, 0, 0])
+    horizons, phis = [(0,), (1, 2), (2, 1)], np.array([Z] + pair)
+    assert full_scan_sigma_star(horizons, phis) == (2, 1)
+    assert choose_sigma_star(horizons, phis) == (2, 1)
+    monkeypatch.setattr(certificates, "SIGMA_STAR_ATOL", 0.0)
+    assert choose_sigma_star(horizons, phis) == (0,)
 
 
 def test_unperturbed_certificate_decay_margin():

@@ -1,13 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from asynctrig.errors import ConfigError, ResourceCapError
 from asynctrig.horizons import (
+    action_codes,
     avg_idle_metric,
     enumerate_horizons,
     horizon_from_text,
     horizon_to_text,
+    rotation_classes,
 )
 
 
@@ -68,3 +71,33 @@ def test_bad_bounds():
 def test_resource_cap():
     with pytest.raises(ResourceCapError, match="exceeds cap"):
         enumerate_horizons(3, 1, 12, cap=1000)
+
+
+def test_action_codes_pad_each_horizon_with_minus_one():
+    horizons = [(2, 0, 1), (1,), (0, 0), (3, 1, 2, 0)]
+    want = np.array(list(itertools.zip_longest(*horizons, fillvalue=-1)), dtype=np.int8)
+    codes = action_codes(horizons)
+    assert codes.dtype == np.int8 and codes.flags.c_contiguous
+    assert np.array_equal(codes, want)
+    assert action_codes([]).shape == (0, 0)
+
+
+def test_rotation_classes_are_the_necklaces():
+    # 4 + 10 + 24 + 70 + 208 + 700 + 2344 necklaces of lengths 1..7 over 4 actions
+    horizons = enumerate_horizons(3, 1, 7)
+    cls, first = rotation_classes(action_codes(horizons))
+    assert first.size == cls.max() + 1 == 3360
+    members = {}
+    for i, c in enumerate(cls.tolist()):
+        members.setdefault(c, []).append(i)
+    for c, rows in members.items():
+        assert rows[0] == first[c]  # the representative is the class's first horizon
+        s = horizons[rows[0]]
+        assert {horizons[i] for i in rows} == {s[r:] + s[:r] for r in range(len(s))}
+
+
+def test_rotation_classes_split_codes_that_would_overflow():
+    # base 2 and length 64: the codes do not fit int64, so no two horizons share a class
+    s = (1,) + (0,) * 63
+    cls, first = rotation_classes(action_codes([s, s[1:] + s[:1], (1, 0), (0, 1)]))
+    assert cls[0] != cls[1] and cls[2] == cls[3] and sorted(first.tolist()) == [0, 1, 2]

@@ -325,9 +325,9 @@ def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
     calls = []
 
-    def counting(dp, horizons):
+    def counting(dp, horizons, codes=None):
         calls.append(list(horizons))
-        return transition_table(dp, horizons)
+        return transition_table(dp, horizons, codes)
 
     monkeypatch.setattr(simulation, "transition_table", counting)
     for name in PRESET_NAMES:

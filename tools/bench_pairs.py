@@ -1,17 +1,19 @@
 """Alternating parent/change benchmark pairs, summarized into one BENCH_<n>.json record.
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_13.json --seed 11
+    python3 tools/bench_pairs.py --parent ../parent-checkout --out BENCH_15.json --seed 11
 
 For every workload `BENCHMARK.json` lists, each of the PAIRS pairs runs
 `perfbench/run.py --workload W --seed S --seconds X --trace 0`, X being
 `BENCHMARK.json`'s `run_seconds`, once in the parent checkout and once in the
 change checkout (this one by default), one after the other; which side runs
-first alternates from pair to pair.  Both sides use their own checkout's
+first alternates from pair to pair.  After the pairs, each side runs the
+workload once more with `--trace 1`.  Both sides use their own checkout's
 perfbench and sources.  The
 record holds the change side's machine record, the protocol, and per
 workload the seven end-to-end metrics: every run's values, each side's
 median and quartiles, and the number of pairs the change won by the
-direction `BENCHMARK.json` gives.
+direction `BENCHMARK.json` gives; `layers` holds each side's per-layer
+metrics from its traced run.
 """
 
 import argparse
@@ -25,10 +27,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per workload, as the benchmark protocol asks
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd + ["--trace", "0"], cwd=checkout, capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()
+    proc = subprocess.run(cmd + ["--trace", str(trace)], cwd=checkout, capture_output=True, text=True, check=True)
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """One run's output: its first line holds the machine record, its last the result."""
+    lines = stdout.splitlines()
     result = json.loads(lines[-1])
     return {
         "machine": json.loads(lines[0])["machine"],
@@ -85,6 +92,7 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
             "pairs": PAIRS,
             "order": "alternating: the parent runs first in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, ...",
+            "layers": "one run per side after the pairs, parent first, with --trace 1 instead of --trace 0",
         },
         "workloads": {},
     }
@@ -96,8 +104,11 @@ def main(argv=None) -> int:
             record["machine"] = {k: v for k, v in pair["change"]["machine"].items() if k not in ("commit", "src_sha256")}
             pairs.append(pair)
             print(f"{workload} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
-        record["workloads"][workload] = summarize(pairs, better)
-        record["workloads"][workload]["src_sha256"] = {side: pairs[0][side]["machine"]["src_sha256"] for side in checkouts}
+        traced = {side: run_once(checkouts[side], workload, args.seed, seconds, trace=1) for side in checkouts}
+        summary = record["workloads"][workload] = summarize(pairs, better)
+        summary["correct"] = summary["correct"] and all(run["correct"] for run in traced.values())
+        summary["src_sha256"] = {side: pairs[0][side]["machine"]["src_sha256"] for side in checkouts}
+        summary["layers"] = {side: run["metrics"] for side, run in traced.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

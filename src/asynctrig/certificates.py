@@ -14,6 +14,11 @@ result is re-checked by direct eigenvalue bounds, which are the feasibility
 authority.  The region tests are exact: one quadratic constraint makes the
 S-procedure lossless, and the perturbed one reduces exactly to the same
 2n x 2n form as the unperturbed.
+
+Each inequality on a horizon's transition Phi is one `matrix_core.decay_form`
+S = sym(Phi' A Phi) - w P: A = P, w = bbar for the unperturbed decay;
+A = P + M, w = gamma - bbar for the first perturbed-online inequality; and
+u11 = -S at A = P, w = bbar - gamma1 in the perturbed-offline matrix.
 """
 
 import math
@@ -25,6 +30,7 @@ from scipy.linalg import eigvals
 from .errors import InfeasibleError
 from .matrix_core import (
     PSD_TOL,
+    decay_form,
     is_psd,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -91,6 +97,12 @@ def decay_factor(beta: float, length: int, T: float) -> float:
     return math.exp(-beta * length * T)
 
 
+def per_length(f, lengths) -> np.ndarray:
+    """f(l) for every entry of lengths, with one call per distinct length."""
+    distinct, inverse = np.unique(lengths, return_inverse=True)
+    return np.array([f(l) for l in distinct.tolist()])[inverse]
+
+
 def _radii(phis) -> np.ndarray:
     return np.abs(np.linalg.eigvals(phis)).max(axis=1)
 
@@ -139,7 +151,7 @@ def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -
         )
     nn = np.asarray(Phi_star).shape[0]
     P = solve_discrete_lyapunov(Phi_star, rho, np.eye(nn))
-    lo, _ = sym_eig_bounds(rho * P - symmetrize(Phi_star.T @ P @ Phi_star))
+    lo, _ = sym_eig_bounds(-decay_form(Phi_star, P, rho))
     if lo < 1e-9:
         raise InfeasibleError(f"decay margin {lo:.3g} below 1e-9")
     return UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star)
@@ -155,14 +167,14 @@ def _scaled_tol(P, tol: float) -> float:
 def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = 1e-9) -> bool:
     """Check the two perturbed-online matrix inequalities at tolerance tol.
 
-    First: Phi'(P+M)Phi + (bbar - gamma) P <= 0.  Second:
+    First: Phi'(P+M)Phi - (gamma - bbar) P <= 0, a `decay_form`.  Second:
     [[M, P], [P, (gamma/chi) I - P]] >= 0.  Eigenvalues are compared against
     tol * min(1, lambda_max(P)).
     """
     P = symmetrize(P)
     M = symmetrize(M)
     nn = P.shape[0]
-    L1 = symmetrize(Phi.T @ (P + M) @ Phi) + (bbar - gamma) * P
+    L1 = decay_form(Phi, P, gamma - bbar, P + M)
     L2 = np.block([[M, P], [P, (gamma / chi) * np.eye(nn) - P]])
     tol = _scaled_tol(P, tol)
     return is_psd(-L1, tol) and is_psd(L2, tol)
@@ -228,44 +240,32 @@ def synthesize_perturbed_online(
     )
 
 
-def U_sigma_builder(P, M, gamma: float):
-    """build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> U_sigma, for one horizon or a stack
-    (..., 2n, 2n) with bbar and chi of shape (...); M > 0 and lambda_max(P M^{-1} P + P) are done once."""
+def young_gain(P, M) -> float:
+    """lambda_bar = lambda_max(P M^{-1} P + P), for M > 0: Young's inequality bounds the
+    disturbance's share of V+ by lambda_bar chi, so the online test's corner is gamma - chi lambda_bar."""
     P = symmetrize(P)
     M = symmetrize(M)
     lo, _ = sym_eig_bounds(M)
     if lo <= 0:
         raise ValueError(f"M must be positive definite, lambda_min={lo:.3g}")
-    nn = P.shape[0]
-    _, lam_bar = sym_eig_bounds(symmetrize(P @ np.linalg.solve(M, P)) + P)
-
-    def build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> np.ndarray:
-        bbar = np.asarray(bbar_sigma, dtype=float)[..., None, None]
-        G = np.swapaxes(Phi_sigma, -1, -2) @ (P + M) @ Phi_sigma
-        U = np.zeros(G.shape[:-2] + (nn + 1, nn + 1))
-        U[..., :nn, :nn] = -(0.5 * (G + np.swapaxes(G, -1, -2))) + (bbar - gamma) * P
-        U[..., nn, nn] = gamma - np.asarray(chi_sigma_squared, dtype=float) * lam_bar
-        return U
-
-    return build
+    return sym_eig_bounds(symmetrize(P @ np.linalg.solve(M, P)) + P)[1]
 
 
 def build_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float) -> np.ndarray:
     """Unregioned feasibility matrix for the perturbed-offline trigger.
 
-    Symmetric (4n+1)x(4n+1) blocks: u11 = -Phi'P Phi + (bbar - gamma1) P,
-    u21 = -P Phi, u22 = (gamma2/chi) I - P, u33 = -gamma2 + gamma1, u31 =
-    u32 = 0.  It is affine in P.  The region term enters only through
-    `perturbed_forms`.  Stacked horizons (..., 2n, 2n), with bbar and
-    chi_linear of shape (...), give a stack.
+    Symmetric (4n+1)x(4n+1) blocks: u11 = (bbar - gamma1) P - Phi'P Phi,
+    the negated `decay_form` at w = bbar - gamma1, u21 = -P Phi, u22 =
+    (gamma2/chi) I - P, u33 = -gamma2 + gamma1, u31 = u32 = 0.  It is
+    affine in P.  The region term enters only through `perturbed_forms`.
+    Stacked horizons (..., 2n, 2n), with bbar and chi_linear of shape (...),
+    give a stack.
     """
     P = symmetrize(P)
     nn = P.shape[0]
-    bbar = np.asarray(bbar, dtype=float)[..., None, None]
     chi = np.asarray(chi_linear, dtype=float)[..., None, None]
-    G = np.swapaxes(Phi_sigma, -1, -2) @ P @ Phi_sigma
     U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn + 1, 2 * nn + 1))
-    U[..., :nn, :nn] = (bbar - gamma1) * P - 0.5 * (G + np.swapaxes(G, -1, -2))
+    U[..., :nn, :nn] = -decay_form(Phi_sigma, P, np.asarray(bbar, dtype=float) - gamma1)
     off = -P @ Phi_sigma
     U[..., nn : 2 * nn, :nn] = off
     U[..., :nn, nn : 2 * nn] = np.swapaxes(off, -1, -2)
@@ -365,10 +365,11 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: flo
 def region_forms(cert, horizons, phis) -> RegionForms:
     """The offline region test of an unperturbed or perturbed-offline
     certificate; phis is the transition table stacked in horizon order."""
-    bbars = [decay_factor(cert.beta, len(s), cert.T) for s in horizons]
+    lengths = np.fromiter(map(len, horizons), int, len(horizons))
+    bbars = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
     if isinstance(cert, UnperturbedCertificate):
         return decay_forms(cert.P, phis, bbars)
-    chis = [cert.chi_linear_map[len(s)] for s in horizons]
+    chis = per_length(cert.chi_linear_map.__getitem__, lengths)
     return perturbed_forms(cert.P, cert.gamma1, cert.gamma2, phis, bbars, chis)
 
 
@@ -434,17 +435,14 @@ def reverify_certificate(cert, Phi_star) -> bool:
     perturbed kind) to be positive definite: the inequalities alone accept
     P = M = 0, for which V = eta' P eta and the bound mu mean nothing.
     """
+    if not isinstance(cert, tuple(CERTIFICATE_KINDS.values())):
+        raise TypeError(f"not a certificate: {type(cert)!r}")
+    bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
     if isinstance(cert, UnperturbedCertificate):
-        rho = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
-        G = symmetrize(Phi_star.T @ cert.P @ Phi_star) - rho * cert.P
-        _, hi = sym_eig_bounds(G)
+        _, hi = sym_eig_bounds(decay_form(Phi_star, cert.P, bbar))
         return hi <= -1e-9 and _positive_definite(cert.P)
     if isinstance(cert, PerturbedOnlineCertificate):
-        bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
         pair_ok = verify_lmi_pair(cert.P, cert.M, cert.gamma, cert.chi, Phi_star, bbar)
         return pair_ok and _positive_definite(cert.P, cert.M)
-    if isinstance(cert, PerturbedOfflineCertificate):
-        bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
-        U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, cert.chi_linear)
-        return is_psd(U, _scaled_tol(cert.P, 1e-9)) and _positive_definite(cert.P)
-    raise TypeError(f"not a certificate: {type(cert)!r}")
+    U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, cert.chi_linear)
+    return is_psd(U, _scaled_tol(cert.P, 1e-9)) and _positive_definite(cert.P)

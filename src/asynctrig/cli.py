@@ -311,15 +311,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_source_flags(sp, with_run_flags: bool = False):
-    sp.add_argument("--config", help="configuration JSON file")
-    sp.add_argument("--preset", choices=PRESET_NAMES, help="named benchmark configuration")
-    sp.add_argument("--seed", type=int, default=None, help=f"tie-break seed (overrides {ENV_SEED} and config)")
-    if with_run_flags:
-        sp.add_argument("--steps", type=int, default=None, help="total base steps")
-        sp.add_argument("--out-dir", default="out", help="output directory")
-        sp.add_argument("--sweep", default=None, help="comma-separated seeds; one trace per seed")
-        sp.add_argument("--plots", action="store_true", help="also render the SVG views")
+def _flag_parsers():
+    """(source, seed, run): parent parsers that declare each shared flag once."""
+    source, seed, run = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    source.add_argument("--config", help="configuration JSON file")
+    source.add_argument("--preset", choices=PRESET_NAMES, help="named benchmark configuration")
+    seed.add_argument("--seed", type=int, default=None, help=f"tie-break seed (overrides {ENV_SEED} and config)")
+    run.add_argument("--steps", type=int, default=None, help="total base steps")
+    run.add_argument("--out-dir", default="out", help="output directory")
+    run.add_argument("--sweep", default=None, help="comma-separated seeds; one trace per seed")
+    run.add_argument("--plots", action="store_true", help="also render the SVG views")
+    return source, seed, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-triggered sensor scheduling for sampled-data linear systems.",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
+    source, seed, run = _flag_parsers()
 
-    sp = sub.add_parser("discretize", help="print the exact ZOH pair (A_T, B_T)")
-    _add_source_flags(sp)
+    sp = sub.add_parser("discretize", parents=[source, seed], help="print the exact ZOH pair (A_T, B_T)")
     sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_discretize)
 
@@ -341,20 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_horizons)
 
-    sp = sub.add_parser("synthesize", help="build the certificate and print it as JSON")
-    _add_source_flags(sp)
+    sp = sub.add_parser("synthesize", parents=[source, seed], help="build the certificate and print it as JSON")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_synthesize)
 
-    sp = sub.add_parser("partition", help="build the conic state-space partition")
-    _add_source_flags(sp)
+    sp = sub.add_parser("partition", parents=[source, seed], help="build the conic state-space partition")
     sp.add_argument("--dim", type=int, default=None, help="ambient dimension (2n)")
     sp.add_argument("--regions", type=int, default=None, help="number of cones")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_partition)
 
-    sp = sub.add_parser("simulate", help="run the closed loop and write trace CSVs")
-    _add_source_flags(sp, with_run_flags=True)
+    sp = sub.add_parser("simulate", parents=[source, seed, run], help="run the closed loop and write trace CSVs")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("report", help="summarize a trace CSV and render SVG views")
@@ -364,14 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", default="out", help="directory for the SVG files")
     sp.set_defaults(func=cmd_report)
 
-    sp = sub.add_parser("preset", help="run a named benchmark end to end")
+    sp = sub.add_parser("preset", parents=[seed, run], help="run a named benchmark end to end")
     sp.add_argument("name", nargs="?", choices=PRESET_NAMES, help="omit (or --list) to list presets")
     sp.add_argument("--list", action="store_true", help="list preset names and leave")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--out-dir", default="out")
-    sp.add_argument("--sweep", default=None)
-    sp.add_argument("--plots", action="store_true")
     sp.set_defaults(func=cmd_preset)
 
     return p

@@ -1,8 +1,9 @@
 """Dense real matrix kernels used by every other module.
 
 Matrix exponential, zero-order-hold integrals, symmetric eigenvalue bounds,
-spectral norm/radius, a weighted discrete Lyapunov solver, PSD tests, and the
-batched decision step of the exact single-constraint S-procedure.
+spectral norm/radius, a weighted discrete Lyapunov solver, the per-horizon
+decay form, PSD tests, and the batched decision step of the exact
+single-constraint S-procedure.
 All functions are pure; inputs are never mutated.
 """
 
@@ -120,6 +121,17 @@ def solve_discrete_lyapunov(Phi, rho: float, Q) -> np.ndarray:
     if resid > 1e-8 * np.linalg.norm(Q, "fro"):
         raise InfeasibleError(f"Lyapunov residual {resid:.3g} exceeds tolerance")
     return P
+
+
+def decay_form(Phi, P, w, A=None) -> np.ndarray:
+    """S = sym(Phi' A Phi) - w P, with A = P by default.
+
+    Phi is one transition or a stack (..., d, d), with w of shape (...).
+    Every Lyapunov inequality on a horizon's transition is one such form:
+    S < 0 is decay at rate w, and the perturbed tests pick their own A and w.
+    """
+    G = np.swapaxes(Phi, -1, -2) @ (P if A is None else A) @ Phi
+    return 0.5 * (G + np.swapaxes(G, -1, -2)) - np.asarray(w, dtype=float)[..., None, None] * P
 
 
 def is_psd(S, tol: float = PSD_TOL) -> bool:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .matrix_core import PSD_TOL, sprocedure_multipliers, symmetrize
+from .matrix_core import PSD_TOL, decay_form, sprocedure_multipliers, symmetrize
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -151,10 +151,9 @@ class RegionForms(NamedTuple):
 
 
 def decay_forms(P, phis, bbars, tol: float = PSD_TOL) -> RegionForms:
-    """The unperturbed region test: S_sigma = Phi'P Phi - bbar P for a stack of horizons."""
-    P = symmetrize(P)
-    M = np.swapaxes(phis, 1, 2) @ P @ phis
-    S = 0.5 * (M + np.swapaxes(M, 1, 2)) - np.asarray(bbars, dtype=float)[:, None, None] * P
+    """The unperturbed region test on a stack of horizons: its forms are
+    `decay_form` S_sigma = Phi'P Phi - bbar P, each its own full matrix."""
+    S = decay_form(phis, symmetrize(P), bbars)
     return RegionForms(np.arange(len(S)), S, S, 1.0, tol)
 
 

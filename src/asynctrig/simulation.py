@@ -88,8 +88,8 @@ class SimConfig:
         self.x0 = x0
         if self.mode in OFFLINE_MODES and self.N < 1:
             raise ConfigError("offline modes need N >= 1 regions")
-        if self.mode in PERTURBED_MODES and self.plant.w_max <= 0:
-            raise ConfigError("perturbed modes need a disturbance channel")
+        if self.mode in PERTURBED_MODES and (self.plant.w_max <= 0 or not self.plant.D.any()):  # else chi = 0
+            raise ConfigError("perturbed modes need a disturbance channel: w_max > 0 and a nonzero D")
 
 
 @dataclass

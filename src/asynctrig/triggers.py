@@ -20,11 +20,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .certificates import UnperturbedCertificate, U_sigma_builder, decay_factor, region_forms
+from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
 from .errors import ConfigError
 from .horizons import action_codes, avg_idle_metric, horizon_to_text
-from .matrix_core import spectral_norm
-from .partition import decay_forms, region_multipliers, region_of
+from .matrix_core import decay_form, spectral_norm, symmetrize
+from .partition import region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
@@ -60,12 +60,6 @@ def _metrics(codes, m: int) -> np.ndarray:
     return ((codes == 0).sum(axis=0) + lengths) / (m * lengths)
 
 
-def _per_length(f, lengths) -> np.ndarray:
-    """f(l) for every entry of lengths, with one call per distinct length."""
-    distinct, inverse = np.unique(lengths, return_inverse=True)
-    return np.array([f(l) for l in distinct.tolist()])[inverse]
-
-
 def _best_ties(metrics: np.ndarray, feas: np.ndarray):
     """Best metric over the horizon indices feas, and the indices attaining it."""
     best = metrics[feas].max()
@@ -83,9 +77,10 @@ def _fallback_index(cert, horizons) -> int:
 class OnlinePolicy:
     """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= -slack.
 
-    Unperturbed, F_s = rho_s P - Phi_s' P Phi_s, the negated `decay_forms`
-    form, with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
-    Perturbed, (F_s, c_s) are the blocks of U_sigma and the slack is
+    F_s is a negated `decay_form`.  Unperturbed, F_s = rho_s P - Phi_s' P
+    Phi_s with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
+    Perturbed, F_s = (rho_s - gamma) P - Phi_s'(P + M) Phi_s, the corner is
+    c_s = gamma - chi_s lambda_bar (`young_gain`), and the slack is
     FEAS_TOL max(1, |eta|^2).  The horizons are stored in metric order,
     best first, each metric level in horizon order, so the first admissible
     position holds the best metric and its level's admissible positions are
@@ -96,16 +91,16 @@ class OnlinePolicy:
     decision's reason is forced-fallback.  codes, when given, is the
     horizons' `action_codes` array.
 
-    Perturbed, that fallback is common.  With W = eta' Phi'(P + M) Phi eta
-    and V = eta' P eta, the certificate's first inequality gives sigma*
-    W <= (gamma - bbar) V at every state (so V+ <= (gamma - bbar) V +
-    lambda_bar chi), but the test asks for W <= (bbar - gamma) V + c_s,
-    with c_s = gamma - chi lambda_bar.  Synthesis requires gamma
-    > bbar(|sigma*|), so sigma*'s F is negative definite and the test admits
-    it only inside a bounded ellipsoid.  On the online-perturbed preset F's
-    eigenvalues run from -1.0e-4 to -8.6e-7 with c = 0.035, while W reaches
-    only 0.174 V against gamma - bbar = 0.25.  The two signs of gamma - bbar
-    cannot both match the paper.
+    Perturbed, that fallback is common.  The certificate's first inequality
+    (`verify_lmi_pair`) is the same `decay_form` call at w = gamma - bbar
+    where this test has w = bbar - gamma.  With W = eta' Phi'(P + M) Phi eta
+    and V = eta' P eta, it gives sigma* W <= (gamma - bbar) V at every state
+    (so V+ <= (gamma - bbar) V + lambda_bar chi), but the test asks for
+    W <= (bbar - gamma) V + c_s.  Synthesis requires gamma > bbar(|sigma*|),
+    so sigma*'s F is negative definite and the test admits it only inside a
+    bounded ellipsoid.  On the online-perturbed preset F's eigenvalues run
+    from -1.0e-4 to -8.6e-7 with c = 0.035, while W reaches only 0.174 V
+    against gamma - bbar = 0.25.  Both signs cannot match the paper.
     """
 
     def __init__(self, cert, horizons, phis, m: int, codes=None):
@@ -121,24 +116,22 @@ class OnlinePolicy:
         self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
         split = int(level_ends[level_ends >= min(FORM_CHUNK, H)][0])
         self.blocks = ((0, split), (split, H))
-        P = cert.P
+        P = symmetrize(cert.P)
         nn = P.shape[0]
         lengths = (codes >= 0).sum(axis=0)[order]
-        rhos = _per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
+        rhos = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
+        if isinstance(cert, UnperturbedCertificate):
+            A, w, self.corners = P, rhos, np.zeros(H)
+            self.slack_floor, self.slack_scale = 0.0, spectral_norm(cert.P)
+        else:
+            A, w = P + symmetrize(cert.M), rhos - cert.gamma
+            self.corners = cert.gamma - per_length(cert.chi_squared.__getitem__, lengths) * young_gain(P, cert.M)
+            self.slack_floor, self.slack_scale = 1.0, 1.0
         self.forms = np.empty((H, nn, nn))
-        self.corners = np.zeros(H)
-        unperturbed = isinstance(cert, UnperturbedCertificate)
-        u_sigma = None if unperturbed else U_sigma_builder(P, cert.M, cert.gamma)
-        chis = None if unperturbed else _per_length(cert.chi_squared.__getitem__, lengths)
         for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
             sl = slice(lo, lo + FORM_CHUNK)
-            if unperturbed:
-                self.forms[sl] = -decay_forms(P, phis[order[sl]], rhos[sl]).S
-            else:
-                U = u_sigma(phis[order[sl]], rhos[sl], chis[sl])
-                self.forms[sl], self.corners[sl] = U[:, :nn, :nn], U[:, nn, nn]
+            self.forms[sl] = -decay_form(phis[order[sl]], P, w[sl], A)
         self.flat = self.forms.reshape(H, nn * nn)
-        self.slack_floor, self.slack_scale = (0.0, spectral_norm(P)) if unperturbed else (1.0, 1.0)
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)

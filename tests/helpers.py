@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import eigvals
 
 from asynctrig import triggers
-from asynctrig.certificates import build_U_c, decay_factor, perturbed_forms, verify_lmi_pair
+from asynctrig.certificates import build_U_c, decay_factor, perturbed_forms, verify_lmi_pair, young_gain
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
@@ -14,6 +14,7 @@ from asynctrig.matrix_core import (
     sprocedure_multipliers,
     sym_eig_bounds,
     symmetrize,
+    zoh_pair,
 )
 from asynctrig.partition import decay_forms
 from asynctrig.plant import DiscretePlant, PlantModel, step_matrix
@@ -127,18 +128,18 @@ def random_schur_stabilizable(rng, t_lo=0.05, t_hi=0.3, n=2):
 
     Rejection sampling: random n-state dynamics with one sensor per state,
     then random gains until one contracts.  Returns None when the draw
-    admits no gain in 60 tries.
+    admits no gain in 60 tries.  The ZOH pair is computed once per draw, as
+    only K changes between tries; A_T + B_T K is the loop matrix
+    `DiscretePlant.from_plant` would give, bit for bit.
     """
     A = rng.normal(scale=1.0, size=(n, n))
     B = rng.normal(scale=1.0, size=(n, 1))
     T = float(rng.uniform(t_lo, t_hi))
+    A_T, B_T = zoh_pair(A, B, T)
     for _ in range(60):
         K = rng.normal(scale=1.5, size=(1, n))
-        plant = PlantModel(A=A, B=B, K=K, blocks=(1,) * n)
-        dp = DiscretePlant.from_plant(plant, T)
-        sr = np.max(np.abs(np.linalg.eigvals(dp.A_T + dp.BK_T)))
-        if sr < 0.9:
-            return plant, T
+        if np.max(np.abs(np.linalg.eigvals(A_T + B_T @ K))) < 0.9:
+            return PlantModel(A=A, B=B, K=K, blocks=(1,) * n), T
     return None
 
 
@@ -340,6 +341,30 @@ def max_eps_feasible(
     """
     forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
     return pair_multiplier(forms, Q_c)
+
+
+def U_sigma_builder(P, M, gamma: float):
+    """build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> U_sigma, for one horizon or a stack
+    (..., 2n, 2n) with bbar and chi of shape (...).
+
+    The online perturbed test as one (2n+1)x(2n+1) matrix, written out: the
+    quadratic block (bbar - gamma) P - Phi'(P + M)Phi and the corner gamma -
+    chi lambda_bar, with lambda_bar (and the M > 0 check) from `young_gain`.
+    """
+    P = symmetrize(P)
+    M = symmetrize(M)
+    lam_bar = young_gain(P, M)
+    nn = P.shape[0]
+
+    def build(Phi_sigma, bbar_sigma, chi_sigma_squared) -> np.ndarray:
+        bbar = np.asarray(bbar_sigma, dtype=float)[..., None, None]
+        G = np.swapaxes(Phi_sigma, -1, -2) @ (P + M) @ Phi_sigma
+        U = np.zeros(G.shape[:-2] + (nn + 1, nn + 1))
+        U[..., :nn, :nn] = -(0.5 * (G + np.swapaxes(G, -1, -2))) + (bbar - gamma) * P
+        U[..., nn, nn] = gamma - np.asarray(chi_sigma_squared, dtype=float) * lam_bar
+        return U
+
+    return build
 
 
 def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps: float):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from asynctrig.certificates import U_sigma_builder, build_U_c, decay_factor, verify_lmi_pair
+from asynctrig.certificates import build_U_c, decay_factor, verify_lmi_pair
 from asynctrig.cli import main
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import avg_idle_metric
@@ -31,6 +31,7 @@ from asynctrig.simulation import SimConfig, prepare, simulate
 from helpers import (
     M_REF,
     P_REF,
+    U_sigma_builder,
     benchmark_plant,
     horizon_transition,
     max_eps_feasible,

@@ -9,7 +9,6 @@ import pytest
 
 from asynctrig import certificates
 from asynctrig.certificates import (
-    U_sigma_builder,
     build_U_c,
     certificate_from_dict,
     certificate_to_dict,
@@ -22,6 +21,7 @@ from asynctrig.certificates import (
     synthesize_unperturbed,
     ultimate_bound,
     verify_lmi_pair,
+    young_gain,
 )
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import enumerate_horizons
@@ -37,6 +37,7 @@ from asynctrig.plant import (
 from helpers import (
     M_REF,
     P_REF,
+    U_sigma_builder,
     benchmark_plant,
     full_scan_sigma_star,
     horizon_transition,
@@ -180,6 +181,15 @@ def test_perturbed_online_self_verification_random():
         chi = float(rng.uniform(0.05, 5.0))
         cert = synthesize_perturbed_online(Phi, beta, 1.0, (1,), 1.0, {1: chi}, **NO_DISTURBANCE)
         assert verify_lmi_pair(cert.P, cert.M, 1.0, chi, Phi, 0.5)
+
+
+def test_young_gain_known_values_and_rejects_an_indefinite_M():
+    I = np.eye(2)
+    assert young_gain(I, I) == 2.0  # P M^-1 P + P = 2 I
+    assert young_gain(np.diag([1.0, 2.0]), np.diag([4.0, 1.0])) == 6.0  # diag(1/4 + 1, 4 + 2)
+    for M in (np.zeros((2, 2)), np.diag([1.0, -1.0])):
+        with pytest.raises(ValueError, match="M must be positive definite"):
+            young_gain(I, M)
 
 
 def test_build_U_sigma_known_values():

@@ -219,3 +219,34 @@ def test_exit_code_infeasible(tmp_path, capsys):
     path.write_text(json.dumps(cfgd))
     assert main(["synthesize", "--config", str(path)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, certificate, extra", [
+    ("online-perturbed", {"beta": 3.19, "gamma": 0.35}, {}),
+    ("offline-perturbed", {"beta": 0.0, "gamma1": 0.3, "gamma2": 0.1}, {"partition": {"N": 15}}),
+])
+def test_a_zero_disturbance_matrix_is_a_configuration_error(tmp_path, capsys, mode, certificate, extra):
+    # D = 0 with w_max > 0 makes every disturbance aggregate chi zero, which
+    # the perturbed syntheses divide by
+    plant = {**_config_dict()["plant"], "D": [[0.0], [0.0]], "w_max": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_dict(plant=plant, mode=mode, certificate=certificate, **extra)))
+    assert main(["synthesize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "a nonzero D" in err
+    assert "Traceback" not in err
+
+
+def test_preset_run_flags(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ASYNCTRIG_SEED", raising=False)
+    out = tmp_path / "run"
+    argv = ["preset", "online-unperturbed", "--seed", "3", "--steps", "40", "--sweep", "154,7", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert "preset online-unperturbed seed 7" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["metrics"]) == {"154", "7"}
+    assert 40 <= manifest["metrics"]["7"]["steps"] < 100  # the run ends with the horizon that crosses --steps
+    assert manifest["config_digest"] == config_digest({"preset": "online-unperturbed", "seed": 3, "total_steps": 40})
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate.json", "decisions_154.csv", "decisions_7.csv", "manifest.json", "trace_154.csv", "trace_7.csv",
+    ]

@@ -4,6 +4,7 @@ from scipy.linalg import block_diag
 
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
+    decay_form,
     is_psd,
     mat_exp,
     solve_discrete_lyapunov,
@@ -121,6 +122,21 @@ def test_symmetrize():
     S = symmetrize(M)
     assert np.array_equal(S, S.T)
     assert S[0, 1] == pytest.approx(1.0)
+
+
+def test_decay_form_on_one_matrix_and_on_a_stack():
+    rng = np.random.default_rng(5)
+    phis = rng.normal(size=(3, 4, 4))
+    P, A = symmetrize(rng.normal(size=(4, 4))), symmetrize(rng.normal(size=(4, 4)))
+    w = rng.normal(size=3)
+    stack = decay_form(phis, P, w, A)
+    assert stack.shape == (3, 4, 4)
+    assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+    for k in range(3):
+        assert np.array_equal(stack[k], decay_form(phis[k], P, w[k], A))  # stacked and one at a time, bit for bit
+        np.testing.assert_allclose(stack[k], phis[k].T @ A @ phis[k] - w[k] * P, rtol=0, atol=1e-12)
+    assert np.array_equal(decay_form(phis[0], P, w[0]), decay_form(phis[0], P, w[0], P))  # A defaults to P
+    assert np.array_equal(decay_form(np.eye(2), np.eye(2), 0.25), 0.75 * np.eye(2))
 
 
 def test_lyapunov_residual_random_schur():

@@ -1,8 +1,12 @@
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 from asynctrig.cli import main
+from asynctrig.presets import preset_config
+from asynctrig.simulation import prepare
+from asynctrig.triggers import table_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,10 @@ def test_preset_digests_hash_every_output_of_a_run(tmp_path, monkeypatch):
     ]
     assert len(expected) == 7  # trace, decisions, certificate, manifest and three plots
     assert lines == expected
+
+
+def test_table_digests_hash_each_offline_table():
+    lines = _preset_digests().table_digests(["online-unperturbed", "offline-perturbed"])
+    table = prepare(preset_config("offline-perturbed")).table
+    text = json.dumps(table_to_dict(table), indent=2) + "\n"
+    assert lines == [f"{hashlib.sha256(text.encode()).hexdigest()}  offline-perturbed/table.json"]

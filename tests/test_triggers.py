@@ -7,7 +7,6 @@ import pytest
 
 from asynctrig.certificates import (
     PerturbedOnlineCertificate,
-    U_sigma_builder,
     UnperturbedCertificate,
     decay_factor,
     region_forms,
@@ -41,6 +40,7 @@ from asynctrig.triggers import (
     table_to_dict,
 )
 from helpers import (
+    U_sigma_builder,
     benchmark_plant,
     full_scan_select,
     horizon_transition,

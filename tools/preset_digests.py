@@ -1,17 +1,20 @@
-"""sha256 of every file the four presets write, at fixed seeds.
+"""sha256 of every file the four presets write, at fixed seeds, and of each offline preset's table.
 
     python3 tools/preset_digests.py > digests.txt
 
 Runs `asynctrig preset NAME --seed S --plots` for each preset and seed into
 a temporary directory, importing the package from the checkout this script
 lives in, and prints one `sha256  preset/seed/file` line per output file, in
-a fixed order.  Nothing is written into the checkout.  Two checkouts give
-byte-identical outputs exactly when a `diff` of their printed lines is empty.
+a fixed order.  Then it prints one `sha256  preset/table.json` line per
+offline preset: the digest of its region table as `table_to_dict` JSON.
+Nothing is written into the checkout.  Two checkouts give byte-identical
+outputs and tables exactly when a `diff` of their printed lines is empty.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from asynctrig.cli import main  # noqa: E402
-from asynctrig.presets import PRESET_NAMES  # noqa: E402
+from asynctrig.presets import PRESET_NAMES, preset_config  # noqa: E402
+from asynctrig.simulation import OFFLINE_MODES, prepare  # noqa: E402
+from asynctrig.triggers import table_to_dict  # noqa: E402
 
 SEEDS = (154, 1, 2, 3)
 
@@ -43,5 +48,15 @@ def preset_digests(presets, seeds) -> list:
     return lines
 
 
+def table_digests(presets) -> list:
+    """`sha256  preset/table.json` for the region table of every offline preset among presets."""
+    lines = []
+    for name in presets:
+        if name in OFFLINE_MODES:
+            text = json.dumps(table_to_dict(prepare(preset_config(name)).table), indent=2) + "\n"
+            lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/table.json")
+    return lines
+
+
 if __name__ == "__main__":
-    print("\n".join(preset_digests(PRESET_NAMES, SEEDS)))
+    print("\n".join(preset_digests(PRESET_NAMES, SEEDS) + table_digests(PRESET_NAMES)))

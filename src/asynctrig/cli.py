@@ -245,6 +245,7 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
             raise ConfigError(f"--sweep expects comma-separated integers, got {args.sweep!r}")
         if not seeds:
             raise ConfigError("--sweep got an empty seed list")
+        semantic = {**semantic, "sweep": seeds}  # the swept seeds, not --seed, pick the traces
     prepared = prepare(cfg)
     cert = prepared.cert
     outputs = []

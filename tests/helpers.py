@@ -3,7 +3,7 @@
 import csv
 
 import numpy as np
-from scipy.linalg import eigvals
+from scipy.linalg import eigvals, expm
 
 from asynctrig import triggers
 from asynctrig.certificates import build_U_c, decay_factor, perturbed_forms, verify_lmi_pair, young_gain
@@ -17,7 +17,7 @@ from asynctrig.matrix_core import (
     zoh_pair,
 )
 from asynctrig.partition import decay_forms
-from asynctrig.plant import DiscretePlant, PlantModel, step_matrix
+from asynctrig.plant import BOUND_PANELS, DiscretePlant, PlantModel, _simpson_weights, step_matrix
 
 # the two-state benchmark plant used across the suite
 A2 = np.array([[0.0, 1.0], [-2.0, 3.0]])
@@ -237,10 +237,10 @@ def special_value_traces():
 
 
 # ---------------------------------------------------------------------------
-# one-at-a-time oracles: the per-horizon transition product, the fully
-# sampled stability threshold, and the region test one (horizon, region)
-# pair at a time, which solves each pencil as a generalized eigenproblem
-# where the package solves all of them in one batch
+# one-at-a-time oracles: the per-horizon transition product, the per-node
+# disturbance bound, the fully sampled stability threshold, and the region
+# test one (horizon, region) pair at a time, which solves each pencil as a
+# generalized eigenproblem where the package solves all of them in one batch
 
 
 def horizon_transition(dp, sigma) -> np.ndarray:
@@ -255,6 +255,16 @@ def horizon_transition(dp, sigma) -> np.ndarray:
     for a in sigma:
         Phi = step_matrix(dp, a) @ Phi
     return Phi
+
+
+def per_node_disturbance_bound(plant: PlantModel, T: float) -> float:
+    """`disturbance_step_bound` with one `expm` per Simpson node: the same
+    weights, Richardson term and 2-norm, each node's exponential taken directly."""
+    s = np.linspace(0.0, T, 2 * BOUND_PANELS + 1)
+    f = np.linalg.norm(expm(plant.A[None] * s[:, None, None]) @ plant.D, 2, axis=(1, 2))
+    full = float(f @ _simpson_weights(BOUND_PANELS, T))
+    half = float(f[::2] @ _simpson_weights(BOUND_PANELS // 2, T))
+    return plant.w_max * (full + abs(full - half) / 15.0)
 
 
 def full_scan_sigma_star(horizons, phis) -> tuple:

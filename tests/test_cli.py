@@ -246,7 +246,23 @@ def test_preset_run_flags(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["metrics"]) == {"154", "7"}
     assert 40 <= manifest["metrics"]["7"]["steps"] < 100  # the run ends with the horizon that crosses --steps
-    assert manifest["config_digest"] == config_digest({"preset": "online-unperturbed", "seed": 3, "total_steps": 40})
+    semantic = {"preset": "online-unperturbed", "seed": 3, "total_steps": 40, "sweep": [154, 7]}
+    assert manifest["config_digest"] == config_digest(semantic)
     assert sorted(p.name for p in out.iterdir()) == [
         "certificate.json", "decisions_154.csv", "decisions_7.csv", "manifest.json", "trace_154.csv", "trace_7.csv",
     ]
+
+
+def test_sweep_digest_names_the_swept_seeds(tmp_path, capsys):
+    digests = []
+    for sweep in ("1,2", "3,4"):
+        out = tmp_path / sweep.replace(",", "_")
+        assert main(["preset", "online-unperturbed", "--sweep", sweep, "--out-dir", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["config_digest"])
+    capsys.readouterr()
+    assert digests[0] != digests[1]
+    single = tmp_path / "single"
+    assert main(["preset", "online-unperturbed", "--seed", "1", "--out-dir", str(single)]) == 0
+    capsys.readouterr()
+    digest = json.loads((single / "manifest.json").read_text())["config_digest"]
+    assert digest == config_digest({"preset": "online-unperturbed", "seed": 1, "total_steps": 100})

@@ -11,7 +11,8 @@ from asynctrig.plant import (
     step_matrix,
     transition_table,
 )
-from helpers import A2, B2, K2, benchmark_plant, horizon_transition
+from asynctrig.presets import preset_config
+from helpers import A2, B2, K2, benchmark_plant, horizon_transition, per_node_disturbance_bound
 
 
 def test_plant_model_validation():
@@ -127,6 +128,33 @@ def test_disturbance_bound_matches_trapezoid_refinement():
     want = np.trapezoid(f, nodes)
     assert got == pytest.approx(want, rel=1e-6)
     assert got >= want * (1 - 1e-9)  # the Richardson term keeps it an upper bound
+
+
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
+def test_disturbance_bound_equals_the_per_node_formula_on_presets(name):
+    # the blocked node exponentials leave both perturbed presets' bound bit-equal
+    cfg = preset_config(name)
+    assert disturbance_step_bound(cfg.plant, cfg.T) == per_node_disturbance_bound(cfg.plant, cfg.T)
+
+
+def test_disturbance_bound_matches_the_per_node_formula_on_random_plants():
+    # a third upper-triangular A (scipy's triangular expm branch), n_w = 1 and 2,
+    # and every fifth draw with ||A||_2 T in [20, 50]
+    rng = np.random.default_rng(1717)
+    for i in range(50):
+        n, n_w = int(rng.integers(2, 6)), 1 + i % 2
+        A = rng.standard_normal((n, n))
+        if i % 3 == 0:
+            A = np.triu(A)
+        T = rng.uniform(0.05, 0.5)
+        reach = rng.uniform(20.0, 50.0) if i % 5 == 0 else rng.uniform(0.1, 20.0)
+        A *= reach / (np.linalg.norm(A, 2) * T)
+        plant = PlantModel(
+            A=A, B=np.ones((n, 1)), K=np.zeros((1, n)), blocks=(1,) * n,
+            D=rng.standard_normal((n, n_w)), w_max=rng.uniform(0.1, 2.0),
+        )
+        want = per_node_disturbance_bound(plant, T)
+        assert disturbance_step_bound(plant, T) == pytest.approx(want, rel=1e-12), (i, n, n_w, reach)
 
 
 def test_disturbance_bound_requires_channel():

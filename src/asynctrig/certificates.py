@@ -3,10 +3,14 @@
 The unperturbed certificate is a quadratic V(eta) = eta' P eta contracting by
 e^{-beta |sigma| T} along the fallback horizon.  The perturbed variants add a
 slack matrix M and rate constants (gamma, or gamma1 >= gamma2) plus the
-disturbance aggregates chi, and yield an ultimate-bound ellipsoid E(P, mu).
+disturbance aggregate chi, and yield an ultimate-bound ellipsoid E(P, mu).
+A perturbed certificate stores each number once: its matrices, the numbers
+they were built from (chi as one length -> aggregate map, varpi, C') and mu;
+the online kind squares chi(l) where it reads it, and everything else is
+computed where it is read.
 
 No semidefinite-programming solver is used: all matrices here are small
-(<= 9x9), so certificates are built from a weighted discrete Lyapunov solve
+(<= 8x8), so certificates are built from a weighted discrete Lyapunov solve
 and a scale that is constructed, not searched: the online pair passes by
 construction at one fixed alpha, and the offline matrix is affine in the
 scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
@@ -65,16 +69,13 @@ class PerturbedOnlineCertificate:
     P: np.ndarray
     M: np.ndarray
     gamma: float
-    chi: float  # squared aggregate at the fallback horizon's length
-    C: float
+    chi: dict  # length -> disturbance aggregate, from `growth_constants`
     varpi: float
     C_prime: float
     mu: float
-    psi: float
     sigma_star: tuple
     beta: float
     T: float
-    chi_squared: dict  # length -> squared aggregate, for the trigger
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,13 @@ class PerturbedOfflineCertificate:
     P: np.ndarray
     gamma1: float
     gamma2: float
-    chi_linear: float  # unsquared aggregate at the fallback horizon's length
+    chi: dict  # length -> disturbance aggregate, from `growth_constants`
+    varpi: float
+    C_prime: float
     mu: float
     sigma_star: tuple
     beta: float
     T: float
-    chi_linear_map: dict  # length -> unsquared aggregate
-    C_prime: float
-    varpi: float
 
 
 def decay_factor(beta: float, length: int, T: float) -> float:
@@ -168,7 +168,8 @@ def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float
     """Check the two perturbed-online matrix inequalities at tolerance tol.
 
     First: Phi'(P+M)Phi - (gamma - bbar) P <= 0, a `decay_form`.  Second:
-    [[M, P], [P, (gamma/chi) I - P]] >= 0.  Eigenvalues are compared against
+    [[M, P], [P, (gamma/chi) I - P]] >= 0, where chi is the squared
+    aggregate chi(|sigma*|)^2.  Eigenvalues are compared against
     tol * min(1, lambda_max(P)).
     """
     P = symmetrize(P)
@@ -186,9 +187,8 @@ def synthesize_perturbed_online(
     gamma: float,
     sigma_star: tuple,
     T: float,
-    chi_squared: dict,
+    chi: dict,
     *,
-    C: float,
     varpi: float,
     C_prime: float,
 ) -> PerturbedOnlineCertificate:
@@ -198,15 +198,15 @@ def synthesize_perturbed_online(
     (gamma - bbar)/(1 + ALPHA), and P = s P1, with P1 the weighted Lyapunov
     solution at the rate rho between the two, gives it the margin (1 +
     ALPHA) s (I + (rho_max - rho) P1) > 0 at any s.  The second reduces to
-    gamma/chi >= s (1 + 1/ALPHA) lambda_max(P1), with chi =
-    chi_squared[|sigma*|], so s takes it with a 10% margin.  A larger alpha
+    gamma/chi2 >= s (1 + 1/ALPHA) lambda_max(P1), with chi2 =
+    chi[|sigma*|]^2, so s takes it with a 10% margin.  A larger alpha
     only shrinks rho_max, so no other alpha succeeds where this one fails.
     `verify_lmi_pair` is the authority.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     sigma_star = tuple(sigma_star)
-    chi = chi_squared[len(sigma_star)]
+    chi2 = chi[len(sigma_star)] ** 2
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     rho_max = (gamma - bbar) / (1.0 + ALPHA)
@@ -218,25 +218,21 @@ def synthesize_perturbed_online(
     nn = np.asarray(Phi_star).shape[0]
     P1 = solve_discrete_lyapunov(Phi_star, min(0.5 * (sr2 + rho_max), 1.0), np.eye(nn))
     _, lmax1 = sym_eig_bounds(P1)
-    P = 0.9 * (gamma / chi) / ((1.0 + 1.0 / ALPHA) * lmax1) * P1
+    P = 0.9 * (gamma / chi2) / ((1.0 + 1.0 / ALPHA) * lmax1) * P1
     M = ALPHA * P
-    if not verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
+    if not verify_lmi_pair(P, M, gamma, chi2, Phi_star, bbar):
         raise InfeasibleError("the constructed pair fails its own eigenvalue check")
-    mu, psi = ultimate_bound(P, C_prime, varpi)
     return PerturbedOnlineCertificate(
         P=P,
         M=M,
         gamma=gamma,
-        chi=chi,
-        C=C,
+        chi=dict(chi),
         varpi=varpi,
         C_prime=C_prime,
-        mu=mu,
-        psi=psi,
+        mu=ultimate_bound(P, C_prime, varpi),
         sigma_star=sigma_star,
         beta=beta,
         T=T,
-        chi_squared=dict(chi_squared),
     )
 
 
@@ -254,23 +250,25 @@ def young_gain(P, M) -> float:
 def build_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float) -> np.ndarray:
     """Unregioned feasibility matrix for the perturbed-offline trigger.
 
-    Symmetric (4n+1)x(4n+1) blocks: u11 = (bbar - gamma1) P - Phi'P Phi,
-    the negated `decay_form` at w = bbar - gamma1, u21 = -P Phi, u22 =
-    (gamma2/chi) I - P, u33 = -gamma2 + gamma1, u31 = u32 = 0.  It is
-    affine in P.  The region term enters only through `perturbed_forms`.
-    Stacked horizons (..., 2n, 2n), with bbar and chi_linear of shape (...),
-    give a stack.
+    Symmetric 4n x 4n blocks: u11 = (bbar - gamma1) P - Phi'P Phi, the
+    negated `decay_form` at w = bbar - gamma1, u21 = -P Phi and u22 =
+    (gamma2/chi) I - P, with chi the linear aggregate chi(|sigma|).  It is
+    affine in P.  The paper's matrix also has the decoupled corner u33 =
+    gamma1 - gamma2, which depends on neither P nor the horizon nor the
+    region, so the callers check gamma2 <= gamma1 + tol once, as a scalar.
+    The region term enters only through `perturbed_forms`.  Stacked
+    horizons (..., 2n, 2n), with bbar and chi_linear of shape (...), give a
+    stack.
     """
     P = symmetrize(P)
     nn = P.shape[0]
     chi = np.asarray(chi_linear, dtype=float)[..., None, None]
-    U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn + 1, 2 * nn + 1))
+    U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn, 2 * nn))
     U[..., :nn, :nn] = -decay_form(Phi_sigma, P, np.asarray(bbar, dtype=float) - gamma1)
     off = -P @ Phi_sigma
-    U[..., nn : 2 * nn, :nn] = off
-    U[..., :nn, nn : 2 * nn] = np.swapaxes(off, -1, -2)
-    U[..., nn : 2 * nn, nn : 2 * nn] = (gamma2 / chi) * np.eye(nn) - P
-    U[..., 2 * nn, 2 * nn] = -gamma2 + gamma1
+    U[..., nn:, :nn] = off
+    U[..., :nn, nn:] = np.swapaxes(off, -1, -2)
+    U[..., nn:, nn:] = (gamma2 / chi) * np.eye(nn) - P
     return U
 
 
@@ -281,28 +279,31 @@ def synthesize_perturbed_offline(
     gamma2: float,
     sigma_star: tuple,
     T: float,
-    chi_linear_map: dict,
+    chi: dict,
     *,
     C_prime: float,
     varpi: float,
 ) -> PerturbedOfflineCertificate:
     """P for the perturbed-offline mechanism: Lyapunov ansatz, exact scale.
 
+    The paper's corner u33 = gamma1 - gamma2 depends on neither P nor the
+    horizon, so gamma2 > gamma1 + PSD_TOL is a ValueError, checked once.
     P1 solves the weighted Lyapunov equation at the midpoint rate between
-    sr(Phi*)^2 and bbar - gamma1.  The unregioned matrix at chi =
-    chi_linear_map[|sigma*|] is affine in the scale, U(s P1) = B0 + s B1,
-    so lambda_min(U) >= -PSD_TOL holds on an interval of s.  It holds at
-    s = 0 unless gamma2 > gamma1 + PSD_TOL, and then at no s, as u33 does
-    not depend on P; so the interval is [0, s_max], and s_max is the least
-    positive finite eigenvalue of the pencil (B0 + PSD_TOL I, -B1).  The
-    scale taken is the largest point of a log grid over [1e-6, 1e6] not
-    above s_max, which keeps P on a fixed set of scales.  The eigenvalue
-    check of the assembled matrix at that scale is the authority.
+    sr(Phi*)^2 and bbar - gamma1.  The unregioned matrix at chi[|sigma*|]
+    is affine in the scale, U(s P1) = B0 + s B1, so lambda_min(U) >=
+    -PSD_TOL holds on an interval of s.  It holds at s = 0, where only u22
+    = (gamma2/chi) I is nonzero, so the interval is [0, s_max], and s_max
+    is the least positive finite eigenvalue of the pencil (B0 + PSD_TOL I,
+    -B1).  The scale taken is the largest point of a log grid over [1e-6,
+    1e6] not above s_max, which keeps P on a fixed set of scales.  The
+    eigenvalue check of the assembled matrix at that scale is the authority.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
+    if gamma2 > gamma1 + PSD_TOL:
+        raise ValueError(f"gamma2 must not exceed gamma1, got gamma1={gamma1}, gamma2={gamma2}")
     sigma_star = tuple(sigma_star)
-    chi_linear = chi_linear_map[len(sigma_star)]
+    chi_linear = chi[len(sigma_star)]
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     target = bbar - gamma1
@@ -323,40 +324,39 @@ def synthesize_perturbed_offline(
     P = scales[0] * P1 if scales.size else None
     if P is None or not is_psd(build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear)):
         raise InfeasibleError(f"no scaling in [1e-6, 1e6] makes the assembled matrix PSD: s_max={s_max:.6g}")
-    mu, _ = ultimate_bound(P, C_prime, varpi)
     return PerturbedOfflineCertificate(
         P=P,
         gamma1=gamma1,
         gamma2=gamma2,
-        chi_linear=chi_linear,
-        mu=mu,
+        chi=dict(chi),
+        varpi=varpi,
+        C_prime=C_prime,
+        mu=ultimate_bound(P, C_prime, varpi),
         sigma_star=sigma_star,
         beta=beta,
         T=T,
-        chi_linear_map=dict(chi_linear_map),
-        C_prime=C_prime,
-        varpi=varpi,
     )
 
 
 def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = 1e-9) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
-    A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0, 0)
-    is PSD for some eps > 0, with U_c from `build_U_c`; the returned sign
-    -1 (on full = -U_c) is the one place that states the region term's
-    sign.  With u.. the blocks of U_c + tol I, that holds iff u33 >= 0,
-    u22 > 0 (its singular boundary is dropped) and the Schur complement
-    C = u11 - u21' u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two
-    do not depend on the region, so they prune horizons once; the third is
+    A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0) is
+    PSD for some eps > 0, with U_c from `build_U_c`, and the paper's corner
+    gamma1 - gamma2 + tol >= 0; the returned sign -1 (on full = -U_c) is
+    the one place that states the region term's sign.  With u.. the blocks
+    of U_c + tol I, that holds iff gamma1 - gamma2 + tol >= 0, u22 > 0 (its
+    singular boundary is dropped) and the Schur complement C = u11 - u21'
+    u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two do not depend
+    on the region, so they prune horizons once; the third is
     lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C.
     """
     nn = np.asarray(P).shape[0]
     U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
-    u22 = U0[:, nn : 2 * nn, nn : 2 * nn] + tol * np.eye(nn)
-    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (U0[:, 2 * nn, 2 * nn] + tol >= 0)
+    u22 = U0[:, nn:, nn:] + tol * np.eye(nn)
+    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 - gamma2 + tol >= 0)
     index = np.flatnonzero(keep)
-    u11, u21 = U0[index, :nn, :nn], U0[index, nn : 2 * nn, :nn]
+    u11, u21 = U0[index, :nn, :nn], U0[index, nn:, :nn]
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
     S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # tol I - C: the two tol I cancel
     return RegionForms(index, S, -U0[index], -1.0, tol)
@@ -369,21 +369,18 @@ def region_forms(cert, horizons, phis) -> RegionForms:
     bbars = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
     if isinstance(cert, UnperturbedCertificate):
         return decay_forms(cert.P, phis, bbars)
-    chis = per_length(cert.chi_linear_map.__getitem__, lengths)
+    chis = per_length(cert.chi.__getitem__, lengths)
     return perturbed_forms(cert.P, cert.gamma1, cert.gamma2, phis, bbars, chis)
 
 
-def ultimate_bound(P, C_prime: float, varpi: float):
-    """(mu, psi): mu = lambda_max(P)(C'/lambda_min(P) + varpi)^2, psi = mu/lambda_min(P).
-
-    E(P, mu) is the attracting ellipsoid; the ball of squared radius psi is
-    the smallest one containing it.
-    """
+def ultimate_bound(P, C_prime: float, varpi: float) -> float:
+    """mu = lambda_max(P)(C'/lambda_min(P) + varpi)^2: E(P, mu) is the
+    attracting ellipsoid, and the ball of squared radius mu/lambda_min(P)
+    is the smallest one containing it."""
     lo, hi = sym_eig_bounds(P)
     if lo <= 0:
         raise ValueError(f"P must be positive definite, lambda_min={lo:.3g}")
-    mu = hi * (C_prime / lo + varpi) ** 2
-    return float(mu), float(mu / lo)
+    return float(hi * (C_prime / lo + varpi) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +430,9 @@ def reverify_certificate(cert, Phi_star) -> bool:
 
     Every kind also requires its Lyapunov matrix P (and M for the online
     perturbed kind) to be positive definite: the inequalities alone accept
-    P = M = 0, for which V = eta' P eta and the bound mu mean nothing.
+    P = M = 0, for which V = eta' P eta and the bound mu mean nothing.  A
+    perturbed kind reads chi at |sigma*| from its map, and its stored mu
+    must equal `ultimate_bound` of its P, C' and varpi.
     """
     if not isinstance(cert, tuple(CERTIFICATE_KINDS.values())):
         raise TypeError(f"not a certificate: {type(cert)!r}")
@@ -441,8 +440,10 @@ def reverify_certificate(cert, Phi_star) -> bool:
     if isinstance(cert, UnperturbedCertificate):
         _, hi = sym_eig_bounds(decay_form(Phi_star, cert.P, bbar))
         return hi <= -1e-9 and _positive_definite(cert.P)
+    chi = cert.chi[len(cert.sigma_star)]
     if isinstance(cert, PerturbedOnlineCertificate):
-        pair_ok = verify_lmi_pair(cert.P, cert.M, cert.gamma, cert.chi, Phi_star, bbar)
-        return pair_ok and _positive_definite(cert.P, cert.M)
-    U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, cert.chi_linear)
-    return is_psd(U, _scaled_tol(cert.P, 1e-9)) and _positive_definite(cert.P)
+        holds = verify_lmi_pair(cert.P, cert.M, cert.gamma, chi**2, Phi_star, bbar) and _positive_definite(cert.M)
+    else:
+        U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
+        holds = cert.gamma2 <= cert.gamma1 + PSD_TOL and is_psd(U, _scaled_tol(cert.P, 1e-9))
+    return holds and _positive_definite(cert.P) and cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)

@@ -169,7 +169,7 @@ def _cert_summary(cert) -> dict:
         "lambda_min_P": float(lo),
         "lambda_max_P": float(hi),
     }
-    for key in ("gamma", "gamma1", "gamma2", "mu", "psi", "varpi", "chi", "chi_linear"):
+    for key in ("gamma", "gamma1", "gamma2", "mu", "varpi"):
         if key in full:
             out[key] = full[key]
     return out

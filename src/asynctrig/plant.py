@@ -181,20 +181,13 @@ def transition_table(dp: DiscretePlant, horizons, codes=None) -> np.ndarray:
 
 
 def growth_constants(dp: DiscretePlant, horizons, varpi: float):
-    """Per-step growth constant C and the disturbance aggregates chi(l).
+    """(C, chi): the per-step growth constant and the disturbance aggregate map.
 
-    C = max_a ||A~_(a)||_2 over the full action alphabet {0..m}.  For each
-    horizon length l present, chi_squared(l) = (varpi * sum_{q<l} C^q)^2 and
-    the unsquared chi_linear(l) = varpi * sum_{q<l} C^q are both returned:
-    the online perturbed feasibility matrix uses the squared form, the
-    offline one the linear form.
+    C = max_a ||A~_(a)||_2 over the full action alphabet {0..m}, and chi maps
+    each horizon length l present to varpi * sum_{q<l} C^q.  The offline
+    perturbed matrix reads chi(l); the online perturbed inequalities read
+    chi(l)^2, squared where they are built.
     """
     C = max(spectral_norm(step_matrix(dp, a)) for a in range(dp.m + 1))
     lengths = sorted({len(tuple(s)) for s in horizons})
-    chi_squared = {}
-    chi_linear = {}
-    for l in lengths:
-        acc = varpi * sum(C**q for q in range(l))
-        chi_linear[l] = acc
-        chi_squared[l] = acc**2
-    return C, chi_squared, chi_linear
+    return C, {l: varpi * sum(C**q for q in range(l)) for l in lengths}

@@ -79,6 +79,8 @@ class SimConfig:
             raise ConfigError("total_steps must be at least l_max")
         n = self.plant.n
         x0 = np.asarray(self.x0, dtype=float).ravel()
+        if not np.isfinite(x0).all():
+            raise ConfigError(f"x0 entries must be finite, got {x0.tolist()}")
         if x0.size == 2 * n:
             pass  # given directly as the collective state
         elif x0.size == n:
@@ -175,15 +177,15 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
         cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
     else:
         varpi = disturbance_step_bound(plant, config.T)
-        C, chi_sq, chi_lin = growth_constants(dp, horizons, varpi)
+        _, chi = growth_constants(dp, horizons, varpi)
         C_prime = float(np.linalg.norm(step_matrix(dp, 0), 2))
         if config.mode == "online-perturbed":
             cert = synthesize_perturbed_online(
-                Phi_star, config.beta, config.gamma, sigma_star, config.T, chi_sq, C=C, varpi=varpi, C_prime=C_prime
+                Phi_star, config.beta, config.gamma, sigma_star, config.T, chi, varpi=varpi, C_prime=C_prime
             )
         else:
             cert = synthesize_perturbed_offline(
-                Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi_lin,
+                Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi,
                 C_prime=C_prime, varpi=varpi,
             )
     regions = table = None

@@ -80,7 +80,7 @@ class OnlinePolicy:
     F_s is a negated `decay_form`.  Unperturbed, F_s = rho_s P - Phi_s' P
     Phi_s with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
     Perturbed, F_s = (rho_s - gamma) P - Phi_s'(P + M) Phi_s, the corner is
-    c_s = gamma - chi_s lambda_bar (`young_gain`), and the slack is
+    c_s = gamma - chi(|s|)^2 lambda_bar (`young_gain`), and the slack is
     FEAS_TOL max(1, |eta|^2).  The horizons are stored in metric order,
     best first, each metric level in horizon order, so the first admissible
     position holds the best metric and its level's admissible positions are
@@ -95,7 +95,7 @@ class OnlinePolicy:
     (`verify_lmi_pair`) is the same `decay_form` call at w = gamma - bbar
     where this test has w = bbar - gamma.  With W = eta' Phi'(P + M) Phi eta
     and V = eta' P eta, it gives sigma* W <= (gamma - bbar) V at every state
-    (so V+ <= (gamma - bbar) V + lambda_bar chi), but the test asks for
+    (so V+ <= (gamma - bbar) V + lambda_bar chi^2), but the test asks for
     W <= (bbar - gamma) V + c_s.  Synthesis requires gamma > bbar(|sigma*|),
     so sigma*'s F is negative definite and the test admits it only inside a
     bounded ellipsoid.  On the online-perturbed preset F's eigenvalues run
@@ -125,7 +125,7 @@ class OnlinePolicy:
             self.slack_floor, self.slack_scale = 0.0, spectral_norm(cert.P)
         else:
             A, w = P + symmetrize(cert.M), rhos - cert.gamma
-            self.corners = cert.gamma - per_length(cert.chi_squared.__getitem__, lengths) * young_gain(P, cert.M)
+            self.corners = cert.gamma - per_length(lambda l: cert.chi[l] ** 2, lengths) * young_gain(P, cert.M)
             self.slack_floor, self.slack_scale = 1.0, 1.0
         self.forms = np.empty((H, nn, nn))
         for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack

@@ -378,7 +378,8 @@ def U_sigma_builder(P, M, gamma: float):
 
 
 def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps: float):
-    """`build_U_c` with the region term eps Q_c added to u11, the sign `perturbed_forms` tests."""
+    """The 4n x 4n `build_U_c` with the region term eps Q_c added to u11, the sign
+    `perturbed_forms` tests; the corner gamma1 - gamma2 is the caller's to check."""
     U = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear)
     nn = np.asarray(P).shape[0]
     U[:nn, :nn] += eps * symmetrize(Q_c)
@@ -437,9 +438,9 @@ def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):
 # constructions replace, each returning the first feasible point of its scan
 
 
-def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_squared):
+def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_map):
     """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes, or InfeasibleError."""
-    chi = chi_squared[len(sigma_star)]
+    chi = chi_map[len(sigma_star)] ** 2
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     nn = np.asarray(Phi_star).shape[0]
@@ -458,10 +459,13 @@ def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: fl
     raise InfeasibleError("no alpha passes")
 
 
-def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, sigma_star, T: float, chi_linear_map):
+def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, sigma_star, T: float, chi_map):
     """P at the largest scale of a descending log grid over [1e-6, 1e6] whose
-    unregioned matrix passes, or InfeasibleError."""
-    chi_linear = chi_linear_map[len(sigma_star)]
+    unregioned matrix passes, or InfeasibleError; the corner gamma1 - gamma2
+    of the paper's matrix must pass on its own, as no scale moves it."""
+    chi_linear = chi_map[len(sigma_star)]
+    if gamma1 - gamma2 < -1e-9:
+        raise InfeasibleError("the corner gamma1 - gamma2 fails at every scale")
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
     target = bbar - gamma1

@@ -133,7 +133,7 @@ def test_criterion_5_online_perturbed_preset(say):
     dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     Phi_star = horizon_transition(dp, tuple(cert.sigma_star))
     bbar_star = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
-    chi_star = cert.chi_squared[len(cert.sigma_star)]
+    chi_star = cert.chi[len(cert.sigma_star)] ** 2
 
     def sym_eigs(S):
         return np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
@@ -249,15 +249,14 @@ def _step_inequality_suite(draws=1000):
         eta = d * (r / math.sqrt(d @ P @ d))
         dec = policy.select(eta, rng_seed=0, step_index=attempts)
         s = dec.horizon
-        U = u_sigma(phis[s], decay_factor(cert.beta, len(s), cert.T), cert.chi_squared[len(s)])
+        U = u_sigma(phis[s], decay_factor(cert.beta, len(s), cert.T), cert.chi[len(s)] ** 2)
         v = np.concatenate([eta, [1.0]])
         if v @ U @ v < -1e-9 * max(1.0, float(eta @ eta)):
             forced += 1  # fallback forced by an empty admissible set: not a certified choice
             continue
-        chi = cert.chi_squared[len(s)]
         w_dir = rng.normal(size=4)
         w_dir /= np.linalg.norm(w_dir)
-        radius = math.sqrt(chi) * (1.0 if done % 2 == 0 else float(rng.uniform(0.0, 1.0)))
+        radius = cert.chi[len(s)] * (1.0 if done % 2 == 0 else float(rng.uniform(0.0, 1.0)))
         w = w_dir * radius
         V0 = float(eta @ P @ eta)
         eta1 = phis[s] @ eta + w
@@ -310,7 +309,7 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
         for s in ties:
             Phi = horizon_transition(dp2, s)
             bbar = decay_factor(cert2.beta, len(s), cert2.T)
-            chi_lin = cert2.chi_linear_map[len(s)]
+            chi_lin = cert2.chi[len(s)]
             eps = max_eps_feasible(cert2.P, cert2.gamma1, cert2.gamma2, Phi, bbar, chi_lin, reg.Q)
             if eps is None:
                 if s != fallback:
@@ -319,18 +318,19 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
                 U = build_U_c(
                     cert2.P, cert2.gamma1, cert2.gamma2, Phi_fb,
                     decay_factor(cert2.beta, len(fallback), cert2.T),
-                    cert2.chi_linear,
+                    cert2.chi[len(fallback)],
                 )
             else:
                 U = regioned_U_c(cert2.P, cert2.gamma1, cert2.gamma2, Phi, bbar, chi_lin, reg.Q, eps)
-            lo, _ = sym_eig_bounds(U)
+            lo = min(sym_eig_bounds(U)[0], cert2.gamma1 - cert2.gamma2)  # the corner is a block of its own
             if not lo >= -1e-9:
                 return False, f"assembled form for entry {s} on region {reg.index} has min eig {lo:.3e}"
             W = rng.normal(size=(samples, 4))
             W *= (chi_lin * rng.uniform(0.0, 1.0, size=(samples, 1))) / np.linalg.norm(W, axis=1, keepdims=True)
-            Vv = np.hstack([X, W, np.ones((samples, 1))])
-            forms = np.einsum("ij,jk,ik->i", Vv, U, Vv)
-            if not (forms >= -1e-9 * (Vv * Vv).sum(axis=1)).all():
+            # the paper's matrix on (x, w, 1): U on (x, w) plus its constant corner gamma1 - gamma2
+            Vv = np.hstack([X, W])
+            forms = np.einsum("ij,jk,ik->i", Vv, U, Vv) + (cert2.gamma1 - cert2.gamma2)
+            if not (forms >= -1e-9 * ((Vv * Vv).sum(axis=1) + 1.0)).all():
                 return False, f"pointwise form negative for entry {s} on region {reg.index}"
             rechecked += 1
     return True, f"{rechecked} table entries rechecked on {samples} states each"

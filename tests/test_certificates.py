@@ -34,6 +34,8 @@ from asynctrig.plant import (
     growth_constants,
     transition_table,
 )
+from asynctrig.presets import preset_config
+from asynctrig.simulation import prepare
 from helpers import (
     M_REF,
     P_REF,
@@ -47,7 +49,7 @@ from helpers import (
     scan_perturbed_online,
 )
 
-NO_DISTURBANCE = dict(C=0.0, varpi=0.0, C_prime=0.0)
+NO_DISTURBANCE = dict(varpi=0.0, C_prime=0.0)
 
 
 def _phi_star_unperturbed():
@@ -180,7 +182,7 @@ def test_perturbed_online_self_verification_random():
         Phi *= rng.uniform(0.1, 0.6) / spectral_radius(Phi)
         chi = float(rng.uniform(0.05, 5.0))
         cert = synthesize_perturbed_online(Phi, beta, 1.0, (1,), 1.0, {1: chi}, **NO_DISTURBANCE)
-        assert verify_lmi_pair(cert.P, cert.M, 1.0, chi, Phi, 0.5)
+        assert verify_lmi_pair(cert.P, cert.M, 1.0, chi**2, Phi, 0.5)
 
 
 def test_young_gain_known_values_and_rejects_an_indefinite_M():
@@ -208,10 +210,10 @@ def test_build_U_sigma_matches_summand_recomputation():
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
     horizons = enumerate_horizons(2, 1, 4)
-    C, chi_sq, _ = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
-    cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, **NO_DISTURBANCE)
+    cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, **NO_DISTURBANCE)
     rng = np.random.default_rng(4)
     Minv = np.linalg.inv(cert.M)
     lam_bar = max(np.linalg.eigvalsh(symmetrize(cert.P @ Minv @ cert.P) + cert.P))
@@ -219,27 +221,33 @@ def test_build_U_sigma_matches_summand_recomputation():
         sigma = horizons[rng.integers(len(horizons))]
         Phi = horizon_transition(dp, sigma)
         bbar = decay_factor(beta, len(sigma), 0.18)
-        U = U_sigma_builder(cert.P, cert.M, 0.35)(Phi, bbar, chi_sq[len(sigma)])
+        U = U_sigma_builder(cert.P, cert.M, 0.35)(Phi, bbar, chi[len(sigma)] ** 2)
         eta = rng.normal(scale=rng.uniform(0.1, 10.0), size=4)
         v = np.concatenate([eta, [1.0]])
         got = v @ U @ v
         term1 = -eta @ Phi.T @ (cert.P + cert.M) @ Phi @ eta + (bbar - 0.35) * (eta @ cert.P @ eta)
-        term2 = 0.35 - chi_sq[len(sigma)] * lam_bar
+        term2 = 0.35 - chi[len(sigma)] ** 2 * lam_bar
         assert got == pytest.approx(term1 + term2, rel=1e-9, abs=1e-9)
 
 
 def test_build_U_c_block_layout():
-    # Phi = 0, P = I, gamma1=0.1, gamma2=0.2, bbar=1, chi=1: blocks are
-    # 0.9 I and 0.2 I - I; the corner scalar follows -gamma2+gamma1
-    n4 = 4
-    U = build_U_c(np.eye(n4), 0.1, 0.2, np.zeros((n4, n4)), 1.0, 1.0)
-    assert U.shape == (9, 9)
-    assert np.allclose(U[:4, :4], 0.9 * np.eye(4))
-    assert np.allclose(U[4:8, 4:8], 0.2 * np.eye(4) - np.eye(4))
-    assert np.allclose(U[4:8, :4], np.zeros((4, 4)))
-    assert U[8, 8] == pytest.approx(-0.2 + 0.1)
-    assert np.allclose(U[8, :8], 0.0)
+    # P = diag(1, 2, 3, 4), Phi = 0.5 I + e1 e2', gamma1 = 0.1, gamma2 = 0.2,
+    # bbar = 1, chi = 4: u11 = 0.9 P - Phi'P Phi, u21 = -P Phi and u22 =
+    # 0.05 I - P, and nothing else; the corner gamma1 - gamma2 is not stored
+    P = np.diag([1.0, 2.0, 3.0, 4.0])
+    Phi = 0.5 * np.eye(4)
+    Phi[0, 1] = 1.0
+    U = build_U_c(P, 0.1, 0.2, Phi, 1.0, 4.0)
+    assert U.shape == (8, 8)
+    assert np.allclose(U[:4, :4], 0.9 * P - Phi.T @ P @ Phi)
+    assert np.allclose(U[4:, :4], -P @ Phi)
+    assert np.allclose(U[4:, 4:], 0.05 * np.eye(4) - P)
     assert np.array_equal(U, U.T)
+    # a stack of horizons with their own bbar and chi gives a stack of the same blocks
+    stack = build_U_c(P, 0.1, 0.2, np.stack([Phi, np.zeros((4, 4))]), np.array([1.0, 0.5]), np.array([4.0, 2.0]))
+    assert stack.shape == (2, 8, 8)
+    assert np.array_equal(stack[0], U)
+    assert np.allclose(stack[1], build_U_c(P, 0.1, 0.2, np.zeros((4, 4)), 0.5, 2.0))
 
 
 def test_perturbed_offline_synthesis_eigencheck():
@@ -247,7 +255,7 @@ def test_perturbed_offline_synthesis_eigencheck():
     dp = DiscretePlant.from_plant(plant, 0.205)
     varpi = disturbance_step_bound(plant, 0.205)
     horizons = enumerate_horizons(2, 3, 6)
-    _, _, chi_lin = growth_constants(dp, horizons, varpi)
+    _, chi_lin = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (1, 2, 2))
     cert = synthesize_perturbed_offline(Phi_star, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3])
@@ -258,12 +266,23 @@ def test_perturbed_offline_synthesis_eigencheck():
     with pytest.raises(InfeasibleError):
         # gamma1 >= bbar leaves no decay budget at all
         synthesize_perturbed_offline(Phi_star, 0.0, 1.0, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
+    # the corner gamma1 - gamma2 depends on no scale: gamma2 > gamma1 is a configuration error
+    with pytest.raises(ValueError, match="gamma2 must not exceed gamma1"):
+        synthesize_perturbed_offline(Phi_star, 0.0, 0.1, 0.1 + 2e-9, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
+    equal = synthesize_perturbed_offline(Phi_star, 0.0, 0.1, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
+    assert reverify_certificate(equal, Phi_star)
 
 
 def _outcome(synthesize, *args, **kwargs):
+    """The synthesis result, or None where it raises InfeasibleError or, for
+    gamma2 > gamma1, the offline synthesis's ValueError."""
     try:
         return synthesize(*args, **kwargs)
     except InfeasibleError:
+        return None
+    except ValueError as exc:
+        if "gamma2 must not exceed gamma1" not in str(exc):
+            raise
         return None
 
 
@@ -343,16 +362,15 @@ def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
 
 
 def test_ultimate_bound_known_values_and_monotonicity():
-    mu, psi = ultimate_bound(np.eye(2), 0.0, 1.0)
-    assert mu == pytest.approx(1.0) and psi == pytest.approx(1.0)
-    mu, psi = ultimate_bound(np.diag([1.0, 4.0]), 0.0, 1.0)
-    assert mu == pytest.approx(4.0) and psi == pytest.approx(4.0)
+    assert ultimate_bound(np.eye(2), 0.0, 1.0) == pytest.approx(1.0)
+    assert ultimate_bound(np.diag([1.0, 4.0]), 0.0, 1.0) == pytest.approx(4.0)
+    assert ultimate_bound(np.diag([2.0, 4.0]), 1.0, 0.5) == pytest.approx(4.0)  # 4 (1/2 + 1/2)^2
     with pytest.raises(ValueError):
         ultimate_bound(np.diag([1.0, 0.0]), 1.0, 1.0)
     P = np.diag([0.5, 3.0])
-    base, _ = ultimate_bound(P, 1.0, 0.5)
-    more_noise, _ = ultimate_bound(P, 1.0, 0.7)
-    more_drift, _ = ultimate_bound(P, 1.5, 0.5)
+    base = ultimate_bound(P, 1.0, 0.5)
+    more_noise = ultimate_bound(P, 1.0, 0.7)
+    more_drift = ultimate_bound(P, 1.5, 0.5)
     assert more_noise > base and more_drift > base
 
 
@@ -362,15 +380,15 @@ def _perturbed_certificates():
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
     horizons = enumerate_horizons(2, 1, 4)
-    C, chi_sq, chi_lin = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, horizons, varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
-    on = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, C=C, varpi=varpi, C_prime=2.0)
+    on = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=varpi, C_prime=2.0)
 
     dp2 = DiscretePlant.from_plant(plant, 0.205)
     varpi2 = disturbance_step_bound(plant, 0.205)
     hs2 = enumerate_horizons(2, 3, 6)
-    _, _, chi_lin2 = growth_constants(dp2, hs2, varpi2)
+    _, chi_lin2 = growth_constants(dp2, hs2, varpi2)
     Phi2 = horizon_transition(dp2, (1, 2, 2))
     off = synthesize_perturbed_offline(Phi2, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin2, C_prime=2.0, varpi=varpi2)
     return on, Phi_star, off, Phi2
@@ -388,8 +406,9 @@ def test_serialization_round_trip_reverifies():
     # A zero pair passes the perturbed inequalities themselves; only positive
     # definiteness of P (and M) rejects it.
     on, Phi_on, off, Phi_off = _perturbed_certificates()
+    chi2_on = on.chi[4] ** 2
     zero = np.zeros((4, 4)).tolist()
-    assert verify_lmi_pair(zero, zero, on.gamma, on.chi, Phi_on, decay_factor(on.beta, 4, on.T))
+    assert verify_lmi_pair(zero, zero, on.gamma, chi2_on, Phi_on, decay_factor(on.beta, 4, on.T))
     zero_on = certificate_from_dict({**certificate_to_dict(on), "P": zero, "M": zero})
     zero_off = certificate_from_dict({**certificate_to_dict(off), "P": zero})
     assert not reverify_certificate(zero_on, Phi_on)
@@ -398,18 +417,22 @@ def test_serialization_round_trip_reverifies():
     # enough slips under an absolute tolerance: the recorded pair of
     # criterion 5 (rejected as it stands) must stay rejected when scaled.
     bbar_on = decay_factor(on.beta, 4, on.T)
-    assert not verify_lmi_pair(P_REF, M_REF, on.gamma, on.chi, Phi_on, bbar_on, tol=1e-6)
-    assert not verify_lmi_pair(1e-9 * P_REF, 1e-9 * M_REF, on.gamma, on.chi, Phi_on, bbar_on, tol=1e-6)
+    assert not verify_lmi_pair(P_REF, M_REF, on.gamma, chi2_on, Phi_on, bbar_on, tol=1e-6)
+    assert not verify_lmi_pair(1e-9 * P_REF, 1e-9 * M_REF, on.gamma, chi2_on, Phi_on, bbar_on, tol=1e-6)
     tiny = certificate_from_dict({**certificate_to_dict(on), "P": 1e-11 * P_REF, "M": 1e-11 * M_REF})
     assert not reverify_certificate(tiny, Phi_on)
     # the offline kind: P = I fails its inequality, and so must 1e-11 * I
     assert not reverify_certificate(certificate_from_dict({**certificate_to_dict(off), "P": np.eye(4)}), Phi_off)
     tiny_off = certificate_from_dict({**certificate_to_dict(off), "P": 1e-11 * np.eye(4)})
     assert not reverify_certificate(tiny_off, Phi_off)
-    # control: real certificates scaled down stay certificates
-    small = certificate_from_dict({**certificate_to_dict(on), "P": 1e-3 * on.P, "M": 1e-3 * on.M})
+    # control: real certificates scaled down stay certificates, with the mu of the scaled P
+    small = certificate_from_dict(
+        {**certificate_to_dict(on), "P": 1e-3 * on.P, "M": 1e-3 * on.M, "mu": ultimate_bound(1e-3 * on.P, 2.0, on.varpi)}
+    )
     assert reverify_certificate(small, Phi_on)
-    small_off = certificate_from_dict({**certificate_to_dict(off), "P": 1e-3 * off.P})
+    small_off = certificate_from_dict(
+        {**certificate_to_dict(off), "P": 1e-3 * off.P, "mu": ultimate_bound(1e-3 * off.P, 2.0, off.varpi)}
+    )
     assert reverify_certificate(small_off, Phi_off)
 
 
@@ -417,13 +440,53 @@ def test_serialization_round_trip_perturbed_kinds():
     on, Phi_star, off, Phi2 = _perturbed_certificates()
     back = certificate_from_dict(certificate_to_dict(on))
     assert np.allclose(back.M, on.M)
-    assert back.chi_squared == on.chi_squared
+    assert back.chi == on.chi and back.mu == on.mu
     assert reverify_certificate(back, Phi_star)
 
     back2 = certificate_from_dict(certificate_to_dict(off))
     assert np.allclose(back2.P, off.P)
-    assert back2.chi_linear_map == off.chi_linear_map
+    assert back2.chi == off.chi and back2.mu == off.mu
     assert reverify_certificate(back2, Phi2)
+
+
+def test_perturbed_certificates_store_each_number_once():
+    on, _, off, _ = _perturbed_certificates()
+    assert [f.name for f in dataclasses.fields(on)] == [
+        "P", "M", "gamma", "chi", "varpi", "C_prime", "mu", "sigma_star", "beta", "T",
+    ]
+    assert [f.name for f in dataclasses.fields(off)] == [
+        "P", "gamma1", "gamma2", "chi", "varpi", "C_prime", "mu", "sigma_star", "beta", "T",
+    ]
+    # one linear length -> aggregate map in both kinds
+    assert set(on.chi) == {1, 2, 3, 4} and set(off.chi) == {3, 4, 5, 6}
+    for cert in (on, off):
+        C, _ = growth_constants(DiscretePlant.from_plant(benchmark_plant(perturbed=True), cert.T), [], cert.varpi)
+        assert cert.chi == {l: cert.varpi * sum(C**q for q in range(l)) for l in cert.chi}
+
+
+def _loaded_preset_certificate(name):
+    """A perturbed preset's certificate as certificate.json holds it, and its Phi*."""
+    prep = prepare(preset_config(name), with_tables=False)
+    data = json.loads(json.dumps(certificate_to_dict(prep.cert)))
+    return data, horizon_transition(prep.dp, prep.cert.sigma_star)
+
+
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
+def test_reverify_catches_a_tampered_chi(name):
+    data, Phi_star = _loaded_preset_certificate(name)
+    assert reverify_certificate(certificate_from_dict(data), Phi_star)
+    key = str(len(data["sigma_star"]))
+    tampered = {**data, "chi": {**data["chi"], key: 1e6 * data["chi"][key]}}
+    assert not reverify_certificate(certificate_from_dict(tampered), Phi_star)
+
+
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
+def test_reverify_recomputes_mu(name):
+    data, Phi_star = _loaded_preset_certificate(name)
+    cert = certificate_from_dict(data)
+    assert cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)
+    for mu in (np.nextafter(cert.mu, 0.0), 0.5 * cert.mu, 2.0 * cert.mu):
+        assert not reverify_certificate(certificate_from_dict({**data, "mu": mu}), Phi_star)
 
 
 def test_certificate_codec_is_field_driven():

@@ -221,6 +221,43 @@ def test_exit_code_infeasible(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_x0_is_a_configuration_error(tmp_path, capsys, value):
+    # json reads NaN and Infinity; a run from such a state would write a trace of NaNs
+    cfgd = _config_dict()
+    cfgd["simulation"]["x0"] = [value, -2.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "x0 entries must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gamma2_above_gamma1_is_a_configuration_error(tmp_path, capsys):
+    # the corner gamma1 - gamma2 of the offline perturbed matrix depends on no
+    # scale, so no certificate exists for any P: the rates are misconfigured
+    cfgd = _config_dict(
+        plant={**_config_dict()["plant"], "D": [[1.0], [1.0]], "w_max": 1.0},
+        discretization={"T": 0.205},
+        horizons={"l_min": 3, "l_max": 4, "sigma_star": "122"},
+        mode="offline-perturbed",
+        certificate={"beta": 0.0, "gamma1": 0.1, "gamma2": 0.3},
+        partition={"N": 15},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    assert main(["synthesize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma2 must not exceed gamma1" in err
+    cfgd["certificate"] = {"beta": 0.0, "gamma1": 0.3, "gamma2": 0.1}
+    path.write_text(json.dumps(cfgd))
+    assert main(["synthesize", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "perturbed-offline"
+
+
 @pytest.mark.parametrize("mode, certificate, extra", [
     ("online-perturbed", {"beta": 3.19, "gamma": 0.35}, {}),
     ("offline-perturbed", {"beta": 0.0, "gamma1": 0.3, "gamma2": 0.1}, {"partition": {"N": 15}}),

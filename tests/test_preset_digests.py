@@ -3,6 +3,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from asynctrig.certificates import certificate_from_dict
 from asynctrig.cli import main
 from asynctrig.presets import preset_config
 from asynctrig.simulation import prepare
@@ -40,3 +43,19 @@ def test_table_digests_hash_each_offline_table():
     table = prepare(preset_config("offline-perturbed")).table
     text = json.dumps(table_to_dict(table), indent=2) + "\n"
     assert lines == [f"{hashlib.sha256(text.encode()).hexdigest()}  offline-perturbed/table.json"]
+
+
+def test_certificate_digests_hash_the_certified_numbers(tmp_path, capsys):
+    # the digest of P, M and mu as certificate.json holds them: its layout may change, its numbers not
+    names = ["online-unperturbed", "online-perturbed"]
+    lines = _preset_digests().certificate_digests(names)
+    expected = []
+    for name in names:
+        out = tmp_path / name
+        assert main(["preset", name, "--steps", "6", "--out-dir", str(out)]) == 0
+        cert = certificate_from_dict(json.loads((out / "certificate.json").read_text()))
+        numbers = [cert.P] + ([cert.M, np.float64(cert.mu)] if name == "online-perturbed" else [])
+        digest = hashlib.sha256(b"".join(v.tobytes() for v in numbers)).hexdigest()
+        expected.append(f"{digest}  {name}/certificate-numbers")
+    capsys.readouterr()
+    assert lines == expected

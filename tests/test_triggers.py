@@ -67,12 +67,10 @@ def online_perturbed():
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
     horizons = enumerate_horizons(2, 1, 6)
-    _, chi_sq, _ = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, horizons, varpi)
     beta = math.log(10.0) / (4 * 0.18)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
-    cert = synthesize_perturbed_online(
-        Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi_sq, C=0.0, varpi=0.0, C_prime=0.0
-    )
+    cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=0.0, C_prime=0.0)
     policy = OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
     return dp, horizons, cert, GatedPolicy(policy, cert.P)
 
@@ -161,7 +159,7 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
         if isinstance(cert, UnperturbedCertificate):
             form, corner = rho * P - symmetrize(Phi.T @ P @ Phi), 0.0
         else:
-            U = U_sigma_builder(P, cert.M, cert.gamma)(Phi, rho, cert.chi_squared[len(s)])
+            U = U_sigma_builder(P, cert.M, cert.gamma)(Phi, rho, cert.chi[len(s)] ** 2)
             form, corner = U[:nn, :nn], U[nn, nn]
             PM = symmetrize(P) + symmetrize(cert.M)  # the one-horizon block, written out
             assert np.array_equal(form, -symmetrize(Phi.T @ PM @ Phi) + (rho - cert.gamma) * symmetrize(P)), s
@@ -249,8 +247,8 @@ def test_stacked_builds_peak_below_twice_their_result(perturbed):
     P, T, star = np.eye(6), 0.1, (1, 2, 3)
     if perturbed:
         cert = PerturbedOnlineCertificate(
-            P=P, M=P, gamma=0.5, chi=0.03, C=1.0, varpi=0.1, C_prime=1.0, mu=1.0, psi=1.0,
-            sigma_star=star, beta=0.0, T=T, chi_squared={l: 0.01 * l for l in range(1, 7)},
+            P=P, M=P, gamma=0.5, chi={l: 0.1 * l for l in range(1, 7)}, varpi=0.1, C_prime=1.0, mu=1.0,
+            sigma_star=star, beta=0.0, T=T,
         )
     else:
         cert = UnperturbedCertificate(P=P, beta=0.0, T=T, sigma_star=star)
@@ -286,7 +284,7 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
     U_all = {}
     for s in horizons:
         rho = decay_factor(cert.beta, len(s), cert.T)
-        U_all[s] = u_sigma(horizon_transition(dp, s), rho, cert.chi_squared[len(s)])
+        U_all[s] = u_sigma(horizon_transition(dp, s), rho, cert.chi[len(s)] ** 2)
     rng = np.random.default_rng(21)
     for k in range(40):
         eta = rng.normal(size=4)
@@ -367,7 +365,7 @@ def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
                 cert.P, cert.gamma1, cert.gamma2,
                 horizon_transition(dp, s),
                 decay_factor(cert.beta, len(s), cert.T),
-                cert.chi_linear_map[len(s)], reg.Q,
+                cert.chi[len(s)], reg.Q,
             )
             assert eps is not None
     # rebuild one region row from scratch and require an exact match
@@ -378,7 +376,7 @@ def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
             cert.P, cert.gamma1, cert.gamma2,
             horizon_transition(dp, s),
             decay_factor(cert.beta, len(s), cert.T),
-            cert.chi_linear_map[len(s)], reg.Q,
+            cert.chi[len(s)], reg.Q,
         )
         if eps is not None:
             feas.append(s)
@@ -414,7 +412,7 @@ def _pair_verdicts(prep, regions):
                 eps = sprocedure_feasible(phis[j], cert.P, bbar, reg.Q)
             else:
                 eps = max_eps_feasible(
-                    cert.P, cert.gamma1, cert.gamma2, phis[j], bbar, cert.chi_linear_map[len(s)], reg.Q
+                    cert.P, cert.gamma1, cert.gamma2, phis[j], bbar, cert.chi[len(s)], reg.Q
                 )
             verdicts[r, j] = eps is not None
     return verdicts

@@ -1,4 +1,5 @@
-"""sha256 of every file the four presets write, at fixed seeds, and of each offline preset's table.
+"""sha256 of every file the four presets write, at fixed seeds, of each offline preset's table,
+and of each preset's certified numbers.
 
     python3 tools/preset_digests.py > digests.txt
 
@@ -7,8 +8,12 @@ a temporary directory, importing the package from the checkout this script
 lives in, and prints one `sha256  preset/seed/file` line per output file, in
 a fixed order.  Then it prints one `sha256  preset/table.json` line per
 offline preset: the digest of its region table as `table_to_dict` JSON.
-Nothing is written into the checkout.  Two checkouts give byte-identical
-outputs and tables exactly when a `diff` of their printed lines is empty.
+Last it prints one `sha256  preset/certificate-numbers` line per preset: the
+digest of the raw float64 bytes of the certificate's P, then M and mu where
+the certificate has them.  That line stays put when only the layout of
+`certificate.json` changes.  Nothing is written into the checkout.  Two
+checkouts give byte-identical outputs, tables and certified numbers exactly
+when a `diff` of their printed lines is empty.
 """
 
 import contextlib
@@ -18,6 +23,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -58,5 +65,17 @@ def table_digests(presets) -> list:
     return lines
 
 
+def certificate_digests(presets) -> list:
+    """`sha256  preset/certificate-numbers` over the raw float64 bytes of P, M and mu, where present."""
+    lines = []
+    for name in presets:
+        cert = prepare(preset_config(name), with_tables=False).cert
+        numbers = [getattr(cert, key) for key in ("P", "M", "mu") if hasattr(cert, key)]
+        blob = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in numbers)
+        lines.append(f"{hashlib.sha256(blob).hexdigest()}  {name}/certificate-numbers")
+    return lines
+
+
 if __name__ == "__main__":
-    print("\n".join(preset_digests(PRESET_NAMES, SEEDS) + table_digests(PRESET_NAMES)))
+    lines = preset_digests(PRESET_NAMES, SEEDS) + table_digests(PRESET_NAMES) + certificate_digests(PRESET_NAMES)
+    print("\n".join(lines))

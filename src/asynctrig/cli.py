@@ -273,6 +273,8 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
         "metrics": all_metrics[seeds[-1]] if len(seeds) == 1 else {str(s): m for s, m in all_metrics.items()},
         "outputs": [os.path.relpath(p, outdir) for p in outputs],  # the same wherever --out-dir points
     }
+    if prepared.table is not None:  # the offline modes: each region's count of certified horizons
+        manifest["regions"] = [{"certified": n, "fallback_only": n == 0} for n in prepared.table.certified]
     manifest_path = os.path.join(outdir, "manifest.json")
     _write_json(manifest, manifest_path)
     for seed in seeds:

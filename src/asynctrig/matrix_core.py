@@ -141,11 +141,12 @@ def is_psd(S, tol: float = PSD_TOL) -> bool:
 
 
 def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
-    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q) <= tol, or NaN.
+    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= tol, or NaN.
 
+    Q is a stack of one form per row, or a single form that every row shares.
     lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
     interval whose finite ends are real eigenvalues of the pencil
-    (S - tol I, -Q); ends[h] holds that pencil's eigenvalues for S[h].  One
+    (S - tol I, -Q); ends[h] holds that pencil's eigenvalues for row h.  One
     eps below the first positive end, one between each consecutive pair and
     one past the last therefore decide exactly; the real parts of complex
     eigenvalues only add test points, and non-finite ones from a singular Q
@@ -165,6 +166,6 @@ def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
     )
     h, k = np.nonzero(~np.isnan(candidates))
     feasible = np.zeros(candidates.shape, dtype=bool)
-    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * Q)[:, -1] <= tol
+    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= tol
     first = candidates[rows, feasible.argmax(axis=1)]
     return np.where(feasible.any(axis=1), first, np.nan)

@@ -10,7 +10,8 @@ quadratic form.
 A horizon is certified on a region by a multiplier eps > 0 with
 lambda_max(S + eps Q_c) <= tol for its certificate form S.  `RegionForms`
 stacks those forms over the horizons once, and `region_multipliers`, the
-package's one region test, decides all of them on one region at once.
+package's one region test, decides every (region, horizon) pair of a
+partition in one call, after an exact rejection on each cone's axis.
 """
 
 import math
@@ -158,27 +159,44 @@ def decay_forms(P, phis, bbars, tol: float = PSD_TOL) -> RegionForms:
 
 
 def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
-    """A multiplier per stacked horizon on the form Q_c, NaN where none certifies.
+    """A multiplier per (region, stacked horizon), NaN where none certifies.
 
-    The pencil ends of every horizon are the reciprocals of one batched
-    eigvals of M = -(S - tol I)^{-1} sign Q_c.  That form stays accurate at
-    the pi/2 cap, where Q_c is singular to working precision and Q_c^{-1}
-    would swamp the finite ends.  An eigenvalue of M below its rounding
-    level, d eps_mach ||M||_F, is zero: its end lies at infinity.  The
-    certified pairs are then rechecked on their full matrices, with sign Q_c
-    in the leading block, by one batched eigvalsh.
+    Q_c is one form (d, d), giving shape (K,) over the K stacked horizons,
+    or a stack (R, d, d), giving (R, K).  An exact axis rejection comes
+    first: for the unit top eigenvector v of sign Q_c (the axis for sign +1,
+    orthogonal to it for -1), v' sign Q_c v >= 0 gives lambda_max(S + eps
+    sign Q_c) >= v'Sv at every eps > 0, so v'Sv > tol rules the pair out.
+    One product with vec(v v') decides every pair.  It rejects only past
+    v'Sv's rounding, d eps_mach ||S||_F, and only where v' sign Q_c v is
+    above its own, d eps_mach ||Q_c||_F: at the pi/2 cap the top eigenvalue
+    of -Q_c is rounding alone.  The survivors, each with its region's form,
+    get their pencil ends as the reciprocals of one batched eigvals of
+    M = -(S - tol I)^{-1} sign Q_c, accurate at the cap, where Q_c^{-1} would
+    swamp the finite ends; an eigenvalue of M below d eps_mach ||M||_F is
+    zero, an end at infinity.  The certified pairs are rechecked on their
+    full matrices, sign Q_c in the leading block, by one batched eigvalsh.
     """
-    Q = forms.sign * Q_c
-    M = -np.linalg.solve(forms.S - forms.tol * np.eye(len(Q)), Q)
+    Q = forms.sign * np.asarray(Q_c, dtype=float)
+    Qs = Q.reshape((-1,) + Q.shape[-2:])
+    R, d, K = len(Qs), Q.shape[-1], len(forms.S)
+    rounding = d * np.finfo(float).eps
+    v = np.linalg.eigh(Qs)[1][:, :, -1]
+    axis = np.einsum("ri,rij,rj->r", v, Qs, v) > rounding * np.linalg.norm(Qs, axis=(1, 2))
+    vSv = (v[:, :, None] * v[:, None, :]).reshape(R, d * d) @ forms.S.reshape(K, d * d).T
+    r, k = np.nonzero(~axis[:, None] | (vSv <= forms.tol + rounding * np.linalg.norm(forms.S, axis=(1, 2))))
+    S, Qp = forms.S[k], Qs[r]
+    M = -np.linalg.solve(S - forms.tol * np.eye(d), Qp)
     mu = np.linalg.eigvals(M)
-    zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
+    zero = np.abs(mu) <= rounding * np.linalg.norm(M, axis=(1, 2))[:, None]
     ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
-    eps = sprocedure_multipliers(forms.S, Q, ends, forms.tol)
-    k = np.flatnonzero(~np.isnan(eps))
-    E = np.zeros(forms.full.shape[1:])
-    E[: len(Q), : len(Q)] = Q
-    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > forms.tol]] = np.nan
-    return eps
+    eps = sprocedure_multipliers(S, Qp, ends, forms.tol)
+    c = np.flatnonzero(~np.isnan(eps))
+    E = np.zeros((len(c),) + forms.full.shape[1:])
+    E[:, :d, :d] = Qp[c]
+    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > forms.tol]] = np.nan
+    out = np.full((R, K), np.nan)
+    out[r, k] = eps
+    return out.reshape(Q.shape[:-2] + (K,))
 
 
 def partition_to_dict(regions) -> dict:

@@ -163,11 +163,12 @@ class TablePolicy:
     region; a lookup miss falls back to sigma*, which is certified everywhere.
 
     The table is built here: the certificate's region test is stacked over
-    the horizons once (`region_forms`), each region decides every horizon
-    at once (`region_multipliers`), and a region where nothing qualifies
-    gets sigma* alone.  psi holds each region's tuple of optimal horizons,
-    metric their shared metric value.  codes, when given, is the horizons'
-    `action_codes` array.
+    the horizons once (`region_forms`), one `region_multipliers` call on the
+    stacked region forms decides every (region, horizon) pair, and a region
+    where nothing qualifies gets sigma* alone.  psi holds each region's
+    tuple of optimal horizons, metric their shared metric value, and
+    certified its number of certified horizons (0 where psi is the fallback
+    alone).  codes, when given, is the horizons' `action_codes` array.
     """
 
     def __init__(self, cert, horizons, phis, m: int, regions, codes=None):
@@ -175,14 +176,14 @@ class TablePolicy:
         fallback = np.array([_fallback_index(cert, horizons)])
         metrics = _metrics(action_codes(horizons) if codes is None else codes, m)
         forms = region_forms(cert, horizons, phis)
-        psi = []
-        values = []
-        for reg in regions:
-            feas = forms.index[~np.isnan(region_multipliers(forms, reg.Q))]
-            best, ties = _best_ties(metrics, feas if feas.size else fallback)
+        certified = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
+        psi, values = [], []
+        for row in certified:
+            best, ties = _best_ties(metrics, forms.index[row] if row.any() else fallback)
             psi.append(tuple(horizons[i] for i in ties))
             values.append(float(best))
         self.psi, self.metric = tuple(psi), tuple(values)
+        self.certified = tuple(certified.sum(axis=1).tolist())
         self.regions = regions
         self.m = m
         self.fallback = horizons[fallback[0]]

@@ -6,8 +6,16 @@ import numpy as np
 from scipy.linalg import eigvals, expm
 
 from asynctrig import triggers
-from asynctrig.certificates import build_U_c, decay_factor, perturbed_forms, verify_lmi_pair, young_gain
+from asynctrig.certificates import (
+    build_U_c,
+    decay_factor,
+    perturbed_forms,
+    region_forms,
+    verify_lmi_pair,
+    young_gain,
+)
 from asynctrig.errors import InfeasibleError
+from asynctrig.horizons import action_codes
 from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
     spectral_radius,
@@ -238,8 +246,9 @@ def special_value_traces():
 
 # ---------------------------------------------------------------------------
 # one-at-a-time oracles: the per-horizon transition product, the per-node
-# disturbance bound, the fully sampled stability threshold, and the region
-# test one (horizon, region) pair at a time, which solves each pencil as a
+# disturbance bound, the fully sampled stability threshold, the region test
+# one region at a time with no axis rejection, and the region test one
+# (horizon, region) pair at a time, which solves each pencil as a
 # generalized eigenproblem where the package solves all of them in one batch
 
 
@@ -334,6 +343,38 @@ def pair_multiplier(forms, Q_c):
     E = np.zeros(forms.full.shape[1:])
     E[:d, :d] = forms.sign * Q_c
     return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= forms.tol else None
+
+
+def unfiltered_region_multipliers(forms, Q_c) -> np.ndarray:
+    """`partition.region_multipliers` on one region form without the axis
+    rejection: every stacked horizon goes through the pencil and the recheck."""
+    Q = forms.sign * np.asarray(Q_c, dtype=float)
+    M = -np.linalg.solve(forms.S - forms.tol * np.eye(len(Q)), Q)
+    mu = np.linalg.eigvals(M)
+    zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
+    ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
+    eps = sprocedure_multipliers(forms.S, Q, ends, forms.tol)
+    k = np.flatnonzero(~np.isnan(eps))
+    E = np.zeros(forms.full.shape[1:])
+    E[: len(Q), : len(Q)] = Q
+    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > forms.tol]] = np.nan
+    return eps
+
+
+def unpruned_table(cert, horizons, phis, m: int, regions):
+    """(psi, metric) of `TablePolicy`, built one region at a time by
+    `unfiltered_region_multipliers`, sigma* alone where nothing qualifies."""
+    horizons = [tuple(s) for s in horizons]
+    fallback = np.array([triggers._fallback_index(cert, horizons)])
+    metrics = triggers._metrics(action_codes(horizons), m)
+    forms = region_forms(cert, horizons, phis)
+    psi, values = [], []
+    for reg in regions:
+        feas = forms.index[~np.isnan(unfiltered_region_multipliers(forms, reg.Q))]
+        best, ties = triggers._best_ties(metrics, feas if feas.size else fallback)
+        psi.append(tuple(horizons[i] for i in ties))
+        values.append(float(best))
+    return tuple(psi), tuple(values)
 
 
 def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):

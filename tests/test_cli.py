@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from asynctrig.certificates import region_forms
 from asynctrig.cli import config_digest, main
 from asynctrig.horizons import avg_idle_metric, horizon_from_text
+from asynctrig.plant import transition_table
 from asynctrig.svgplots import parse_polyline
+from helpers import unfiltered_region_multipliers
 
 
 def _config_dict(**overrides):
@@ -66,8 +69,26 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     assert m1["config_digest"] == m2["config_digest"]
     assert m1["metrics"] == m2["metrics"]
     assert m1["certificate"]["kind"] == "unperturbed"
+    assert "regions" not in m1  # an online mode has no region table
     # outputs are recorded relative to --out-dir, so the manifests agree too
     assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["offline-unperturbed", "offline-perturbed"])
+def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, request, name):
+    # one entry per region, in region order: its number of certified
+    # horizons, counted here by the unfiltered one-region pencil pass
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["preset", name, "--steps", "20", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
+    prep = request.getfixturevalue("prepared_" + name.replace("-", "_"))[1]
+    forms = region_forms(prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons))
+    counts = [int(np.count_nonzero(~np.isnan(unfiltered_region_multipliers(forms, reg.Q)))) for reg in prep.regions]
+    manifest = json.loads((runs[0] / "manifest.json").read_text())
+    assert manifest["regions"] == [{"certified": n, "fallback_only": n == 0} for n in counts]
+    assert len(counts) == 15 and min(counts) > 0
 
 
 def test_digest_tracks_semantic_changes(tmp_path, capsys):

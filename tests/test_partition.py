@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from asynctrig import partition
 from asynctrig.matrix_core import sym_eig_bounds
 from asynctrig.partition import (
     ConicRegion,
@@ -15,6 +16,7 @@ from asynctrig.partition import (
     region_multipliers,
     region_of,
 )
+from helpers import unfiltered_region_multipliers
 
 
 def test_dim2_equiangular_sectors():
@@ -208,6 +210,42 @@ def test_region_recheck_rejects_what_only_the_full_matrix_fails():
     full[:, 2, 2] = corner
     stricter = RegionForms(forms.index, forms.S, full, forms.sign, forms.tol)
     np.testing.assert_array_equal(region_multipliers(stricter, Q), np.where(corner > 0, np.nan, pencil))
+
+
+def _random_cones(rng, count: int, d: int) -> np.ndarray:
+    """count cone forms v v' - cos^2(theta) I around random unit axes; the last three have
+    theta = 1e-6, pi/2 - 1e-6 and the pi/2 cap."""
+    axes = rng.normal(size=(count, d))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    thetas = np.append(rng.uniform(0.05, 1.5, count - 3), [1e-6, math.pi / 2 - 1e-6, math.pi / 2])
+    cos2 = np.cos(thetas) ** 2
+    return axes[:, :, None] * axes[:, None, :] - cos2[:, None, None] * np.eye(d)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_axis_rejection_drops_only_pairs_the_pencil_rejects(sign, monkeypatch):
+    # random symmetric forms, from negative definite to indefinite, against
+    # random cones, the thin and the capped ones included: every pair the
+    # rejection keeps from the pencil is NaN on the unfiltered path too
+    rng = np.random.default_rng(19 if sign > 0 else 20)
+    d, tol = 4, 1e-9
+    Q = _random_cones(rng, 12, d)
+    G = rng.normal(size=(200, d, d))
+    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - rng.uniform(-1, 3, size=(200, 1, 1)) * np.eye(d)
+    forms = RegionForms(np.arange(len(S)), S, S, sign, tol)
+    rows = []
+    pencil = partition.sprocedure_multipliers
+
+    def counted(S, Q, ends, tol):
+        rows.append(len(S))
+        return pencil(S, Q, ends, tol)
+
+    monkeypatch.setattr(partition, "sprocedure_multipliers", counted)
+    eps = region_multipliers(forms, Q)
+    assert eps.shape == (12, len(S))
+    assert 0 < rows[0] < eps.size  # the rejection dropped pairs, and kept some
+    np.testing.assert_array_equal(eps, [unfiltered_region_multipliers(forms, q) for q in Q])
+    assert 0 < np.count_nonzero(~np.isnan(eps)) < rows[0]  # the pencil certified some survivors, not all
 
 
 def test_partition_serialization_round_trip():

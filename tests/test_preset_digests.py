@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -7,9 +8,11 @@ import numpy as np
 
 from asynctrig.certificates import certificate_from_dict
 from asynctrig.cli import main
+from asynctrig.partition import make_partition
+from asynctrig.plant import transition_table
 from asynctrig.presets import preset_config
 from asynctrig.simulation import prepare
-from asynctrig.triggers import table_to_dict
+from asynctrig.triggers import TablePolicy, table_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,11 +41,26 @@ def test_preset_digests_hash_every_output_of_a_run(tmp_path, monkeypatch):
     assert lines == expected
 
 
-def test_table_digests_hash_each_offline_table():
-    lines = _preset_digests().table_digests(["online-unperturbed", "offline-perturbed"])
-    table = prepare(preset_config("offline-perturbed")).table
+def _table_line(table, label: str) -> str:
     text = json.dumps(table_to_dict(table), indent=2) + "\n"
-    assert lines == [f"{hashlib.sha256(text.encode()).hexdigest()}  offline-perturbed/table.json"]
+    return f"{hashlib.sha256(text.encode()).hexdigest()}  {label}"
+
+
+def test_table_digests_hash_each_offline_table():
+    # the preset's table, the benchmark's cut of it and its certificate on
+    # the capped cones, the tables the benchmark and the capped-cone tests build
+    lines = _preset_digests().table_digests(["online-unperturbed", "offline-perturbed"])
+    config = preset_config("offline-perturbed")
+    prep = prepare(config)
+    cut = prepare(dataclasses.replace(config, l_max=4))
+    capped = TablePolicy(
+        prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons), prep.dp.m, make_partition(4, 3)
+    )
+    assert lines == [
+        _table_line(prep.table, "offline-perturbed/table.json"),
+        _table_line(cut.table, "offline-perturbed/bench-cut/table.json"),
+        _table_line(capped, "offline-perturbed/capped-3/table.json"),
+    ]
 
 
 def test_certificate_digests_hash_the_certified_numbers(tmp_path, capsys):

@@ -48,6 +48,8 @@ from helpers import (
     random_schur_stabilizable,
     select_with_ties,
     sprocedure_feasible,
+    unfiltered_region_multipliers,
+    unpruned_table,
 )
 
 
@@ -419,11 +421,11 @@ def _pair_verdicts(prep, regions):
 
 
 def _batched_verdicts(prep, regions):
+    """Every (region, horizon) verdict of one `region_multipliers` call on the stacked region forms."""
     dp, horizons, cert = prep.dp, prep.horizons, prep.cert
     forms = region_forms(cert, horizons, transition_table(dp, horizons))
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
-    for r, reg in enumerate(regions):
-        verdicts[r, forms.index[~np.isnan(region_multipliers(forms, reg.Q))]] = True
+    verdicts[:, forms.index] = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
     return forms, verdicts
 
 
@@ -463,6 +465,65 @@ def test_batched_region_test_on_capped_cones(fixture, request):
     assert math.cos(regions[0].half_angle) ** 2 < 1e-30
     _, batched = _batched_verdicts(prep, regions)
     np.testing.assert_array_equal(batched, _pair_verdicts(prep, regions))
+
+
+def _random_offline_preparations(count: int):
+    """The first count seeded random Schur-stabilizable plants that certify offline, with 8 regions."""
+    rng = np.random.default_rng(19)
+    preps = []
+    while len(preps) < count:
+        draw = random_schur_stabilizable(rng)
+        if draw is None:
+            continue
+        plant, T = draw
+        config = SimConfig(plant=plant, T=T, l_min=1, l_max=5, mode="offline-unperturbed", x0=np.ones(2), N=8)
+        try:
+            preps.append(prepare(config, with_tables=False))
+        except (ConfigError, InfeasibleError):
+            continue
+    return preps
+
+
+def _table_cases(case, request):
+    """(preparation, regions) pairs of one case of the pruned-table tests."""
+    if case == "random-plants":
+        return [(prep, prep.regions) for prep in _random_offline_preparations(10)]
+    if case in CUT_PRESETS:
+        name, changes = CUT_PRESETS[case]
+        prep = prepare(dataclasses.replace(preset_config(name), **changes), with_tables=False)
+        return [(prep, prep.regions)]
+    _, prep, _ = request.getfixturevalue(case)
+    return [(prep, prep.regions)] + [(prep, make_partition(4, N)) for N in (1, 2, 3, 5, 8, 30)]
+
+
+TABLE_CASES = ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CUT_PRESETS, "random-plants"]
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_pruned_table_equals_the_unpruned_table(case, request):
+    # the table builder rejects pairs on the cone's axis before any pencil;
+    # the oracle sends every pair of every region through the pencil
+    for prep, regions in _table_cases(case, request):
+        phis = transition_table(prep.dp, prep.horizons)
+        table = TablePolicy(prep.cert, prep.horizons, phis, prep.dp.m, regions)
+        psi, metric = unpruned_table(prep.cert, prep.horizons, phis, prep.dp.m, regions)
+        assert table.psi == psi
+        assert table.metric == metric
+        assert len(table.certified) == len(regions)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_stacked_region_call_matches_single_form_calls(case, request):
+    # one call on the (R, d, d) stack returns (R, K), each row bit for bit the
+    # row of a call on that region's form alone and of the unfiltered pencil
+    # pass, NaN at the same pairs
+    for prep, regions in _table_cases(case, request):
+        forms = region_forms(prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons))
+        stacked = region_multipliers(forms, np.array([reg.Q for reg in regions]))
+        single = np.array([region_multipliers(forms, reg.Q) for reg in regions])
+        assert stacked.shape == single.shape == (len(regions), len(forms.index))
+        np.testing.assert_array_equal(stacked, single)
+        np.testing.assert_array_equal(stacked, [unfiltered_region_multipliers(forms, reg.Q) for reg in regions])
 
 
 def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed):

@@ -7,7 +7,11 @@ Runs `asynctrig preset NAME --seed S --plots` for each preset and seed into
 a temporary directory, importing the package from the checkout this script
 lives in, and prints one `sha256  preset/seed/file` line per output file, in
 a fixed order.  Then it prints one `sha256  preset/table.json` line per
-offline preset: the digest of its region table as `table_to_dict` JSON.
+offline preset: the digest of its region table as `table_to_dict` JSON, then one
+`sha256  preset/bench-cut/table.json` line for the benchmark's cut of it
+(`perfbench/workloads.py::BENCH_OFFLINE`) and one
+`sha256  preset/capped-3/table.json` line for its certificate on the three
+capped cones of `make_partition(4, 3)`.
 Last it prints one `sha256  preset/certificate-numbers` line per preset: the
 digest of the raw float64 bytes of the certificate's P, then M and mu where
 the certificate has them.  That line stays put when only the layout of
@@ -17,6 +21,7 @@ when a `diff` of their printed lines is empty.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -27,12 +32,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from asynctrig.cli import main  # noqa: E402
+from asynctrig.partition import make_partition  # noqa: E402
+from asynctrig.plant import transition_table  # noqa: E402
 from asynctrig.presets import PRESET_NAMES, preset_config  # noqa: E402
 from asynctrig.simulation import OFFLINE_MODES, prepare  # noqa: E402
-from asynctrig.triggers import table_to_dict  # noqa: E402
+from asynctrig.triggers import TablePolicy, table_to_dict  # noqa: E402
+from perfbench.workloads import BENCH_OFFLINE  # noqa: E402
 
 SEEDS = (154, 1, 2, 3)
 
@@ -56,12 +64,21 @@ def preset_digests(presets, seeds) -> list:
 
 
 def table_digests(presets) -> list:
-    """`sha256  preset/table.json` for the region table of every offline preset among presets."""
+    """`sha256  preset/table.json`, `preset/bench-cut/table.json` and `preset/capped-3/table.json`
+    for every offline preset among presets: its region table, the benchmark's cut of it, and its
+    certificate's table on make_partition(4, 3)."""
     lines = []
     for name in presets:
         if name in OFFLINE_MODES:
-            text = json.dumps(table_to_dict(prepare(preset_config(name)).table), indent=2) + "\n"
-            lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/table.json")
+            config = preset_config(name)
+            prep = prepare(config)
+            capped = TablePolicy(
+                prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons), prep.dp.m, make_partition(4, 3)
+            )
+            cut = prepare(dataclasses.replace(config, **BENCH_OFFLINE[name])).table
+            for table, label in ((prep.table, ""), (cut, "bench-cut/"), (capped, "capped-3/")):
+                text = json.dumps(table_to_dict(table), indent=2) + "\n"
+                lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/{label}table.json")
     return lines
 
 

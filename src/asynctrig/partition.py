@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvals
 from scipy.special import ndtri
 
 from .matrix_core import PSD_TOL, decay_form, sprocedure_multipliers, symmetrize
@@ -173,8 +174,11 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     get their pencil ends as the reciprocals of one batched eigvals of
     M = -(S - tol I)^{-1} sign Q_c, accurate at the cap, where Q_c^{-1} would
     swamp the finite ends; an eigenvalue of M below d eps_mach ||M||_F is
-    zero, an end at infinity.  The certified pairs are rechecked on their
-    full matrices, sign Q_c in the leading block, by one batched eigvalsh.
+    zero, an end at infinity.  Where some S - tol I is exactly singular, that
+    solve fails, and the survivors take their ends from each pair's
+    generalized pencil (S - tol I, -sign Q_c) instead.  The certified pairs
+    are rechecked on their full matrices, sign Q_c in the leading block, by
+    one batched eigvalsh.
     """
     Q = forms.sign * np.asarray(Q_c, dtype=float)
     Qs = Q.reshape((-1,) + Q.shape[-2:])
@@ -185,10 +189,14 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     vSv = (v[:, :, None] * v[:, None, :]).reshape(R, d * d) @ forms.S.reshape(K, d * d).T
     r, k = np.nonzero(~axis[:, None] | (vSv <= forms.tol + rounding * np.linalg.norm(forms.S, axis=(1, 2))))
     S, Qp = forms.S[k], Qs[r]
-    M = -np.linalg.solve(S - forms.tol * np.eye(d), Qp)
-    mu = np.linalg.eigvals(M)
-    zero = np.abs(mu) <= rounding * np.linalg.norm(M, axis=(1, 2))[:, None]
-    ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
+    try:
+        M = -np.linalg.solve(S - forms.tol * np.eye(d), Qp)
+    except np.linalg.LinAlgError:  # some S - tol I is singular: each pair's generalized pencil instead
+        ends = np.array([eigvals(s - forms.tol * np.eye(d), -q) for s, q in zip(S, Qp)])
+    else:
+        mu = np.linalg.eigvals(M)
+        zero = np.abs(mu) <= rounding * np.linalg.norm(M, axis=(1, 2))[:, None]
+        ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
     eps = sprocedure_multipliers(S, Qp, ends, forms.tol)
     c = np.flatnonzero(~np.isnan(eps))
     E = np.zeros((len(c),) + forms.full.shape[1:])

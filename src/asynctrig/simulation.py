@@ -2,7 +2,7 @@
 
 The true plant is advanced with the exact ZOH linear map each period; the
 disturbance convolution integral is added by fixed-substep quadrature, with
-the signal sampled once per period at all nodes.  A trigger policy is
+the signal sampled once per 32-step block at all nodes.  A trigger policy is
 consulted at horizon boundaries only: inside a horizon the committed actions
 are applied open-loop, which is the whole point of self-triggering.
 """
@@ -31,7 +31,6 @@ from .plant import (
     _simpson_weights,
     disturbance_step_bound,
     growth_constants,
-    selection_matrices,
     step_matrix,
     transition_table,
 )
@@ -49,6 +48,7 @@ MODES = (
 PERTURBED_MODES = ("online-perturbed", "offline-perturbed")
 OFFLINE_MODES = ("offline-unperturbed", "offline-perturbed")
 COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before a transition stack of this many bytes
+BLOCK_STEPS = 32  # simulate integrates the disturbance forcing of this many steps per call
 
 
 @dataclass
@@ -68,7 +68,7 @@ class SimConfig:
     seed: int = 0
     substeps_per_T: int = 100
     sigma_star: Optional[tuple] = None
-    # w(times) -> shape times.shape + (n_w,), called once per period on all quadrature times
+    # w(times) -> shape times.shape + (n_w,), called once per BLOCK_STEPS periods on all their quadrature times
     disturbance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     horizon_cap: int = DEFAULT_CAP
 
@@ -122,10 +122,10 @@ class _DisturbanceIntegrator:
 
     The matrices e^{A(T-s)}D are one stacked exponential at the 2*substeps+1
     half-step nodes (the sample at offset s propagates for the remaining T-s);
-    per step the signal is sampled once, at all nodes.  Weights follow the
-    classic fourth-order rule (ends 1, odd nodes 4, even nodes 2, times h/6).
-    It depends on the plant, T and the substep count only, so `prepare`
-    builds it once and every `simulate` on that preparation shares it.
+    `integrate` samples the signal once, at all nodes of every step given.
+    Weights follow the classic fourth-order rule (ends 1, odd nodes 4, even
+    nodes 2, times h/6).  It depends on the plant, T and the substep count
+    only, so `prepare` builds it once and every `simulate` on it shares it.
     """
 
     def __init__(self, plant: PlantModel, T: float, substeps: int):
@@ -135,8 +135,9 @@ class _DisturbanceIntegrator:
         self.EAD = expm(plant.A[None] * (T - self.nodes)[:, None, None]) @ plant.D
         self.weights = _simpson_weights(substeps, T)
 
-    def integrate(self, w: Callable[[np.ndarray], np.ndarray], t: float) -> np.ndarray:
-        return self.weights @ np.einsum("kij,kj->ki", self.EAD, w(t + self.nodes))
+    def integrate(self, w: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
+        """The forcing of each step starting at a time in ts, one row per time."""
+        return self.weights @ np.einsum("kij,skj->ski", self.EAD, w(np.asarray(ts)[:, None] + self.nodes))
 
 
 class Prepared(NamedTuple):
@@ -211,16 +212,18 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     P = cert.P
 
     n = plant.n
-    sel = [selection_matrices(a, plant.blocks) for a in range(plant.m + 1)]
+    # action a refreshes the entries of sensor block a; action 0 refreshes none
+    masks = list(np.repeat(np.arange(1, plant.m + 1), plant.blocks) == np.arange(plant.m + 1)[:, None])
     A_T, B_T, K = dp.A_T, dp.B_T, plant.K
+    # t += T over the most steps a run takes: total_steps - 1, then the longest horizon, listed last
+    times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + len(prepared.horizons[-1]) - 2, config.T)])
+    taus = times.tolist()
 
     x = config.x0[:n].copy()
     xh = config.x0[n:].copy()
     eta = np.concatenate([x, xh])
-    t = 0.0
     steps = 0
-    readings = 0
-    rows_t, rows_x, rows_xh, rows_u, rows_a, rows_V = [], [], [], [], [], []
+    rows_x, rows_xh, rows_u, rows_a = [], [], [], []
     boundaries = []
     boundary_V = [float(eta @ P @ eta)]
     decisions = []
@@ -230,28 +233,28 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
-        decision_rows.append((steps, t, config.mode, horizon_to_text(dec.horizon), dec.metric, dec.evaluated,
-                              int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
+        decision_rows.append((steps, taus[steps], config.mode, horizon_to_text(dec.horizon), dec.metric,
+                              dec.evaluated, int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
         for a in dec.horizon:
-            eta = np.concatenate([x, xh])
-            rows_t.append(t)
             rows_x.append(x)  # x and xh are rebound each step, never mutated
-            rows_V.append(float(eta @ P @ eta))
-            M_sel, N_sel = sel[a]
-            xh = M_sel @ x + N_sel @ xh
+            xh = np.where(masks[a], x, xh)
             u = K @ xh
             x = A_T @ x + B_T @ u
             if perturbed:
-                x = x + integrator.integrate(w_signal, t)
+                if steps % BLOCK_STEPS == 0:
+                    forcing = integrator.integrate(w_signal, times[steps : steps + BLOCK_STEPS])
+                x = x + forcing[steps % BLOCK_STEPS]
             rows_xh.append(xh)
             rows_u.append(u)
             rows_a.append(a)
-            t += config.T
             steps += 1
-            readings += int(a != 0)
         eta = np.concatenate([x, xh])
         boundary_V.append(float(eta @ P @ eta))
 
+    X, XHAT, actions = np.array(rows_x), np.array(rows_xh), np.array(rows_a, dtype=int)
+    E = np.concatenate([X, np.vstack([config.x0[n:], XHAT[:-1]])], axis=1)[:, None]  # (x, held estimate) rows
+    V = np.matmul(np.matmul(E, P), E.transpose(0, 2, 1)).ravel()  # on (1, 2n) rows: eta @ P @ eta bit for bit
+    readings = int(np.count_nonzero(actions))
     V0 = boundary_V[0]
     metrics = {
         "steps": steps,
@@ -278,12 +281,12 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         metrics["guub_contained"] = bool(entered is not None and max_after <= cert.mu + 1e-6)
 
     trace = SimTrace(
-        times=np.array(rows_t),
-        X=np.array(rows_x),
-        XHAT=np.array(rows_xh),
+        times=times[:steps],
+        X=X,
+        XHAT=XHAT,
         U=np.array(rows_u),
-        actions=np.array(rows_a, dtype=int),
-        V=np.array(rows_V),
+        actions=actions,
+        V=V,
         boundaries=boundaries,
         boundary_V=boundary_V,
         decisions=decisions,

@@ -15,7 +15,7 @@ from asynctrig.certificates import (
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import action_codes
+from asynctrig.horizons import action_codes, horizon_to_text
 from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
     spectral_radius,
@@ -25,7 +25,15 @@ from asynctrig.matrix_core import (
     zoh_pair,
 )
 from asynctrig.partition import decay_forms
-from asynctrig.plant import BOUND_PANELS, DiscretePlant, PlantModel, _simpson_weights, step_matrix
+from asynctrig.plant import (
+    BOUND_PANELS,
+    DiscretePlant,
+    PlantModel,
+    _simpson_weights,
+    selection_matrices,
+    step_matrix,
+)
+from asynctrig.simulation import PERTURBED_MODES, SimTrace, default_sine_disturbance
 
 # the two-state benchmark plant used across the suite
 A2 = np.array([[0.0, 1.0], [-2.0, 3.0]])
@@ -208,8 +216,6 @@ def oracle_poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
 def special_value_traces():
     """Hand-made traces that stress float formatting: signed zero, the least
     subnormal, a huge value and nan; integer schedule points; one step only."""
-    from asynctrig.simulation import SimTrace
-
     tiny, huge, nan = 5e-324, 1e300, float("nan")
     wide = SimTrace(
         times=np.array([0.0, -0.0, tiny, 0.1 + 0.2]),
@@ -274,6 +280,51 @@ def per_node_disturbance_bound(plant: PlantModel, T: float) -> float:
     full = float(f @ _simpson_weights(BOUND_PANELS, T))
     half = float(f[::2] @ _simpson_weights(BOUND_PANELS // 2, T))
     return plant.w_max * (full + abs(full - half) / 15.0)
+
+
+def stepwise_simulate(config, prepared) -> SimTrace:
+    """`simulation.simulate` one period at a time, without its metrics.
+
+    Each step concatenates the collective state and takes its V, samples
+    with the two selection matmuls, and adds the 201-node quadrature of that
+    step's disturbance alone.
+    """
+    plant, dp, P, integ = config.plant, prepared.dp, prepared.cert.P, prepared.integrator
+    perturbed = config.mode in PERTURBED_MODES
+    w = (config.disturbance or default_sine_disturbance(plant)) if perturbed else None
+    n = plant.n
+    sel = [selection_matrices(a, plant.blocks) for a in range(plant.m + 1)]
+    x, xh = config.x0[:n].copy(), config.x0[n:].copy()
+    eta = np.concatenate([x, xh])
+    t, steps = 0.0, 0
+    rows_t, rows_x, rows_xh, rows_u, rows_a, rows_V = [], [], [], [], [], []
+    boundaries, boundary_V, decisions, decision_rows = [], [float(eta @ P @ eta)], [], []
+    while steps < config.total_steps:
+        dec = prepared.policy.select(eta, config.seed, steps)
+        boundaries.append(steps)
+        decisions.append(dec)
+        decision_rows.append((steps, t, config.mode, horizon_to_text(dec.horizon), dec.metric, dec.evaluated,
+                              int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
+        for a in dec.horizon:
+            eta = np.concatenate([x, xh])
+            rows_t.append(t)
+            rows_x.append(x)
+            rows_V.append(float(eta @ P @ eta))
+            M_sel, N_sel = sel[a]
+            xh = M_sel @ x + N_sel @ xh
+            u = plant.K @ xh
+            x = dp.A_T @ x + dp.B_T @ u
+            if perturbed:
+                x = x + integ.weights @ np.einsum("kij,kj->ki", integ.EAD, w(t + integ.nodes))
+            rows_xh.append(xh)
+            rows_u.append(u)
+            rows_a.append(a)
+            t += config.T
+            steps += 1
+        eta = np.concatenate([x, xh])
+        boundary_V.append(float(eta @ P @ eta))
+    return SimTrace(np.array(rows_t), np.array(rows_x), np.array(rows_xh), np.array(rows_u),
+                    np.array(rows_a, dtype=int), np.array(rows_V), boundaries, boundary_V, decisions, decision_rows)
 
 
 def full_scan_sigma_star(horizons, phis) -> tuple:

@@ -16,7 +16,7 @@ from asynctrig.partition import (
     region_multipliers,
     region_of,
 )
-from helpers import unfiltered_region_multipliers
+from helpers import pair_multiplier, unfiltered_region_multipliers
 
 
 def test_dim2_equiangular_sectors():
@@ -246,6 +246,44 @@ def test_axis_rejection_drops_only_pairs_the_pencil_rejects(sign, monkeypatch):
     assert 0 < rows[0] < eps.size  # the rejection dropped pairs, and kept some
     np.testing.assert_array_equal(eps, [unfiltered_region_multipliers(forms, q) for q in Q])
     assert 0 < np.count_nonzero(~np.isnan(eps)) < rows[0]  # the pencil certified some survivors, not all
+
+
+def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
+    # knife-edge forms S = -c (I - u u') + (tol + delta) u u', u the vector the
+    # axis rejection reads, |delta| <= eps_mach c: every one survives the
+    # rejection on its own cone, and S - tol I is singular to working
+    # precision.  Where LU finds one exactly singular, the batched solve
+    # raises; the call must then still decide every pair, as the one-pair
+    # generalized-pencil oracle does.  Regular random forms ride along, so
+    # the fallback certifies some pairs too.
+    d, tol = 4, 1e-9
+    fell_back = 0
+    for trial in range(24):
+        sign = 1.0 if trial % 2 == 0 else -1.0
+        rng = np.random.default_rng(trial)
+        Q = _random_cones(rng, 8, d)
+        u = np.linalg.eigh(sign * Q)[1][:, :, -1]
+        c = 10 ** rng.uniform(0, 6, size=(3, len(Q)))
+        delta = rng.uniform(-1, 1, size=c.shape) * np.finfo(float).eps * c
+        uu = u[:, :, None] * u[:, None, :]
+        knife = -c[..., None, None] * (np.eye(d) - uu) + (tol + delta)[..., None, None] * uu
+        G = rng.normal(size=(16, d, d))
+        regular = 0.5 * (G + np.swapaxes(G, 1, 2)) - rng.uniform(-1, 3, size=(16, 1, 1)) * np.eye(d)
+        S = np.concatenate([knife.reshape(-1, d, d), regular])
+        forms = RegionForms(np.arange(len(S)), S, S, sign, tol)
+        eps = region_multipliers(forms, Q)
+        try:
+            np.linalg.solve(S - tol * np.eye(d), np.broadcast_to(np.eye(d), S.shape))
+            continue  # not exactly singular: the batched path decided, and its ends are its own
+        except np.linalg.LinAlgError:
+            fell_back += 1
+        oracle = [
+            [pair_multiplier(RegionForms(np.arange(1), S[k : k + 1], S[k : k + 1], sign, tol), q) is None for k in range(len(S))]
+            for q in Q
+        ]
+        np.testing.assert_array_equal(np.isnan(eps), oracle)
+        assert np.count_nonzero(~np.isnan(eps)) > 0
+    assert fell_back >= 5
 
 
 def test_partition_serialization_round_trip():

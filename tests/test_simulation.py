@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import importlib.util
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from helpers import (
     oracle_write_trace_csv,
     schur_threshold,
     special_value_traces,
+    stepwise_simulate,
 )
 
 
@@ -153,7 +156,7 @@ def test_disturbance_integrator_matches_dense_quadrature():
     integ = _DisturbanceIntegrator(plant, T, substeps=100)
     w = default_sine_disturbance(plant)
     for t0 in (0.0, 0.37, 1.234):
-        got = integ.integrate(w, t0)
+        got = integ.integrate(w, [t0])[0]
         s_grid = np.linspace(0.0, T, 20001)
         vals = np.array([mat_exp(plant.A, T - s) @ plant.D @ w(t0 + s) for s in s_grid])
         ref = np.trapezoid(vals, s_grid, axis=0)
@@ -168,14 +171,14 @@ def test_disturbance_integrator_matches_the_node_loop():
     w = default_sine_disturbance(plant)
     for t0 in (0.0, 0.37, 1.234):
         vals = np.array([integ.EAD[j] @ np.atleast_1d(w(t0 + s)) for j, s in enumerate(integ.nodes)])
-        np.testing.assert_array_equal(integ.integrate(w, t0), integ.weights @ vals)
+        np.testing.assert_array_equal(integ.integrate(w, [t0])[0], integ.weights @ vals)
 
 
 def test_disturbance_integrator_refines_consistently():
     plant = benchmark_plant(perturbed=True)
     w = default_sine_disturbance(plant)
-    coarse = _DisturbanceIntegrator(plant, 0.18, substeps=100).integrate(w, 0.5)
-    fine = _DisturbanceIntegrator(plant, 0.18, substeps=400).integrate(w, 0.5)
+    coarse = _DisturbanceIntegrator(plant, 0.18, substeps=100).integrate(w, [0.5])[0]
+    fine = _DisturbanceIntegrator(plant, 0.18, substeps=400).integrate(w, [0.5])[0]
     np.testing.assert_allclose(coarse, fine, rtol=1e-10, atol=1e-14)
     with pytest.raises(ConfigError):
         _DisturbanceIntegrator(plant, 0.18, substeps=0)
@@ -196,7 +199,9 @@ def test_sine_disturbance_samples_all_nodes_at_once(n_w):
                 assert W[:, j].tolist() == expect
 
 
-def test_integrate_samples_the_disturbance_once_per_step():
+def test_integrate_samples_the_disturbance_once_per_block():
+    # one call of w per integrate call, on every node of every step given;
+    # each row equals that step integrated alone
     plant = benchmark_plant(perturbed=True)
     integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
     w = default_sine_disturbance(plant)
@@ -206,9 +211,31 @@ def test_integrate_samples_the_disturbance_once_per_step():
         calls.append(np.shape(t))
         return w(t)
 
-    for t0 in (0.0, 0.18, 0.36):
-        integ.integrate(counting, t0)
-    assert calls == [integ.nodes.shape] * 3
+    blocks = [0.18 * np.arange(32), 5.76 + 0.18 * np.arange(7), np.array([7.02])]
+    for ts in blocks:
+        rows = integ.integrate(counting, ts)
+        assert rows.shape == (ts.size, plant.n)
+        for t, row in zip(ts, rows):
+            np.testing.assert_array_equal(row, integ.weights @ np.einsum("kij,kj->ki", integ.EAD, w(t + integ.nodes)))
+    assert calls == [(ts.size, 2 * 100 + 1) for ts in blocks]
+
+
+def test_simulate_samples_the_disturbance_once_per_block():
+    cfg = dataclasses.replace(preset_config("online-perturbed"), total_steps=200)
+    prep = prepare(cfg)
+    w = default_sine_disturbance(cfg.plant)
+    shapes = []
+
+    def counting(t):
+        shapes.append(np.shape(t))
+        return w(t)
+
+    tr = simulate(dataclasses.replace(cfg, disturbance=counting), prep)
+    steps, block, nodes = tr.actions.size, simulation.BLOCK_STEPS, 2 * cfg.substeps_per_T + 1
+    assert steps > cfg.total_steps and len(shapes) == math.ceil(steps / block) == 7
+    assert shapes[:-1] == [(block, nodes)] * 6
+    # the last block reaches at most as far as the longest horizon could run
+    assert shapes[-1][1] == nodes and steps - 6 * block <= shapes[-1][0] <= cfg.total_steps + cfg.l_max - 1 - 6 * block
 
 
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
@@ -427,3 +454,71 @@ def test_simulate_decides_through_the_policy(online_run):
     finally:
         del prep.policy.select
     assert seen and tr.decisions == seen
+
+
+def _wide_config(steps: int):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.wide_config(steps)
+
+
+def _matches_stepwise(cfg, prep):
+    got, want = simulate(cfg, prep), stepwise_simulate(cfg, prep)
+    for name in ("times", "X", "XHAT", "U", "actions", "V"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.boundary_V, want.boundary_V)
+    np.testing.assert_array_equal(np.array(got.decision_rows, dtype=object), np.array(want.decision_rows, dtype=object))
+    assert got.boundaries == want.boundaries
+    return got
+
+
+def _drifting_disturbance(t):
+    t = np.asarray(t)
+    return (0.8 * np.cos(2.3 * t) * np.exp(-0.01 * t))[..., None]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_blocked_loop_matches_the_stepwise_oracle_on_the_presets(name, preset_traces):
+    cfg, prep, _ = preset_traces[name]
+    for seed in (154, 1, 2, 3):
+        _matches_stepwise(dataclasses.replace(cfg, seed=seed), prep)
+    if name in simulation.PERTURBED_MODES:
+        _matches_stepwise(dataclasses.replace(cfg, disturbance=_drifting_disturbance), prep)
+
+
+def test_blocked_loop_matches_the_stepwise_oracle_on_two_disturbance_channels():
+    base = preset_config("online-perturbed")
+    cfg = dataclasses.replace(base, plant=dataclasses.replace(base.plant, D=np.array([[1.0, 0.5], [1.0, -0.3]])))
+    prep = prepare(cfg)
+    assert prep.integrator.EAD.shape[-1] == 2
+    for seed in (154, 1):
+        _matches_stepwise(dataclasses.replace(cfg, seed=seed), prep)
+
+    def two_tone(t):
+        t = np.asarray(t)
+        return np.stack([np.sin(3.0 * t), 0.4 * np.cos(7.0 * t)], axis=-1)
+
+    _matches_stepwise(dataclasses.replace(cfg, disturbance=two_tone), prep)
+
+
+def test_blocked_loop_matches_the_stepwise_oracle_across_block_edges():
+    # 70 steps is no multiple of the block; horizons straddle steps 32 and 64,
+    # and the last one runs past total_steps
+    cfg = preset_config("online-perturbed", total_steps=70)
+    prep = prepare(cfg)
+    tr = _matches_stepwise(cfg, prep)
+    spans = [(b, b + len(dec.horizon)) for b, dec in zip(tr.boundaries, tr.decisions)]
+    block = simulation.BLOCK_STEPS
+    assert cfg.total_steps % block and tr.actions.size > cfg.total_steps
+    assert all(any(b < k < e for b, e in spans) for k in (block, 2 * block))
+
+
+def test_blocked_loop_matches_the_stepwise_oracle_on_the_wide_plant():
+    cfg = dataclasses.replace(_wide_config(15), total_steps=40)
+    prep = prepare(cfg)
+    assert 2 * cfg.plant.n == 6 and cfg.plant.blocks == (1, 1, 1)
+    for seed in (154, 11):
+        _matches_stepwise(dataclasses.replace(cfg, seed=seed), prep)

@@ -13,7 +13,11 @@ record holds the change side's machine record, the protocol, and per
 workload the seven end-to-end metrics: every run's values, each side's
 median and quartiles, and the number of pairs the change won by the
 direction `BENCHMARK.json` gives; `layers` holds each side's per-layer
-metrics from its traced run.
+metrics from its traced run.  Last, `presets` holds, per side and preset,
+the best-of-5 `prepare` and `simulate` seconds at 100 steps of each of
+PAIRS fresh processes per side, alternating as the pairs do, and their
+medians: one process's best-of-5 swings up to 2x from the next on a shared
+box, so a single one cannot compare the sides.
 """
 
 import argparse
@@ -21,16 +25,63 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per workload, as the benchmark protocol asks
+PRESET_REPEATS = 5  # each preset time is the best of this many
+PRESET_STEPS = 100
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd + ["--trace", str(trace)], cwd=checkout, capture_output=True, text=True, check=True)
     return parse_run(proc.stdout)
+
+
+def preset_seconds() -> dict:
+    """Best-of-PRESET_REPEATS `prepare` and `simulate` seconds of each preset at PRESET_STEPS steps,
+    from the asynctrig found first on sys.path."""
+    from asynctrig.presets import PRESET_NAMES, preset_config
+    from asynctrig.simulation import prepare, simulate
+
+    out = {}
+    for name in PRESET_NAMES:
+        config = preset_config(name, total_steps=PRESET_STEPS)
+        prepare_s, simulate_s = [], []
+        for _ in range(PRESET_REPEATS):
+            t0 = time.perf_counter()
+            prepared = prepare(config)
+            t1 = time.perf_counter()
+            simulate(config, prepared)
+            t2 = time.perf_counter()
+            prepare_s.append(t1 - t0)
+            simulate_s.append(t2 - t1)
+        out[name] = {"prepare_s": min(prepare_s), "simulate_s": min(simulate_s)}
+    return out
+
+
+def time_presets(checkout: Path) -> dict:
+    """`preset_seconds` in a fresh process on the sources of `checkout`."""
+    code = (
+        f"import json, sys; sys.path[:0] = ['src', {str(Path(__file__).resolve().parent)!r}]; "
+        "import bench_pairs; print(json.dumps(bench_pairs.preset_seconds()))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def summarize_presets(runs) -> dict:
+    """Per preset, each process's best-of-5 seconds and their median, from `time_presets` results."""
+    out = {}
+    for name in runs[0]:
+        out[name] = {}
+        for key in ("prepare_s", "simulate_s"):
+            values = [run[name][key] for run in runs]
+            out[name][key] = statistics.median(values)
+            out[name][key[:-2] + "_runs"] = values
+    return out
 
 
 def parse_run(stdout: str) -> dict:
@@ -93,6 +144,8 @@ def main(argv=None) -> int:
             "pairs": PAIRS,
             "order": "alternating: the parent runs first in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, ...",
             "layers": "one run per side after the pairs, parent first, with --trace 1 instead of --trace 0",
+            "presets": f"best of {PRESET_REPEATS} prepare and simulate per preset at {PRESET_STEPS} steps in one "
+            f"process, {PAIRS} alternating pairs of processes after the workloads, median over each side's processes",
         },
         "workloads": {},
     }
@@ -109,6 +162,11 @@ def main(argv=None) -> int:
         summary["correct"] = summary["correct"] and all(run["correct"] for run in traced.values())
         summary["src_sha256"] = {side: pairs[0][side]["machine"]["src_sha256"] for side in checkouts}
         summary["layers"] = {side: run["metrics"] for side, run in traced.items()}
+    preset_runs = {side: [] for side in checkouts}
+    for i in range(PAIRS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            preset_runs[side].append(time_presets(checkouts[side]))
+    record["presets"] = {side: summarize_presets(runs) for side, runs in preset_runs.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -35,7 +35,6 @@ from .horizons import (
 )
 from .matrix_core import (
     is_psd,
-    mat_exp,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -45,7 +44,6 @@ from .matrix_core import (
 from .partition import (
     ConicRegion,
     make_partition,
-    partition_from_dict,
     partition_to_dict,
     region_of,
 )
@@ -54,8 +52,8 @@ from .plant import (
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    selection_matrices,
-    step_matrix,
+    refresh_masks,
+    step_matrices,
     transition_table,
 )
 from .presets import PRESET_NAMES, preset_config

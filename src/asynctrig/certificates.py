@@ -14,7 +14,7 @@ No semidefinite-programming solver is used: all matrices here are small
 and a scale that is constructed, not searched: the online pair passes by
 construction at one fixed alpha, and the offline matrix is affine in the
 scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
-result is re-checked by direct eigenvalue bounds, which are the feasibility
+result must then pass `reverify_certificate`, the one feasibility
 authority.  The region tests are exact: one quadratic constraint makes the
 S-procedure lossless, and the perturbed one reduces exactly to the same
 2n x 2n form as the unperturbed.
@@ -151,10 +151,7 @@ def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -
         )
     nn = np.asarray(Phi_star).shape[0]
     P = solve_discrete_lyapunov(Phi_star, rho, np.eye(nn))
-    lo, _ = sym_eig_bounds(-decay_form(Phi_star, P, rho))
-    if lo < 1e-9:
-        raise InfeasibleError(f"decay margin {lo:.3g} below 1e-9")
-    return UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star)
+    return _accepted(UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star), Phi_star)
 
 
 def _scaled_tol(P, tol: float) -> float:
@@ -201,7 +198,7 @@ def synthesize_perturbed_online(
     gamma/chi2 >= s (1 + 1/ALPHA) lambda_max(P1), with chi2 =
     chi[|sigma*|]^2, so s takes it with a 10% margin.  A larger alpha
     only shrinks rho_max, so no other alpha succeeds where this one fails.
-    `verify_lmi_pair` is the authority.
+    `reverify_certificate` is the authority.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -220,9 +217,7 @@ def synthesize_perturbed_online(
     _, lmax1 = sym_eig_bounds(P1)
     P = 0.9 * (gamma / chi2) / ((1.0 + 1.0 / ALPHA) * lmax1) * P1
     M = ALPHA * P
-    if not verify_lmi_pair(P, M, gamma, chi2, Phi_star, bbar):
-        raise InfeasibleError("the constructed pair fails its own eigenvalue check")
-    return PerturbedOnlineCertificate(
+    cert = PerturbedOnlineCertificate(
         P=P,
         M=M,
         gamma=gamma,
@@ -234,6 +229,7 @@ def synthesize_perturbed_online(
         beta=beta,
         T=T,
     )
+    return _accepted(cert, Phi_star)
 
 
 def young_gain(P, M) -> float:
@@ -295,8 +291,9 @@ def synthesize_perturbed_offline(
     = (gamma2/chi) I is nonzero, so the interval is [0, s_max], and s_max
     is the least positive finite eigenvalue of the pencil (B0 + PSD_TOL I,
     -B1).  The scale taken is the largest point of a log grid over [1e-6,
-    1e6] not above s_max, which keeps P on a fixed set of scales.  The
-    eigenvalue check of the assembled matrix at that scale is the authority.
+    1e6] not above s_max, which keeps P on a fixed set of scales.
+    `reverify_certificate` of the result, at its scaled tolerance, is the
+    authority.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
@@ -321,10 +318,10 @@ def synthesize_perturbed_offline(
     s_max = ends.min() if ends.size else math.inf
     scales = np.logspace(6, -6, 121)
     scales = scales[scales <= s_max]
-    P = scales[0] * P1 if scales.size else None
-    if P is None or not is_psd(build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear)):
+    if not scales.size:
         raise InfeasibleError(f"no scaling in [1e-6, 1e6] makes the assembled matrix PSD: s_max={s_max:.6g}")
-    return PerturbedOfflineCertificate(
+    P = scales[0] * P1
+    cert = PerturbedOfflineCertificate(
         P=P,
         gamma1=gamma1,
         gamma2=gamma2,
@@ -336,6 +333,7 @@ def synthesize_perturbed_offline(
         beta=beta,
         T=T,
     )
+    return _accepted(cert, Phi_star)
 
 
 def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = 1e-9) -> RegionForms:
@@ -418,6 +416,13 @@ def certificate_from_dict(data: dict):
     if cls is None:
         raise ValueError(f"unknown certificate kind {data.get('kind')!r}")
     return cls(**{f.name: _FIELD_CODECS[f.type][1](data[f.name]) for f in fields(cls)})
+
+
+def _accepted(cert, Phi_star):
+    """cert, once `reverify_certificate` holds for it: every synthesis ends here."""
+    if not reverify_certificate(cert, Phi_star):
+        raise InfeasibleError(f"the constructed {type(cert).__name__} fails reverify_certificate")
+    return cert
 
 
 def _positive_definite(*mats) -> bool:

@@ -10,6 +10,7 @@ construction, 4 resource cap exceeded.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -142,10 +143,13 @@ def _load_sim_config(args):
         cfg = config_from_dict(data)
     else:
         raise ConfigError("provide --config FILE or --preset NAME")
-    cfg.seed = _resolve_seed(getattr(args, "seed", None), cfg.seed)
     steps = getattr(args, "steps", None)
-    if steps is not None:
-        cfg.total_steps = int(steps)
+    # replace() validates again, so --steps meets the same checks as a configuration file
+    cfg = dataclasses.replace(
+        cfg,
+        seed=_resolve_seed(getattr(args, "seed", None), cfg.seed),
+        total_steps=cfg.total_steps if steps is None else int(steps),
+    )
     run = {"seed": cfg.seed, "total_steps": cfg.total_steps}
     if preset:
         semantic = {"preset": preset, **run}

@@ -1,8 +1,8 @@
 """Dense real matrix kernels used by every other module.
 
-Matrix exponential, zero-order-hold integrals, symmetric eigenvalue bounds,
-spectral norm/radius, a weighted discrete Lyapunov solver, the per-horizon
-decay form, PSD tests, and the batched decision step of the exact
+Zero-order-hold integrals, symmetric eigenvalue bounds, spectral
+norm/radius, a weighted discrete Lyapunov solver, the per-horizon decay
+form, PSD tests, and the batched decision step of the exact
 single-constraint S-procedure.
 All functions are pure; inputs are never mutated.
 """
@@ -37,15 +37,6 @@ def symmetrize(S) -> np.ndarray:
     """(S + S')/2.  Products like F' P F accumulate ~1e-13 asymmetry."""
     S = _as_matrix(S)
     return 0.5 * (S + S.T)
-
-
-def mat_exp(A, t: float = 1.0) -> np.ndarray:
-    """e^{A t} by scaling-and-squaring (Pade); t may be zero or negative."""
-    A = _as_matrix(A)
-    _require_square(A)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    return expm(A * float(t))
 
 
 def zoh_pair(A, B, T: float):

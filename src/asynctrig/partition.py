@@ -221,15 +221,3 @@ def partition_to_dict(regions) -> dict:
             for reg in regions
         ],
     }
-
-
-def partition_from_dict(data: dict):
-    return [
-        ConicRegion(
-            index=int(r["index"]),
-            direction=np.array(r["direction"], dtype=float),
-            half_angle=float(r["half_angle"]),
-            Q=np.array(r["Q"], dtype=float),
-        )
-        for r in data["regions"]
-    ]

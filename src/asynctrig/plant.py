@@ -100,34 +100,22 @@ class DiscretePlant:
         return self.A_T.shape[0]
 
 
-def selection_matrices(action: int, blocks: Sequence[int]):
-    """Diagonal 0/1 pair (M_sel, N_sel = I - M_sel) for the sampled block.
-
-    action 0 selects nothing (estimate fully held); action i in 1..m selects
-    sensor block i.
-    """
+def refresh_masks(blocks: Sequence[int]) -> np.ndarray:
+    """(m+1, n) booleans: row a marks the estimate entries that action a
+    overwrites with the true state, the entries of sensor block a; row 0,
+    idle, marks none."""
     blocks = tuple(int(b) for b in blocks)
-    m = len(blocks)
-    n = sum(blocks)
-    if not (0 <= action <= m):
-        raise ValueError(f"action {action} exceeds sensor count {m}")
-    d = np.zeros(n)
-    if action > 0:
-        start = sum(blocks[: action - 1])
-        d[start : start + blocks[action - 1]] = 1.0
-    M_sel = np.diag(d)
-    return M_sel, np.eye(n) - M_sel
+    return np.repeat(np.arange(1, len(blocks) + 1), blocks) == np.arange(len(blocks) + 1)[:, None]
 
 
-def step_matrix(dp: DiscretePlant, action: int) -> np.ndarray:
-    """One-period collective map A~_(action) on eta = (x, xhat_prev)."""
-    M_sel, N_sel = selection_matrices(action, dp.blocks)
-    return np.block(
-        [
-            [dp.A_T + dp.BK_T @ M_sel, dp.BK_T @ N_sel],
-            [M_sel, N_sel],
-        ]
-    )
+def step_matrices(dp: DiscretePlant) -> np.ndarray:
+    """(m+1, 2n, 2n) stack of the one-period collective maps A~_(a) on
+    eta = (x, xhat_prev): with S_a the 0/1 diagonal of `refresh_masks` row a,
+    A~_(a) = [[A_T + BK_T S_a, BK_T (I - S_a)], [S_a, I - S_a]]."""
+    masks = refresh_masks(dp.blocks)[:, None, :]  # a column mask for every row
+    eye = np.eye(dp.n, dtype=bool)
+    top = np.concatenate([dp.A_T + np.where(masks, dp.BK_T, 0.0), np.where(masks, 0.0, dp.BK_T)], axis=2)
+    return np.concatenate([top, np.concatenate([eye & masks, eye & ~masks], axis=2)], axis=1)
 
 
 def _simpson_weights(panels: int, width: float) -> np.ndarray:
@@ -170,7 +158,7 @@ def transition_table(dp: DiscretePlant, horizons, codes=None) -> np.ndarray:
     (H, 2n, 2n): the first action sits rightmost, and each (position, action) pair steps
     all rows taking that action there at once.  codes, when given, is the horizons'
     `action_codes` array."""
-    steps = [step_matrix(dp, a) for a in range(dp.m + 1)]
+    steps = step_matrices(dp)
     codes = action_codes(horizons) if codes is None else codes
     phis = np.empty((len(horizons), 2 * dp.n, 2 * dp.n))
     phis[:] = np.eye(2 * dp.n)
@@ -188,6 +176,6 @@ def growth_constants(dp: DiscretePlant, horizons, varpi: float):
     perturbed matrix reads chi(l); the online perturbed inequalities read
     chi(l)^2, squared where they are built.
     """
-    C = max(spectral_norm(step_matrix(dp, a)) for a in range(dp.m + 1))
+    C = max(spectral_norm(step) for step in step_matrices(dp))
     lengths = sorted({len(tuple(s)) for s in horizons})
     return C, {l: varpi * sum(C**q for q in range(l)) for l in lengths}

@@ -31,7 +31,8 @@ from .plant import (
     _simpson_weights,
     disturbance_step_bound,
     growth_constants,
-    step_matrix,
+    refresh_masks,
+    step_matrices,
     transition_table,
 )
 from .triggers import GatedPolicy, OnlinePolicy, TablePolicy
@@ -179,7 +180,7 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
     else:
         varpi = disturbance_step_bound(plant, config.T)
         _, chi = growth_constants(dp, horizons, varpi)
-        C_prime = float(np.linalg.norm(step_matrix(dp, 0), 2))
+        C_prime = float(np.linalg.norm(step_matrices(dp)[0], 2))
         if config.mode == "online-perturbed":
             cert = synthesize_perturbed_online(
                 Phi_star, config.beta, config.gamma, sigma_star, config.T, chi, varpi=varpi, C_prime=C_prime
@@ -212,8 +213,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     P = cert.P
 
     n = plant.n
-    # action a refreshes the entries of sensor block a; action 0 refreshes none
-    masks = list(np.repeat(np.arange(1, plant.m + 1), plant.blocks) == np.arange(plant.m + 1)[:, None])
+    masks = list(refresh_masks(plant.blocks))
     A_T, B_T, K = dp.A_T, dp.B_T, plant.K
     # t += T over the most steps a run takes: total_steps - 1, then the longest horizon, listed last
     times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + len(prepared.horizons[-1]) - 2, config.T)])
@@ -221,11 +221,10 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
 
     x = config.x0[:n].copy()
     xh = config.x0[n:].copy()
-    eta = np.concatenate([x, xh])
+    eta = config.x0
     steps = 0
     rows_x, rows_xh, rows_u, rows_a = [], [], [], []
     boundaries = []
-    boundary_V = [float(eta @ P @ eta)]
     decisions = []
     decision_rows = []
 
@@ -249,11 +248,13 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
             rows_a.append(a)
             steps += 1
         eta = np.concatenate([x, xh])
-        boundary_V.append(float(eta @ P @ eta))
 
     X, XHAT, actions = np.array(rows_x), np.array(rows_xh), np.array(rows_a, dtype=int)
-    E = np.concatenate([X, np.vstack([config.x0[n:], XHAT[:-1]])], axis=1)[:, None]  # (x, held estimate) rows
-    V = np.matmul(np.matmul(E, P), E.transpose(0, 2, 1)).ravel()  # on (1, 2n) rows: eta @ P @ eta bit for bit
+    # (x, held estimate) rows of every step, and the final state last
+    E = np.concatenate([np.vstack([X, x]), np.vstack([config.x0[n:], XHAT])], axis=1)[:, None]
+    V_all = np.matmul(np.matmul(E, P), E.transpose(0, 2, 1)).ravel()  # on (1, 2n) rows: eta @ P @ eta bit for bit
+    V = V_all[:steps]
+    boundary_V = V_all[boundaries + [steps]].tolist()
     readings = int(np.count_nonzero(actions))
     V0 = boundary_V[0]
     metrics = {
@@ -267,14 +268,9 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         "table_misses": sum(dec.reason == "table-miss" for dec in decisions),
     }
     if perturbed:
-        entered = None
-        max_after = 0.0
-        for k, v in enumerate(boundary_V):
-            if entered is None:
-                if v <= cert.mu:
-                    entered = k
-            else:
-                max_after = max(max_after, v)
+        inside = np.flatnonzero(np.array(boundary_V) <= cert.mu)
+        entered = int(inside[0]) if inside.size else None
+        max_after = max([0.0, *boundary_V[entered + 1 :]]) if inside.size else 0.0
         metrics["mu"] = cert.mu
         metrics["guub_entered_boundary"] = entered
         metrics["max_V_after_entry"] = max_after

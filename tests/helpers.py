@@ -30,8 +30,7 @@ from asynctrig.plant import (
     DiscretePlant,
     PlantModel,
     _simpson_weights,
-    selection_matrices,
-    step_matrix,
+    step_matrices,
 )
 from asynctrig.simulation import PERTURBED_MODES, SimTrace, default_sine_disturbance
 
@@ -266,9 +265,9 @@ def horizon_transition(dp, sigma) -> np.ndarray:
     sigma = tuple(sigma)
     if len(sigma) == 0:
         raise ValueError("horizon must be nonempty")
-    Phi = np.eye(2 * dp.n)
+    Phi, steps = np.eye(2 * dp.n), step_matrices(dp)
     for a in sigma:
-        Phi = step_matrix(dp, a) @ Phi
+        Phi = steps[a] @ Phi
     return Phi
 
 
@@ -286,14 +285,14 @@ def stepwise_simulate(config, prepared) -> SimTrace:
     """`simulation.simulate` one period at a time, without its metrics.
 
     Each step concatenates the collective state and takes its V, samples
-    with the two selection matmuls, and adds the 201-node quadrature of that
+    with the two selection matmuls of the step matrix's lower block row, and adds the 201-node quadrature of that
     step's disturbance alone.
     """
     plant, dp, P, integ = config.plant, prepared.dp, prepared.cert.P, prepared.integrator
     perturbed = config.mode in PERTURBED_MODES
     w = (config.disturbance or default_sine_disturbance(plant)) if perturbed else None
     n = plant.n
-    sel = [selection_matrices(a, plant.blocks) for a in range(plant.m + 1)]
+    sel = [(G[n:, :n], G[n:, n:]) for G in step_matrices(dp)]
     x, xh = config.x0[:n].copy(), config.x0[n:].copy()
     eta = np.concatenate([x, xh])
     t, steps = 0.0, 0

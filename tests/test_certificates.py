@@ -9,6 +9,8 @@ import pytest
 
 from asynctrig import certificates
 from asynctrig.certificates import (
+    PerturbedOnlineCertificate,
+    UnperturbedCertificate,
     build_U_c,
     certificate_from_dict,
     certificate_to_dict,
@@ -34,7 +36,7 @@ from asynctrig.plant import (
     growth_constants,
     transition_table,
 )
-from asynctrig.presets import preset_config
+from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import prepare
 from helpers import (
     M_REF,
@@ -487,6 +489,31 @@ def test_reverify_recomputes_mu(name):
     assert cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)
     for mu in (np.nextafter(cert.mu, 0.0), 0.5 * cert.mu, 2.0 * cert.mu):
         assert not reverify_certificate(certificate_from_dict({**data, "mu": mu}), Phi_star)
+
+
+def _resynthesize(cert, Phi_star):
+    """The synthesis call of cert's kind, on the numbers cert stores."""
+    if isinstance(cert, UnperturbedCertificate):
+        return synthesize_unperturbed(Phi_star, cert.beta, cert.sigma_star, cert.T)
+    disturbance = dict(varpi=cert.varpi, C_prime=cert.C_prime)
+    if isinstance(cert, PerturbedOnlineCertificate):
+        return synthesize_perturbed_online(Phi_star, cert.beta, cert.gamma, cert.sigma_star, cert.T, cert.chi,
+                                           **disturbance)
+    return synthesize_perturbed_offline(Phi_star, cert.beta, cert.gamma1, cert.gamma2, cert.sigma_star, cert.T,
+                                        cert.chi, **disturbance)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_synthesis_is_accepted_by_reverify(name, monkeypatch):
+    # one acceptance check for all kinds: a certificate reverify rejects is never returned
+    prep = prepare(preset_config(name), with_tables=False)
+    Phi_star = horizon_transition(prep.dp, prep.cert.sigma_star)
+    assert reverify_certificate(_resynthesize(prep.cert, Phi_star), Phi_star)
+    checked = []
+    monkeypatch.setattr(certificates, "reverify_certificate", lambda cert, Phi: checked.append(cert) or False)
+    with pytest.raises(InfeasibleError, match="fails reverify_certificate"):
+        _resynthesize(prep.cert, Phi_star)
+    assert len(checked) == 1 and type(checked[0]) is type(prep.cert)
 
 
 def test_certificate_codec_is_field_driven():

@@ -311,6 +311,16 @@ def test_preset_run_flags(tmp_path, capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_steps_below_l_max_is_a_configuration_error(tmp_path, capsys, steps):
+    # --steps meets the same validation as total_steps in a configuration file (l_max = 3 here)
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "online-unperturbed", "--steps", steps, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "total_steps must be at least l_max" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_digest_names_the_swept_seeds(tmp_path, capsys):
     digests = []
     for sweep in ("1,2", "3,4"):

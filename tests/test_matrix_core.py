@@ -6,7 +6,6 @@ from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     decay_form,
     is_psd,
-    mat_exp,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -16,38 +15,6 @@ from asynctrig.matrix_core import (
 )
 from asynctrig.partition import RegionForms, region_multipliers
 from helpers import A2, B2, power_iteration_norm, simpson_zoh_B, sprocedure_multiplier, taylor_expm
-
-
-def test_mat_exp_matches_series_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = rng.integers(1, 5)
-        A = rng.normal(scale=2.0, size=(n, n))
-        t = float(rng.uniform(0.0, 1.5))
-        got = mat_exp(A, t)
-        want = taylor_expm(A * t)
-        assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
-
-
-def test_mat_exp_semigroup():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        A = rng.normal(size=(3, 3))
-        s, t = rng.uniform(0.05, 0.8, size=2)
-        lhs = mat_exp(A, s + t)
-        rhs = mat_exp(A, s) @ mat_exp(A, t)
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-
-def test_mat_exp_zero_time_is_identity():
-    assert np.array_equal(mat_exp(np.zeros((3, 3)), 0.0), np.eye(3))
-
-
-def test_mat_exp_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
-    with pytest.raises(ValueError):
-        mat_exp(np.eye(2), np.inf)
 
 
 def test_zoh_pair_zero_dynamics():

@@ -8,8 +8,8 @@ from asynctrig.plant import (
     PlantModel,
     disturbance_step_bound,
     growth_constants,
-    selection_matrices,
-    step_matrix,
+    refresh_masks,
+    step_matrices,
     transition_table,
 )
 from asynctrig.presets import preset_config
@@ -34,36 +34,32 @@ def test_plant_model_validation():
 
 
 def test_selection_matrices():
-    M0, N0 = selection_matrices(0, (1, 1))
-    assert np.array_equal(M0, np.zeros((2, 2)))
-    assert np.array_equal(N0, np.eye(2))
-    M1, N1 = selection_matrices(1, (1, 2))
-    assert np.array_equal(M1, np.diag([1.0, 0.0, 0.0]))
-    M2, N2 = selection_matrices(2, (1, 2))
-    assert np.array_equal(M2, np.diag([0.0, 1.0, 1.0]))
-    for a in range(3):
-        M, N = selection_matrices(a, (1, 2))
-        assert np.array_equal(M + N, np.eye(3))
-    with pytest.raises(ValueError, match="exceeds sensor count"):
-        selection_matrices(3, (1, 2))
+    # the selection S_a is diag(refresh_masks row a): row a marks sensor block a, idle (row 0) nothing
+    np.testing.assert_array_equal(refresh_masks((1, 1)), [[0, 0], [1, 0], [0, 1]])
+    np.testing.assert_array_equal(refresh_masks((1, 2)), [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    np.testing.assert_array_equal(refresh_masks((2, 1, 3)).sum(axis=1), [0, 2, 1, 3])
+    assert refresh_masks((2, 1)).dtype == bool
 
 
 def test_step_matrix_blocks():
-    dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
-    for a in range(3):
-        M_sel, N_sel = selection_matrices(a, (1, 1))
-        G = step_matrix(dp, a)
-        assert G.shape == (4, 4)
-        assert np.array_equal(G[2:, :2], M_sel)
-        assert np.array_equal(G[2:, 2:], N_sel)
-        assert np.allclose(G[:2, :2], dp.A_T + dp.BK_T @ M_sel)
-        assert np.allclose(G[:2, 2:], dp.BK_T @ N_sel)
+    # the 0/1 selection S_a = diag(mask a) and its complement, in the paper's block layout
+    dp = DiscretePlant.from_plant(PlantModel(A=np.diag([0.5, -1.0, 2.0]), B=np.ones((3, 1)),
+                                             K=np.array([[1.0, -2.0, 0.5]]), blocks=(1, 2)), 0.3)
+    steps = step_matrices(dp)
+    assert steps.shape == (3, 6, 6)
+    for G, mask in zip(steps, refresh_masks((1, 2))):
+        M_sel = np.diag(mask.astype(float))
+        N_sel = np.eye(3) - M_sel
+        assert np.array_equal(G[3:, :3], M_sel)
+        assert np.array_equal(G[3:, 3:], N_sel)
+        assert np.array_equal(G[:3, :3], dp.A_T + dp.BK_T @ M_sel)
+        assert np.array_equal(G[:3, 3:], dp.BK_T @ N_sel)
 
 
 def test_step_matrix_idle_never_reads():
     # idle keeps the estimate: eta -> (A_T x + B_T K xhat, xhat)
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.2)
-    G = step_matrix(dp, 0)
+    G = step_matrices(dp)[0]
     eta = np.array([1.0, -2.0, 0.5, 0.25])
     out = G @ eta
     assert np.allclose(out[2:], eta[2:])
@@ -74,7 +70,8 @@ def test_horizon_transition_order():
     # actions apply left to right in time, so the first factor sits rightmost
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
     got = horizon_transition(dp, (1, 2))
-    want = step_matrix(dp, 2) @ step_matrix(dp, 1)
+    steps = step_matrices(dp)
+    want = steps[2] @ steps[1]
     assert np.allclose(got, want)
     with pytest.raises(ValueError):
         horizon_transition(dp, ())
@@ -170,7 +167,7 @@ def test_growth_constants_recursions():
     varpi = disturbance_step_bound(plant, 0.205)
     horizons = [(0,), (1, 2), (1, 2, 1), (2, 2, 1, 0)]
     C, chi = growth_constants(dp, horizons, varpi)
-    assert C == pytest.approx(max(spectral_norm(step_matrix(dp, a)) for a in range(3)))
+    assert C == pytest.approx(max(spectral_norm(step_matrices(dp)[a]) for a in range(3)))
     assert set(chi) == {1, 2, 3, 4}
     for l in (1, 2, 3, 4):
         assert chi[l] == pytest.approx(varpi * sum(C**q for q in range(l)), rel=1e-12)

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from asynctrig.errors import ConfigError
-from asynctrig.matrix_core import mat_exp
 from asynctrig import simulation
-from asynctrig.plant import PlantModel, selection_matrices, transition_table
+from asynctrig.plant import PlantModel, step_matrices, transition_table
 from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import (
     SimConfig,
@@ -90,7 +90,7 @@ def test_trace_replays_exactly(online_run):
     cfg, prep, tr = online_run
     dp, cert = prep.dp, prep.cert
     n = cfg.plant.n
-    sel = [selection_matrices(a, cfg.plant.blocks) for a in range(cfg.plant.m + 1)]
+    sel = [(G[n:, :n], G[n:, n:]) for G in step_matrices(dp)]  # each certified map's sampling rows
     x = cfg.x0[:n].copy()
     xh = cfg.x0[n:].copy()
     for k, a in enumerate(tr.actions):
@@ -158,7 +158,7 @@ def test_disturbance_integrator_matches_dense_quadrature():
     for t0 in (0.0, 0.37, 1.234):
         got = integ.integrate(w, [t0])[0]
         s_grid = np.linspace(0.0, T, 20001)
-        vals = np.array([mat_exp(plant.A, T - s) @ plant.D @ w(t0 + s) for s in s_grid])
+        vals = np.array([expm(plant.A * float(T - s)) @ plant.D @ w(t0 + s) for s in s_grid])
         ref = np.trapezoid(vals, s_grid, axis=0)
         np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-12)
 
@@ -243,7 +243,7 @@ def test_stacked_node_exponentials_match_the_node_loop(name):
     cfg = preset_config(name)
     plant, T = cfg.plant, cfg.T
     integ = _DisturbanceIntegrator(plant, T, cfg.substeps_per_T)
-    loop = np.array([mat_exp(plant.A, T - s) @ plant.D for s in integ.nodes])
+    loop = np.array([expm(plant.A * float(T - s)) @ plant.D for s in integ.nodes])
     np.testing.assert_array_equal(integ.EAD, loop)
 
 

@@ -35,6 +35,7 @@ from .plant import (
     step_matrices,
     transition_table,
 )
+from .svgplots import float_texts
 from .triggers import GatedPolicy, OnlinePolicy, TablePolicy
 
 # perfbench/passes.py still looks these old names up before each loop; simulate never calls them
@@ -321,13 +322,14 @@ def write_trace_csv(trace: SimTrace, path: str):
         + [f"u_{j+1}" for j in range(m_u)]
         + ["action", "V"]
     )
-    # tolist() yields Python floats, whose repr is the shortest round-tripping text
-    values = np.column_stack([trace.times, trace.X, trace.XHAT, trace.U]).astype(float, copy=False).tolist()
-    actions = trace.actions.astype(int, copy=False).tolist()
-    V = trace.V.astype(float, copy=False).tolist()
+    # each row's floats are t, x, xhat, u and V, in the shortest round-tripping text
+    values = np.column_stack([trace.times, trace.X, trace.XHAT, trace.U, trace.V])
+    texts = float_texts(values)
+    width = values.shape[1]
     lines = [header]
     lines += [
-        f"{k},{','.join(map(repr, row))},{a},{v!r}" for k, (row, a, v) in enumerate(zip(values, actions, V))
+        f"{k},{','.join(texts[s : s + width - 1])},{a},{texts[s + width - 1]}"
+        for k, (s, a) in enumerate(zip(range(0, len(texts), width), trace.actions.tolist()))
     ]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -355,19 +357,15 @@ def read_trace_csv(path: str) -> SimTrace:
         raise ValueError(f"trace {path} has no data rows")
     n = sum(1 for h in header if h.startswith("x_"))
     m_u = sum(1 for h in header if h.startswith("u_"))
-    times = np.array([float(r[1]) for r in rows])
-    X = np.array([[float(v) for v in r[2 : 2 + n]] for r in rows])
-    XHAT = np.array([[float(v) for v in r[2 + n : 2 + 2 * n]] for r in rows])
-    U = np.array([[float(v) for v in r[2 + 2 * n : 2 + 2 * n + m_u]] for r in rows])
-    actions = np.array([int(r[2 + 2 * n + m_u]) for r in rows], dtype=int)
-    V = np.array([float(r[-1]) for r in rows])
+    # columns: step, t, x_*, xhat_*, u_*, action, V; numpy parses each text as float() does
+    values = np.array(rows, dtype=float)
     return SimTrace(
-        times=times,
-        X=X,
-        XHAT=XHAT,
-        U=U,
-        actions=actions,
-        V=V,
+        times=values[:, 1],
+        X=values[:, 2 : 2 + n],
+        XHAT=values[:, 2 + n : 2 + 2 * n],
+        U=values[:, 2 + 2 * n : 2 + 2 * n + m_u],
+        actions=values[:, -2].astype(int),
+        V=values[:, -1],
         boundaries=[],
         boundary_V=[],
         decisions=[],

@@ -26,11 +26,27 @@ def _affine(lo: float, hi: float, p0: float, p1: float):
     return p0 - s * lo, s
 
 
-def _poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
-    # the same two IEEE operations per coordinate as scalar Python arithmetic
-    pxs = (ax + sx * np.asarray(xs, float)).tolist()
-    pys = (ay + sy * np.asarray(ys, float)).tolist()
-    pts = " ".join(f"{px!r},{py!r}" for px, py in zip(pxs, pys))
+def float_texts(values) -> list:
+    """`repr(float(v))` of every element of `values`, in C order.
+
+    Each distinct bit pattern is formatted once, since a held estimate repeats
+    its value until it is refreshed.  Keying on the bits and not on the value
+    keeps -0.0 apart from 0.0.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    texts = list(map(repr, flat[first].tolist()))
+    return [texts[i] for i in inverse.tolist()]
+
+
+def _pixels(values: np.ndarray) -> list:
+    # one repr per element, for pixels that seldom repeat; tolist() yields Python floats
+    return list(map(repr, values.tolist()))
+
+
+def _poly(pxs, pys, stroke, ident, dash=None):
+    # pxs, pys: the formatted pixel coordinates of the points, in order
+    pts = " ".join(map(",".join, zip(pxs, pys)))
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline id="{ident}" fill="none" stroke="{stroke}" stroke-width="1.5"{extra} points="{pts}"/>'
 
@@ -48,15 +64,15 @@ def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi, ax, sx, ay, sy):
     for k in range(6):
         xv = xlo + (xhi - xlo) * k / 5
         yv = ylo + (yhi - ylo) * k / 5
-        px = ax + sx * xv
-        py = ay + sy * yv
-        parts.append(f'<line x1="{px!r}" y1="{H-MB}" x2="{px!r}" y2="{H-MB+4}" stroke="#000000"/>')
+        px = repr(ax + sx * xv)
+        py = repr(ay + sy * yv)
+        parts.append(f'<line x1="{px}" y1="{H-MB}" x2="{px}" y2="{H-MB+4}" stroke="#000000"/>')
         parts.append(
-            f'<text x="{px!r}" y="{H-MB+16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xv:.4g}</text>'
+            f'<text x="{px}" y="{H-MB+16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xv:.4g}</text>'
         )
-        parts.append(f'<line x1="{ML-4}" y1="{py!r}" x2="{ML}" y2="{py!r}" stroke="#000000"/>')
+        parts.append(f'<line x1="{ML-4}" y1="{py}" x2="{ML}" y2="{py}" stroke="#000000"/>')
         parts.append(
-            f'<text x="{ML-6}" y="{py!r}" text-anchor="end" dominant-baseline="middle" '
+            f'<text x="{ML-6}" y="{py}" text-anchor="end" dominant-baseline="middle" '
             f'font-family="sans-serif" font-size="10">{yv:.4g}</text>'
         )
     return parts
@@ -97,12 +113,17 @@ def states_svg(trace) -> str:
     ax, sx = _affine(float(ts[0]), float(ts[-1]), ML, W - MR)
     ay, sy = _affine(ylo, yhi, H - MB, MT)
     body = _frame("state and held estimate", "t", "value", float(ts[0]), float(ts[-1]), ylo, yhi, ax, sx, ay, sy)
+    # the time axis is shared by every series; a held estimate repeats its value until refreshed
+    px_t = _pixels(ax + sx * ts)
+    px_X = _pixels((ay + sy * trace.X).T.ravel())
+    px_XHAT = float_texts((ay + sy * trace.XHAT).T)
     labels = []
     flags = []
     for i in range(n):
         c = COLORS[i % len(COLORS)]
-        body.append(_poly(ts, trace.X[:, i], ax, sx, ay, sy, c, f"x_{i+1}"))
-        body.append(_poly(ts, trace.XHAT[:, i], ax, sx, ay, sy, c, f"xhat_{i+1}", dash="5,3"))
+        col = slice(i * ts.size, (i + 1) * ts.size)
+        body.append(_poly(px_t, px_X[col], c, f"x_{i+1}"))
+        body.append(_poly(px_t, px_XHAT[col], c, f"xhat_{i+1}", dash="5,3"))
         labels += [(f"x_{i+1}", c), (f"xhat_{i+1}", c)]
         flags += [False, True]
     body += _legend(labels, flags)
@@ -121,14 +142,13 @@ def lyapunov_svg(trace, mu: float = 0.0) -> str:
     ax, sx = _affine(float(ts[0]), float(ts[-1]), ML, W - MR)
     ay, sy = _affine(ylo, yhi, H - MB, MT)
     body = _frame("certificate value (log scale)", "t", "log10 V", float(ts[0]), float(ts[-1]), ylo, yhi, ax, sx, ay, sy)
-    body.append(_poly(ts, logv, ax, sx, ay, sy, COLORS[0], "logV"))
+    px_t = _pixels(ax + sx * ts)
+    body.append(_poly(px_t, _pixels(ay + sy * logv), COLORS[0], "logV"))
     labels = [("log10 V", COLORS[0])]
     flags = [False]
     if mu > 0:
-        yv = math.log10(mu)
-        body.append(
-            _poly([ts[0], ts[-1]], [yv, yv], ax, sx, ay, sy, COLORS[1], "log_mu", dash="5,3")
-        )
+        py = repr(ay + sy * math.log10(mu))
+        body.append(_poly([px_t[0], px_t[-1]], [py, py], COLORS[1], "log_mu", dash="5,3"))
         labels.append(("log10 mu", COLORS[1]))
         flags.append(True)
     body += _legend(labels, flags)
@@ -139,14 +159,16 @@ def schedule_svg(trace) -> str:
     acts = trace.actions
     steps = acts.size
     m = int(acts.max()) if steps else 1
-    # step-post: the action chosen at step k holds on [k, k+1)
-    k = np.arange(steps)
-    xs = np.column_stack([k, k + 1]).ravel()
-    ys = np.repeat(acts, 2)
     ax, sx = _affine(0.0, float(steps), ML, W - MR)
     ay, sy = _affine(-0.5, max(m, 1) + 0.5, H - MB, MT)
     body = _frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, max(m, 1) + 0.5, ax, sx, ay, sy)
-    body.append(_poly(xs, ys, ax, sx, ay, sy, COLORS[2], "action"))
+    # step-post: the action chosen at step k holds on [k, k+1); every point is a step or an action level
+    px_step = _pixels(ax + sx * np.arange(steps + 1))
+    py_action = _pixels(ay + sy * np.arange(m + 1))
+    pxs, pys = [""] * (2 * steps), [""] * (2 * steps)
+    pxs[0::2], pxs[1::2] = px_step[:-1], px_step[1:]
+    pys[0::2] = pys[1::2] = [py_action[a] for a in acts.tolist()]
+    body.append(_poly(pxs, pys, COLORS[2], "action"))
     body += _legend([("action (0 = idle)", COLORS[2])])
     return _document(_desc("step", "action", ax, sx, ay, sy), body)
 

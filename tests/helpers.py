@@ -1,11 +1,12 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
 import csv
+import math
 
 import numpy as np
 from scipy.linalg import eigvals, expm
 
-from asynctrig import triggers
+from asynctrig import svgplots, triggers
 from asynctrig.certificates import (
     build_U_c,
     decay_factor,
@@ -210,6 +211,88 @@ def oracle_poly(xs, ys, ax, sx, ay, sy, stroke, ident, dash=None):
     pts = " ".join(f"{ax + sx * float(x)!r},{ay + sy * float(y)!r}" for x, y in zip(xs, ys))
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline id="{ident}" fill="none" stroke="{stroke}" stroke-width="1.5"{extra} points="{pts}"/>'
+
+
+def _oracle_frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi, ax, sx, ay, sy):
+    W, H, ML, MR, MT, MB = svgplots.W, svgplots.H, svgplots.ML, svgplots.MR, svgplots.MT, svgplots.MB
+    parts = [
+        f'<rect x="0" y="0" width="{W}" height="{H}" fill="#ffffff"/>',
+        f'<text x="{W//2}" y="18" text-anchor="middle" font-family="sans-serif" font-size="14">{title}</text>',
+        f'<line x1="{ML}" y1="{H-MB}" x2="{W-MR}" y2="{H-MB}" stroke="#000000"/>',
+        f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H-MB}" stroke="#000000"/>',
+        f'<text x="{(ML+W-MR)//2}" y="{H-8}" text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'<text x="14" y="{(MT+H-MB)//2}" text-anchor="middle" font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {(MT+H-MB)//2})">{ylabel}</text>',
+    ]
+    for k in range(6):
+        xv = xlo + (xhi - xlo) * k / 5
+        yv = ylo + (yhi - ylo) * k / 5
+        parts += [
+            f'<line x1="{ax + sx * xv!r}" y1="{H-MB}" x2="{ax + sx * xv!r}" y2="{H-MB+4}" stroke="#000000"/>',
+            f'<text x="{ax + sx * xv!r}" y="{H-MB+16}" text-anchor="middle" font-family="sans-serif" '
+            f'font-size="10">{xv:.4g}</text>',
+            f'<line x1="{ML-4}" y1="{ay + sy * yv!r}" x2="{ML}" y2="{ay + sy * yv!r}" stroke="#000000"/>',
+            f'<text x="{ML-6}" y="{ay + sy * yv!r}" text-anchor="end" dominant-baseline="middle" '
+            f'font-family="sans-serif" font-size="10">{yv:.4g}</text>',
+        ]
+    return parts
+
+
+def oracle_svgs(trace, mu: float = 0.0) -> list:
+    """The states, lyapunov and schedule documents, with every polyline point
+    formatted on its own by `oracle_poly` and every tick coordinate at each use."""
+    ML, MR, MT, MB, W, H, COLORS = (
+        svgplots.ML, svgplots.MR, svgplots.MT, svgplots.MB, svgplots.W, svgplots.H, svgplots.COLORS
+    )
+    affine, legend, document, desc = svgplots._affine, svgplots._legend, svgplots._document, svgplots._desc
+    ts = trace.times
+    t0, t1 = float(ts[0]), float(ts[-1])
+    ax, sx = affine(t0, t1, ML, W - MR)
+
+    vals = np.concatenate([trace.X.ravel(), trace.XHAT.ravel()])
+    ylo, yhi = float(vals.min()), float(vals.max())
+    pad = 0.05 * (yhi - ylo or 1.0)
+    ylo, yhi = ylo - pad, yhi + pad
+    ay, sy = affine(ylo, yhi, H - MB, MT)
+    body = _oracle_frame("state and held estimate", "t", "value", t0, t1, ylo, yhi, ax, sx, ay, sy)
+    labels = []
+    for i in range(trace.X.shape[1]):
+        c = COLORS[i % len(COLORS)]
+        body.append(oracle_poly(ts, trace.X[:, i], ax, sx, ay, sy, c, f"x_{i+1}"))
+        body.append(oracle_poly(ts, trace.XHAT[:, i], ax, sx, ay, sy, c, f"xhat_{i+1}", dash="5,3"))
+        labels += [(f"x_{i+1}", c), (f"xhat_{i+1}", c)]
+    body += legend(labels, [False, True] * trace.X.shape[1])
+    states = document(desc("t", "value", ax, sx, ay, sy), body)
+
+    logv = np.log10(np.maximum(trace.V, 1e-300))
+    ylo, yhi = float(logv.min()), float(logv.max())
+    if mu > 0:
+        ylo, yhi = min(ylo, math.log10(mu)), max(yhi, math.log10(mu))
+    pad = 0.05 * (yhi - ylo or 1.0)
+    ylo, yhi = ylo - pad, yhi + pad
+    ay, sy = affine(ylo, yhi, H - MB, MT)
+    body = _oracle_frame("certificate value (log scale)", "t", "log10 V", t0, t1, ylo, yhi, ax, sx, ay, sy)
+    body.append(oracle_poly(ts, logv, ax, sx, ay, sy, COLORS[0], "logV"))
+    labels = [("log10 V", COLORS[0])]
+    if mu > 0:
+        yv = math.log10(mu)
+        body.append(oracle_poly([t0, t1], [yv, yv], ax, sx, ay, sy, COLORS[1], "log_mu", dash="5,3"))
+        labels.append(("log10 mu", COLORS[1]))
+    body += legend(labels, [False, True][: len(labels)])
+    lyapunov = document(desc("t", "log10(V)", ax, sx, ay, sy), body)
+
+    acts = [int(a) for a in trace.actions]
+    steps = len(acts)
+    top = max(max(acts), 1) + 0.5
+    ax, sx = affine(0.0, float(steps), ML, W - MR)
+    ay, sy = affine(-0.5, top, H - MB, MT)
+    body = _oracle_frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, top, ax, sx, ay, sy)
+    xs = [v for k in range(steps) for v in (k, k + 1)]
+    ys = [a for a in acts for _ in range(2)]
+    body.append(oracle_poly(xs, ys, ax, sx, ay, sy, COLORS[2], "action"))
+    body += legend([("action (0 = idle)", COLORS[2])])
+    schedule = document(desc("step", "action", ax, sx, ay, sy), body)
+    return [states, lyapunov, schedule]
 
 
 def special_value_traces():

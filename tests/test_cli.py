@@ -164,6 +164,19 @@ def test_report_renders_and_matches_csv(tmp_path, capsys):
     assert (rep / "lyapunov.svg").exists() and (rep / "schedule.svg").exists()
 
 
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-unperturbed"])
+def test_report_rerenders_the_preset_plots(tmp_path, capsys, name):
+    # the trace CSV holds every number the views need, so report redraws them byte for byte
+    run, rep = tmp_path / "run", tmp_path / "rep"
+    assert main(["preset", name, "--plots", "--out-dir", str(run)]) == 0
+    mu = json.loads((run / "manifest.json").read_text())["metrics"].get("mu", 0.0)
+    argv = ["report", "--trace", str(run / "trace.csv"), "--mu", repr(mu), "--out-dir", str(rep)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for view in ("states.svg", "lyapunov.svg", "schedule.svg"):
+        assert (rep / view).read_bytes() == (run / "plots" / view).read_bytes(), view
+
+
 def test_synthesize_and_partition_json(tmp_path, capsys):
     assert main(["synthesize", "--preset", "online-unperturbed"]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -299,21 +299,27 @@ def test_sine_disturbance_uses_global_time():
     assert w(0.0)[0] == 0.0
 
 
+def _assert_same_bits(got, want):
+    # nan at the same places, and every other entry with the same bits: -0.0 is not 0.0
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
 def test_trace_csv_round_trip_exact(online_run, tmp_path):
-    _, _, tr = online_run
-    path = tmp_path / "trace.csv"
-    write_trace_csv(tr, str(path))
-    back = read_trace_csv(str(path))
-    np.testing.assert_array_equal(back.times, tr.times)
-    np.testing.assert_array_equal(back.X, tr.X)
-    np.testing.assert_array_equal(back.XHAT, tr.XHAT)
-    np.testing.assert_array_equal(back.U, tr.U)
-    np.testing.assert_array_equal(back.actions, tr.actions)
-    np.testing.assert_array_equal(back.V, tr.V)
-    # rewriting produces identical bytes
-    path2 = tmp_path / "trace2.csv"
-    write_trace_csv(tr, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
+    for i, tr in enumerate([online_run[2]] + special_value_traces()):
+        path = tmp_path / f"trace{i}.csv"
+        write_trace_csv(tr, str(path))
+        back = read_trace_csv(str(path))
+        for field in ("times", "X", "XHAT", "U", "V"):
+            _assert_same_bits(getattr(back, field), getattr(tr, field))
+        np.testing.assert_array_equal(back.actions, tr.actions)
+        # rewriting produces identical bytes
+        path2 = tmp_path / f"trace{i}b.csv"
+        write_trace_csv(back, str(path2))
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_decision_csv_shape(online_run, tmp_path):

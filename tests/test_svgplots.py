@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from asynctrig.presets import preset_config
-from asynctrig import svgplots
 from asynctrig.simulation import SimTrace, prepare, simulate
-from asynctrig.svgplots import emit_plots, lyapunov_svg, parse_polyline, schedule_svg, states_svg
-from helpers import oracle_poly, special_value_traces
+from asynctrig.svgplots import emit_plots, float_texts, lyapunov_svg, parse_polyline, schedule_svg, states_svg
+from helpers import oracle_svgs, special_value_traces
 
 
 @pytest.fixture(scope="module")
@@ -104,27 +103,24 @@ def test_parse_polyline_unknown_id(trace):
         parse_polyline("<svg></svg>", "x_1")
 
 
-def test_documents_match_the_per_point_oracle(preset_traces, monkeypatch):
+def test_documents_match_the_per_point_oracle(preset_traces):
     traces = [tr for _, _, tr in preset_traces.values()] + special_value_traces()
-    calls = []
-    poly = svgplots._poly
-
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return poly(*args, **kwargs)
-
-    def render(tr):
-        return [states_svg(tr), lyapunov_svg(tr, mu=4.0), schedule_svg(tr)]
-
-    for tr in traces:
-        monkeypatch.setattr(svgplots, "_poly", recording)
-        calls.clear()
-        got = render(tr)
-        for args, kwargs in calls:
-            assert poly(*args, **kwargs) == oracle_poly(*args, **kwargs)
+    for i, tr in enumerate(traces):
+        for mu in (0.0, 4.0):
+            got = [states_svg(tr), lyapunov_svg(tr, mu=mu), schedule_svg(tr)]
+            assert got == oracle_svgs(tr, mu=mu), (i, mu)
         # the step-post outline: the action chosen at step k holds on [k, k+1)
-        xs, ys = calls[-1][0][:2]
-        assert list(xs) == [v for k in range(tr.actions.size) for v in (k, k + 1)]
-        assert list(ys) == [int(a) for a in tr.actions for _ in range(2)]
-        monkeypatch.setattr(svgplots, "_poly", oracle_poly)
-        assert got == render(tr)
+        xs, ys = parse_polyline(got[2], "action")
+        steps = np.repeat(np.arange(tr.actions.size), 2) + np.tile([0, 1], tr.actions.size)
+        np.testing.assert_allclose(xs, steps, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ys, np.repeat(tr.actions, 2), rtol=0, atol=1e-9)
+
+
+def test_float_texts_formats_each_bit_pattern_as_repr():
+    # repeats, both zeros side by side, nan, both infinities, the least subnormal and a huge value
+    arr = np.array(
+        [[0.5, 0.0, -0.0, 0.5], [np.nan, np.inf, -np.inf, 0.0], [5e-324, 1e300, -0.0, 0.1 + 0.2], [1e300, 0.5, 5e-324, np.nan]]
+    )
+    assert float_texts(arr) == [repr(v) for v in arr.ravel().tolist()]
+    assert float_texts(arr.T) == [repr(v) for v in arr.T.ravel().tolist()]
+    assert float_texts(np.array([])) == []

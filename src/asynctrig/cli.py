@@ -309,7 +309,10 @@ def cmd_preset(args) -> int:
 
 def cmd_report(args) -> int:
     trace = read_trace_csv(args.trace)
-    m = args.m if args.m is not None else max(int(trace.actions.max()), 1)
+    least = max(int(trace.actions.max()), 1)  # action a reads sensor a
+    m = least if args.m is None else args.m
+    if m < least:
+        raise ConfigError(f"--m must be at least {least}, the largest action in the trace and 1, got {m}")
     metrics = utilization_metrics(trace, m)
     paths = emit_plots(trace, args.out_dir, mu=args.mu)
     _print_metrics(metrics)
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="summarize a trace CSV and render SVG views")
     sp.add_argument("--trace", required=True, help="trace CSV produced by simulate")
-    sp.add_argument("--m", type=int, default=None, help="sensor count (default: largest action seen)")
+    sp.add_argument("--m", type=int, default=None, help="sensor count, at least the largest action seen (default: that action)")
     sp.add_argument("--mu", type=float, default=0.0, help="ultimate bound to overlay on the V plot")
     sp.add_argument("--out-dir", default="out", help="directory for the SVG files")
     sp.set_defaults(func=cmd_report)

@@ -44,9 +44,19 @@ def _halton(i: int, base: int) -> float:
     return r
 
 
+def _primes(count: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def _directions(dim: int, N: int) -> np.ndarray:
     # low-discrepancy points -> inverse normal -> unit sphere, one hemisphere
-    bases = [2, 3, 5, 7, 11, 13][:dim]
+    bases = _primes(dim)
     vs = []
     i = 1
     while len(vs) < N:
@@ -90,33 +100,27 @@ def _covering_radius(vs: np.ndarray) -> float:
 def make_partition(dim: int, N: int):
     """N conic regions covering R^dim.
 
-    dim 2 uses exact equiangular sectors with a 5% margin; higher dimensions
-    take deterministic low-discrepancy directions and grow the half-angle in
-    10% steps until it reaches their exact covering radius, then add the same
-    margin.  Either half-angle is capped at pi/2, where a cone degenerates to
-    the whole space.
+    dim 2 uses exact equiangular sectors; higher dimensions take
+    deterministic low-discrepancy directions and grow the half-angle in 10%
+    steps until it reaches their exact covering radius.  Either half-angle
+    then gets a 5% margin, capped at pi/2, where a cone degenerates to the
+    whole space.
     """
     if N < 1 or dim < 2:
         raise ValueError(f"need N >= 1 and dim >= 2, got N={N}, dim={dim}")
-    if dim == 2:
-        theta = min(math.pi / (2 * N) * 1.05, math.pi / 2)
-        regions = []
-        for c in range(N):
-            ang = math.pi * c / N
-            v = np.array([math.cos(ang), math.sin(ang)])
-            Q = np.outer(v, v) - math.cos(theta) ** 2 * np.eye(2)
-            regions.append(ConicRegion(index=c, direction=v, half_angle=theta, Q=Q))
-        return regions
-    vs = _directions(dim, N)
-    radius = _covering_radius(vs)
     theta = math.pi / (2 * N)
-    while theta < radius:  # radius <= pi/2, so this ends
-        theta *= 1.1
+    if dim == 2:
+        vs = np.array([[math.cos(math.pi * c / N), math.sin(math.pi * c / N)] for c in range(N)])
+    else:
+        vs = _directions(dim, N)
+        radius = _covering_radius(vs)
+        while theta < radius:  # radius <= pi/2, so this ends
+            theta *= 1.1
     theta = min(theta * 1.05, math.pi / 2)  # coverage margin
     cos2 = math.cos(theta) ** 2
     return [
-        ConicRegion(index=c, direction=vs[c], half_angle=theta, Q=np.outer(vs[c], vs[c]) - cos2 * np.eye(dim))
-        for c in range(N)
+        ConicRegion(index=c, direction=v, half_angle=theta, Q=np.outer(v, v) - cos2 * np.eye(dim))
+        for c, v in enumerate(vs)
     ]
 
 

@@ -8,33 +8,12 @@ defaults reproduce the documented utilization numbers exactly.
 
 import math
 
-import numpy as np
-
 from .errors import ConfigError
 from .plant import PlantModel
-from .simulation import MODES, SimConfig
+from .simulation import MODES, PERTURBED_MODES, SimConfig
 
 DEFAULT_SEED = 154
 DEFAULT_STEPS = 100
-
-_A = [[0.0, 1.0], [-2.0, 3.0]]
-_B = [[0.0], [1.0]]
-_K = [[1.0, -4.0]]
-_BLOCKS = (1, 1)
-
-
-def _plant(perturbed: bool) -> PlantModel:
-    if perturbed:
-        return PlantModel(
-            A=np.array(_A),
-            B=np.array(_B),
-            K=np.array(_K),
-            blocks=_BLOCKS,
-            D=np.array([[1.0], [1.0]]),
-            w_max=1.0,
-        )
-    return PlantModel(A=np.array(_A), B=np.array(_B), K=np.array(_K), blocks=_BLOCKS)
-
 
 PRESET_NAMES = MODES  # one preset per mode, named after it
 
@@ -45,64 +24,29 @@ PRESET_NOTES = {
     "offline-perturbed": "T=0.205, lengths 3..6, 15 regions, gamma1=0.3 gamma2=0.1",
 }
 
+# each preset's own SimConfig fields; the rest keep their defaults
+_PRESETS = {
+    "online-unperturbed": dict(T=0.3, l_min=1, l_max=3, x0=[5.0, -2.0], sigma_star=(1, 2)),
+    "offline-unperturbed": dict(T=0.205, l_min=1, l_max=6, x0=[15.0, -1.5], N=15, sigma_star=(1, 2, 1, 2, 1, 2)),
+    "online-perturbed": dict(
+        T=0.18,
+        l_min=1,
+        l_max=6,
+        x0=[5.0, -2.0],
+        # decay tuned so the fallback horizon contracts V by 10x
+        beta=math.log(10.0) / (4 * 0.18),
+        gamma=0.35,
+        sigma_star=(2, 1, 2, 1),
+    ),
+    "offline-perturbed": dict(
+        T=0.205, l_min=3, l_max=6, x0=[15.0, -1.5], gamma1=0.3, gamma2=0.1, N=15, sigma_star=(1, 2, 2)
+    ),
+}
+
 
 def preset_config(name: str, seed: int = DEFAULT_SEED, total_steps: int = DEFAULT_STEPS) -> SimConfig:
-    if name == "online-unperturbed":
-        return SimConfig(
-            plant=_plant(False),
-            T=0.3,
-            l_min=1,
-            l_max=3,
-            mode=name,
-            x0=np.array([5.0, -2.0]),
-            beta=0.0,
-            sigma_star=(1, 2),
-            total_steps=total_steps,
-            seed=seed,
-        )
-    if name == "offline-unperturbed":
-        return SimConfig(
-            plant=_plant(False),
-            T=0.205,
-            l_min=1,
-            l_max=6,
-            mode=name,
-            x0=np.array([15.0, -1.5]),
-            beta=0.0,
-            N=15,
-            sigma_star=(1, 2, 1, 2, 1, 2),
-            total_steps=total_steps,
-            seed=seed,
-        )
-    if name == "online-perturbed":
-        # decay tuned so the fallback horizon contracts V by 10x
-        return SimConfig(
-            plant=_plant(True),
-            T=0.18,
-            l_min=1,
-            l_max=6,
-            mode=name,
-            x0=np.array([5.0, -2.0]),
-            beta=math.log(10.0) / (4 * 0.18),
-            gamma=0.35,
-            sigma_star=(2, 1, 2, 1),
-            total_steps=total_steps,
-            seed=seed,
-        )
-    if name == "offline-perturbed":
-        return SimConfig(
-            plant=_plant(True),
-            T=0.205,
-            l_min=3,
-            l_max=6,
-            mode=name,
-            x0=np.array([15.0, -1.5]),
-            beta=0.0,
-            gamma1=0.3,
-            gamma2=0.1,
-            N=15,
-            sigma_star=(1, 2, 2),
-            total_steps=total_steps,
-            seed=seed,
-        )
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    disturbance = dict(D=[[1.0], [1.0]], w_max=1.0) if name in PERTURBED_MODES else {}
+    plant = PlantModel(A=[[0.0, 1.0], [-2.0, 3.0]], B=[[0.0], [1.0]], K=[[1.0, -4.0]], blocks=(1, 1), **disturbance)
+    return SimConfig(plant=plant, mode=name, seed=seed, total_steps=total_steps, **_PRESETS[name])

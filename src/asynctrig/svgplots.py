@@ -51,7 +51,15 @@ def _poly(pxs, pys, stroke, ident, dash=None):
     return f'<polyline id="{ident}" fill="none" stroke="{stroke}" stroke-width="1.5"{extra} points="{pts}"/>'
 
 
-def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi, ax, sx, ay, sy):
+def _padded(lo: float, hi: float):
+    pad = 0.05 * (hi - lo or 1.0)
+    return lo - pad, hi + pad
+
+
+def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
+    """The pixel maps (ax, sx, ay, sy) of the data box, and the frame drawn around it."""
+    ax, sx = _affine(xlo, xhi, ML, W - MR)
+    ay, sy = _affine(ylo, yhi, H - MB, MT)
     parts = [
         f'<rect x="0" y="0" width="{W}" height="{H}" fill="#ffffff"/>',
         f'<text x="{W//2}" y="18" text-anchor="middle" font-family="sans-serif" font-size="14">{title}</text>',
@@ -75,23 +83,26 @@ def _frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi, ax, sx, ay, sy):
             f'<text x="{ML-6}" y="{py}" text-anchor="end" dominant-baseline="middle" '
             f'font-family="sans-serif" font-size="10">{yv:.4g}</text>'
         )
-    return parts
+    return (ax, sx, ay, sy), parts
 
 
-def _document(desc: str, body: list) -> str:
+def _document(xname, yname, maps, body: list) -> str:
+    # the <desc> records both pixel maps at full precision, for parse_polyline
+    ax, sx, ay, sy = maps
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">\n'
-        f"<desc>{desc}</desc>\n"
+        f"<desc>px = {ax!r} + {sx!r} * {xname}; py = {ay!r} + {sy!r} * {yname}</desc>\n"
     )
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def _legend(labels_colors, dashed_flags=None):
+def _legend(entries):
+    # entries: (label, color, dashed) per series, top to bottom
     parts = []
     x = W - MR - 120
     y = MT + 14
-    for k, (label, color) in enumerate(labels_colors):
-        dash = ' stroke-dasharray="5,3"' if dashed_flags and dashed_flags[k] else ""
+    for k, (label, color, dashed) in enumerate(entries):
+        dash = ' stroke-dasharray="5,3"' if dashed else ""
         parts.append(f'<line x1="{x}" y1="{y + 14*k}" x2="{x+24}" y2="{y + 14*k}" stroke="{color}" stroke-width="1.5"{dash}/>')
         parts.append(
             f'<text x="{x+30}" y="{y + 14*k + 4}" font-family="sans-serif" font-size="11">{label}</text>'
@@ -99,35 +110,25 @@ def _legend(labels_colors, dashed_flags=None):
     return parts
 
 
-def _desc(xname, yname, ax, sx, ay, sy) -> str:
-    return f"px = {ax!r} + {sx!r} * {xname}; py = {ay!r} + {sy!r} * {yname}"
-
-
 def states_svg(trace) -> str:
     ts = trace.times
-    n = trace.X.shape[1]
     vals = np.concatenate([trace.X.ravel(), trace.XHAT.ravel()])
-    ylo, yhi = float(vals.min()), float(vals.max())
-    pad = 0.05 * (yhi - ylo or 1.0)
-    ylo, yhi = ylo - pad, yhi + pad
-    ax, sx = _affine(float(ts[0]), float(ts[-1]), ML, W - MR)
-    ay, sy = _affine(ylo, yhi, H - MB, MT)
-    body = _frame("state and held estimate", "t", "value", float(ts[0]), float(ts[-1]), ylo, yhi, ax, sx, ay, sy)
+    maps, body = _frame(
+        "state and held estimate", "t", "value", float(ts[0]), float(ts[-1]), *_padded(float(vals.min()), float(vals.max()))
+    )
+    ax, sx, ay, sy = maps
     # the time axis is shared by every series; a held estimate repeats its value until refreshed
     px_t = _pixels(ax + sx * ts)
     px_X = _pixels((ay + sy * trace.X).T.ravel())
     px_XHAT = float_texts((ay + sy * trace.XHAT).T)
-    labels = []
-    flags = []
-    for i in range(n):
+    legend = []
+    for i in range(trace.X.shape[1]):
         c = COLORS[i % len(COLORS)]
         col = slice(i * ts.size, (i + 1) * ts.size)
         body.append(_poly(px_t, px_X[col], c, f"x_{i+1}"))
         body.append(_poly(px_t, px_XHAT[col], c, f"xhat_{i+1}", dash="5,3"))
-        labels += [(f"x_{i+1}", c), (f"xhat_{i+1}", c)]
-        flags += [False, True]
-    body += _legend(labels, flags)
-    return _document(_desc("t", "value", ax, sx, ay, sy), body)
+        legend += [(f"x_{i+1}", c, False), (f"xhat_{i+1}", c, True)]
+    return _document("t", "value", maps, body + _legend(legend))
 
 
 def lyapunov_svg(trace, mu: float = 0.0) -> str:
@@ -137,31 +138,24 @@ def lyapunov_svg(trace, mu: float = 0.0) -> str:
     if mu > 0:
         ylo = min(ylo, math.log10(mu))
         yhi = max(yhi, math.log10(mu))
-    pad = 0.05 * (yhi - ylo or 1.0)
-    ylo, yhi = ylo - pad, yhi + pad
-    ax, sx = _affine(float(ts[0]), float(ts[-1]), ML, W - MR)
-    ay, sy = _affine(ylo, yhi, H - MB, MT)
-    body = _frame("certificate value (log scale)", "t", "log10 V", float(ts[0]), float(ts[-1]), ylo, yhi, ax, sx, ay, sy)
+    maps, body = _frame("certificate value (log scale)", "t", "log10 V", float(ts[0]), float(ts[-1]), *_padded(ylo, yhi))
+    ax, sx, ay, sy = maps
     px_t = _pixels(ax + sx * ts)
     body.append(_poly(px_t, _pixels(ay + sy * logv), COLORS[0], "logV"))
-    labels = [("log10 V", COLORS[0])]
-    flags = [False]
+    legend = [("log10 V", COLORS[0], False)]
     if mu > 0:
         py = repr(ay + sy * math.log10(mu))
         body.append(_poly([px_t[0], px_t[-1]], [py, py], COLORS[1], "log_mu", dash="5,3"))
-        labels.append(("log10 mu", COLORS[1]))
-        flags.append(True)
-    body += _legend(labels, flags)
-    return _document(_desc("t", "log10(V)", ax, sx, ay, sy), body)
+        legend.append(("log10 mu", COLORS[1], True))
+    return _document("t", "log10(V)", maps, body + _legend(legend))
 
 
 def schedule_svg(trace) -> str:
     acts = trace.actions
     steps = acts.size
     m = int(acts.max()) if steps else 1
-    ax, sx = _affine(0.0, float(steps), ML, W - MR)
-    ay, sy = _affine(-0.5, max(m, 1) + 0.5, H - MB, MT)
-    body = _frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, max(m, 1) + 0.5, ax, sx, ay, sy)
+    maps, body = _frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, max(m, 1) + 0.5)
+    ax, sx, ay, sy = maps
     # step-post: the action chosen at step k holds on [k, k+1); every point is a step or an action level
     px_step = _pixels(ax + sx * np.arange(steps + 1))
     py_action = _pixels(ay + sy * np.arange(m + 1))
@@ -169,8 +163,7 @@ def schedule_svg(trace) -> str:
     pxs[0::2], pxs[1::2] = px_step[:-1], px_step[1:]
     pys[0::2] = pys[1::2] = [py_action[a] for a in acts.tolist()]
     body.append(_poly(pxs, pys, COLORS[2], "action"))
-    body += _legend([("action (0 = idle)", COLORS[2])])
-    return _document(_desc("step", "action", ax, sx, ay, sy), body)
+    return _document("step", "action", maps, body + _legend([("action (0 = idle)", COLORS[2], False)]))
 
 
 def emit_plots(trace, outdir: str, mu: float = 0.0) -> list:

@@ -238,13 +238,44 @@ def _oracle_frame(title, xlabel, ylabel, xlo, xhi, ylo, yhi, ax, sx, ay, sy):
     return parts
 
 
+def _oracle_affine(lo, hi, p0, p1):
+    if not hi > lo:
+        hi = lo + 1.0
+    s = (p1 - p0) / (hi - lo)
+    return p0 - s * lo, s
+
+
+def _oracle_document(desc, body):
+    W, H = svgplots.W, svgplots.H
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">\n'
+        f"<desc>{desc}</desc>\n"
+    )
+    return head + "\n".join(body) + "\n</svg>\n"
+
+
+def _oracle_legend(labels_colors, dashed_flags=None):
+    x, y = svgplots.W - svgplots.MR - 120, svgplots.MT + 14
+    parts = []
+    for k, (label, color) in enumerate(labels_colors):
+        dash = ' stroke-dasharray="5,3"' if dashed_flags and dashed_flags[k] else ""
+        parts.append(f'<line x1="{x}" y1="{y + 14*k}" x2="{x+24}" y2="{y + 14*k}" stroke="{color}" stroke-width="1.5"{dash}/>')
+        parts.append(f'<text x="{x+30}" y="{y + 14*k + 4}" font-family="sans-serif" font-size="11">{label}</text>')
+    return parts
+
+
+def _oracle_desc(xname, yname, ax, sx, ay, sy):
+    return f"px = {ax!r} + {sx!r} * {xname}; py = {ay!r} + {sy!r} * {yname}"
+
+
 def oracle_svgs(trace, mu: float = 0.0) -> list:
     """The states, lyapunov and schedule documents, with every polyline point
-    formatted on its own by `oracle_poly` and every tick coordinate at each use."""
+    formatted on its own by `oracle_poly` and every tick coordinate at each use.
+    Only the layout constants come from `svgplots`; every helper is the oracle's own."""
     ML, MR, MT, MB, W, H, COLORS = (
         svgplots.ML, svgplots.MR, svgplots.MT, svgplots.MB, svgplots.W, svgplots.H, svgplots.COLORS
     )
-    affine, legend, document, desc = svgplots._affine, svgplots._legend, svgplots._document, svgplots._desc
+    affine, legend, document, desc = _oracle_affine, _oracle_legend, _oracle_document, _oracle_desc
     ts = trace.times
     t0, t1 = float(ts[0]), float(ts[-1])
     ax, sx = affine(t0, t1, ML, W - MR)

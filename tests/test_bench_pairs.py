@@ -32,6 +32,14 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert not _bench_pairs().summarize(pairs, {"speed": "higher"})["correct"]
 
 
+def test_layer_summary_takes_each_metrics_median_and_keeps_every_run():
+    runs = [_run({"emit_s": e, "count": c}) for e, c in [(0.06, 7), (0.09, 7), (0.05, 8)]]
+    assert _bench_pairs().summarize_layers(runs) == {
+        "median": {"emit_s": 0.06, "count": 7},
+        "runs": {"emit_s": [0.06, 0.09, 0.05], "count": [7, 7, 8]},
+    }
+
+
 def test_traced_run_output_parses_to_its_layer_metrics():
     machine = {"nproc": 2, "src_sha256": "ab"}
     result = {

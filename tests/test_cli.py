@@ -164,6 +164,17 @@ def test_report_renders_and_matches_csv(tmp_path, capsys):
     assert (rep / "lyapunov.svg").exists() and (rep / "schedule.svg").exists()
 
 
+@pytest.mark.parametrize("m", ["1", "-2", "0"])
+def test_report_rejects_a_sensor_count_the_trace_contradicts(tmp_path, capsys, m):
+    # the trace reads sensor 2, so fewer than 2 sensors would misstate its reduction
+    run, rep = tmp_path / "run", tmp_path / "rep"
+    assert main(["simulate", "--preset", "online-unperturbed", "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--trace", str(run / "trace.csv"), "--m", m, "--out-dir", str(rep)]) == 2
+    assert f"--m must be at least 2, the largest action in the trace and 1, got {m}" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-unperturbed"])
 def test_report_rerenders_the_preset_plots(tmp_path, capsys, name):
     # the trace CSV holds every number the views need, so report redraws them byte for byte
@@ -189,6 +200,8 @@ def test_synthesize_and_partition_json(tmp_path, capsys):
     assert main(["partition", "--dim", "4", "--regions", "15", "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["count"] == 15
+    assert main(["partition", "--dim", "8", "--regions", "15"]) == 0  # beyond the first six Halton bases
+    assert json.loads(capsys.readouterr().out)["dim"] == 8
 
 
 def test_config_file_simulation(tmp_path, capsys):

@@ -94,7 +94,7 @@ def _deepest_holes(regions):
     return hull.equations[:, :-1], np.arccos(np.minimum(1.0, -hull.equations[:, -1]))
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 8])
 @pytest.mark.parametrize("count", ["dim", 15, 30])
 def test_half_angle_reaches_the_exact_covering_radius(dim, count):
     N = dim if count == "dim" else count
@@ -116,6 +116,14 @@ def test_deepest_hole_of_six_dim_partition_is_covered():
     c = region_of(hole, regions)
     assert c is not None
     assert hole @ regions[c].Q @ hole >= 0
+
+
+@pytest.mark.parametrize("N", [15, 30])
+def test_partition_above_six_dims_leaves_no_lookup_miss(N):
+    # the Halton bases are the first dim primes; dim 8 needs two past 13
+    regions = make_partition(8, N)
+    X = np.random.default_rng(8).normal(size=(20_000, 8))
+    assert sum(region_of(x, regions) is None for x in X) == 0
 
 
 def test_degenerate_cap_covers_everything():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,24 @@ def test_preset_notes_cover_all_names():
     assert set(PRESET_NOTES) == set(PRESET_NAMES)
     for note in PRESET_NOTES.values():
         assert note
+
+
+def test_preset_notes_state_each_presets_parameters():
+    # a parameter a note leaves out must be one the preset leaves at 0
+    for name, note in PRESET_NOTES.items():
+        cfg = preset_config(name)
+
+        def stated(pattern, default=0.0):
+            m = re.search(pattern, note)
+            return float(m.group(1)) if m else default
+
+        assert cfg.T == stated(r"\bT=([0-9.]+)", None), name
+        lengths = re.search(r"\blengths (\d+)\.\.(\d+)\b", note)
+        assert (cfg.l_min, cfg.l_max) == (int(lengths.group(1)), int(lengths.group(2))), name
+        assert cfg.N == stated(r"\b(\d+) (?:conic )?regions\b"), name
+        assert cfg.gamma == stated(r"\bgamma=([0-9.]+)"), name
+        assert cfg.gamma1 == stated(r"\bgamma1=([0-9.]+)"), name
+        assert cfg.gamma2 == stated(r"\bgamma2=([0-9.]+)"), name
 
 
 def test_unknown_preset_rejected():

@@ -7,13 +7,15 @@ For every workload `BENCHMARK.json` lists, each of the PAIRS pairs runs
 `BENCHMARK.json`'s `run_seconds`, once in the parent checkout and once in the
 change checkout (this one by default), one after the other; which side runs
 first alternates from pair to pair.  After the pairs, each side runs the
-workload once more with `--trace 1`.  Both sides use their own checkout's
-perfbench and sources.  The
+workload TRACED more times with `--trace 1`, in the same alternating order.
+Both sides use their own checkout's perfbench and sources.  The
 record holds the change side's machine record, the protocol, and per
 workload the seven end-to-end metrics: every run's values, each side's
 median and quartiles, and the number of pairs the change won by the
 direction `BENCHMARK.json` gives; `layers` holds each side's per-layer
-metrics from its traced run.  Last, `presets` holds, per side and preset,
+metrics, the median over its traced runs, and `layer_runs` every traced
+run's values: one traced run cannot resolve a 10-20% change in a layer
+that takes a few hundredths of a second.  Last, `presets` holds, per side and preset,
 the best-of-5 `prepare` and `simulate` seconds at 100 steps of each of
 PAIRS fresh processes per side, alternating as the pairs do, and their
 medians: one process's best-of-5 swings up to 2x from the next on a shared
@@ -30,8 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per workload, as the benchmark protocol asks
+TRACED = 3  # traced runs per side and workload, for the per-layer medians
 PRESET_REPEATS = 5  # each preset time is the best of this many
 PRESET_STEPS = 100
+
+
+def order(i: int) -> tuple:
+    """The sides in the order they run in pair i, counted from 0: the parent first when i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -82,6 +90,12 @@ def summarize_presets(runs) -> dict:
             out[name][key] = statistics.median(values)
             out[name][key[:-2] + "_runs"] = values
     return out
+
+
+def summarize_layers(runs) -> dict:
+    """Each layer metric's median over one side's traced `parse_run` results, and every run's value."""
+    values = {name: [run["metrics"][name] for run in runs] for name in runs[0]["metrics"]}
+    return {"median": {name: statistics.median(v) for name, v in values.items()}, "runs": values}
 
 
 def parse_run(stdout: str) -> dict:
@@ -143,7 +157,8 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
             "pairs": PAIRS,
             "order": "alternating: the parent runs first in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, ...",
-            "layers": "one run per side after the pairs, parent first, with --trace 1 instead of --trace 0",
+            "layers": f"{TRACED} alternating pairs of runs after the pairs, with --trace 1 instead of --trace 0; "
+            "the median of each metric over each side's runs",
             "presets": f"best of {PRESET_REPEATS} prepare and simulate per preset at {PRESET_STEPS} steps in one "
             f"process, {PAIRS} alternating pairs of processes after the workloads, median over each side's processes",
         },
@@ -152,19 +167,23 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(checkouts[side], workload, args.seed, seconds) for side in order}
+            pair = {side: run_once(checkouts[side], workload, args.seed, seconds) for side in order(i)}
             record["machine"] = {k: v for k, v in pair["change"]["machine"].items() if k not in ("commit", "src_sha256")}
             pairs.append(pair)
             print(f"{workload} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
-        traced = {side: run_once(checkouts[side], workload, args.seed, seconds, trace=1) for side in checkouts}
+        traced = {side: [] for side in checkouts}
+        for i in range(TRACED):
+            for side in order(i):
+                traced[side].append(run_once(checkouts[side], workload, args.seed, seconds, trace=1))
         summary = record["workloads"][workload] = summarize(pairs, better)
-        summary["correct"] = summary["correct"] and all(run["correct"] for run in traced.values())
+        summary["correct"] = summary["correct"] and all(run["correct"] for runs in traced.values() for run in runs)
         summary["src_sha256"] = {side: pairs[0][side]["machine"]["src_sha256"] for side in checkouts}
-        summary["layers"] = {side: run["metrics"] for side, run in traced.items()}
+        layers = {side: summarize_layers(runs) for side, runs in traced.items()}
+        summary["layers"] = {side: layer["median"] for side, layer in layers.items()}
+        summary["layer_runs"] = {side: layer["runs"] for side, layer in layers.items()}
     preset_runs = {side: [] for side in checkouts}
     for i in range(PAIRS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+        for side in order(i):
             preset_runs[side].append(time_presets(checkouts[side]))
     record["presets"] = {side: summarize_presets(runs) for side, runs in preset_runs.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -41,7 +41,7 @@ from .simulation import (
     write_decision_csv,
     write_trace_csv,
 )
-from .svgplots import emit_plots
+from .svgplots import emit_plots, write_text
 
 ENV_SEED = "ASYNCTRIG_SEED"
 
@@ -182,8 +182,7 @@ def _cert_summary(cert) -> dict:
 def _write_json(payload: dict, path):
     text = json.dumps(payload, indent=2)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_text(path, text + "\n")
     else:
         print(text)
 
@@ -239,8 +238,6 @@ def cmd_partition(args) -> int:
 
 
 def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
     seeds = [cfg.seed]
     if getattr(args, "sweep", None):
         try:
@@ -249,7 +246,11 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
             raise ConfigError(f"--sweep expects comma-separated integers, got {args.sweep!r}")
         if not seeds:
             raise ConfigError("--sweep got an empty seed list")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"--sweep repeats a seed: {args.sweep!r}")
         semantic = {**semantic, "sweep": seeds}  # the swept seeds, not --seed, pick the traces
+    outdir = args.out_dir
+    os.makedirs(outdir, exist_ok=True)
     prepared = prepare(cfg)
     cert = prepared.cert
     outputs = []

@@ -35,7 +35,7 @@ from .plant import (
     step_matrices,
     transition_table,
 )
-from .svgplots import float_texts
+from .svgplots import float_texts, write_text
 from .triggers import GatedPolicy, OnlinePolicy, TablePolicy
 
 # perfbench/passes.py still looks these old names up before each loop; simulate never calls them
@@ -331,8 +331,7 @@ def write_trace_csv(trace: SimTrace, path: str):
         f"{k},{','.join(texts[s : s + width - 1])},{a},{texts[s + width - 1]}"
         for k, (s, a) in enumerate(zip(range(0, len(texts), width), trace.actions.tolist()))
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_decision_csv(trace: SimTrace, path: str):
@@ -343,8 +342,7 @@ def write_decision_csv(trace: SimTrace, path: str):
         f"{'' if region is None else region},{'' if margin is None else repr(float(margin))}"
         for step, tau, mode, horizon, metric, evaluated, inside, reason, region, margin in trace.decision_rows
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str) -> SimTrace:

@@ -10,6 +10,7 @@ come back to within rounding.
 import math
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -37,6 +38,34 @@ def float_texts(values) -> list:
     _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
     texts = list(map(repr, flat[first].tolist()))
     return [texts[i] for i in inverse.tolist()]
+
+
+def write_text(path, text: str):
+    """Write `text` to `path` as UTF-8, rewriting an existing file in place.
+
+    Every file the package produces goes through here.  The file is opened
+    without O_TRUNC, overwritten from its start and then cut at the end of
+    what was written, so it ends up holding exactly the bytes `open(path, "w")`
+    would leave, with the same mode bits (0o666 less the umask when created,
+    unchanged otherwise) and the same symlink and hard-link behaviour.  A
+    device or pipe is not cut, as O_TRUNC leaves one alone.
+
+    Truncating an existing file to zero frees its blocks, and ext4 (its
+    `auto_da_alloc` heuristic) then starts writing the file back on close,
+    which costs several times the write itself.  Neither way calls fsync, so
+    no durability is given up: that writeback is a filesystem heuristic, not
+    a flush the code asks for.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _pixels(values: np.ndarray) -> list:
@@ -178,8 +207,7 @@ def emit_plots(trace, outdir: str, mu: float = 0.0) -> list:
         ("schedule.svg", schedule_svg(trace)),
     ):
         path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
         out.append(path)
     return out
 

@@ -148,6 +148,38 @@ def test_sweep_writes_one_trace_per_seed(tmp_path, capsys):
     assert set(manifest["metrics"].keys()) == {"154", "7"}
 
 
+def test_sweep_rejects_a_repeated_seed(tmp_path, capsys):
+    # a repeated seed would run twice, list its files twice in the manifest and enter the digest twice
+    out = tmp_path / "sweep"
+    assert main(["preset", "online-unperturbed", "--steps", "50", "--sweep", "1,1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--sweep repeats a seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_rerun_into_a_used_directory_writes_the_bytes_of_a_fresh_one(tmp_path, capsys):
+    # the longer run's files are all longer than the shorter run's, so each must be cut, not just overwritten
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    argv = ["preset", "online-perturbed", "--plots", "--out-dir"]
+    assert main(argv + [str(used), "--steps", "400"]) == 0
+    assert main(argv + [str(used), "--steps", "60"]) == 0
+    assert main(argv + [str(fresh), "--steps", "60"]) == 0
+    capsys.readouterr()
+    names = [p.relative_to(fresh) for p in sorted(fresh.rglob("*")) if p.is_file()]
+    assert [str(n) for n in names] == [
+        "certificate.json", "decisions.csv", "manifest.json",
+        "plots/lyapunov.svg", "plots/schedule.svg", "plots/states.svg", "trace.csv",
+    ]
+    assert [p.relative_to(used) for p in sorted(used.rglob("*")) if p.is_file()] == names
+    for name in names:
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_an_output_path_that_is_a_directory_is_a_configuration_error(tmp_path, capsys):
+    assert main(["discretize", "--preset", "online-unperturbed", "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_report_renders_and_matches_csv(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--preset", "online-unperturbed", "--seed", "154", "--out-dir", str(run)]) == 0

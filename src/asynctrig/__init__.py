@@ -61,6 +61,7 @@ from .simulation import (
     Prepared,
     SimConfig,
     SimTrace,
+    certify,
     prepare,
     read_trace_csv,
     simulate,

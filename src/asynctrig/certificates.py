@@ -161,7 +161,7 @@ def _scaled_tol(P, tol: float) -> float:
     return tol * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
 
 
-def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = 1e-9) -> bool:
+def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = PSD_TOL) -> bool:
     """Check the two perturbed-online matrix inequalities at tolerance tol.
 
     First: Phi'(P+M)Phi - (gamma - bbar) P <= 0, a `decay_form`.  Second:
@@ -336,7 +336,7 @@ def synthesize_perturbed_offline(
     return _accepted(cert, Phi_star)
 
 
-def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = 1e-9) -> RegionForms:
+def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = PSD_TOL) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
     A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0) is
@@ -430,7 +430,7 @@ def _positive_definite(*mats) -> bool:
 
 
 def reverify_certificate(cert, Phi_star) -> bool:
-    """Re-check the certificate's defining inequalities from scratch at 1e-9
+    """Re-check the certificate's defining inequalities from scratch at PSD_TOL
     (scaled by min(1, lambda_max(P)) for the perturbed kinds).
 
     Every kind also requires its Lyapunov matrix P (and M for the online
@@ -444,11 +444,11 @@ def reverify_certificate(cert, Phi_star) -> bool:
     bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
     if isinstance(cert, UnperturbedCertificate):
         _, hi = sym_eig_bounds(decay_form(Phi_star, cert.P, bbar))
-        return hi <= -1e-9 and _positive_definite(cert.P)
+        return hi <= -PSD_TOL and _positive_definite(cert.P)
     chi = cert.chi[len(cert.sigma_star)]
     if isinstance(cert, PerturbedOnlineCertificate):
         holds = verify_lmi_pair(cert.P, cert.M, cert.gamma, chi**2, Phi_star, bbar) and _positive_definite(cert.M)
     else:
         U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
-        holds = cert.gamma2 <= cert.gamma1 + PSD_TOL and is_psd(U, _scaled_tol(cert.P, 1e-9))
+        holds = cert.gamma2 <= cert.gamma1 + PSD_TOL and is_psd(U, _scaled_tol(cert.P, PSD_TOL))
     return holds and _positive_definite(cert.P) and cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)

@@ -33,6 +33,7 @@ from .plant import DiscretePlant, PlantModel
 from .presets import DEFAULT_STEPS, PRESET_NAMES, PRESET_NOTES, preset_config
 from .simulation import (
     SimConfig,
+    certify,
     default_sine_disturbance,
     prepare,
     read_trace_csv,
@@ -218,7 +219,7 @@ def cmd_horizons(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg, _, _ = _load_sim_config(args)
-    _write_json(certificate_to_dict(prepare(cfg, with_tables=False).cert), args.out)
+    _write_json(certificate_to_dict(certify(cfg)[-1]), args.out)
     return 0
 
 
@@ -314,7 +315,7 @@ def cmd_report(args) -> int:
     m = least if args.m is None else args.m
     if m < least:
         raise ConfigError(f"--m must be at least {least}, the largest action in the trace and 1, got {m}")
-    metrics = utilization_metrics(trace, m)
+    metrics = utilization_metrics(trace.actions, m)
     paths = emit_plots(trace, args.out_dir, mu=args.mu)
     _print_metrics(metrics)
     for p in paths:

@@ -146,20 +146,19 @@ class Prepared(NamedTuple):
     dp: DiscretePlant
     horizons: list
     cert: object
-    regions: Optional[list]
-    table: Optional[TablePolicy]  # the offline modes' table policy, also inside policy
-    policy: object  # None only for an offline mode prepared without tables
+    regions: Optional[list]  # None for the online modes
+    table: Optional[TablePolicy]  # the offline modes' table policy, also inside policy; None online
+    policy: object
     integrator: Optional[_DisturbanceIntegrator]  # None for the unperturbed modes
 
 
-def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
-    """Run the offline stage: discretize, enumerate, certify, tabulate.
+def certify(config: SimConfig) -> tuple:
+    """Run the certificate stage: discretize, enumerate, choose sigma*, synthesize.
 
-    The transition table is built once and shared by the choice of sigma*,
-    the synthesis and the policy, as is the horizons' action-code array;
-    any infeasibility surfaces here, before stepping starts.
-    with_tables=False skips the expensive offline-table builds when only the
-    certificate is wanted (offline modes then get no policy).
+    Returns (dp, horizons, codes, phis, cert).  The horizons' action-code
+    array and transition stack are built once here, shared by the choice of
+    sigma* and the synthesis, and returned for a caller that tabulates or
+    tests the same horizons; any infeasibility surfaces here.
     """
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
@@ -175,8 +174,7 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
         Phi_star = phis[horizons.index(sigma_star)]
     except ValueError:
         raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set") from None
-    perturbed = config.mode in PERTURBED_MODES
-    if not perturbed:
+    if config.mode not in PERTURBED_MODES:
         cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
     else:
         varpi = disturbance_step_bound(plant, config.T)
@@ -191,17 +189,27 @@ def prepare(config: SimConfig, with_tables: bool = True) -> Prepared:
                 Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi,
                 C_prime=C_prime, varpi=varpi,
             )
+    return dp, horizons, codes, phis, cert
+
+
+def prepare(config: SimConfig) -> Prepared:
+    """Certify, then build the run's one policy and its disturbance quadrature.
+
+    An offline mode's policy is the region table, an online mode's the
+    online test, both built on certify's transition stack, which no
+    Prepared keeps; a perturbed mode wraps either in the E(P,1) gate.
+    """
+    dp, horizons, codes, phis, cert = certify(config)
     regions = table = None
     if config.mode in OFFLINE_MODES:
-        regions = make_partition(2 * plant.n, config.N)
-        if with_tables:
-            table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
-        policy = table
+        regions = make_partition(2 * dp.n, config.N)
+        policy = table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
     else:
         policy = OnlinePolicy(cert, horizons, phis, dp.m, codes)
-    if perturbed and policy is not None:
+    integrator = None
+    if config.mode in PERTURBED_MODES:
         policy = GatedPolicy(policy, cert.P)
-    integrator = _DisturbanceIntegrator(plant, config.T, config.substeps_per_T) if perturbed else None
+        integrator = _DisturbanceIntegrator(config.plant, config.T, config.substeps_per_T)
     return Prepared(dp, horizons, cert, regions, table, policy, integrator)
 
 
@@ -256,12 +264,9 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     V_all = np.matmul(np.matmul(E, P), E.transpose(0, 2, 1)).ravel()  # on (1, 2n) rows: eta @ P @ eta bit for bit
     V = V_all[:steps]
     boundary_V = V_all[boundaries + [steps]].tolist()
-    readings = int(np.count_nonzero(actions))
     V0 = boundary_V[0]
     metrics = {
-        "steps": steps,
-        "readings": readings,
-        "utilization_reduction": 1.0 - readings / (plant.m * steps),
+        **utilization_metrics(actions, plant.m),
         "V0": V0,
         "final_V": boundary_V[-1],
         "min_V_ratio": min(boundary_V) / V0 if V0 > 0 else 0.0,
@@ -293,19 +298,13 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     return trace
 
 
-def utilization_metrics(trace: SimTrace, m: int) -> dict:
-    """Recompute usage counts from the recorded actions."""
-    steps = int(trace.actions.size)
+def utilization_metrics(actions: np.ndarray, m: int) -> dict:
+    """Steps, sensor readings and utilization reduction of a run's action sequence."""
+    steps = int(actions.size)
     if steps == 0:
         raise ValueError("empty trace")
-    readings = int(np.count_nonzero(trace.actions))
-    reduction = 1.0 - readings / (m * steps)
-    return {
-        "steps": steps,
-        "readings": readings,
-        "utilization_reduction": reduction,
-        "final_V": float(trace.boundary_V[-1]) if trace.boundary_V else float(trace.V[-1]),
-    }
+    readings = int(np.count_nonzero(actions))
+    return {"steps": steps, "readings": readings, "utilization_reduction": 1.0 - readings / (m * steps)}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class TriggerDecision(NamedTuple):  # a tuple: built once per decision, and chea
     horizon: tuple
     metric: float
     evaluated: int  # forms the decision scored; 0 for gate and table decisions
-    tie_count: int
     reason: str  # gate, certified, forced-fallback, table or table-miss
     region: Optional[int] = None  # the looked-up region of a table decision
     margin: Optional[float] = None  # the chosen horizon's eta' F eta + c, where the online test scored it
@@ -143,16 +142,15 @@ class OnlinePolicy:
             if feas.size:
                 ties = lo + feas[: np.searchsorted(feas, self.level_end[lo + feas[0]] - lo)]
                 i = _tie_break(ties, rng_seed, step_index)
-                reason, tie_count, margin = "certified", ties.size, values[i - lo]
+                reason, margin = "certified", values[i - lo]
                 break
         else:  # hi is now the stack's end: every form was scored
             i = self.fallback_index
-            reason, tie_count, margin = "forced-fallback", 1, self.flat[i] @ outer + self.corners[i]
+            reason, margin = "forced-fallback", self.flat[i] @ outer + self.corners[i]
         return TriggerDecision(
             horizon=self.horizons[i],
             metric=float(self.metrics[i]),
             evaluated=hi,
-            tie_count=int(tie_count),
             reason=reason,
             margin=float(margin),
         )
@@ -198,7 +196,6 @@ class TablePolicy:
             horizon=_tie_break(ties, rng_seed, step_index),
             metric=metric,
             evaluated=0,
-            tie_count=len(ties),
             reason="table-miss" if c is None else "table",
             region=c,
         )
@@ -215,7 +212,6 @@ class GatedPolicy:
             horizon=IDLE_HORIZON,
             metric=avg_idle_metric(IDLE_HORIZON, policy.m),
             evaluated=0,
-            tie_count=1,
             reason="gate",
         )
 

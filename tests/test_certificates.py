@@ -37,7 +37,7 @@ from asynctrig.plant import (
     transition_table,
 )
 from asynctrig.presets import PRESET_NAMES, preset_config
-from asynctrig.simulation import prepare
+from asynctrig.simulation import certify
 from helpers import (
     M_REF,
     P_REF,
@@ -468,9 +468,9 @@ def test_perturbed_certificates_store_each_number_once():
 
 def _loaded_preset_certificate(name):
     """A perturbed preset's certificate as certificate.json holds it, and its Phi*."""
-    prep = prepare(preset_config(name), with_tables=False)
-    data = json.loads(json.dumps(certificate_to_dict(prep.cert)))
-    return data, horizon_transition(prep.dp, prep.cert.sigma_star)
+    _, horizons, _, phis, cert = certify(preset_config(name))
+    data = json.loads(json.dumps(certificate_to_dict(cert)))
+    return data, phis[horizons.index(cert.sigma_star)]
 
 
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
@@ -506,14 +506,14 @@ def _resynthesize(cert, Phi_star):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_every_synthesis_is_accepted_by_reverify(name, monkeypatch):
     # one acceptance check for all kinds: a certificate reverify rejects is never returned
-    prep = prepare(preset_config(name), with_tables=False)
-    Phi_star = horizon_transition(prep.dp, prep.cert.sigma_star)
-    assert reverify_certificate(_resynthesize(prep.cert, Phi_star), Phi_star)
+    _, horizons, _, phis, cert = certify(preset_config(name))
+    Phi_star = phis[horizons.index(cert.sigma_star)]
+    assert reverify_certificate(_resynthesize(cert, Phi_star), Phi_star)
     checked = []
     monkeypatch.setattr(certificates, "reverify_certificate", lambda cert, Phi: checked.append(cert) or False)
     with pytest.raises(InfeasibleError, match="fails reverify_certificate"):
-        _resynthesize(prep.cert, Phi_star)
-    assert len(checked) == 1 and type(checked[0]) is type(prep.cert)
+        _resynthesize(cert, Phi_star)
+    assert len(checked) == 1 and type(checked[0]) is type(cert)
 
 
 def test_certificate_codec_is_field_driven():

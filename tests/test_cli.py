@@ -6,7 +6,7 @@ import pytest
 from asynctrig.certificates import region_forms
 from asynctrig.cli import config_digest, main
 from asynctrig.horizons import avg_idle_metric, horizon_from_text
-from asynctrig.plant import transition_table
+from asynctrig.simulation import certify
 from asynctrig.svgplots import parse_polyline
 from helpers import unfiltered_region_multipliers
 
@@ -83,8 +83,9 @@ def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, req
         assert main(["preset", name, "--steps", "20", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
-    prep = request.getfixturevalue("prepared_" + name.replace("-", "_"))[1]
-    forms = region_forms(prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons))
+    config, prep, _ = request.getfixturevalue("prepared_" + name.replace("-", "_"))
+    _, horizons, _, phis, cert = certify(config)
+    forms = region_forms(cert, horizons, phis)
     counts = [int(np.count_nonzero(~np.isnan(unfiltered_region_multipliers(forms, reg.Q)))) for reg in prep.regions]
     manifest = json.loads((runs[0] / "manifest.json").read_text())
     assert manifest["regions"] == [{"certified": n, "fallback_only": n == 0} for n in counts]
@@ -194,6 +195,21 @@ def test_report_renders_and_matches_csv(tmp_path, capsys):
     col = np.array([float(r.split(",")[2]) for r in rows])
     np.testing.assert_allclose(ys, col, atol=1e-9)
     assert (rep / "lyapunov.svg").exists() and (rep / "schedule.svg").exists()
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "offline-perturbed"])
+def test_report_counts_equal_the_run_and_it_prints_no_final_V(tmp_path, capsys, name):
+    # the CSV's last V is the one before the last step, so report cannot know the run's final V
+    run, rep = tmp_path / "run", tmp_path / "rep"
+    assert main(["preset", name, "--out-dir", str(run)]) == 0
+    ran = capsys.readouterr().out.splitlines()
+    assert main(["report", "--trace", str(run / "trace.csv"), "--m", "2", "--out-dir", str(rep)]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    counts = ("steps ", "readings ", "utilization_reduction ")
+    ran_counts, reported_counts = ([line for line in out if line.startswith(counts)] for out in (ran, reported))
+    assert reported_counts == ran_counts and len(ran_counts) == 3
+    assert any(line.startswith("final_V ") for line in ran)
+    assert not any(line.startswith("final_V") for line in reported)
 
 
 @pytest.mark.parametrize("m", ["1", "-2", "0"])

@@ -9,9 +9,8 @@ import numpy as np
 from asynctrig.certificates import certificate_from_dict
 from asynctrig.cli import main
 from asynctrig.partition import make_partition
-from asynctrig.plant import transition_table
 from asynctrig.presets import preset_config
-from asynctrig.simulation import prepare
+from asynctrig.simulation import certify, prepare
 from asynctrig.triggers import TablePolicy, table_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,9 +52,8 @@ def test_table_digests_hash_each_offline_table():
     config = preset_config("offline-perturbed")
     prep = prepare(config)
     cut = prepare(dataclasses.replace(config, l_max=4))
-    capped = TablePolicy(
-        prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons), prep.dp.m, make_partition(4, 3)
-    )
+    dp, horizons, codes, phis, cert = certify(config)
+    capped = TablePolicy(cert, horizons, phis, dp.m, make_partition(4, 3), codes)
     assert lines == [
         _table_line(prep.table, "offline-perturbed/table.json"),
         _table_line(cut.table, "offline-perturbed/bench-cut/table.json"),

@@ -11,11 +11,11 @@ from scipy.linalg import expm
 
 from asynctrig.errors import ConfigError
 from asynctrig import simulation
+from asynctrig.horizons import action_codes
 from asynctrig.plant import PlantModel, step_matrices, transition_table
 from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import (
     SimConfig,
-    SimTrace,
     _DisturbanceIntegrator,
     default_sine_disturbance,
     prepare,
@@ -25,6 +25,7 @@ from asynctrig.simulation import (
     write_decision_csv,
     write_trace_csv,
 )
+from asynctrig.triggers import GatedPolicy, OnlinePolicy, TablePolicy
 from helpers import (
     benchmark_plant,
     oracle_write_decision_csv,
@@ -133,20 +134,15 @@ def test_metrics_agree_with_action_counts(online_run):
     steps = tr.actions.size
     assert tr.metrics["readings"] == readings
     assert tr.metrics["utilization_reduction"] == pytest.approx(1 - readings / (2 * steps))
-    again = utilization_metrics(tr, cfg.plant.m)
+    again = utilization_metrics(tr.actions, cfg.plant.m)
     assert again["readings"] == readings
     assert again["utilization_reduction"] == tr.metrics["utilization_reduction"]
     assert tr.metrics["min_V_ratio"] == pytest.approx(min(tr.boundary_V) / tr.boundary_V[0])
 
 
 def test_utilization_metrics_rejects_empty_trace():
-    empty = SimTrace(
-        times=np.array([]), X=np.zeros((0, 2)), XHAT=np.zeros((0, 2)), U=np.zeros((0, 1)),
-        actions=np.array([], dtype=int), V=np.array([]), boundaries=[], boundary_V=[],
-        decisions=[], decision_rows=[],
-    )
     with pytest.raises(ValueError):
-        utilization_metrics(empty, 2)
+        utilization_metrics(np.array([], dtype=int), 2)
 
 
 def test_disturbance_integrator_matches_dense_quadrature():
@@ -387,23 +383,35 @@ def test_prepare_rejects_overflowing_transition_products():
 
 def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
-    calls = []
+    calls, coded = [], []
 
     def counting(dp, horizons, codes=None):
         calls.append(list(horizons))
         return transition_table(dp, horizons, codes)
 
+    def counting_codes(horizons):
+        coded.append(list(horizons))
+        return action_codes(horizons)
+
     monkeypatch.setattr(simulation, "transition_table", counting)
+    for module in ("simulation", "plant", "triggers"):
+        monkeypatch.setattr(f"asynctrig.{module}.action_codes", counting_codes)
     for name in PRESET_NAMES:
         small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
-        for with_tables in (True, False):
-            calls.clear()
-            prep = prepare(cfg, with_tables=with_tables)
-            assert calls == [prep.horizons], (name, with_tables)
-            offline = name.startswith("offline")
-            assert (prep.table is not None) == (offline and with_tables)
-            assert (prep.policy is not None) == (with_tables or not offline)
+        calls.clear(), coded.clear()
+        dp, horizons, codes, phis, cert = simulation.certify(cfg)
+        assert calls == coded == [horizons], name
+        assert phis.shape == (len(horizons), 4, 4) and codes.shape[1] == len(horizons)
+        calls.clear(), coded.clear()
+        prep = prepare(cfg)
+        assert calls == coded == [prep.horizons], name
+        offline = name in simulation.OFFLINE_MODES
+        assert (prep.table is not None) == (prep.regions is not None) == offline, name
+        inner = getattr(prep.policy, "policy", prep.policy)
+        assert type(inner) is (TablePolicy if offline else OnlinePolicy) and (prep.table is inner) == offline, name
+        assert isinstance(prep.policy, GatedPolicy) == (name in simulation.PERTURBED_MODES), name
+        assert prep.horizons == horizons and np.array_equal(prep.cert.P, cert.P), name
 
 
 def test_prepare_builds_the_quadrature_table_once(monkeypatch):

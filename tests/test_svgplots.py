@@ -56,7 +56,7 @@ def test_emit_writes_three_files(trace, tmp_path):
     paths = emit_plots(trace, str(tmp_path), mu=0.0)
     assert [os.path.basename(p) for p in paths] == ["states.svg", "lyapunov.svg", "schedule.svg"]
     for p in paths:
-        text = open(p).read()
+        text = Path(p).read_text()
         assert text.startswith("<svg") or "<svg" in text.splitlines()[0]
         assert "<desc>" in text
 
@@ -91,10 +91,10 @@ def test_single_step_trace_renders(tmp_path):
     tr = _single_step_trace()
     paths = emit_plots(tr, str(tmp_path))
     assert len(paths) == 3
-    xs, ys = parse_polyline(open(paths[2]).read(), "action")
+    xs, ys = parse_polyline(Path(paths[2]).read_text(), "action")
     np.testing.assert_allclose(xs, [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(ys, [2.0, 2.0], atol=1e-12)
-    xs, ys = parse_polyline(open(paths[0]).read(), "x_1")
+    xs, ys = parse_polyline(Path(paths[0]).read_text(), "x_1")
     np.testing.assert_allclose(ys, [1.0], atol=1e-12)
 
 

@@ -30,7 +30,7 @@ from asynctrig.plant import (
     transition_table,
 )
 from asynctrig.presets import preset_config
-from asynctrig.simulation import SimConfig, prepare
+from asynctrig.simulation import SimConfig, certify, prepare
 from asynctrig.triggers import (
     FORM_CHUNK,
     GatedPolicy,
@@ -97,7 +97,6 @@ def test_online_unperturbed_matches_brute_force(online_unperturbed):
         dec, ties = select_with_ties(policy, eta, rng_seed=0, step_index=k)
         best = max(avg_idle_metric(s, dp.m) for s in feas)
         assert ties == tuple(s for s in feas if avg_idle_metric(s, dp.m) == best)
-        assert dec.tie_count == len(ties)
         assert dec.metric == best
         assert dec.horizon in ties
         assert dec.reason == "certified" and 0 < dec.evaluated <= len(horizons)
@@ -128,9 +127,9 @@ def test_selected_horizon_decays_lyapunov(online_unperturbed):
 def test_tie_break_deterministic_and_varied(online_unperturbed):
     _, _, _, policy = online_unperturbed
     eta = np.zeros(4)  # every horizon feasible; all-idle words tie at metric 1
-    first = policy.select(eta, rng_seed=42, step_index=7)
+    first, ties = select_with_ties(policy, eta, rng_seed=42, step_index=7)
     assert first.metric == 1.0
-    assert first.tie_count == 3  # idle words of lengths 1..3
+    assert ties == ((0,), (0, 0), (0, 0, 0))  # idle words of lengths 1..3
     assert set(first.horizon) == {0}
     for _ in range(20):
         again = policy.select(eta, rng_seed=42, step_index=7)
@@ -212,7 +211,6 @@ def test_select_matches_the_full_scan_oracle(online_policies, name):
         seed = int(rng.integers(2**31 - 1))
         dec, ties = select_with_ties(policy, eta, seed, k)
         assert (dec.horizon, dec.metric, ties) == full_scan_select(online, eta, seed, k), k
-        assert dec.tie_count == len(ties)
         assert dec.evaluated in {hi for _, hi in online.blocks}
         reasons.add(dec.reason)
     assert "certified" in reasons
@@ -301,7 +299,6 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
         dec, ties = select_with_ties(policy, eta, rng_seed=1, step_index=k)
         best = max(avg_idle_metric(s, dp.m) for s in feas)
         assert ties == tuple(s for s in feas if avg_idle_metric(s, dp.m) == best)
-        assert dec.tie_count == len(ties)
         assert dec.horizon in ties
         assert dec.metric == best
 
@@ -402,10 +399,9 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
         assert tuple(horizon_from_text(t) for t in entry["psi"]) == ties
 
 
-def _pair_verdicts(prep, regions):
+def _pair_verdicts(certified, regions):
     """Every (region, horizon) verdict of the one-pair region tests."""
-    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
-    phis = transition_table(dp, horizons)
+    _, horizons, _, phis, cert = certified
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     for j, s in enumerate(horizons):
         bbar = decay_factor(cert.beta, len(s), cert.T)
@@ -420,10 +416,10 @@ def _pair_verdicts(prep, regions):
     return verdicts
 
 
-def _batched_verdicts(prep, regions):
+def _batched_verdicts(certified, regions):
     """Every (region, horizon) verdict of one `region_multipliers` call on the stacked region forms."""
-    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
-    forms = region_forms(cert, horizons, transition_table(dp, horizons))
+    _, horizons, _, phis, cert = certified
+    forms = region_forms(cert, horizons, phis)
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     verdicts[:, forms.index] = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
     return forms, verdicts
@@ -436,22 +432,28 @@ CUT_PRESETS = {
 }
 
 
+def _certified(case, request):
+    """`certify`'s (dp, horizons, codes, phis, cert) of a fixture's or a cut preset's config, and its regions."""
+    if case in CUT_PRESETS:
+        name, changes = CUT_PRESETS[case]
+        config = dataclasses.replace(preset_config(name), **changes)
+    else:
+        config = request.getfixturevalue(case)[0]
+    return certify(config), make_partition(2 * config.plant.n, config.N)
+
+
 @pytest.mark.parametrize("case", ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CUT_PRESETS])
 def test_batched_region_test_matches_the_pair_tests(case, request):
     # the table builder decides each region for all horizons at once, from
     # batched pencil ends; the one-pair tests solve each generalized pencil
     # on its own, and the perturbed one also reduces U_c to its Schur form
-    if case in CUT_PRESETS:
-        name, changes = CUT_PRESETS[case]
-        prep = prepare(dataclasses.replace(preset_config(name), **changes))
-    else:
-        _, prep, _ = request.getfixturevalue(case)
-    forms, batched = _batched_verdicts(prep, prep.regions)
-    np.testing.assert_array_equal(batched, _pair_verdicts(prep, prep.regions))
+    certified, regions = _certified(case, request)
+    forms, batched = _batched_verdicts(certified, regions)
+    np.testing.assert_array_equal(batched, _pair_verdicts(certified, regions))
     assert batched.any()
     if case == "prepared_offline_perturbed":
         # u22 fails for the long horizons on every region, before any region work
-        pruned = np.setdiff1d(np.arange(len(prep.horizons)), forms.index)
+        pruned = np.setdiff1d(np.arange(len(certified[1])), forms.index)
         assert pruned.size > 0 and not batched[:, pruned].any()
 
 
@@ -460,40 +462,39 @@ def test_batched_region_test_on_capped_cones(fixture, request):
     # make_partition(4, 3) caps the half-angle at pi/2: cos^2 theta is ~4e-33,
     # Q_c is singular to working precision, and the batched pencil must keep
     # the finite ends and drop the ones that are only rounding
-    _, prep, _ = request.getfixturevalue(fixture)
+    certified, _ = _certified(fixture, request)
     regions = make_partition(4, 3)
     assert math.cos(regions[0].half_angle) ** 2 < 1e-30
-    _, batched = _batched_verdicts(prep, regions)
-    np.testing.assert_array_equal(batched, _pair_verdicts(prep, regions))
+    _, batched = _batched_verdicts(certified, regions)
+    np.testing.assert_array_equal(batched, _pair_verdicts(certified, regions))
 
 
-def _random_offline_preparations(count: int):
-    """The first count seeded random Schur-stabilizable plants that certify offline, with 8 regions."""
+def _random_offline_certificates(count: int):
+    """`certify`'s results of the first count seeded random Schur-stabilizable plants that certify
+    offline, each with 8 regions."""
     rng = np.random.default_rng(19)
-    preps = []
-    while len(preps) < count:
+    certified = []
+    while len(certified) < count:
         draw = random_schur_stabilizable(rng)
         if draw is None:
             continue
         plant, T = draw
         config = SimConfig(plant=plant, T=T, l_min=1, l_max=5, mode="offline-unperturbed", x0=np.ones(2), N=8)
         try:
-            preps.append(prepare(config, with_tables=False))
+            certified.append((certify(config), make_partition(2 * plant.n, config.N)))
         except (ConfigError, InfeasibleError):
             continue
-    return preps
+    return certified
 
 
 def _table_cases(case, request):
-    """(preparation, regions) pairs of one case of the pruned-table tests."""
+    """(`certify` result, regions) pairs of one case of the pruned-table tests."""
     if case == "random-plants":
-        return [(prep, prep.regions) for prep in _random_offline_preparations(10)]
+        return _random_offline_certificates(10)
+    certified, regions = _certified(case, request)
     if case in CUT_PRESETS:
-        name, changes = CUT_PRESETS[case]
-        prep = prepare(dataclasses.replace(preset_config(name), **changes), with_tables=False)
-        return [(prep, prep.regions)]
-    _, prep, _ = request.getfixturevalue(case)
-    return [(prep, prep.regions)] + [(prep, make_partition(4, N)) for N in (1, 2, 3, 5, 8, 30)]
+        return [(certified, regions)]
+    return [(certified, regions)] + [(certified, make_partition(4, N)) for N in (1, 2, 3, 5, 8, 30)]
 
 
 TABLE_CASES = ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CUT_PRESETS, "random-plants"]
@@ -503,10 +504,9 @@ TABLE_CASES = ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CU
 def test_pruned_table_equals_the_unpruned_table(case, request):
     # the table builder rejects pairs on the cone's axis before any pencil;
     # the oracle sends every pair of every region through the pencil
-    for prep, regions in _table_cases(case, request):
-        phis = transition_table(prep.dp, prep.horizons)
-        table = TablePolicy(prep.cert, prep.horizons, phis, prep.dp.m, regions)
-        psi, metric = unpruned_table(prep.cert, prep.horizons, phis, prep.dp.m, regions)
+    for (dp, horizons, codes, phis, cert), regions in _table_cases(case, request):
+        table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
+        psi, metric = unpruned_table(cert, horizons, phis, dp.m, regions)
         assert table.psi == psi
         assert table.metric == metric
         assert len(table.certified) == len(regions)
@@ -517,8 +517,8 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
     # one call on the (R, d, d) stack returns (R, K), each row bit for bit the
     # row of a call on that region's form alone and of the unfiltered pencil
     # pass, NaN at the same pairs
-    for prep, regions in _table_cases(case, request):
-        forms = region_forms(prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons))
+    for (_, horizons, _, phis, cert), regions in _table_cases(case, request):
+        forms = region_forms(cert, horizons, phis)
         stacked = region_multipliers(forms, np.array([reg.Q for reg in regions]))
         single = np.array([region_multipliers(forms, reg.Q) for reg in regions])
         assert stacked.shape == single.shape == (len(regions), len(forms.index))
@@ -529,13 +529,12 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
 def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed):
     # one narrow cone around e1 leaves e2 uncovered: a miss must take the
     # globally certified fallback, not the entries of the nearest region
-    _, prep, _ = prepared_offline_unperturbed
-    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
+    dp, horizons, codes, phis, cert = certify(prepared_offline_unperturbed[0])
     theta = 0.1
     e1 = np.eye(4)[0]
     Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(4)
     regions = [ConicRegion(index=0, direction=e1, half_angle=theta, Q=Q)]
-    policy = TablePolicy(cert, horizons, transition_table(dp, horizons), dp.m, regions)
+    policy = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
     sigma_star = tuple(cert.sigma_star)
     assert len(policy.psi) == len(policy.metric) == 1 and sigma_star not in policy.psi[0]
     hole = 3.0 * np.eye(4)[1]
@@ -543,7 +542,6 @@ def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed
     dec = policy.select(hole, rng_seed=0)
     assert dec.horizon == sigma_star
     assert dec.metric == avg_idle_metric(sigma_star, dp.m)
-    assert dec.tie_count == 1
     assert (dec.reason, dec.region, dec.evaluated) == ("table-miss", None, 0)
     dec = policy.select(2.0 * e1, rng_seed=0)
     assert (dec.reason, dec.region) == ("table", 0)

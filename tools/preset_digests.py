@@ -36,9 +36,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from asynctrig.cli import main  # noqa: E402
 from asynctrig.partition import make_partition  # noqa: E402
-from asynctrig.plant import transition_table  # noqa: E402
 from asynctrig.presets import PRESET_NAMES, preset_config  # noqa: E402
-from asynctrig.simulation import OFFLINE_MODES, prepare  # noqa: E402
+from asynctrig.simulation import OFFLINE_MODES, certify, prepare  # noqa: E402
 from asynctrig.triggers import TablePolicy, table_to_dict  # noqa: E402
 from perfbench.workloads import BENCH_OFFLINE  # noqa: E402
 
@@ -71,12 +70,11 @@ def table_digests(presets) -> list:
     for name in presets:
         if name in OFFLINE_MODES:
             config = preset_config(name)
-            prep = prepare(config)
-            capped = TablePolicy(
-                prep.cert, prep.horizons, transition_table(prep.dp, prep.horizons), prep.dp.m, make_partition(4, 3)
-            )
+            dp, horizons, codes, phis, cert = certify(config)
+            # the preset's own table, as prepare builds it, and the capped one, on one transition stack
+            full, capped = [TablePolicy(cert, horizons, phis, dp.m, make_partition(4, N), codes) for N in (config.N, 3)]
             cut = prepare(dataclasses.replace(config, **BENCH_OFFLINE[name])).table
-            for table, label in ((prep.table, ""), (cut, "bench-cut/"), (capped, "capped-3/")):
+            for table, label in ((full, ""), (cut, "bench-cut/"), (capped, "capped-3/")):
                 text = json.dumps(table_to_dict(table), indent=2) + "\n"
                 lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/{label}table.json")
     return lines
@@ -86,7 +84,7 @@ def certificate_digests(presets) -> list:
     """`sha256  preset/certificate-numbers` over the raw float64 bytes of P, M and mu, where present."""
     lines = []
     for name in presets:
-        cert = prepare(preset_config(name), with_tables=False).cert
+        cert = certify(preset_config(name))[-1]
         numbers = [getattr(cert, key) for key in ("P", "M", "mu") if hasattr(cert, key)]
         blob = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in numbers)
         lines.append(f"{hashlib.sha256(blob).hexdigest()}  {name}/certificate-numbers")

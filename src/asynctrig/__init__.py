@@ -16,6 +16,7 @@ from .certificates import (
     certificate_from_dict,
     certificate_to_dict,
     choose_sigma_star,
+    conditions,
     decay_factor,
     region_forms,
     reverify_certificate,
@@ -34,7 +35,6 @@ from .horizons import (
     horizon_to_text,
 )
 from .matrix_core import (
-    is_psd,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,

@@ -15,14 +15,9 @@ and a scale that is constructed, not searched: the online pair passes by
 construction at one fixed alpha, and the offline matrix is affine in the
 scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
 result must then pass `reverify_certificate`, the one feasibility
-authority.  The region tests are exact: one quadratic constraint makes the
-S-procedure lossless, and the perturbed one reduces exactly to the same
-2n x 2n form as the unperturbed.
-
-Each inequality on a horizon's transition Phi is one `matrix_core.decay_form`
-S = sym(Phi' A Phi) - w P: A = P, w = bbar for the unperturbed decay;
-A = P + M, w = gamma - bbar for the first perturbed-online inequality; and
-u11 = -S at A = P, w = bbar - gamma1 in the perturbed-offline matrix.
+authority, which checks the matrices `conditions` states.  The region tests
+are exact: one quadratic constraint makes the S-procedure lossless, and the
+perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
 """
 
 import math
@@ -35,7 +30,6 @@ from .errors import InfeasibleError
 from .matrix_core import (
     PSD_TOL,
     decay_form,
-    is_psd,
     solve_discrete_lyapunov,
     spectral_radius,
     sym_eig_bounds,
@@ -161,21 +155,18 @@ def _scaled_tol(P, tol: float) -> float:
     return tol * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
 
 
-def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = PSD_TOL) -> bool:
-    """Check the two perturbed-online matrix inequalities at tolerance tol.
+def _online_pair(P, M, gamma, chi, Phi, bbar):
+    """The `conditions` entries L1 and L2, with chi the squared aggregate chi(|sigma*|)^2."""
+    eye = np.eye(P.shape[0], dtype=int)
+    return -decay_form(Phi, P, gamma - bbar, P + M), np.block([[M, P], [P, gamma / chi * eye - P]])
 
-    First: Phi'(P+M)Phi - (gamma - bbar) P <= 0, a `decay_form`.  Second:
-    [[M, P], [P, (gamma/chi) I - P]] >= 0, where chi is the squared
-    aggregate chi(|sigma*|)^2.  Eigenvalues are compared against
-    tol * min(1, lambda_max(P)).
-    """
+
+def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = PSD_TOL) -> bool:
+    """The `conditions` entries L1 and L2 of the symmetrized (P, M) hold at
+    lambda_min >= -tol * min(1, lambda_max(P)); chi is chi(|sigma*|)^2."""
     P = symmetrize(P)
-    M = symmetrize(M)
-    nn = P.shape[0]
-    L1 = decay_form(Phi, P, gamma - bbar, P + M)
-    L2 = np.block([[M, P], [P, (gamma / chi) * np.eye(nn) - P]])
     tol = _scaled_tol(P, tol)
-    return is_psd(-L1, tol) and is_psd(L2, tol)
+    return all(sym_eig_bounds(S)[0] >= -tol for S in _online_pair(P, symmetrize(M), gamma, chi, Phi, bbar))
 
 
 def synthesize_perturbed_online(
@@ -246,26 +237,19 @@ def young_gain(P, M) -> float:
 def build_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float) -> np.ndarray:
     """Unregioned feasibility matrix for the perturbed-offline trigger.
 
-    Symmetric 4n x 4n blocks: u11 = (bbar - gamma1) P - Phi'P Phi, the
-    negated `decay_form` at w = bbar - gamma1, u21 = -P Phi and u22 =
-    (gamma2/chi) I - P, with chi the linear aggregate chi(|sigma|).  It is
-    affine in P.  The paper's matrix also has the decoupled corner u33 =
-    gamma1 - gamma2, which depends on neither P nor the horizon nor the
-    region, so the callers check gamma2 <= gamma1 + tol once, as a scalar.
-    The region term enters only through `perturbed_forms`.  Stacked
-    horizons (..., 2n, 2n), with bbar and chi_linear of shape (...), give a
-    stack.
+    Symmetric 4n x 4n blocks: u11 = (bbar - gamma1) P - sym(Phi'P Phi),
+    u21 = -P Phi and u22 = (gamma2/chi) I - P, with chi the linear
+    aggregate chi(|sigma|).  It is affine in P, and P is taken as given.
+    The paper's matrix also has the decoupled corner u33 = gamma1 - gamma2,
+    which depends on neither P nor the horizon nor the region: `conditions`
+    states it as an entry of its own.  The region term enters only through
+    `perturbed_forms`.  Stacked horizons (..., 2n, 2n), with bbar and
+    chi_linear of shape (...), give a stack.
     """
-    P = symmetrize(P)
-    nn = P.shape[0]
-    chi = np.asarray(chi_linear, dtype=float)[..., None, None]
-    U = np.zeros(Phi_sigma.shape[:-2] + (2 * nn, 2 * nn))
-    U[..., :nn, :nn] = -decay_form(Phi_sigma, P, np.asarray(bbar, dtype=float) - gamma1)
     off = -P @ Phi_sigma
-    U[..., nn:, :nn] = off
-    U[..., :nn, nn:] = np.swapaxes(off, -1, -2)
-    U[..., nn:, nn:] = (gamma2 / chi) * np.eye(nn) - P
-    return U
+    u22 = gamma2 / np.asarray(chi_linear)[..., None, None] * np.eye(P.shape[0], dtype=int) - P
+    u11 = -decay_form(Phi_sigma, P, np.asarray(bbar) - gamma1)
+    return np.block([[u11, np.swapaxes(off, -1, -2)], [off, u22]])
 
 
 def synthesize_perturbed_offline(
@@ -425,30 +409,39 @@ def _accepted(cert, Phi_star):
     return cert
 
 
-def _positive_definite(*mats) -> bool:
-    return all(sym_eig_bounds(S)[0] > 0 for S in mats)
-
-
-def reverify_certificate(cert, Phi_star) -> bool:
-    """Re-check the certificate's defining inequalities from scratch at PSD_TOL
-    (scaled by min(1, lambda_max(P)) for the perturbed kinds).
-
-    Every kind also requires its Lyapunov matrix P (and M for the online
-    perturbed kind) to be positive definite: the inequalities alone accept
-    P = M = 0, for which V = eta' P eta and the bound mu mean nothing.  A
-    perturbed kind reads chi at |sigma*| from its map, and its stored mu
-    must equal `ultimate_bound` of its P, C' and varpi.
+def conditions(cert, Phi_star) -> dict:
+    """name -> (matrix, floor): cert holds iff each matrix's least eigenvalue
+    is above its floor.  bbar is the decay over |sigma*|, chi = chi(|sigma*|)
+    from the certificate's map, and tol = `_scaled_tol(P, PSD_TOL)`.
+    - every kind: P, floor 0 (the inequalities alone accept P = 0);
+    - unperturbed: decay = bbar P - sym(Phi*'P Phi*), floor PSD_TOL;
+    - perturbed online: M, floor 0, and L1 = (gamma - bbar) P -
+      sym(Phi*'(P+M)Phi*) and L2 = [[M, P], [P, (gamma/chi^2) I - P]],
+      floor -tol;
+    - perturbed offline: U_c = `build_U_c` at Phi*, floor -tol, and the
+      1 x 1 corner gamma1 - gamma2, floor -PSD_TOL.
+    The matrices use only @, +, -, scalar *, /, swapaxes and np.block, and
+    bbar takes P's scalar type, so `fractions.Fraction` entries in cert and
+    Phi* stay `Fraction`.
     """
     if not isinstance(cert, tuple(CERTIFICATE_KINDS.values())):
         raise TypeError(f"not a certificate: {type(cert)!r}")
-    bbar = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
+    P = cert.P
+    bbar = type(P.flat[0])(decay_factor(cert.beta, len(cert.sigma_star), cert.T))
     if isinstance(cert, UnperturbedCertificate):
-        _, hi = sym_eig_bounds(decay_form(Phi_star, cert.P, bbar))
-        return hi <= -PSD_TOL and _positive_definite(cert.P)
+        return {"P": (P, 0.0), "decay": (-decay_form(Phi_star, P, bbar), PSD_TOL)}
     chi = cert.chi[len(cert.sigma_star)]
+    tol = _scaled_tol(P, PSD_TOL)
     if isinstance(cert, PerturbedOnlineCertificate):
-        holds = verify_lmi_pair(cert.P, cert.M, cert.gamma, chi**2, Phi_star, bbar) and _positive_definite(cert.M)
-    else:
-        U = build_U_c(cert.P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
-        holds = cert.gamma2 <= cert.gamma1 + PSD_TOL and is_psd(U, _scaled_tol(cert.P, PSD_TOL))
-    return holds and _positive_definite(cert.P) and cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)
+        L1, L2 = _online_pair(P, cert.M, cert.gamma, chi**2, Phi_star, bbar)
+        return {"P": (P, 0.0), "M": (cert.M, 0.0), "L1": (L1, -tol), "L2": (L2, -tol)}
+    U_c = build_U_c(P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
+    return {"P": (P, 0.0), "U_c": (U_c, -tol), "corner": (np.array([[cert.gamma1 - cert.gamma2]]), -PSD_TOL)}
+
+
+def reverify_certificate(cert, Phi_star) -> bool:
+    """Every `conditions` entry of cert holds, and a perturbed kind's stored mu
+    equals `ultimate_bound` of its P, C' and varpi."""
+    if not all(sym_eig_bounds(S)[0] > floor for S, floor in conditions(cert, Phi_star).values()):
+        return False
+    return isinstance(cert, UnperturbedCertificate) or cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)

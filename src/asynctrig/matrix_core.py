@@ -2,8 +2,8 @@
 
 Zero-order-hold integrals, symmetric eigenvalue bounds, spectral
 norm/radius, a weighted discrete Lyapunov solver, the per-horizon decay
-form, PSD tests, and the batched decision step of the exact
-single-constraint S-procedure.
+form, and the batched decision step of the exact single-constraint
+S-procedure.
 All functions are pure; inputs are never mutated.
 """
 
@@ -120,15 +120,11 @@ def decay_form(Phi, P, w, A=None) -> np.ndarray:
     Phi is one transition or a stack (..., d, d), with w of shape (...).
     Every Lyapunov inequality on a horizon's transition is one such form:
     S < 0 is decay at rate w, and the perturbed tests pick their own A and w.
+    It uses only @, +, -, * and / 2, so `fractions.Fraction` entries stay
+    `Fraction`.
     """
     G = np.swapaxes(Phi, -1, -2) @ (P if A is None else A) @ Phi
-    return 0.5 * (G + np.swapaxes(G, -1, -2)) - np.asarray(w, dtype=float)[..., None, None] * P
-
-
-def is_psd(S, tol: float = PSD_TOL) -> bool:
-    """True iff lambda_min((S+S')/2) >= -tol."""
-    lo, _ = sym_eig_bounds(S)
-    return lo >= -tol
+    return (G + np.swapaxes(G, -1, -2)) / 2 - np.asarray(w)[..., None, None] * P
 
 
 def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:

@@ -129,13 +129,16 @@ def _simpson_weights(panels: int, width: float) -> np.ndarray:
 def disturbance_step_bound(plant: PlantModel, T: float) -> float:
     """Per-period disturbance norm bound w_max * int_0^T ||e^{As} D||_2 ds.
 
-    Composite Simpson with BOUND_PANELS panels; the Richardson error
-    estimate against the half-resolution rule is added so the result is a
-    certified upper bound.  The node exponentials come from a sqrt(N)
-    blocking of the N nodes s_k = k h: with q = ceil(sqrt(N)) and
-    k = i q + j, e^{A s_k} = e^{A i q h} e^{A j h}, so 2q exponentials and
-    one batched product replace N exponentials.  The extra rounded product
-    per node keeps the bound within 1e-12 relative of one `expm` per node.
+    Composite Simpson with BOUND_PANELS panels, plus the Richardson error
+    estimate against the half-resolution rule.  That is an estimate, not a
+    certified upper bound: a Simpson remainder needs a fourth-derivative
+    bound of s -> ||e^{As} D||_2, which is not smooth where singular values
+    cross (ROADMAP.md item 5 plans a sound bound).  The node exponentials
+    come from a sqrt(N) blocking of the N nodes s_k = k h: with q =
+    ceil(sqrt(N)) and k = i q + j, e^{A s_k} = e^{A i q h} e^{A j h}, so 2q
+    exponentials and one batched product replace N exponentials.  The extra
+    rounded product per node keeps the result within 1e-12 relative of one
+    `expm` per node.
     """
     if plant.w_max <= 0 or plant.D is None:
         raise ValueError("plant has no disturbance channel")

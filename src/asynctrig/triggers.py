@@ -91,7 +91,7 @@ class OnlinePolicy:
     horizons' `action_codes` array.
 
     Perturbed, that fallback is common.  The certificate's first inequality
-    (`verify_lmi_pair`) is the same `decay_form` call at w = gamma - bbar
+    (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
     where this test has w = bbar - gamma.  With W = eta' Phi'(P + M) Phi eta
     and V = eta' P eta, it gives sigma* W <= (gamma - bbar) V at every state
     (so V+ <= (gamma - bbar) V + lambda_bar chi^2), but the test asks for

@@ -8,7 +8,6 @@ from scipy.linalg import eigvals, expm
 
 from asynctrig import svgplots, triggers
 from asynctrig.certificates import (
-    build_U_c,
     decay_factor,
     perturbed_forms,
     region_forms,
@@ -582,10 +581,26 @@ def U_sigma_builder(P, M, gamma: float):
     return build
 
 
+def U_c_oracle(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float) -> np.ndarray:
+    """The unregioned 4n x 4n perturbed-offline matrix of one horizon, written out
+    block by block: u11 = (bbar - gamma1) P - sym(Phi'P Phi), u21 = -P Phi,
+    u12 = u21' and u22 = (gamma2/chi) I - P; the corner gamma1 - gamma2 is
+    the caller's to check."""
+    P = np.asarray(P, dtype=float)
+    Phi = np.asarray(Phi_sigma, dtype=float)
+    nn = P.shape[0]
+    U = np.empty((2 * nn, 2 * nn))
+    U[:nn, :nn] = (bbar - gamma1) * P - symmetrize(Phi.T @ P @ Phi)
+    U[nn:, :nn] = -P @ Phi
+    U[:nn, nn:] = U[nn:, :nn].T
+    U[nn:, nn:] = (gamma2 / chi_linear) * np.eye(nn) - P
+    return U
+
+
 def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, eps: float):
-    """The 4n x 4n `build_U_c` with the region term eps Q_c added to u11, the sign
+    """`U_c_oracle` with the region term eps Q_c added to u11, the sign
     `perturbed_forms` tests; the corner gamma1 - gamma2 is the caller's to check."""
-    U = build_U_c(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear)
+    U = U_c_oracle(P, gamma1, gamma2, Phi_sigma, bbar, chi_linear)
     nn = np.asarray(P).shape[0]
     U[:nn, :nn] += eps * symmetrize(Q_c)
     return U
@@ -680,6 +695,6 @@ def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, 
     P1 = solve_discrete_lyapunov(Phi_star, min(0.5 * (sr2 + target), 1.0), np.eye(nn))
     for s in np.logspace(6, -6, 121):
         P = s * P1
-        if sym_eig_bounds(build_U_c(P, gamma1, gamma2, Phi_star, bbar, chi_linear))[0] >= -1e-9:
+        if sym_eig_bounds(U_c_oracle(P, gamma1, gamma2, Phi_star, bbar, chi_linear))[0] >= -1e-9:
             return P
     raise InfeasibleError("no scale passes")

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from asynctrig.certificates import build_U_c, decay_factor, verify_lmi_pair
+from asynctrig.certificates import decay_factor, verify_lmi_pair
 from asynctrig.cli import main
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import avg_idle_metric
@@ -31,6 +31,7 @@ from asynctrig.simulation import SimConfig, prepare, simulate
 from helpers import (
     M_REF,
     P_REF,
+    U_c_oracle,
     U_sigma_builder,
     benchmark_plant,
     horizon_transition,
@@ -315,7 +316,7 @@ def _table_recheck_suite(prep_unpert, prep_pert, samples=1000):
                 if s != fallback:
                     return False, f"uncertified non-fallback entry {s} in region {reg.index}"
                 # fallback insertion: the unregioned synthesis form must hold
-                U = build_U_c(
+                U = U_c_oracle(
                     cert2.P, cert2.gamma1, cert2.gamma2, Phi_fb,
                     decay_factor(cert2.beta, len(fallback), cert2.T),
                     cert2.chi[len(fallback)],

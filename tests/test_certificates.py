@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from asynctrig.certificates import (
     certificate_from_dict,
     certificate_to_dict,
     choose_sigma_star,
+    conditions,
     decay_factor,
     perturbed_forms,
     reverify_certificate,
@@ -41,6 +43,7 @@ from asynctrig.simulation import certify
 from helpers import (
     M_REF,
     P_REF,
+    U_c_oracle,
     U_sigma_builder,
     benchmark_plant,
     full_scan_sigma_star,
@@ -250,6 +253,23 @@ def test_build_U_c_block_layout():
     assert stack.shape == (2, 8, 8)
     assert np.array_equal(stack[0], U)
     assert np.allclose(stack[1], build_U_c(P, 0.1, 0.2, np.zeros((4, 4)), 0.5, 2.0))
+
+
+def test_build_U_c_matches_the_written_out_blocks_on_random_stacks():
+    # the stacked np.block assembly against `U_c_oracle`, one horizon at a time;
+    # both round the same products, maybe in another order, so the entries
+    # agree to 1e-12 of the largest one
+    rng = np.random.default_rng(26)
+    for nn in (2, 4, 6):
+        X = rng.normal(size=(nn, nn))
+        P = X @ X.T
+        phis = rng.normal(size=(7, nn, nn))
+        bbars, chis = rng.uniform(0.1, 1.0, size=7), rng.uniform(0.01, 5.0, size=7)
+        gamma1, gamma2 = rng.uniform(0.0, 0.5, size=2)
+        stack = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
+        for k in range(7):
+            want = U_c_oracle(P, gamma1, gamma2, phis[k], bbars[k], chis[k])
+            np.testing.assert_allclose(stack[k], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_perturbed_offline_synthesis_eigencheck():
@@ -539,3 +559,38 @@ def test_certificate_codec_is_field_driven():
 def test_decay_factor():
     assert decay_factor(0.0, 5, 0.3) == 1.0
     assert decay_factor(2.0, 3, 0.5) == pytest.approx(math.exp(-3.0))
+
+
+def test_an_indefinite_P_fails_on_its_own_condition():
+    # P = diag(-1, 1) passes the unperturbed decay at Phi* = diag(2, 0.1) and
+    # beta = 0: bbar P - Phi*'P Phi* = diag(3, 0.99).  Only the P entry rejects it
+    cert = UnperturbedCertificate(P=np.diag([-1.0, 1.0]), beta=0.0, T=1.0, sigma_star=(1,))
+    Phi_star = np.diag([2.0, 0.1])
+    held = {name: sym_eig_bounds(S)[0] > floor for name, (S, floor) in conditions(cert, Phi_star).items()}
+    assert held == {"P": False, "decay": True}
+    assert not reverify_certificate(cert, Phi_star)
+
+
+def _as_fractions(value):
+    """value with each float, and each float entry of an array or map, as its exact Fraction."""
+    if isinstance(value, np.ndarray):
+        return np.vectorize(Fraction, otypes=[object])(value)
+    if isinstance(value, dict):
+        return {k: Fraction(v) for k, v in value.items()}
+    return Fraction(value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_conditions_keep_fraction_entries_exact(name):
+    _, horizons, _, phis, cert = certify(preset_config(name))
+    Phi_star = phis[horizons.index(cert.sigma_star)]
+    exact = dataclasses.replace(cert, **{f.name: _as_fractions(getattr(cert, f.name)) for f in dataclasses.fields(cert)})
+    floats = conditions(cert, Phi_star)
+    fractions = conditions(exact, _as_fractions(Phi_star))
+    assert list(fractions) == list(floats)
+    for key, (S, floor) in fractions.items():
+        assert S.dtype == object and all(type(v) is Fraction for v in S.flat), key
+        want, want_floor = floats[key]
+        assert floor == want_floor
+        # the float matrices round every product; the exact ones only bbar, a float in both
+        np.testing.assert_allclose(S.astype(float), want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -5,7 +5,6 @@ from scipy.linalg import block_diag
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     decay_form,
-    is_psd,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -75,13 +74,6 @@ def test_sym_eig_bounds_accepts_roundoff_asymmetry():
     S = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
     lo, hi = sym_eig_bounds(S)
     assert lo < hi
-
-
-def test_is_psd():
-    assert is_psd(np.eye(2))
-    assert is_psd(np.zeros((2, 2)))
-    assert not is_psd(np.diag([1.0, -1e-6]))
-    assert is_psd(np.diag([1.0, -1e-10]))  # within default tolerance
 
 
 def test_symmetrize():

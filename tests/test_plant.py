@@ -126,7 +126,7 @@ def test_disturbance_bound_matches_trapezoid_refinement():
     f = np.linalg.norm(expm(plant.A[None] * nodes[:, None, None]) @ plant.D, 2, axis=(1, 2))
     want = np.trapezoid(f, nodes)
     assert got == pytest.approx(want, rel=1e-6)
-    assert got >= want * (1 - 1e-9)  # the Richardson term keeps it an upper bound
+    assert got >= want * (1 - 1e-9)  # the Richardson error estimate keeps it above this reference, not a proof
 
 
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])

@@ -35,7 +35,7 @@ from .matrix_core import (
     sym_eig_bounds,
     symmetrize,
 )
-from .horizons import action_codes, horizon_from_text, horizon_to_text, rotation_classes
+from .horizons import horizon_from_text, horizon_to_text, rotation_classes
 from .partition import RegionForms, decay_forms
 
 # M = ALPHA P for the online pair: a small alpha leaves the first inequality
@@ -101,11 +101,11 @@ def _radii(phis) -> np.ndarray:
     return np.abs(np.linalg.eigvals(phis)).max(axis=1)
 
 
-def choose_sigma_star(horizons, phis, codes=None) -> tuple:
-    """Horizon of smallest spectral radius in its transition table (first wins).
+def choose_sigma_star(phis, codes) -> int:
+    """Index of the horizon of smallest spectral radius in its transition table (first wins).
 
-    phis must be the transition table of horizons, stacked in the same order;
-    codes, when given, is their `action_codes` array.  A rotation of a horizon
+    phis must be the transition table of the horizons of the `action_codes`
+    array codes, stacked in the same order.  A rotation of a horizon
     multiplies the same step matrices in rotated order: where sigma gives XY,
     its rotation gives YX, and XY and YX have the same eigenvalues.  So every
     horizon of a rotation class has the same spectral radius in exact
@@ -116,16 +116,16 @@ def choose_sigma_star(horizons, phis, codes=None) -> tuple:
     them with the smallest radius is returned: the horizon one eigensolve per
     horizon picks.
     """
-    if len(horizons) == 0:
+    if len(phis) == 0:
         raise InfeasibleError("empty horizon set")
     if not np.isfinite(phis).all():
         raise ValueError("matrix entries must be finite")
-    cls, first = rotation_classes(action_codes(horizons) if codes is None else codes)
+    cls, first = rotation_classes(codes)
     radii = _radii(phis[first])
     least = radii.min()
     near = np.flatnonzero(radii <= least + max(SIGMA_STAR_RTOL * least, SIGMA_STAR_ATOL))
     members = np.flatnonzero(np.isin(cls, near))
-    return tuple(horizons[members[np.argmin(_radii(phis[members]))]])
+    return int(members[np.argmin(_radii(phis[members]))])
 
 
 def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -> UnperturbedCertificate:
@@ -320,7 +320,7 @@ def synthesize_perturbed_offline(
     return _accepted(cert, Phi_star)
 
 
-def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: float = PSD_TOL) -> RegionForms:
+def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
     A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0) is
@@ -331,23 +331,23 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis, tol: flo
     singular boundary is dropped) and the Schur complement C = u11 - u21'
     u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two do not depend
     on the region, so they prune horizons once; the third is
-    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C.
+    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C (tol = PSD_TOL).
     """
     nn = np.asarray(P).shape[0]
     U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
-    u22 = U0[:, nn:, nn:] + tol * np.eye(nn)
-    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 - gamma2 + tol >= 0)
+    u22 = U0[:, nn:, nn:] + PSD_TOL * np.eye(nn)
+    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 - gamma2 + PSD_TOL >= 0)
     index = np.flatnonzero(keep)
     u11, u21 = U0[index, :nn, :nn], U0[index, nn:, :nn]
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
     S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # tol I - C: the two tol I cancel
-    return RegionForms(index, S, -U0[index], -1.0, tol)
+    return RegionForms(index, S, -U0[index], -1.0, PSD_TOL)
 
 
-def region_forms(cert, horizons, phis) -> RegionForms:
-    """The offline region test of an unperturbed or perturbed-offline
-    certificate; phis is the transition table stacked in horizon order."""
-    lengths = np.fromiter(map(len, horizons), int, len(horizons))
+def region_forms(cert, codes, phis) -> RegionForms:
+    """The offline region test of an unperturbed or perturbed-offline certificate
+    on the horizons of an `action_codes` array, with phis their transition table."""
+    lengths = (codes >= 0).sum(axis=0)
     bbars = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
     if isinstance(cert, UnperturbedCertificate):
         return decay_forms(cert.P, phis, bbars)

@@ -156,11 +156,11 @@ class RegionForms(NamedTuple):
     tol: float
 
 
-def decay_forms(P, phis, bbars, tol: float = PSD_TOL) -> RegionForms:
-    """The unperturbed region test on a stack of horizons: its forms are
-    `decay_form` S_sigma = Phi'P Phi - bbar P, each its own full matrix."""
+def decay_forms(P, phis, bbars) -> RegionForms:
+    """The unperturbed region test on a stack of horizons, at PSD_TOL: its forms
+    are `decay_form` S_sigma = Phi'P Phi - bbar P, each its own full matrix."""
     S = decay_form(phis, symmetrize(P), bbars)
-    return RegionForms(np.arange(len(S)), S, S, 1.0, tol)
+    return RegionForms(np.arange(len(S)), S, S, 1.0, PSD_TOL)
 
 
 def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .horizons import action_codes
 from .matrix_core import _as_matrix, spectral_norm, zoh_pair
 
 # Simpson panels of disturbance_step_bound; even, as its half-resolution error estimate needs
@@ -156,14 +155,12 @@ def disturbance_step_bound(plant: PlantModel, T: float) -> float:
     return plant.w_max * (full + err)
 
 
-def transition_table(dp: DiscretePlant, horizons, codes=None) -> np.ndarray:
-    """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon, stacked in order as
-    (H, 2n, 2n): the first action sits rightmost, and each (position, action) pair steps
-    all rows taking that action there at once.  codes, when given, is the horizons'
-    `action_codes` array."""
+def transition_table(dp: DiscretePlant, codes) -> np.ndarray:
+    """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon of an `action_codes`
+    array, stacked in order as (H, 2n, 2n): the first action sits rightmost, and each
+    (position, action) pair steps all rows taking that action there at once."""
     steps = step_matrices(dp)
-    codes = action_codes(horizons) if codes is None else codes
-    phis = np.empty((len(horizons), 2 * dp.n, 2 * dp.n))
+    phis = np.empty((codes.shape[1], 2 * dp.n, 2 * dp.n))
     phis[:] = np.eye(2 * dp.n)
     for pos, a in np.ndindex(len(codes), dp.m + 1):
         rows = np.flatnonzero(codes[pos] == a)
@@ -171,14 +168,13 @@ def transition_table(dp: DiscretePlant, horizons, codes=None) -> np.ndarray:
     return phis
 
 
-def growth_constants(dp: DiscretePlant, horizons, varpi: float):
+def growth_constants(dp: DiscretePlant, lengths, varpi: float):
     """(C, chi): the per-step growth constant and the disturbance aggregate map.
 
     C = max_a ||A~_(a)||_2 over the full action alphabet {0..m}, and chi maps
-    each horizon length l present to varpi * sum_{q<l} C^q.  The offline
-    perturbed matrix reads chi(l); the online perturbed inequalities read
-    chi(l)^2, squared where they are built.
+    each horizon length l in lengths, in order, to varpi * sum_{q<l} C^q.  The
+    offline perturbed matrix reads chi(l); the online perturbed inequalities
+    read chi(l)^2, squared where they are built.
     """
     C = max(spectral_norm(step) for step in step_matrices(dp))
-    lengths = sorted({len(tuple(s)) for s in horizons})
     return C, {l: varpi * sum(C**q for q in range(l)) for l in lengths}

@@ -168,17 +168,20 @@ def certify(config: SimConfig) -> tuple:
         # select a caller wrapped) stay resident until the oldest generation is collected
         gc.collect()
     codes = action_codes(horizons)
-    phis = transition_table(dp, horizons, codes)
-    sigma_star = tuple(config.sigma_star) if config.sigma_star else choose_sigma_star(horizons, phis, codes)
-    try:
-        Phi_star = phis[horizons.index(sigma_star)]
-    except ValueError:
-        raise ConfigError(f"fallback horizon {sigma_star} is not in the enumerated set") from None
+    phis = transition_table(dp, codes)
+    if config.sigma_star:
+        try:
+            star = horizons.index(tuple(config.sigma_star))
+        except ValueError:
+            raise ConfigError(f"fallback horizon {tuple(config.sigma_star)} is not in the enumerated set") from None
+    else:
+        star = choose_sigma_star(phis, codes)
+    sigma_star, Phi_star = horizons[star], phis[star]
     if config.mode not in PERTURBED_MODES:
         cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
     else:
         varpi = disturbance_step_bound(plant, config.T)
-        _, chi = growth_constants(dp, horizons, varpi)
+        _, chi = growth_constants(dp, range(config.l_min, config.l_max + 1), varpi)
         C_prime = float(np.linalg.norm(step_matrices(dp)[0], 2))
         if config.mode == "online-perturbed":
             cert = synthesize_perturbed_online(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
 from .errors import ConfigError
-from .horizons import action_codes, avg_idle_metric, horizon_to_text
+from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import decay_form, spectral_norm, symmetrize
 from .partition import region_multipliers, region_of
 
@@ -87,8 +87,8 @@ class OnlinePolicy:
     two blocks, each one product of the flattened forms with vec(eta eta'):
     the best levels up to the first level end at or past FORM_CHUNK forms,
     then the rest.  When nothing is admissible, sigma* is taken and the
-    decision's reason is forced-fallback.  codes, when given, is the
-    horizons' `action_codes` array.
+    decision's reason is forced-fallback.  horizons is a list of tuples, as
+    `enumerate_horizons` gives, and codes its `action_codes` array.
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -102,11 +102,10 @@ class OnlinePolicy:
     against gamma - bbar = 0.25.  Both signs cannot match the paper.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, codes=None):
-        codes = action_codes(horizons) if codes is None else codes
+    def __init__(self, cert, horizons, phis, m: int, codes):
         metrics = _metrics(codes, m)
         order = np.argsort(-metrics, kind="stable")
-        self.horizons = [tuple(horizons[i]) for i in order.tolist()]
+        self.horizons = [horizons[i] for i in order.tolist()]
         self.metrics = metrics[order]
         self.fallback_index = _fallback_index(cert, self.horizons)  # stable order: first of its level
         self.m = m
@@ -166,14 +165,14 @@ class TablePolicy:
     where nothing qualifies gets sigma* alone.  psi holds each region's
     tuple of optimal horizons, metric their shared metric value, and
     certified its number of certified horizons (0 where psi is the fallback
-    alone).  codes, when given, is the horizons' `action_codes` array.
+    alone).  horizons is a list of tuples, as `enumerate_horizons` gives, and
+    codes its `action_codes` array.  Every lookup miss gets the one decision miss.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, regions, codes=None):
-        horizons = [tuple(s) for s in horizons]
+    def __init__(self, cert, horizons, phis, m: int, regions, codes):
         fallback = np.array([_fallback_index(cert, horizons)])
-        metrics = _metrics(action_codes(horizons) if codes is None else codes, m)
-        forms = region_forms(cert, horizons, phis)
+        metrics = _metrics(codes, m)
+        forms = region_forms(cert, codes, phis)
         certified = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
         psi, values = [], []
         for row in certified:
@@ -184,19 +183,17 @@ class TablePolicy:
         self.certified = tuple(certified.sum(axis=1).tolist())
         self.regions = regions
         self.m = m
-        self.fallback = horizons[fallback[0]]
+        self.miss = TriggerDecision(horizons[fallback[0]], float(metrics[fallback[0]]), 0, "table-miss")
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         c = region_of(np.asarray(eta, dtype=float), self.regions)
         if c is None:
-            ties, metric = (self.fallback,), avg_idle_metric(self.fallback, self.m)
-        else:
-            ties, metric = self.psi[c], self.metric[c]
+            return self.miss
         return TriggerDecision(
-            horizon=_tie_break(ties, rng_seed, step_index),
-            metric=metric,
+            horizon=_tie_break(self.psi[c], rng_seed, step_index),
+            metric=self.metric[c],
             evaluated=0,
-            reason="table-miss" if c is None else "table",
+            reason="table",
             region=c,
         )
 

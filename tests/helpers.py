@@ -529,8 +529,9 @@ def unpruned_table(cert, horizons, phis, m: int, regions):
     `unfiltered_region_multipliers`, sigma* alone where nothing qualifies."""
     horizons = [tuple(s) for s in horizons]
     fallback = np.array([triggers._fallback_index(cert, horizons)])
-    metrics = triggers._metrics(action_codes(horizons), m)
-    forms = region_forms(cert, horizons, phis)
+    codes = action_codes(horizons)
+    metrics = triggers._metrics(codes, m)
+    forms = region_forms(cert, codes, phis)
     psi, values = [], []
     for reg in regions:
         feas = forms.index[~np.isnan(unfiltered_region_multipliers(forms, reg.Q))]
@@ -540,20 +541,18 @@ def unpruned_table(cert, horizons, phis, m: int, regions):
     return tuple(psi), tuple(values)
 
 
-def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c, tol: float = 1e-9):
-    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= tol, or None."""
-    return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar], tol), Q_c)
+def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c):
+    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= PSD_TOL, or None."""
+    return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar]), Q_c)
 
 
-def max_eps_feasible(
-    P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c, tol: float = 1e-9
-):
-    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -tol, or None.
+def max_eps_feasible(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c):
+    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -PSD_TOL, or None.
 
     The one-pair test on the Schur-reduced form of `perturbed_forms`, with
     the assembled matrix as the authority.
     """
-    forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear], tol)
+    forms = perturbed_forms(P, gamma1, gamma2, np.asarray(Phi_sigma, dtype=float)[None], [bbar], [chi_linear])
     return pair_multiplier(forms, Q_c)
 
 

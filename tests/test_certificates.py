@@ -28,7 +28,7 @@ from asynctrig.certificates import (
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import enumerate_horizons
+from asynctrig.horizons import action_codes, enumerate_horizons
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
 from asynctrig.partition import region_multipliers
 from asynctrig.plant import (
@@ -65,7 +65,8 @@ def _phi_star_unperturbed():
 def test_choose_sigma_star_picks_smallest_radius():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
     horizons = enumerate_horizons(2, 1, 2)
-    star = choose_sigma_star(horizons, transition_table(dp, horizons))
+    codes = action_codes(horizons)
+    star = horizons[choose_sigma_star(transition_table(dp, codes), codes)]
     best = min(spectral_radius(horizon_transition(dp, s)) for s in horizons)
     assert spectral_radius(horizon_transition(dp, star)) == pytest.approx(best)
 
@@ -75,24 +76,24 @@ def test_choose_sigma_star_first_wins_on_exact_tie():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.3)
     idle, best = horizon_transition(dp, (0,)), horizon_transition(dp, (1, 2))
     assert spectral_radius(best) < spectral_radius(idle)
-    assert choose_sigma_star([(0,), (1, 2), (2, 1)], np.array([idle, best, best])) == (1, 2)
-    assert choose_sigma_star([(2, 1), (1, 2), (0,)], np.array([best, best, idle])) == (2, 1)
+    assert choose_sigma_star(np.array([idle, best, best]), action_codes([(0,), (1, 2), (2, 1)])) == 1
+    assert choose_sigma_star(np.array([best, best, idle]), action_codes([(2, 1), (1, 2), (0,)])) == 0
 
 
 def test_choose_sigma_star_rejects_empty_set():
     with pytest.raises(InfeasibleError, match="empty"):
-        choose_sigma_star([], np.empty((0, 4, 4)))
+        choose_sigma_star(np.empty((0, 4, 4)), action_codes([]))
 
 
 def test_choose_sigma_star_rejects_overflowed_products():
     # e^300 per period: the three-step products of this unstable plant overflow
     dp = DiscretePlant.from_plant(PlantModel(A=[[300.0]], B=[[1.0]], K=[[-1.0]], blocks=(1,)), 1.0)
-    horizons = enumerate_horizons(1, 1, 3)
+    codes = action_codes(enumerate_horizons(1, 1, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        phis = transition_table(dp, horizons)
+        phis = transition_table(dp, codes)
     assert np.isfinite(phis[:6]).all() and not np.isfinite(phis[6:]).all()
     with pytest.raises(ValueError, match="must be finite"):
-        choose_sigma_star(horizons, phis)
+        choose_sigma_star(phis, codes)
 
 
 def test_choose_sigma_star_matches_the_full_scan_on_the_wide_horizons_plant():
@@ -104,8 +105,9 @@ def test_choose_sigma_star_matches_the_full_scan_on_the_wide_horizons_plant():
     config = workloads.wide_config(15)
     dp = DiscretePlant.from_plant(config.plant, config.T)
     horizons = enumerate_horizons(dp.m, 1, 7)
-    phis = transition_table(dp, horizons)
-    assert choose_sigma_star(horizons, phis) == full_scan_sigma_star(horizons, phis)
+    codes = action_codes(horizons)
+    phis = transition_table(dp, codes)
+    assert horizons[choose_sigma_star(phis, codes)] == full_scan_sigma_star(horizons, phis)
 
 
 def test_choose_sigma_star_matches_the_full_scan_on_random_plants():
@@ -118,8 +120,9 @@ def test_choose_sigma_star_matches_the_full_scan_on_random_plants():
             continue
         dp = DiscretePlant.from_plant(*draw)
         horizons = enumerate_horizons(n, 1, 6 if n == 2 else 5)
-        phis = transition_table(dp, horizons)
-        assert choose_sigma_star(horizons, phis) == full_scan_sigma_star(horizons, phis)
+        codes = action_codes(horizons)
+        phis = transition_table(dp, codes)
+        assert horizons[choose_sigma_star(phis, codes)] == full_scan_sigma_star(horizons, phis)
         plants[n] += 1
 
 
@@ -137,10 +140,11 @@ def test_choose_sigma_star_rechecks_rotations_at_roundoff_level(monkeypatch):
     pair = [XY, YX] if r_xy > r_yx else [YX, XY]  # the larger radius first: it represents the class
     Z = np.diag([(r_xy + r_yx) / 2, 0, 0, 0, 0, 0])
     horizons, phis = [(0,), (1, 2), (2, 1)], np.array([Z] + pair)
+    codes = action_codes(horizons)
     assert full_scan_sigma_star(horizons, phis) == (2, 1)
-    assert choose_sigma_star(horizons, phis) == (2, 1)
+    assert horizons[choose_sigma_star(phis, codes)] == (2, 1)
     monkeypatch.setattr(certificates, "SIGMA_STAR_ATOL", 0.0)
-    assert choose_sigma_star(horizons, phis) == (0,)
+    assert horizons[choose_sigma_star(phis, codes)] == (0,)
 
 
 def test_unperturbed_certificate_decay_margin():
@@ -215,7 +219,7 @@ def test_build_U_sigma_matches_summand_recomputation():
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
     horizons = enumerate_horizons(2, 1, 4)
-    _, chi = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, range(1, 5), varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
     cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, **NO_DISTURBANCE)
@@ -276,8 +280,7 @@ def test_perturbed_offline_synthesis_eigencheck():
     plant = benchmark_plant(perturbed=True)
     dp = DiscretePlant.from_plant(plant, 0.205)
     varpi = disturbance_step_bound(plant, 0.205)
-    horizons = enumerate_horizons(2, 3, 6)
-    _, chi_lin = growth_constants(dp, horizons, varpi)
+    _, chi_lin = growth_constants(dp, range(3, 7), varpi)
     Phi_star = horizon_transition(dp, (1, 2, 2))
     cert = synthesize_perturbed_offline(Phi_star, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3])
@@ -401,16 +404,14 @@ def _perturbed_certificates():
     plant = benchmark_plant(perturbed=True)
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
-    horizons = enumerate_horizons(2, 1, 4)
-    _, chi = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, range(1, 5), varpi)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     beta = math.log(10.0) / (4 * 0.18)
     on = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=varpi, C_prime=2.0)
 
     dp2 = DiscretePlant.from_plant(plant, 0.205)
     varpi2 = disturbance_step_bound(plant, 0.205)
-    hs2 = enumerate_horizons(2, 3, 6)
-    _, chi_lin2 = growth_constants(dp2, hs2, varpi2)
+    _, chi_lin2 = growth_constants(dp2, range(3, 7), varpi2)
     Phi2 = horizon_transition(dp2, (1, 2, 2))
     off = synthesize_perturbed_offline(Phi2, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin2, C_prime=2.0, varpi=varpi2)
     return on, Phi_star, off, Phi2

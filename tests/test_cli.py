@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from asynctrig.certificates import region_forms
-from asynctrig.cli import config_digest, main
+from asynctrig.cli import config_digest, config_from_dict, main
+from asynctrig.errors import ConfigError
 from asynctrig.horizons import avg_idle_metric, horizon_from_text
 from asynctrig.simulation import certify
 from asynctrig.svgplots import parse_polyline
@@ -84,12 +85,24 @@ def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, req
     capsys.readouterr()
     assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
     config, prep, _ = request.getfixturevalue("prepared_" + name.replace("-", "_"))
-    _, horizons, _, phis, cert = certify(config)
-    forms = region_forms(cert, horizons, phis)
+    _, _, codes, phis, cert = certify(config)
+    forms = region_forms(cert, codes, phis)
     counts = [int(np.count_nonzero(~np.isnan(unfiltered_region_multipliers(forms, reg.Q)))) for reg in prep.regions]
     manifest = json.loads((runs[0] / "manifest.json").read_text())
     assert manifest["regions"] == [{"certified": n, "fallback_only": n == 0} for n in counts]
     assert len(counts) == 15 and min(counts) > 0
+
+
+@pytest.mark.parametrize("star", ["1212", "13"])
+def test_sigma_star_outside_the_horizon_set_is_a_config_error(tmp_path, capsys, star):
+    # "1212" is longer than l_max = 3; "13" reads sensor 3 of a two-sensor plant
+    cfgd = _config_dict(horizons={"l_min": 1, "l_max": 3, "sigma_star": star})
+    with pytest.raises(ConfigError, match="not in the enumerated set"):
+        certify(config_from_dict(cfgd))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "not in the enumerated set" in capsys.readouterr().err
 
 
 def test_digest_tracks_semantic_changes(tmp_path, capsys):

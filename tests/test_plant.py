@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from asynctrig.horizons import action_codes
 from asynctrig.matrix_core import spectral_norm, zoh_pair
 from asynctrig.plant import (
     DiscretePlant,
@@ -80,7 +81,7 @@ def test_horizon_transition_order():
 def test_transition_table_matches_direct_products():
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
     horizons = [(0,), (1, 2), (2, 0, 1)]
-    table = transition_table(dp, horizons)
+    table = transition_table(dp, action_codes(horizons))
     for i, s in enumerate(horizons):
         assert np.allclose(table[i], horizon_transition(dp, s))
 
@@ -89,7 +90,7 @@ def test_transition_table_rows_equal_horizon_transition_exactly():
     # mixed lengths out of order, one horizon listed twice, none shorter than 3
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
     horizons = [(2, 0, 1, 1), (1, 2, 0), (0, 0, 0, 2, 1), (1, 2, 0), (2, 2, 2), (0, 1, 2, 1)]
-    table = transition_table(dp, horizons)
+    table = transition_table(dp, action_codes(horizons))
     assert table.shape == (len(horizons), 4, 4)
     for Phi, s in zip(table, horizons):
         assert np.array_equal(Phi, horizon_transition(dp, s)), s
@@ -165,8 +166,7 @@ def test_growth_constants_recursions():
     plant = benchmark_plant(perturbed=True)
     dp = DiscretePlant.from_plant(plant, 0.205)
     varpi = disturbance_step_bound(plant, 0.205)
-    horizons = [(0,), (1, 2), (1, 2, 1), (2, 2, 1, 0)]
-    C, chi = growth_constants(dp, horizons, varpi)
+    C, chi = growth_constants(dp, range(1, 5), varpi)
     assert C == pytest.approx(max(spectral_norm(step_matrices(dp)[a]) for a in range(3)))
     assert set(chi) == {1, 2, 3, 4}
     for l in (1, 2, 3, 4):
@@ -178,7 +178,7 @@ def test_growth_constants_frozen_benchmark_values():
     dp = DiscretePlant.from_plant(plant, 0.205)
     varpi = disturbance_step_bound(plant, 0.205)
     assert varpi == pytest.approx(0.32177, rel=1e-4)
-    C, chi = growth_constants(dp, [(1, 2, 1), (1, 2, 1, 0, 0, 0)], varpi)
+    C, chi = growth_constants(dp, [3, 6], varpi)
     assert C == pytest.approx(2.2696, rel=1e-4)
     assert chi[3] ** 2 == pytest.approx(7.342, rel=1e-3)
     assert chi[6] ** 2 == pytest.approx(1182.602, rel=1e-3)

@@ -28,6 +28,8 @@ from asynctrig.simulation import (
 from asynctrig.triggers import GatedPolicy, OnlinePolicy, TablePolicy
 from helpers import (
     benchmark_plant,
+    full_scan_sigma_star,
+    horizon_transition,
     oracle_write_decision_csv,
     oracle_write_trace_csv,
     schur_threshold,
@@ -383,35 +385,61 @@ def test_prepare_rejects_overflowing_transition_products():
 
 def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
+    # every later stage reads certify's code array, so only simulation builds one
+    for module in ("plant", "certificates", "triggers"):
+        assert not hasattr(importlib.import_module(f"asynctrig.{module}"), "action_codes"), module
     calls, coded = [], []
 
-    def counting(dp, horizons, codes=None):
-        calls.append(list(horizons))
-        return transition_table(dp, horizons, codes)
+    def counting(dp, codes):
+        calls.append(codes)
+        return transition_table(dp, codes)
 
     def counting_codes(horizons):
         coded.append(list(horizons))
         return action_codes(horizons)
 
     monkeypatch.setattr(simulation, "transition_table", counting)
-    for module in ("simulation", "plant", "triggers"):
-        monkeypatch.setattr(f"asynctrig.{module}.action_codes", counting_codes)
+    monkeypatch.setattr(simulation, "action_codes", counting_codes)
     for name in PRESET_NAMES:
         small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
         calls.clear(), coded.clear()
         dp, horizons, codes, phis, cert = simulation.certify(cfg)
-        assert calls == coded == [horizons], name
+        assert coded == [horizons] and len(calls) == 1 and calls[0] is codes, name
         assert phis.shape == (len(horizons), 4, 4) and codes.shape[1] == len(horizons)
         calls.clear(), coded.clear()
         prep = prepare(cfg)
-        assert calls == coded == [prep.horizons], name
+        assert coded == [prep.horizons] and len(calls) == 1, name
         offline = name in simulation.OFFLINE_MODES
         assert (prep.table is not None) == (prep.regions is not None) == offline, name
         inner = getattr(prep.policy, "policy", prep.policy)
         assert type(inner) is (TablePolicy if offline else OnlinePolicy) and (prep.table is inner) == offline, name
         assert isinstance(prep.policy, GatedPolicy) == (name in simulation.PERTURBED_MODES), name
         assert prep.horizons == horizons and np.array_equal(prep.cert.P, cert.P), name
+
+
+def test_certify_chooses_the_full_scan_sigma_star(monkeypatch):
+    # with no configured sigma*, every preset is certified on the horizon one
+    # eigensolve per horizon picks, and on that horizon's own transition
+    Phis = []
+
+    def recording(synthesize):
+        def wrapped(Phi_star, *args, **kwargs):
+            Phis.append(Phi_star)
+            return synthesize(Phi_star, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("synthesize_unperturbed", "synthesize_perturbed_online", "synthesize_perturbed_offline"):
+        monkeypatch.setattr(simulation, name, recording(getattr(simulation, name)))
+    for name in PRESET_NAMES:
+        small = {"l_max": 3} if name.startswith("offline") else {}
+        cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
+        Phis.clear()
+        dp, horizons, _, phis, cert = simulation.certify(cfg)
+        star = full_scan_sigma_star(horizons, phis)
+        assert cert.sigma_star == star, name
+        assert len(Phis) == 1 and np.array_equal(Phis[0], horizon_transition(dp, star)), name
 
 
 def test_prepare_builds_the_quadrature_table_once(monkeypatch):

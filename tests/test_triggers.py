@@ -14,7 +14,7 @@ from asynctrig.certificates import (
     synthesize_unperturbed,
 )
 from asynctrig.errors import ConfigError, InfeasibleError
-from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
+from asynctrig.horizons import action_codes, avg_idle_metric, enumerate_horizons, horizon_from_text
 from asynctrig.matrix_core import spectral_norm, symmetrize
 from asynctrig.partition import (
     ConicRegion,
@@ -60,7 +60,8 @@ def online_unperturbed():
     horizons = enumerate_horizons(2, 1, 3)
     Phi_star = horizon_transition(dp, (1, 2))
     cert = synthesize_unperturbed(Phi_star, 0.0, (1, 2), 0.3)
-    return dp, horizons, cert, OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
+    codes = action_codes(horizons)
+    return dp, horizons, cert, OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes)
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +70,12 @@ def online_perturbed():
     dp = DiscretePlant.from_plant(plant, 0.18)
     varpi = disturbance_step_bound(plant, 0.18)
     horizons = enumerate_horizons(2, 1, 6)
-    _, chi = growth_constants(dp, horizons, varpi)
+    _, chi = growth_constants(dp, range(1, 7), varpi)
     beta = math.log(10.0) / (4 * 0.18)
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=0.0, C_prime=0.0)
-    policy = OnlinePolicy(cert, horizons, transition_table(dp, horizons), dp.m)
+    codes = action_codes(horizons)
+    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes)
     return dp, horizons, cert, GatedPolicy(policy, cert.P)
 
 
@@ -141,8 +143,9 @@ def test_tie_break_deterministic_and_varied(online_unperturbed):
 def test_policy_rejects_missing_fallback(online_unperturbed):
     dp, horizons, cert, _ = online_unperturbed
     short = [s for s in horizons if s != (1, 2)]
+    codes = action_codes(short)
     with pytest.raises(ConfigError):
-        OnlinePolicy(cert, short, transition_table(dp, short), dp.m)
+        OnlinePolicy(cert, short, transition_table(dp, codes), dp.m, codes)
 
 
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
@@ -254,11 +257,12 @@ def test_stacked_builds_peak_below_twice_their_result(perturbed):
         cert = UnperturbedCertificate(P=P, beta=0.0, T=T, sigma_star=star)
     tracemalloc.start()
     try:
-        phis = transition_table(dp, horizons)
+        codes = action_codes(horizons)
+        phis = transition_table(dp, codes)
         table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        policy = OnlinePolicy(cert, horizons, phis, dp.m)
+        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes)
         policy_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -418,8 +422,8 @@ def _pair_verdicts(certified, regions):
 
 def _batched_verdicts(certified, regions):
     """Every (region, horizon) verdict of one `region_multipliers` call on the stacked region forms."""
-    _, horizons, _, phis, cert = certified
-    forms = region_forms(cert, horizons, phis)
+    _, horizons, codes, phis, cert = certified
+    forms = region_forms(cert, codes, phis)
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     verdicts[:, forms.index] = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
     return forms, verdicts
@@ -517,8 +521,8 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
     # one call on the (R, d, d) stack returns (R, K), each row bit for bit the
     # row of a call on that region's form alone and of the unfiltered pencil
     # pass, NaN at the same pairs
-    for (_, horizons, _, phis, cert), regions in _table_cases(case, request):
-        forms = region_forms(cert, horizons, phis)
+    for (_, _, codes, phis, cert), regions in _table_cases(case, request):
+        forms = region_forms(cert, codes, phis)
         stacked = region_multipliers(forms, np.array([reg.Q for reg in regions]))
         single = np.array([region_multipliers(forms, reg.Q) for reg in regions])
         assert stacked.shape == single.shape == (len(regions), len(forms.index))

@@ -24,7 +24,6 @@ from .certificates import (
     synthesize_perturbed_online,
     synthesize_unperturbed,
     ultimate_bound,
-    verify_lmi_pair,
 )
 from .errors import ConfigError, InfeasibleError, ResourceCapError
 from .horizons import (

@@ -15,7 +15,10 @@ and a scale that is constructed, not searched: the online pair passes by
 construction at one fixed alpha, and the offline matrix is affine in the
 scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
 result must then pass `reverify_certificate`, the one feasibility
-authority, which checks the matrices `conditions` states.  The region tests
+authority, which checks the matrices `conditions` states.  The region forms
+of the two offline kinds are stated here too (`decay_forms`,
+`perturbed_forms`, and `region_forms`, which picks one), and each of these
+tests reads `PSD_TOL`; none takes a tolerance of its own.  The region tests
 are exact: one quadratic constraint makes the S-procedure lossless, and the
 perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
 """
@@ -36,7 +39,7 @@ from .matrix_core import (
     symmetrize,
 )
 from .horizons import horizon_from_text, horizon_to_text, rotation_classes
-from .partition import RegionForms, decay_forms
+from .partition import RegionForms
 
 # M = ALPHA P for the online pair: a small alpha leaves the first inequality
 # most room and gives the second the slack the online trigger needs
@@ -148,25 +151,11 @@ def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -
     return _accepted(UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star), Phi_star)
 
 
-def _scaled_tol(P, tol: float) -> float:
-    """tol * min(1, lambda_max(P)): the inequalities are homogeneous in the
+def _scaled_tol(P) -> float:
+    """PSD_TOL * min(1, lambda_max(P)): the inequalities are homogeneous in the
     certificate, so an absolute tolerance would accept any non-certificate
     scaled down far enough."""
-    return tol * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
-
-
-def _online_pair(P, M, gamma, chi, Phi, bbar):
-    """The `conditions` entries L1 and L2, with chi the squared aggregate chi(|sigma*|)^2."""
-    eye = np.eye(P.shape[0], dtype=int)
-    return -decay_form(Phi, P, gamma - bbar, P + M), np.block([[M, P], [P, gamma / chi * eye - P]])
-
-
-def verify_lmi_pair(P, M, gamma: float, chi: float, Phi, bbar: float, tol: float = PSD_TOL) -> bool:
-    """The `conditions` entries L1 and L2 of the symmetrized (P, M) hold at
-    lambda_min >= -tol * min(1, lambda_max(P)); chi is chi(|sigma*|)^2."""
-    P = symmetrize(P)
-    tol = _scaled_tol(P, tol)
-    return all(sym_eig_bounds(S)[0] >= -tol for S in _online_pair(P, symmetrize(M), gamma, chi, Phi, bbar))
+    return PSD_TOL * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
 
 
 def synthesize_perturbed_online(
@@ -320,18 +309,25 @@ def synthesize_perturbed_offline(
     return _accepted(cert, Phi_star)
 
 
+def decay_forms(P, phis, bbars) -> RegionForms:
+    """The unperturbed region test on a stack of horizons: its forms are
+    `decay_form` S_sigma = Phi'P Phi - bbar P, each its own full matrix."""
+    S = decay_form(phis, symmetrize(P), bbars)
+    return RegionForms(np.arange(len(S)), S, S, 1.0)
+
+
 def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
-    A region certifies a horizon when U_c + tol I + eps blockdiag(Q_c, 0) is
-    PSD for some eps > 0, with U_c from `build_U_c`, and the paper's corner
-    gamma1 - gamma2 + tol >= 0; the returned sign -1 (on full = -U_c) is
-    the one place that states the region term's sign.  With u.. the blocks
-    of U_c + tol I, that holds iff gamma1 - gamma2 + tol >= 0, u22 > 0 (its
-    singular boundary is dropped) and the Schur complement C = u11 - u21'
-    u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two do not depend
-    on the region, so they prune horizons once; the third is
-    lambda_max(tol I - C - eps Q_c) <= tol, the form S = tol I - C (tol = PSD_TOL).
+    A region certifies a horizon when U_c + PSD_TOL I + eps blockdiag(Q_c, 0)
+    is PSD for some eps > 0, with U_c from `build_U_c`, and the paper's
+    corner gamma1 - gamma2 + PSD_TOL >= 0; the returned sign -1 (on full =
+    -U_c) is the one place that states the region term's sign.  With u..
+    the blocks of U_c + PSD_TOL I, that holds iff the corner holds, u22 > 0
+    (its singular boundary is dropped) and the Schur complement C = u11 -
+    u21' u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two do not
+    depend on the region, so they prune horizons once; the third is
+    lambda_max(PSD_TOL I - C - eps Q_c) <= PSD_TOL, the form S = PSD_TOL I - C.
     """
     nn = np.asarray(P).shape[0]
     U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
@@ -340,8 +336,8 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> Regio
     index = np.flatnonzero(keep)
     u11, u21 = U0[index, :nn, :nn], U0[index, nn:, :nn]
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
-    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # tol I - C: the two tol I cancel
-    return RegionForms(index, S, -U0[index], -1.0, PSD_TOL)
+    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # PSD_TOL I - C: the two PSD_TOL I cancel
+    return RegionForms(index, S, -U0[index], -1.0)
 
 
 def region_forms(cert, codes, phis) -> RegionForms:
@@ -412,7 +408,8 @@ def _accepted(cert, Phi_star):
 def conditions(cert, Phi_star) -> dict:
     """name -> (matrix, floor): cert holds iff each matrix's least eigenvalue
     is above its floor.  bbar is the decay over |sigma*|, chi = chi(|sigma*|)
-    from the certificate's map, and tol = `_scaled_tol(P, PSD_TOL)`.
+    from the certificate's map, and tol = `_scaled_tol(P)` = PSD_TOL
+    min(1, lambda_max(P)).
     - every kind: P, floor 0 (the inequalities alone accept P = 0);
     - unperturbed: decay = bbar P - sym(Phi*'P Phi*), floor PSD_TOL;
     - perturbed online: M, floor 0, and L1 = (gamma - bbar) P -
@@ -431,10 +428,12 @@ def conditions(cert, Phi_star) -> dict:
     if isinstance(cert, UnperturbedCertificate):
         return {"P": (P, 0.0), "decay": (-decay_form(Phi_star, P, bbar), PSD_TOL)}
     chi = cert.chi[len(cert.sigma_star)]
-    tol = _scaled_tol(P, PSD_TOL)
+    tol = _scaled_tol(P)
     if isinstance(cert, PerturbedOnlineCertificate):
-        L1, L2 = _online_pair(P, cert.M, cert.gamma, chi**2, Phi_star, bbar)
-        return {"P": (P, 0.0), "M": (cert.M, 0.0), "L1": (L1, -tol), "L2": (L2, -tol)}
+        M, gamma = cert.M, cert.gamma
+        L1 = -decay_form(Phi_star, P, gamma - bbar, P + M)
+        L2 = np.block([[M, P], [P, gamma / chi**2 * np.eye(P.shape[0], dtype=int) - P]])
+        return {"P": (P, 0.0), "M": (M, 0.0), "L1": (L1, -tol), "L2": (L2, -tol)}
     U_c = build_U_c(P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
     return {"P": (P, 0.0), "U_c": (U_c, -tol), "corner": (np.array([[cert.gamma1 - cert.gamma2]]), -PSD_TOL)}
 

@@ -127,14 +127,14 @@ def decay_form(Phi, P, w, A=None) -> np.ndarray:
     return (G + np.swapaxes(G, -1, -2)) / 2 - np.asarray(w)[..., None, None] * P
 
 
-def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
-    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= tol, or NaN.
+def sprocedure_multipliers(S, Q, ends) -> np.ndarray:
+    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= PSD_TOL, or NaN.
 
     Q is a stack of one form per row, or a single form that every row shares.
     lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
     interval whose finite ends are real eigenvalues of the pencil
-    (S - tol I, -Q); ends[h] holds that pencil's eigenvalues for row h.  One
-    eps below the first positive end, one between each consecutive pair and
+    (S - PSD_TOL I, -Q); ends[h] holds that pencil's eigenvalues for row h.
+    One eps below the first positive end, one between each consecutive pair and
     one past the last therefore decide exactly; the real parts of complex
     eigenvalues only add test points, and non-finite ones from a singular Q
     are dropped.  One batched eigvalsh decides every candidate of the stack,
@@ -153,6 +153,6 @@ def sprocedure_multipliers(S, Q, ends, tol: float = PSD_TOL) -> np.ndarray:
     )
     h, k = np.nonzero(~np.isnan(candidates))
     feasible = np.zeros(candidates.shape, dtype=bool)
-    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= tol
+    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= PSD_TOL
     first = candidates[rows, feasible.argmax(axis=1)]
     return np.where(feasible.any(axis=1), first, np.nan)

@@ -8,10 +8,11 @@ so the N overlapping cones cover the whole space and membership is a single
 quadratic form.
 
 A horizon is certified on a region by a multiplier eps > 0 with
-lambda_max(S + eps Q_c) <= tol for its certificate form S.  `RegionForms`
-stacks those forms over the horizons once, and `region_multipliers`, the
-package's one region test, decides every (region, horizon) pair of a
-partition in one call, after an exact rejection on each cone's axis.
+lambda_max(S + eps Q_c) <= PSD_TOL for its certificate form S.  `RegionForms`
+stacks those forms over the horizons once (each certificate kind builds its
+own, in `certificates`), and `region_multipliers`, the package's one region
+test, decides every (region, horizon) pair of a partition in one call, after
+an exact rejection on each cone's axis.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigvals
 from scipy.special import ndtri
 
-from .matrix_core import PSD_TOL, decay_form, sprocedure_multipliers, symmetrize
+from .matrix_core import PSD_TOL, sprocedure_multipliers
 
 MEMBERSHIP_TOL = 1e-12
 
@@ -144,23 +145,17 @@ class RegionForms(NamedTuple):
     """One certificate's region test, stacked over horizons.
 
     Horizon index[k] is certified on the region with form Q_c by eps > 0
-    iff lambda_max(S[k] + eps sign Q_c) <= tol.  full[k] is the unreduced
-    matrix of the same test, with sign Q_c entering its leading block, and
-    is the authority.  Horizons missing from index fail on every region.
+    iff lambda_max(S[k] + eps sign Q_c) <= PSD_TOL.  full[k] is the
+    unreduced matrix of the same test, with sign Q_c entering its leading
+    block, and is the authority.  Horizons missing from index fail on every
+    region.  `certificates.decay_forms` and `certificates.perturbed_forms`
+    build them.
     """
 
     index: np.ndarray
     S: np.ndarray
     full: np.ndarray
     sign: float
-    tol: float
-
-
-def decay_forms(P, phis, bbars) -> RegionForms:
-    """The unperturbed region test on a stack of horizons, at PSD_TOL: its forms
-    are `decay_form` S_sigma = Phi'P Phi - bbar P, each its own full matrix."""
-    S = decay_form(phis, symmetrize(P), bbars)
-    return RegionForms(np.arange(len(S)), S, S, 1.0, PSD_TOL)
 
 
 def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
@@ -170,19 +165,19 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     or a stack (R, d, d), giving (R, K).  An exact axis rejection comes
     first: for the unit top eigenvector v of sign Q_c (the axis for sign +1,
     orthogonal to it for -1), v' sign Q_c v >= 0 gives lambda_max(S + eps
-    sign Q_c) >= v'Sv at every eps > 0, so v'Sv > tol rules the pair out.
+    sign Q_c) >= v'Sv at every eps > 0, so v'Sv > PSD_TOL rules the pair out.
     One product with vec(v v') decides every pair.  It rejects only past
     v'Sv's rounding, d eps_mach ||S||_F, and only where v' sign Q_c v is
     above its own, d eps_mach ||Q_c||_F: at the pi/2 cap the top eigenvalue
     of -Q_c is rounding alone.  The survivors, each with its region's form,
     get their pencil ends as the reciprocals of one batched eigvals of
-    M = -(S - tol I)^{-1} sign Q_c, accurate at the cap, where Q_c^{-1} would
-    swamp the finite ends; an eigenvalue of M below d eps_mach ||M||_F is
-    zero, an end at infinity.  Where some S - tol I is exactly singular, that
-    solve fails, and the survivors take their ends from each pair's
-    generalized pencil (S - tol I, -sign Q_c) instead.  The certified pairs
-    are rechecked on their full matrices, sign Q_c in the leading block, by
-    one batched eigvalsh.
+    M = -(S - PSD_TOL I)^{-1} sign Q_c, accurate at the cap, where Q_c^{-1}
+    would swamp the finite ends; an eigenvalue of M below d eps_mach ||M||_F
+    is zero, an end at infinity.  Where some S - PSD_TOL I is exactly
+    singular, that solve fails, and the survivors take their ends from each
+    pair's generalized pencil (S - PSD_TOL I, -sign Q_c) instead.  The
+    certified pairs are rechecked on their full matrices, sign Q_c in the
+    leading block, by one batched eigvalsh.
     """
     Q = forms.sign * np.asarray(Q_c, dtype=float)
     Qs = Q.reshape((-1,) + Q.shape[-2:])
@@ -191,21 +186,21 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     v = np.linalg.eigh(Qs)[1][:, :, -1]
     axis = np.einsum("ri,rij,rj->r", v, Qs, v) > rounding * np.linalg.norm(Qs, axis=(1, 2))
     vSv = (v[:, :, None] * v[:, None, :]).reshape(R, d * d) @ forms.S.reshape(K, d * d).T
-    r, k = np.nonzero(~axis[:, None] | (vSv <= forms.tol + rounding * np.linalg.norm(forms.S, axis=(1, 2))))
+    r, k = np.nonzero(~axis[:, None] | (vSv <= PSD_TOL + rounding * np.linalg.norm(forms.S, axis=(1, 2))))
     S, Qp = forms.S[k], Qs[r]
     try:
-        M = -np.linalg.solve(S - forms.tol * np.eye(d), Qp)
-    except np.linalg.LinAlgError:  # some S - tol I is singular: each pair's generalized pencil instead
-        ends = np.array([eigvals(s - forms.tol * np.eye(d), -q) for s, q in zip(S, Qp)])
+        M = -np.linalg.solve(S - PSD_TOL * np.eye(d), Qp)
+    except np.linalg.LinAlgError:  # some S - PSD_TOL I is singular: each pair's generalized pencil instead
+        ends = np.array([eigvals(s - PSD_TOL * np.eye(d), -q) for s, q in zip(S, Qp)])
     else:
         mu = np.linalg.eigvals(M)
         zero = np.abs(mu) <= rounding * np.linalg.norm(M, axis=(1, 2))[:, None]
         ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
-    eps = sprocedure_multipliers(S, Qp, ends, forms.tol)
+    eps = sprocedure_multipliers(S, Qp, ends)
     c = np.flatnonzero(~np.isnan(eps))
     E = np.zeros((len(c),) + forms.full.shape[1:])
     E[:, :d, :d] = Qp[c]
-    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > forms.tol]] = np.nan
+    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > PSD_TOL]] = np.nan
     out = np.full((R, K), np.nan)
     out[r, k] = eps
     return out.reshape(Q.shape[:-2] + (K,))

@@ -8,15 +8,18 @@ from scipy.linalg import eigvals, expm
 
 from asynctrig import svgplots, triggers
 from asynctrig.certificates import (
+    PerturbedOnlineCertificate,
+    conditions,
     decay_factor,
+    decay_forms,
     perturbed_forms,
     region_forms,
-    verify_lmi_pair,
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import action_codes, horizon_to_text
 from asynctrig.matrix_core import (
+    PSD_TOL,
     solve_discrete_lyapunov,
     spectral_radius,
     sprocedure_multipliers,
@@ -24,7 +27,6 @@ from asynctrig.matrix_core import (
     symmetrize,
     zoh_pair,
 )
-from asynctrig.partition import decay_forms
 from asynctrig.plant import (
     BOUND_PANELS,
     DiscretePlant,
@@ -475,17 +477,17 @@ def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -
     return 0.5 * (lo + hi)
 
 
-def sprocedure_multiplier(S, Q, tol: float = 1e-9):
-    """Some eps > 0 with lambda_max(S + eps Q) <= tol, or None when none exists.
+def sprocedure_multiplier(S, Q):
+    """Some eps > 0 with lambda_max(S + eps Q) <= PSD_TOL, or None when none exists.
 
     One pair of `sprocedure_multipliers`, for any Q (singular too): the
     pencil ends come from the generalized eigenproblem, and `sym_eig_bounds`
     rechecks the eps found.
     """
     S, Q = symmetrize(S), symmetrize(Q)
-    ends = eigvals(S - tol * np.eye(S.shape[0]), -Q)
-    eps = sprocedure_multipliers(S[None], Q, ends[None], tol)[0]
-    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > tol:
+    ends = eigvals(S - PSD_TOL * np.eye(S.shape[0]), -Q)
+    eps = sprocedure_multipliers(S[None], Q, ends[None])[0]
+    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > PSD_TOL:
         return None
     return float(eps)
 
@@ -493,34 +495,34 @@ def sprocedure_multiplier(S, Q, tol: float = 1e-9):
 def pair_multiplier(forms, Q_c):
     """Multiplier certifying a one-horizon stack on the form Q_c, or None.
 
-    Any symmetric Q_c will do, and S - tol I may be singular.  The eps found
+    Any symmetric Q_c will do, and S - PSD_TOL I may be singular.  The eps found
     is rechecked on the full matrix, with sign Q_c in its leading block.
     """
     if not forms.index.size:
         return None
     Q_c = np.asarray(Q_c, dtype=float)
-    eps = sprocedure_multiplier(forms.S[0], forms.sign * Q_c, forms.tol)
+    eps = sprocedure_multiplier(forms.S[0], forms.sign * Q_c)
     if eps is None:
         return None
     d = Q_c.shape[0]
     E = np.zeros(forms.full.shape[1:])
     E[:d, :d] = forms.sign * Q_c
-    return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= forms.tol else None
+    return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= PSD_TOL else None
 
 
 def unfiltered_region_multipliers(forms, Q_c) -> np.ndarray:
     """`partition.region_multipliers` on one region form without the axis
     rejection: every stacked horizon goes through the pencil and the recheck."""
     Q = forms.sign * np.asarray(Q_c, dtype=float)
-    M = -np.linalg.solve(forms.S - forms.tol * np.eye(len(Q)), Q)
+    M = -np.linalg.solve(forms.S - PSD_TOL * np.eye(len(Q)), Q)
     mu = np.linalg.eigvals(M)
     zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
     ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
-    eps = sprocedure_multipliers(forms.S, Q, ends, forms.tol)
+    eps = sprocedure_multipliers(forms.S, Q, ends)
     k = np.flatnonzero(~np.isnan(eps))
     E = np.zeros(forms.full.shape[1:])
     E[: len(Q), : len(Q)] = Q
-    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > forms.tol]] = np.nan
+    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > PSD_TOL]] = np.nan
     return eps
 
 
@@ -652,13 +654,22 @@ def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):
     return dec, tuple(online.horizons[i] for i in positions)
 
 
+def online_pair_holds(cert, Phi_star, tol: float) -> bool:
+    """`conditions`' L1 and L2 of a perturbed-online cert each have least
+    eigenvalue >= -tol * min(1, lambda_max(P)); P and M themselves are not checked."""
+    floor = -tol * min(1.0, max(0.0, sym_eig_bounds(cert.P)[1]))
+    entries = conditions(cert, Phi_star)
+    return all(sym_eig_bounds(entries[name][0])[0] >= floor for name in ("L1", "L2"))
+
+
 # ---------------------------------------------------------------------------
 # scan oracles for the perturbed syntheses: the searches the package's
 # constructions replace, each returning the first feasible point of its scan
 
 
 def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_map):
-    """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes, or InfeasibleError."""
+    """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes
+    `conditions`' L1 and L2 at their floor, or InfeasibleError."""
     chi = chi_map[len(sigma_star)] ** 2
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
@@ -673,7 +684,12 @@ def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: fl
         s = 0.9 * (gamma / chi) / ((1.0 + 1.0 / alpha) * lmax1)
         P = s * P1
         M = alpha * P
-        if verify_lmi_pair(P, M, gamma, chi, Phi_star, bbar):
+        # conditions' L1 and L2 read neither varpi, C' nor mu
+        cert = PerturbedOnlineCertificate(
+            P=P, M=M, gamma=gamma, chi=chi_map, varpi=0.0, C_prime=0.0, mu=0.0,
+            sigma_star=tuple(sigma_star), beta=beta, T=T,
+        )
+        if online_pair_holds(cert, Phi_star, PSD_TOL):
             return P, M
     raise InfeasibleError("no alpha passes")
 

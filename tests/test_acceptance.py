@@ -7,13 +7,14 @@ recorded (P, M) pair, which is not a certificate for the preset's plant, as a
 negative control that the verifier must reject (details in its docstring).
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from asynctrig.certificates import decay_factor, verify_lmi_pair
+from asynctrig.certificates import decay_factor
 from asynctrig.cli import main
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import avg_idle_metric
@@ -36,6 +37,7 @@ from helpers import (
     benchmark_plant,
     horizon_transition,
     max_eps_feasible,
+    online_pair_holds,
     random_schur_stabilizable,
     regioned_U_c,
     schur_threshold,
@@ -100,12 +102,12 @@ def test_criterion_5_online_perturbed_preset(say):
     The certificate that `prepare` synthesizes must satisfy both
     perturbed-online inequalities at gamma = 0.35 with this configuration's
     own fallback transition Phi*, decay factor bbar* and disturbance
-    aggregate chi*(4)^2: verify_lmi_pair at tol 1e-6, plus strict margins
-    computed here with numpy.linalg.eigvalsh, lambda_max(L1) < 0,
-    lambda_min(L2) > 0, lambda_min(P) > 0 and lambda_min(M) > 0.  The strict
-    margins are needed because lambda_max(P) is about 2.4e-4, so tol 1e-6 is
-    looser than the margins themselves, and because verify_lmi_pair accepts
-    P = M = 0.
+    aggregate chi*(4)^2: `conditions`' L1 and L2 at tol 1e-6
+    (`helpers.online_pair_holds`), plus strict margins computed here with
+    numpy.linalg.eigvalsh, lambda_max(L1) < 0, lambda_min(L2) > 0,
+    lambda_min(P) > 0 and lambda_min(M) > 0.  The strict margins are needed
+    because lambda_max(P) is about 2.4e-4, so tol 1e-6 is looser than the
+    margins themselves, and because L1 and L2 alone accept P = M = 0.
 
     The externally recorded pair (P_ref, M_ref) is kept as a negative control
     and must be rejected; it is not a certificate for this plant.  Measured
@@ -145,13 +147,13 @@ def test_criterion_5_online_perturbed_preset(say):
         L2 = np.block([[M, P], [P, (0.35 / chi_star) * np.eye(4) - P]])
         return sym_eigs(L1)[-1], sym_eigs(L2)[0]
 
-    cert_verified = verify_lmi_pair(cert.P, cert.M, 0.35, chi_star, Phi_star, bbar_star, tol=1e-6)
+    cert_verified = cert.gamma == 0.35 and online_pair_holds(cert, Phi_star, 1e-6)
     l1, l2 = lmi_margins(cert.P, cert.M)
     p_lo, m_lo = sym_eigs(cert.P)[0], sym_eigs(cert.M)[0]
     cert_ok = cert_verified and l1 < 0 and l2 > 0 and p_lo > 0 and m_lo > 0
 
     P_ref, M_ref = P_REF, M_REF
-    ref_verified = verify_lmi_pair(P_ref, M_ref, 0.35, chi_star, Phi_star, bbar_star, tol=1e-6)
+    ref_verified = online_pair_holds(dataclasses.replace(cert, P=P_ref, M=M_ref), Phi_star, 1e-6)
     m1, _ = lmi_margins(P_ref, M_ref)
     Phis = np.stack([horizon_transition(dp, s) for s in horizons])
     L1_all = np.einsum("hji,jk,hkl->hil", Phis, P_ref + M_ref, Phis) - 0.35 * P_ref
@@ -163,9 +165,9 @@ def test_criterion_5_online_perturbed_preset(say):
         5,
         ok,
         f"GUUB contained={contained}, reduction {red:.4f} in [0.61, 0.76], {dt:.2f}s < 30s; "
-        f"preset pair verify_lmi_pair(gamma=0.35, tol=1e-6)={cert_verified} "
+        f"preset pair L1, L2 hold (gamma=0.35, tol=1e-6)={cert_verified} "
         f"(lambda_max L1 {l1:+.2e} < 0; lambda_min L2 {l2:+.2e}, P {p_lo:+.2e}, M {m_lo:+.2e} all > 0); "
-        f"recorded pair verify_lmi_pair={ref_verified} "
+        f"recorded pair L1, L2 hold={ref_verified} "
         f"(first-inequality margin {m1:+.4f} at the fallback, best over all horizons {best:+.4f}, both > 0)",
     )
 

@@ -24,7 +24,6 @@ from asynctrig.certificates import (
     synthesize_perturbed_online,
     synthesize_unperturbed,
     ultimate_bound,
-    verify_lmi_pair,
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
@@ -48,6 +47,7 @@ from helpers import (
     benchmark_plant,
     full_scan_sigma_star,
     horizon_transition,
+    online_pair_holds,
     random_schur_stabilizable,
     regioned_U_c,
     scan_perturbed_offline,
@@ -168,17 +168,25 @@ def test_unperturbed_rejects_noncontractive_fallback():
         synthesize_unperturbed(Phi, 1.0, (1, 2), 0.3)
 
 
-def test_verify_lmi_pair_known_values():
+def test_online_pair_conditions_known_values():
+    # P = M = I, chi = 1 and Phi* = 0; beta = 0 and T = 1 make bbar = 1 exactly, so
+    # L1 = (gamma - 1) I and L2 = [[I, I], [I, (gamma - 1) I]]: gamma 2 holds, 0.5 fails
     I = np.eye(2)
-    assert verify_lmi_pair(I, I, 2.0, 1.0, np.zeros((2, 2)), 1.0)
-    assert not verify_lmi_pair(I, I, 0.5, 1.0, np.zeros((2, 2)), 1.0)
+
+    def cert(gamma):
+        return PerturbedOnlineCertificate(
+            P=I, M=I, gamma=gamma, chi={1: 1.0}, varpi=0.0, C_prime=0.0, mu=0.0, sigma_star=(1,), beta=0.0, T=1.0
+        )
+
+    assert online_pair_holds(cert(2.0), np.zeros((2, 2)), 1e-9)
+    assert not online_pair_holds(cert(0.5), np.zeros((2, 2)), 1e-9)
 
 
 def test_perturbed_online_scalar_toy():
     # Phi = 0 forces LMI1 to (bbar - gamma)P <= 0, so gamma must beat bbar
     Phi = np.zeros((1, 1))
     cert = synthesize_perturbed_online(Phi, 0.0, 1.5, (1,), 1.0, {1: 1.0}, **NO_DISTURBANCE)
-    assert verify_lmi_pair(cert.P, cert.M, 1.5, 1.0, Phi, 1.0)
+    assert reverify_certificate(cert, Phi)
     with pytest.raises(InfeasibleError):
         synthesize_perturbed_online(Phi, 0.0, 0.5, (1,), 1.0, {1: 1.0}, **NO_DISTURBANCE)
 
@@ -191,7 +199,7 @@ def test_perturbed_online_self_verification_random():
         Phi *= rng.uniform(0.1, 0.6) / spectral_radius(Phi)
         chi = float(rng.uniform(0.05, 5.0))
         cert = synthesize_perturbed_online(Phi, beta, 1.0, (1,), 1.0, {1: chi}, **NO_DISTURBANCE)
-        assert verify_lmi_pair(cert.P, cert.M, 1.0, chi**2, Phi, 0.5)
+        assert reverify_certificate(cert, Phi)
 
 
 def test_young_gain_known_values_and_rejects_an_indefinite_M():
@@ -429,19 +437,17 @@ def test_serialization_round_trip_reverifies():
     # A zero pair passes the perturbed inequalities themselves; only positive
     # definiteness of P (and M) rejects it.
     on, Phi_on, off, Phi_off = _perturbed_certificates()
-    chi2_on = on.chi[4] ** 2
     zero = np.zeros((4, 4)).tolist()
-    assert verify_lmi_pair(zero, zero, on.gamma, chi2_on, Phi_on, decay_factor(on.beta, 4, on.T))
     zero_on = certificate_from_dict({**certificate_to_dict(on), "P": zero, "M": zero})
     zero_off = certificate_from_dict({**certificate_to_dict(off), "P": zero})
+    assert online_pair_holds(zero_on, Phi_on, 1e-9)
     assert not reverify_certificate(zero_on, Phi_on)
     assert not reverify_certificate(zero_off, Phi_off)
     # The inequalities are homogeneous, so a non-certificate scaled down far
     # enough slips under an absolute tolerance: the recorded pair of
     # criterion 5 (rejected as it stands) must stay rejected when scaled.
-    bbar_on = decay_factor(on.beta, 4, on.T)
-    assert not verify_lmi_pair(P_REF, M_REF, on.gamma, chi2_on, Phi_on, bbar_on, tol=1e-6)
-    assert not verify_lmi_pair(1e-9 * P_REF, 1e-9 * M_REF, on.gamma, chi2_on, Phi_on, bbar_on, tol=1e-6)
+    assert not online_pair_holds(dataclasses.replace(on, P=P_REF, M=M_REF), Phi_on, 1e-6)
+    assert not online_pair_holds(dataclasses.replace(on, P=1e-9 * P_REF, M=1e-9 * M_REF), Phi_on, 1e-6)
     tiny = certificate_from_dict({**certificate_to_dict(on), "P": 1e-11 * P_REF, "M": 1e-11 * M_REF})
     assert not reverify_certificate(tiny, Phi_on)
     # the offline kind: P = I fails its inequality, and so must 1e-11 * I

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
+    PSD_TOL,
     decay_form,
     solve_discrete_lyapunov,
     spectral_norm,
@@ -161,9 +165,9 @@ def _multiplier_draw(rng, dim: int):
     return symmetrize(rng.normal(size=(dim, dim))), Q0 * 10.0 ** rng.uniform(-6.0, 6.0)
 
 
-def _region_multiplier(S, Q, tol):
+def _region_multiplier(S, Q):
     """region_multipliers on a one-horizon stack whose full matrix is S itself."""
-    return region_multipliers(RegionForms(np.arange(1), S[None], S[None], 1.0, tol), Q)[0]
+    return region_multipliers(RegionForms(np.arange(1), S[None], S[None], 1.0), Q)[0]
 
 
 @pytest.mark.parametrize("dim", [4, 9])
@@ -171,23 +175,23 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
     # oracle: lambda_max(S + eps Q) on 50 points per decade over 1e-14..1e14;
     # the one-pair oracle and the package's batched region test both face it
     rng = np.random.default_rng(2024 + dim)
-    tol = 1e-9
+    tol = PSD_TOL
     grid = np.logspace(-14.0, 14.0, 1401)
     scanned_feasible = outside_old_range = 0
     for _ in range(150):
         S, Q = _multiplier_draw(rng, dim)
         lmax = np.linalg.eigvalsh(S[None] + grid[:, None, None] * Q[None])[:, -1]
         hits = grid[lmax <= tol]
-        eps = sprocedure_multiplier(S, Q, tol)
-        batched = _region_multiplier(S, Q, tol)
+        eps = sprocedure_multiplier(S, Q)
+        batched = _region_multiplier(S, Q)
         assert np.isnan(batched) == (eps is None)
         if hits.size:
             scanned_feasible += 1
             outside_old_range += bool(hits.min() > 1e8 or hits.max() < 1e-8)
             assert eps is not None
             # an eigenvalue 1e-6 that no multiplier moves: a near miss
-            assert sprocedure_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0), tol) is None
-            assert np.isnan(_region_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0), tol))
+            assert sprocedure_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0)) is None
+            assert np.isnan(_region_multiplier(block_diag(S, 1e-6), block_diag(Q, 0.0)))
         for found in (eps, None if np.isnan(batched) else batched):
             if found is not None:
                 assert found > 0
@@ -196,3 +200,31 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
     # [1e-8, 1e8] can reach
     assert 30 <= scanned_feasible <= 120
     assert outside_old_range >= 10
+
+
+def _tol_knobs(tree: ast.AST) -> list:
+    """The functions with a parameter, and the classes (as Class.tol) with an
+    annotated field, named `tol` in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if any(arg is not None and arg.arg == "tol" for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]):
+                found.append(getattr(node, "name", "<lambda>"))
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.tol" for f in node.body if isinstance(f, ast.AnnAssign) and getattr(f.target, "id", None) == "tol"]
+    return found
+
+
+def test_no_check_takes_a_tolerance_of_its_own():
+    # every PSD and region test reads PSD_TOL: a tolerance option is a second
+    # authority on what a certificate claims
+    src = Path(__file__).resolve().parent.parent / "src" / "asynctrig"
+    found = {path.name: _tol_knobs(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
+    assert {name: knobs for name, knobs in found.items() if knobs} == {}
+    # the scan sees parameters of every kind and annotated fields, and passes locals
+    planted = (
+        "def f(S, tol=1e-9): ...\ndef g(*, tol): ...\nclass F:\n    tol: float\n    S: object\n"
+        "def h(S):\n    tol = 1\n    return lambda tol: tol\n"
+    )
+    assert _tol_knobs(ast.parse(planted)) == ["f", "g", "F.tol", "<lambda>"]

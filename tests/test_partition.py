@@ -6,10 +6,10 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from asynctrig import partition
-from asynctrig.matrix_core import sym_eig_bounds
+from asynctrig.certificates import decay_forms
+from asynctrig.matrix_core import PSD_TOL, sym_eig_bounds
 from asynctrig.partition import (
     RegionForms,
-    decay_forms,
     make_partition,
     partition_to_dict,
     region_multipliers,
@@ -215,7 +215,7 @@ def test_region_recheck_rejects_what_only_the_full_matrix_fails():
     full = np.zeros((3, 3, 3))
     full[:, :2, :2] = forms.S
     full[:, 2, 2] = corner
-    stricter = RegionForms(forms.index, forms.S, full, forms.sign, forms.tol)
+    stricter = RegionForms(forms.index, forms.S, full, forms.sign)
     np.testing.assert_array_equal(region_multipliers(stricter, Q), np.where(corner > 0, np.nan, pencil))
 
 
@@ -235,17 +235,17 @@ def test_axis_rejection_drops_only_pairs_the_pencil_rejects(sign, monkeypatch):
     # random cones, the thin and the capped ones included: every pair the
     # rejection keeps from the pencil is NaN on the unfiltered path too
     rng = np.random.default_rng(19 if sign > 0 else 20)
-    d, tol = 4, 1e-9
+    d = 4
     Q = _random_cones(rng, 12, d)
     G = rng.normal(size=(200, d, d))
     S = 0.5 * (G + np.swapaxes(G, 1, 2)) - rng.uniform(-1, 3, size=(200, 1, 1)) * np.eye(d)
-    forms = RegionForms(np.arange(len(S)), S, S, sign, tol)
+    forms = RegionForms(np.arange(len(S)), S, S, sign)
     rows = []
     pencil = partition.sprocedure_multipliers
 
-    def counted(S, Q, ends, tol):
+    def counted(S, Q, ends):
         rows.append(len(S))
-        return pencil(S, Q, ends, tol)
+        return pencil(S, Q, ends)
 
     monkeypatch.setattr(partition, "sprocedure_multipliers", counted)
     eps = region_multipliers(forms, Q)
@@ -263,7 +263,7 @@ def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
     # raises; the call must then still decide every pair, as the one-pair
     # generalized-pencil oracle does.  Regular random forms ride along, so
     # the fallback certifies some pairs too.
-    d, tol = 4, 1e-9
+    d, tol = 4, PSD_TOL
     fell_back = 0
     for trial in range(24):
         sign = 1.0 if trial % 2 == 0 else -1.0
@@ -277,7 +277,7 @@ def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
         G = rng.normal(size=(16, d, d))
         regular = 0.5 * (G + np.swapaxes(G, 1, 2)) - rng.uniform(-1, 3, size=(16, 1, 1)) * np.eye(d)
         S = np.concatenate([knife.reshape(-1, d, d), regular])
-        forms = RegionForms(np.arange(len(S)), S, S, sign, tol)
+        forms = RegionForms(np.arange(len(S)), S, S, sign)
         eps = region_multipliers(forms, Q)
         try:
             np.linalg.solve(S - tol * np.eye(d), np.broadcast_to(np.eye(d), S.shape))
@@ -285,7 +285,7 @@ def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
         except np.linalg.LinAlgError:
             fell_back += 1
         oracle = [
-            [pair_multiplier(RegionForms(np.arange(1), S[k : k + 1], S[k : k + 1], sign, tol), q) is None for k in range(len(S))]
+            [pair_multiplier(RegionForms(np.arange(1), S[k : k + 1], S[k : k + 1], sign), q) is None for k in range(len(S))]
             for q in Q
         ]
         np.testing.assert_array_equal(np.isnan(eps), oracle)

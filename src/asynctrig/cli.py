@@ -132,31 +132,32 @@ def config_from_dict(data: dict) -> SimConfig:
 
 
 def _load_sim_config(args):
-    """Returns (SimConfig, semantic dict for the digest, preset name or None)."""
-    preset = getattr(args, "preset", None)
-    path = getattr(args, "config", None)
-    if preset and path:
+    """(SimConfig, the configuration file's contents, or None for a preset) of --config or --preset."""
+    if args.preset and args.config:
         raise ConfigError("give either --config or --preset, not both")
-    if preset:
-        cfg = preset_config(preset)
-    elif path:
-        data = load_config(path)
-        cfg = config_from_dict(data)
-    else:
-        raise ConfigError("provide --config FILE or --preset NAME")
-    steps = getattr(args, "steps", None)
+    if args.preset:
+        return preset_config(args.preset), None
+    if args.config:
+        data = load_config(args.config)
+        return config_from_dict(data), data
+    raise ConfigError("provide --config FILE or --preset NAME")
+
+
+def _load_run_config(args):
+    """(SimConfig with the run's seed and steps, semantic dict for the digest) of a simulate or preset run."""
+    cfg, data = _load_sim_config(args)
     # replace() validates again, so --steps meets the same checks as a configuration file
     cfg = dataclasses.replace(
         cfg,
-        seed=_resolve_seed(getattr(args, "seed", None), cfg.seed),
-        total_steps=cfg.total_steps if steps is None else int(steps),
+        seed=_resolve_seed(args.seed, cfg.seed),
+        total_steps=cfg.total_steps if args.steps is None else int(args.steps),
     )
     run = {"seed": cfg.seed, "total_steps": cfg.total_steps}
-    if preset:
-        semantic = {"preset": preset, **run}
+    if data is None:
+        semantic = {"preset": args.preset, **run}
     else:
         semantic = {**data, "simulation": {**data.get("simulation", {}), **run}}
-    return cfg, semantic, preset
+    return cfg, semantic
 
 
 def config_digest(semantic: dict) -> str:
@@ -204,7 +205,7 @@ def _print_metrics(metrics: dict):
 
 
 def cmd_discretize(args) -> int:
-    cfg, _, _ = _load_sim_config(args)
+    cfg, _ = _load_sim_config(args)
     dp = DiscretePlant.from_plant(cfg.plant, cfg.T)
     _write_json({"T": cfg.T, "A_T": dp.A_T.tolist(), "B_T": dp.B_T.tolist()}, args.out)
     return 0
@@ -218,14 +219,14 @@ def cmd_horizons(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg, _, _ = _load_sim_config(args)
+    cfg, _ = _load_sim_config(args)
     _write_json(certificate_to_dict(certify(cfg)[-1]), args.out)
     return 0
 
 
 def cmd_partition(args) -> int:
     if args.config or args.preset:
-        cfg, _, _ = _load_sim_config(args)
+        cfg, _ = _load_sim_config(args)
         dim, N = 2 * cfg.plant.n, cfg.N
         if N < 1:
             raise ConfigError("the selected configuration has no partition section")
@@ -238,9 +239,9 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
+def _run_and_emit(cfg: SimConfig, semantic: dict, args) -> int:
     seeds = [cfg.seed]
-    if getattr(args, "sweep", None):
+    if args.sweep:
         try:
             seeds = [int(s) for s in args.sweep.split(",") if s.strip() != ""]
         except ValueError:
@@ -269,12 +270,12 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
         write_decision_csv(trace, dec_path)
         outputs += [trace_path, dec_path]
         all_metrics[seed] = trace.metrics
-        if getattr(args, "plots", False):
+        if args.plots:
             mu = trace.metrics.get("mu", 0.0)
             outputs += emit_plots(trace, os.path.join(outdir, f"plots{suffix}"), mu=mu)
     manifest = {
         "config_digest": config_digest(semantic),
-        "preset": preset_name,
+        "preset": args.preset,
         "certificate": _cert_summary(cert),
         "metrics": all_metrics[seeds[-1]] if len(seeds) == 1 else {str(s): m for s, m in all_metrics.items()},
         "outputs": [os.path.relpath(p, outdir) for p in outputs],  # the same wherever --out-dir points
@@ -284,8 +285,8 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
     manifest_path = os.path.join(outdir, "manifest.json")
     _write_json(manifest, manifest_path)
     for seed in seeds:
-        if preset_name:
-            print(f"preset {preset_name} seed {seed}")
+        if args.preset:
+            print(f"preset {args.preset} seed {seed}")
         else:
             print(f"mode {cfg.mode} seed {seed}")
         _print_metrics(all_metrics[seed])
@@ -294,8 +295,8 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, preset_name, args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg, semantic, preset_name = _load_sim_config(args)
-    return _run_and_emit(cfg, semantic, preset_name, args)
+    cfg, semantic = _load_run_config(args)
+    return _run_and_emit(cfg, semantic, args)
 
 
 def cmd_preset(args) -> int:
@@ -305,8 +306,8 @@ def cmd_preset(args) -> int:
         return 0
     args.preset = args.name
     args.config = None
-    cfg, semantic, preset_name = _load_sim_config(args)
-    return _run_and_emit(cfg, semantic, preset_name, args)
+    cfg, semantic = _load_run_config(args)
+    return _run_and_emit(cfg, semantic, args)
 
 
 def cmd_report(args) -> int:
@@ -324,16 +325,16 @@ def cmd_report(args) -> int:
 
 
 def _flag_parsers():
-    """(source, seed, run): parent parsers that declare each shared flag once."""
-    source, seed, run = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    """(source, run): parent parsers that declare each shared flag once."""
+    source, run = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     source.add_argument("--config", help="configuration JSON file")
     source.add_argument("--preset", choices=PRESET_NAMES, help="named benchmark configuration")
-    seed.add_argument("--seed", type=int, default=None, help=f"tie-break seed (overrides {ENV_SEED} and config)")
+    run.add_argument("--seed", type=int, default=None, help=f"tie-break seed (overrides {ENV_SEED} and config)")
     run.add_argument("--steps", type=int, default=None, help="total base steps")
     run.add_argument("--out-dir", default="out", help="output directory")
     run.add_argument("--sweep", default=None, help="comma-separated seeds; one trace per seed")
     run.add_argument("--plots", action="store_true", help="also render the SVG views")
-    return source, seed, run
+    return source, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-triggered sensor scheduling for sampled-data linear systems.",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-    source, seed, run = _flag_parsers()
+    source, run = _flag_parsers()
 
-    sp = sub.add_parser("discretize", parents=[source, seed], help="print the exact ZOH pair (A_T, B_T)")
+    sp = sub.add_parser("discretize", parents=[source], help="print the exact ZOH pair (A_T, B_T)")
     sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_discretize)
 
@@ -355,17 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_horizons)
 
-    sp = sub.add_parser("synthesize", parents=[source, seed], help="build the certificate and print it as JSON")
+    sp = sub.add_parser("synthesize", parents=[source], help="build the certificate and print it as JSON")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_synthesize)
 
-    sp = sub.add_parser("partition", parents=[source, seed], help="build the conic state-space partition")
+    sp = sub.add_parser("partition", parents=[source], help="build the conic state-space partition")
     sp.add_argument("--dim", type=int, default=None, help="ambient dimension (2n)")
     sp.add_argument("--regions", type=int, default=None, help="number of cones")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_partition)
 
-    sp = sub.add_parser("simulate", parents=[source, seed, run], help="run the closed loop and write trace CSVs")
+    sp = sub.add_parser("simulate", parents=[source, run], help="run the closed loop and write trace CSVs")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("report", help="summarize a trace CSV and render SVG views")
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", default="out", help="directory for the SVG files")
     sp.set_defaults(func=cmd_report)
 
-    sp = sub.add_parser("preset", parents=[seed, run], help="run a named benchmark end to end")
+    sp = sub.add_parser("preset", parents=[run], help="run a named benchmark end to end")
     sp.add_argument("name", nargs="?", choices=PRESET_NAMES, help="omit (or --list) to list presets")
     sp.add_argument("--list", action="store_true", help="list preset names and leave")
     sp.set_defaults(func=cmd_preset)

@@ -2,7 +2,9 @@
 
 A horizon is a nonempty tuple of actions in {0..m} (0 = idle).  Every
 triggering mechanism maximizes the same count-based objective
-(z + l)/(m l), the fraction of sensor-slots left unused over the horizon.
+(z + l)/(m l), z idle steps in l.  It is the fraction of sensor-slots left
+unused over the horizon plus the constant (2 - m)/m, so it orders and ties
+horizons exactly as that fraction does.
 """
 
 from itertools import chain, product
@@ -77,7 +79,8 @@ def rotation_classes(codes):
 def avg_idle_metric(sigma, m: int) -> float:
     """(z + |sigma|)/(m |sigma|) with z = number of idle steps.
 
-    Equals 1 - readings/(m |sigma|): the fraction of sensor-slots unused.
+    Equals 1 - readings/(m |sigma|) + (2 - m)/m: the fraction of sensor-slots
+    unused, offset by a constant of m alone, so equal only at m = 2.
     """
     if m < 1:
         raise ConfigError(f"sensor count must be >= 1, got {m}")

@@ -155,10 +155,11 @@ class Prepared(NamedTuple):
 def certify(config: SimConfig) -> tuple:
     """Run the certificate stage: discretize, enumerate, choose sigma*, synthesize.
 
-    Returns (dp, horizons, codes, phis, cert).  The horizons' action-code
-    array and transition stack are built once here, shared by the choice of
-    sigma* and the synthesis, and returned for a caller that tabulates or
-    tests the same horizons; any infeasibility surfaces here.
+    Returns (dp, horizons, codes, phis, star, cert), star being sigma*'s
+    index in the horizons.  The horizons' action-code array and transition
+    stack are built once here, shared by the choice of sigma* and the
+    synthesis, and returned for a caller that tabulates or tests the same
+    horizons; any infeasibility surfaces here.
     """
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
@@ -192,7 +193,7 @@ def certify(config: SimConfig) -> tuple:
                 Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi,
                 C_prime=C_prime, varpi=varpi,
             )
-    return dp, horizons, codes, phis, cert
+    return dp, horizons, codes, phis, star, cert
 
 
 def prepare(config: SimConfig) -> Prepared:
@@ -202,13 +203,13 @@ def prepare(config: SimConfig) -> Prepared:
     online test, both built on certify's transition stack, which no
     Prepared keeps; a perturbed mode wraps either in the E(P,1) gate.
     """
-    dp, horizons, codes, phis, cert = certify(config)
+    dp, horizons, codes, phis, star, cert = certify(config)
     regions = table = None
     if config.mode in OFFLINE_MODES:
         regions = make_partition(2 * dp.n, config.N)
-        policy = table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
+        policy = table = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
     else:
-        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes)
+        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes, star)
     integrator = None
     if config.mode in PERTURBED_MODES:
         policy = GatedPolicy(policy, cert.P)
@@ -227,8 +228,8 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     n = plant.n
     masks = list(refresh_masks(plant.blocks))
     A_T, B_T, K = dp.A_T, dp.B_T, plant.K
-    # t += T over the most steps a run takes: total_steps - 1, then the longest horizon, listed last
-    times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + len(prepared.horizons[-1]) - 2, config.T)])
+    # t += T over the most steps a run takes: total_steps - 1, then a horizon of the longest length
+    times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + config.l_max - 2, config.T)])
     taus = times.tolist()
 
     x = config.x0[:n].copy()

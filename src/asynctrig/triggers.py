@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
-from .errors import ConfigError
 from .horizons import avg_idle_metric, horizon_to_text
 from .matrix_core import decay_form, spectral_norm, symmetrize
 from .partition import region_multipliers, region_of
@@ -65,14 +64,6 @@ def _best_ties(metrics: np.ndarray, feas: np.ndarray):
     return best, feas[metrics[feas] == best]
 
 
-def _fallback_index(cert, horizons) -> int:
-    sigma_star = tuple(cert.sigma_star)
-    try:
-        return horizons.index(sigma_star)
-    except ValueError:
-        raise ConfigError(f"fallback horizon {sigma_star} missing from the horizon set") from None
-
-
 class OnlinePolicy:
     """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= -slack.
 
@@ -88,7 +79,8 @@ class OnlinePolicy:
     the best levels up to the first level end at or past FORM_CHUNK forms,
     then the rest.  When nothing is admissible, sigma* is taken and the
     decision's reason is forced-fallback.  horizons is a list of tuples, as
-    `enumerate_horizons` gives, and codes its `action_codes` array.
+    `enumerate_horizons` gives, codes its `action_codes` array, and star
+    sigma*'s index in both, as `certify` returns it.
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -102,12 +94,12 @@ class OnlinePolicy:
     against gamma - bbar = 0.25.  Both signs cannot match the paper.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, codes):
+    def __init__(self, cert, horizons, phis, m: int, codes, star: int):
         metrics = _metrics(codes, m)
         order = np.argsort(-metrics, kind="stable")
         self.horizons = [horizons[i] for i in order.tolist()]
         self.metrics = metrics[order]
-        self.fallback_index = _fallback_index(cert, self.horizons)  # stable order: first of its level
+        self.fallback_index = int(np.flatnonzero(order == star)[0])  # sigma*'s position in metric order
         self.m = m
         H = len(horizons)
         level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
@@ -165,12 +157,13 @@ class TablePolicy:
     where nothing qualifies gets sigma* alone.  psi holds each region's
     tuple of optimal horizons, metric their shared metric value, and
     certified its number of certified horizons (0 where psi is the fallback
-    alone).  horizons is a list of tuples, as `enumerate_horizons` gives, and
-    codes its `action_codes` array.  Every lookup miss gets the one decision miss.
+    alone).  horizons is a list of tuples, as `enumerate_horizons` gives,
+    codes its `action_codes` array, and star sigma*'s index in both, as
+    `certify` returns it.  Every lookup miss gets the one decision miss.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, regions, codes):
-        fallback = np.array([_fallback_index(cert, horizons)])
+    def __init__(self, cert, horizons, phis, m: int, regions, codes, star: int):
+        fallback = np.array([star])
         metrics = _metrics(codes, m)
         forms = region_forms(cert, codes, phis)
         certified = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
@@ -183,7 +176,7 @@ class TablePolicy:
         self.certified = tuple(certified.sum(axis=1).tolist())
         self.regions = regions
         self.m = m
-        self.miss = TriggerDecision(horizons[fallback[0]], float(metrics[fallback[0]]), 0, "table-miss")
+        self.miss = TriggerDecision(horizons[star], float(metrics[star]), 0, "table-miss")
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         c = region_of(np.asarray(eta, dtype=float), self.regions)

@@ -17,7 +17,7 @@ from asynctrig.certificates import (
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import action_codes, horizon_to_text
+from asynctrig.horizons import action_codes, avg_idle_metric, horizon_to_text
 from asynctrig.matrix_core import (
     PSD_TOL,
     solve_discrete_lyapunov,
@@ -528,18 +528,18 @@ def unfiltered_region_multipliers(forms, Q_c) -> np.ndarray:
 
 def unpruned_table(cert, horizons, phis, m: int, regions):
     """(psi, metric) of `TablePolicy`, built one region at a time by
-    `unfiltered_region_multipliers`, sigma* alone where nothing qualifies."""
+    `unfiltered_region_multipliers`, sigma* alone where nothing qualifies;
+    sigma* is looked up in the horizons and each metric is `avg_idle_metric`'s."""
     horizons = [tuple(s) for s in horizons]
-    fallback = np.array([triggers._fallback_index(cert, horizons)])
-    codes = action_codes(horizons)
-    metrics = triggers._metrics(codes, m)
-    forms = region_forms(cert, codes, phis)
+    fallback = [horizons.index(tuple(cert.sigma_star))]
+    metrics = [avg_idle_metric(s, m) for s in horizons]
+    forms = region_forms(cert, action_codes(horizons), phis)
     psi, values = [], []
     for reg in regions:
-        feas = forms.index[~np.isnan(unfiltered_region_multipliers(forms, reg.Q))]
-        best, ties = triggers._best_ties(metrics, feas if feas.size else fallback)
-        psi.append(tuple(horizons[i] for i in ties))
-        values.append(float(best))
+        feas = forms.index[~np.isnan(unfiltered_region_multipliers(forms, reg.Q))].tolist() or fallback
+        best = max(metrics[i] for i in feas)
+        psi.append(tuple(horizons[i] for i in feas if metrics[i] == best))
+        values.append(best)
     return tuple(psi), tuple(values)
 
 

@@ -495,9 +495,9 @@ def test_perturbed_certificates_store_each_number_once():
 
 def _loaded_preset_certificate(name):
     """A perturbed preset's certificate as certificate.json holds it, and its Phi*."""
-    _, horizons, _, phis, cert = certify(preset_config(name))
+    _, _, _, phis, star, cert = certify(preset_config(name))
     data = json.loads(json.dumps(certificate_to_dict(cert)))
-    return data, phis[horizons.index(cert.sigma_star)]
+    return data, phis[star]
 
 
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
@@ -533,8 +533,8 @@ def _resynthesize(cert, Phi_star):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_every_synthesis_is_accepted_by_reverify(name, monkeypatch):
     # one acceptance check for all kinds: a certificate reverify rejects is never returned
-    _, horizons, _, phis, cert = certify(preset_config(name))
-    Phi_star = phis[horizons.index(cert.sigma_star)]
+    _, _, _, phis, star, cert = certify(preset_config(name))
+    Phi_star = phis[star]
     assert reverify_certificate(_resynthesize(cert, Phi_star), Phi_star)
     checked = []
     monkeypatch.setattr(certificates, "reverify_certificate", lambda cert, Phi: checked.append(cert) or False)
@@ -589,8 +589,8 @@ def _as_fractions(value):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_conditions_keep_fraction_entries_exact(name):
-    _, horizons, _, phis, cert = certify(preset_config(name))
-    Phi_star = phis[horizons.index(cert.sigma_star)]
+    _, _, _, phis, star, cert = certify(preset_config(name))
+    Phi_star = phis[star]
     exact = dataclasses.replace(cert, **{f.name: _as_fractions(getattr(cert, f.name)) for f in dataclasses.fields(cert)})
     floats = conditions(cert, Phi_star)
     fractions = conditions(exact, _as_fractions(Phi_star))

@@ -85,7 +85,7 @@ def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, req
     capsys.readouterr()
     assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
     config, prep, _ = request.getfixturevalue("prepared_" + name.replace("-", "_"))
-    _, _, codes, phis, cert = certify(config)
+    _, _, codes, phis, _, cert = certify(config)
     forms = region_forms(cert, codes, phis)
     counts = [int(np.count_nonzero(~np.isnan(unfiltered_region_multipliers(forms, reg.Q)))) for reg in prep.regions]
     manifest = json.loads((runs[0] / "manifest.json").read_text())
@@ -150,6 +150,19 @@ def test_env_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert mflag["config_digest"] == config_digest({"preset": "online-unperturbed", "seed": 154, "total_steps": 100})
     monkeypatch.setenv("ASYNCTRIG_SEED", "not-a-number")
     assert main(["simulate", "--preset", "online-unperturbed", "--out-dir", str(tmp_path / "bad")]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["discretize", "synthesize", "partition"])
+def test_seedless_subcommands_neither_take_nor_read_a_seed(tmp_path, capsys, monkeypatch, cmd):
+    # nothing these write depends on the tie-break seed, so a malformed
+    # ASYNCTRIG_SEED cannot fail them, and they offer no --seed
+    monkeypatch.setenv("ASYNCTRIG_SEED", "abc")
+    argv = [cmd, "--preset", "offline-unperturbed", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_sweep_writes_one_trace_per_seed(tmp_path, capsys):

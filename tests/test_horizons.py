@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ def test_metric_is_exact_ieee_quotient():
     # metrics of equal rationals must compare equal bit for bit
     assert avg_idle_metric((0, 1), 2) == avg_idle_metric((1, 0), 2)
     assert avg_idle_metric((0, 1, 0, 2), 2) == avg_idle_metric((0, 2), 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_metric_is_the_unused_slot_fraction_plus_a_constant(m):
+    # (z + l)/(m l) = (m l - readings)/(m l) + (2 - m)/m: the two agree only at
+    # m = 2, yet order and tie every horizon alike, so no decision tells them apart
+    horizons = enumerate_horizons(m, 1, 4)
+    readings = np.array([sum(a != 0 for a in s) for s in horizons])
+    slots = m * np.array([len(s) for s in horizons])
+    unused = slots - readings
+    metrics = np.array([avg_idle_metric(s, m) for s in horizons])
+    for value, u, total in zip(metrics.tolist(), unused.tolist(), slots.tolist()):
+        assert value == float(Fraction(u, total) + Fraction(2 - m, m))
+    # unused_i/slots_i against unused_j/slots_j, exactly, by cross-multiplying
+    exact = np.sign(np.multiply.outer(unused, slots) - np.multiply.outer(slots, unused))
+    np.testing.assert_array_equal(np.sign(np.subtract.outer(metrics, metrics)), exact)
 
 
 def test_text_round_trip():

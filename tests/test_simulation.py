@@ -404,7 +404,7 @@ def test_prepare_builds_one_transition_table(monkeypatch):
         small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
         calls.clear(), coded.clear()
-        dp, horizons, codes, phis, cert = simulation.certify(cfg)
+        dp, horizons, codes, phis, _, cert = simulation.certify(cfg)
         assert coded == [horizons] and len(calls) == 1 and calls[0] is codes, name
         assert phis.shape == (len(horizons), 4, 4) and codes.shape[1] == len(horizons)
         calls.clear(), coded.clear()
@@ -436,10 +436,32 @@ def test_certify_chooses_the_full_scan_sigma_star(monkeypatch):
         small = {"l_max": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
         Phis.clear()
-        dp, horizons, _, phis, cert = simulation.certify(cfg)
+        dp, horizons, _, phis, index, cert = simulation.certify(cfg)
         star = full_scan_sigma_star(horizons, phis)
-        assert cert.sigma_star == star, name
+        assert cert.sigma_star == star == horizons[index], name
         assert len(Phis) == 1 and np.array_equal(Phis[0], horizon_transition(dp, star)), name
+
+
+def test_prepare_looks_sigma_star_up_once(monkeypatch):
+    # certify finds each preset's configured sigma* in the horizon list and
+    # hands its index on: no policy searches the list for it again
+    calls = []
+
+    class CountingList(list):
+        def index(self, *args):
+            calls.append(args)
+            return super().index(*args)
+
+    enumerate_horizons = simulation.enumerate_horizons
+    monkeypatch.setattr(simulation, "enumerate_horizons", lambda *args: CountingList(enumerate_horizons(*args)))
+    for name in PRESET_NAMES:
+        cfg = preset_config(name)
+        calls.clear()
+        prep = prepare(cfg)
+        assert calls == [(cfg.sigma_star,)], name
+        inner = getattr(prep.policy, "policy", prep.policy)
+        fallback = inner.miss.horizon if prep.table is not None else inner.horizons[inner.fallback_index]
+        assert fallback == cfg.sigma_star == prep.cert.sigma_star, name
 
 
 def test_prepare_builds_the_quadrature_table_once(monkeypatch):

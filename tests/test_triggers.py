@@ -61,7 +61,8 @@ def online_unperturbed():
     Phi_star = horizon_transition(dp, (1, 2))
     cert = synthesize_unperturbed(Phi_star, 0.0, (1, 2), 0.3)
     codes = action_codes(horizons)
-    return dp, horizons, cert, OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes)
+    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes, horizons.index((1, 2)))
+    return dp, horizons, cert, policy
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ def online_perturbed():
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=0.0, C_prime=0.0)
     codes = action_codes(horizons)
-    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes)
+    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes, horizons.index((2, 1, 2, 1)))
     return dp, horizons, cert, GatedPolicy(policy, cert.P)
 
 
@@ -138,14 +139,6 @@ def test_tie_break_deterministic_and_varied(online_unperturbed):
         assert again.horizon == first.horizon
     seen = {policy.select(eta, rng_seed=42, step_index=k).horizon for k in range(30)}
     assert len(seen) >= 2  # the counter key actually varies the draw
-
-
-def test_policy_rejects_missing_fallback(online_unperturbed):
-    dp, horizons, cert, _ = online_unperturbed
-    short = [s for s in horizons if s != (1, 2)]
-    codes = action_codes(short)
-    with pytest.raises(ConfigError):
-        OnlinePolicy(cert, short, transition_table(dp, codes), dp.m, codes)
 
 
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
@@ -262,7 +255,7 @@ def test_stacked_builds_peak_below_twice_their_result(perturbed):
         table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes)
+        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes, horizons.index(star))
         policy_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -405,7 +398,7 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
 
 def _pair_verdicts(certified, regions):
     """Every (region, horizon) verdict of the one-pair region tests."""
-    _, horizons, _, phis, cert = certified
+    _, horizons, _, phis, _, cert = certified
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     for j, s in enumerate(horizons):
         bbar = decay_factor(cert.beta, len(s), cert.T)
@@ -422,7 +415,7 @@ def _pair_verdicts(certified, regions):
 
 def _batched_verdicts(certified, regions):
     """Every (region, horizon) verdict of one `region_multipliers` call on the stacked region forms."""
-    _, horizons, codes, phis, cert = certified
+    _, horizons, codes, phis, _, cert = certified
     forms = region_forms(cert, codes, phis)
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     verdicts[:, forms.index] = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
@@ -437,7 +430,7 @@ CUT_PRESETS = {
 
 
 def _certified(case, request):
-    """`certify`'s (dp, horizons, codes, phis, cert) of a fixture's or a cut preset's config, and its regions."""
+    """`certify`'s (dp, horizons, codes, phis, star, cert) of a fixture's or a cut preset's config, and its regions."""
     if case in CUT_PRESETS:
         name, changes = CUT_PRESETS[case]
         config = dataclasses.replace(preset_config(name), **changes)
@@ -508,8 +501,8 @@ TABLE_CASES = ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CU
 def test_pruned_table_equals_the_unpruned_table(case, request):
     # the table builder rejects pairs on the cone's axis before any pencil;
     # the oracle sends every pair of every region through the pencil
-    for (dp, horizons, codes, phis, cert), regions in _table_cases(case, request):
-        table = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
+    for (dp, horizons, codes, phis, star, cert), regions in _table_cases(case, request):
+        table = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
         psi, metric = unpruned_table(cert, horizons, phis, dp.m, regions)
         assert table.psi == psi
         assert table.metric == metric
@@ -521,7 +514,7 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
     # one call on the (R, d, d) stack returns (R, K), each row bit for bit the
     # row of a call on that region's form alone and of the unfiltered pencil
     # pass, NaN at the same pairs
-    for (_, _, codes, phis, cert), regions in _table_cases(case, request):
+    for (_, _, codes, phis, _, cert), regions in _table_cases(case, request):
         forms = region_forms(cert, codes, phis)
         stacked = region_multipliers(forms, np.array([reg.Q for reg in regions]))
         single = np.array([region_multipliers(forms, reg.Q) for reg in regions])
@@ -533,12 +526,12 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
 def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed):
     # one narrow cone around e1 leaves e2 uncovered: a miss must take the
     # globally certified fallback, not the entries of the nearest region
-    dp, horizons, codes, phis, cert = certify(prepared_offline_unperturbed[0])
+    dp, horizons, codes, phis, star, cert = certify(prepared_offline_unperturbed[0])
     theta = 0.1
     e1 = np.eye(4)[0]
     Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(4)
     regions = [ConicRegion(index=0, direction=e1, half_angle=theta, Q=Q)]
-    policy = TablePolicy(cert, horizons, phis, dp.m, regions, codes)
+    policy = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
     sigma_star = tuple(cert.sigma_star)
     assert len(policy.psi) == len(policy.metric) == 1 and sigma_star not in policy.psi[0]
     hole = 3.0 * np.eye(4)[1]

@@ -5,7 +5,7 @@ Q_c = v v' - cos^2(theta) I around a unit direction v.  The form is even, so
 each cone covers +/-x at once.  The half-angle is grown until it reaches the
 exact covering radius of the directions +/-v, then widened by a 5% margin,
 so the N overlapping cones cover the whole space and membership is a single
-quadratic form.
+quadratic form, read as computed: x is in the cone iff x'Q_c x >= 0.
 
 A horizon is certified on a region by a multiplier eps > 0 with
 lambda_max(S + eps Q_c) <= PSD_TOL for its certificate form S.  `RegionForms`
@@ -24,8 +24,6 @@ from scipy.linalg import eigvals
 from scipy.special import ndtri
 
 from .matrix_core import PSD_TOL, sprocedure_multipliers
-
-MEMBERSHIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ def make_partition(dim: int, N: int):
     deterministic low-discrepancy directions and grow the half-angle in 10%
     steps until it reaches their exact covering radius.  Either half-angle
     then gets a 5% margin, capped at pi/2, where a cone degenerates to the
-    whole space.
+    whole space: there cos^2 is taken as exactly 0, so Q = v v' is positive
+    semidefinite and holds every state, those orthogonal to v too.
     """
     if N < 1 or dim < 2:
         raise ValueError(f"need N >= 1 and dim >= 2, got N={N}, dim={dim}")
@@ -118,7 +117,7 @@ def make_partition(dim: int, N: int):
         while theta < radius:  # radius <= pi/2, so this ends
             theta *= 1.1
     theta = min(theta * 1.05, math.pi / 2)  # coverage margin
-    cos2 = math.cos(theta) ** 2
+    cos2 = math.cos(theta) ** 2 if theta < math.pi / 2 else 0.0  # cos(pi/2) is 6.1e-17 in floats
     return [
         ConicRegion(index=c, direction=v, half_angle=theta, Q=np.outer(v, v) - cos2 * np.eye(dim))
         for c, v in enumerate(vs)
@@ -126,17 +125,14 @@ def make_partition(dim: int, N: int):
 
 
 def region_of(x, regions):
-    """Lowest-index region whose quadratic form is nonnegative at x, or None.
+    """Lowest-index region whose quadratic form is >= 0 at x as computed, or None.
 
     None is a miss, which a covering partition leaves only to roundoff at a
-    cone boundary; no region's entries are certified there.  The tolerance
-    is relative to |x|^2, as the cones are: an absolute one would put every
-    small enough state in region 0, whatever its direction.
+    cone boundary; no region's entries are certified there.
     """
     x = np.asarray(x, dtype=float)
-    tol = -MEMBERSHIP_TOL * x.dot(x)
     for reg in regions:
-        if x.dot(reg.Q).dot(x) >= tol:  # same value as x @ Q @ x at half its call cost
+        if x.dot(reg.Q).dot(x) >= 0.0:  # same value as x @ Q @ x at half its call cost
             return reg.index
     return None
 

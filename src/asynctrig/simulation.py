@@ -284,7 +284,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         metrics["mu"] = cert.mu
         metrics["guub_entered_boundary"] = entered
         metrics["max_V_after_entry"] = max_after
-        metrics["guub_contained"] = bool(entered is not None and max_after <= cert.mu + 1e-6)
+        metrics["guub_contained"] = bool(entered is not None and max_after <= cert.mu)
 
     trace = SimTrace(
         times=times[:steps],

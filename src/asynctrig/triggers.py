@@ -11,6 +11,9 @@ variants put the E(P,1) gate in front of either:
   perturbed      GatedPolicy(Online...)   GatedPolicy(Table...)
 
 Every policy answers select(eta, rng_seed, step_index) -> TriggerDecision.
+Each admission reads its inequality as computed, with no tolerance of its
+own: a form is admissible where its value is >= 0, a state is in a region
+where its cone's form is >= 0, and the gate idles where eta' P eta <= 1.
 Metric ties are broken uniformly at random with a counter-based generator
 keyed by (seed, step index), so decisions are reproducible and independent
 of execution order.
@@ -22,14 +25,11 @@ import numpy as np
 
 from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
 from .horizons import avg_idle_metric, horizon_to_text
-from .matrix_core import decay_form, spectral_norm, symmetrize
+from .matrix_core import decay_form, symmetrize
 from .partition import region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
-# admissibility slack, scaled by the state magnitude so triggering behaves
-# uniformly near and far from the origin
-FEAS_TOL = 1e-12
 # horizons per slice of OnlinePolicy's form build; also the least width of
 # select's first block, so retuning the build moves select's early exit
 FORM_CHUNK = 64
@@ -58,29 +58,24 @@ def _metrics(codes, m: int) -> np.ndarray:
     return ((codes == 0).sum(axis=0) + lengths) / (m * lengths)
 
 
-def _best_ties(metrics: np.ndarray, feas: np.ndarray):
-    """Best metric over the horizon indices feas, and the indices attaining it."""
-    best = metrics[feas].max()
-    return best, feas[metrics[feas] == best]
-
-
 class OnlinePolicy:
-    """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= -slack.
+    """Online trigger: horizon s is admissible at eta iff eta' F_s eta + c_s >= 0,
+    as computed.
 
     F_s is a negated `decay_form`.  Unperturbed, F_s = rho_s P - Phi_s' P
-    Phi_s with a zero corner c_s, and the slack is FEAS_TOL |eta|^2 ||P||.
-    Perturbed, F_s = (rho_s - gamma) P - Phi_s'(P + M) Phi_s, the corner is
-    c_s = gamma - chi(|s|)^2 lambda_bar (`young_gain`), and the slack is
-    FEAS_TOL max(1, |eta|^2).  The horizons are stored in metric order,
-    best first, each metric level in horizon order, so the first admissible
-    position holds the best metric and its level's admissible positions are
-    the ties, in the order a full scan lists them.  `select` scores at most
-    two blocks, each one product of the flattened forms with vec(eta eta'):
-    the best levels up to the first level end at or past FORM_CHUNK forms,
-    then the rest.  When nothing is admissible, sigma* is taken and the
-    decision's reason is forced-fallback.  horizons is a list of tuples, as
-    `enumerate_horizons` gives, codes its `action_codes` array, and star
-    sigma*'s index in both, as `certify` returns it.
+    Phi_s with a zero corner c_s.  Perturbed, F_s = (rho_s - gamma) P -
+    Phi_s'(P + M) Phi_s and the corner is c_s = gamma - chi(|s|)^2
+    lambda_bar (`young_gain`).  A certified decision's margin is the value
+    the test admitted, so it is >= 0.  The horizons are stored in metric
+    order, best first, each metric level in horizon order, so the first
+    admissible position holds the best metric and its level's admissible
+    positions are the ties, in the order a full scan lists them.  `select`
+    scores at most two blocks, each one product of the flattened forms with
+    vec(eta eta'): the best levels up to the first level end at or past
+    FORM_CHUNK forms, then the rest.  When nothing is admissible, sigma* is
+    taken and the decision's reason is forced-fallback.  horizons is a list
+    of tuples, as `enumerate_horizons` gives, codes its `action_codes` array,
+    and star sigma*'s index in both, as `certify` returns it.
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -112,11 +107,9 @@ class OnlinePolicy:
         rhos = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
         if isinstance(cert, UnperturbedCertificate):
             A, w, self.corners = P, rhos, np.zeros(H)
-            self.slack_floor, self.slack_scale = 0.0, spectral_norm(cert.P)
         else:
             A, w = P + symmetrize(cert.M), rhos - cert.gamma
             self.corners = cert.gamma - per_length(lambda l: cert.chi[l] ** 2, lengths) * young_gain(P, cert.M)
-            self.slack_floor, self.slack_scale = 1.0, 1.0
         self.forms = np.empty((H, nn, nn))
         for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
             sl = slice(lo, lo + FORM_CHUNK)
@@ -126,10 +119,9 @@ class OnlinePolicy:
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)
         outer = np.multiply.outer(eta, eta).ravel()
-        slack = FEAS_TOL * max(self.slack_floor, float(eta @ eta)) * self.slack_scale
         for lo, hi in self.blocks:
             values = self.flat[lo:hi] @ outer + self.corners[lo:hi]
-            feas = np.flatnonzero(values >= -slack)
+            feas = np.flatnonzero(values >= 0.0)
             if feas.size:
                 ties = lo + feas[: np.searchsorted(feas, self.level_end[lo + feas[0]] - lo)]
                 i = _tie_break(ties, rng_seed, step_index)
@@ -169,8 +161,9 @@ class TablePolicy:
         certified = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
         psi, values = [], []
         for row in certified:
-            best, ties = _best_ties(metrics, forms.index[row] if row.any() else fallback)
-            psi.append(tuple(horizons[i] for i in ties))
+            feas = forms.index[row] if row.any() else fallback
+            best = metrics[feas].max()
+            psi.append(tuple(horizons[i] for i in feas[metrics[feas] == best]))
             values.append(float(best))
         self.psi, self.metric = tuple(psi), tuple(values)
         self.certified = tuple(certified.sum(axis=1).tolist())

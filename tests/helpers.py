@@ -614,20 +614,32 @@ def regioned_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_li
 def full_scan_select(policy, eta, rng_seed: int, step_index: int = 0):
     """(horizon, metric, tie horizons) of an `OnlinePolicy` scoring every stored form.
 
-    Two chained products over the whole stack, then the best metric over
-    the admissible positions and the positions attaining it; an empty
-    admissible set falls back to sigma*.
+    Two chained products over the whole stack, the positions whose value is
+    >= 0, then the best metric over them by a plain max and the positions
+    attaining it; an empty admissible set falls back to sigma*.
     """
     eta = np.asarray(eta, dtype=float)
     H, d, _ = policy.forms.shape
     values = (policy.forms.reshape(H * d, d) @ eta).reshape(H, d) @ eta + policy.corners
-    slack = triggers.FEAS_TOL * max(policy.slack_floor, float(eta @ eta)) * policy.slack_scale
-    feas = np.flatnonzero(values >= -slack)
-    if feas.size == 0:
-        feas = np.array([policy.fallback_index])
-    best, ties = triggers._best_ties(policy.metrics, feas)
+    feas = [i for i in range(H) if values[i] >= 0.0] or [policy.fallback_index]
+    best = max(policy.metrics[i] for i in feas)
+    ties = [i for i in feas if policy.metrics[i] == best]
     chosen = policy.horizons[triggers._tie_break(ties, rng_seed, step_index)]
     return chosen, float(best), tuple(policy.horizons[i] for i in ties)
+
+
+def bisect_states(a, b, holds):
+    """A state on the segment from a, where holds(a) is true, to b, where
+    holds(b) is false, at which holds is false and which is within rounding
+    of the crossing: 200 halvings outlast any float interval."""
+    assert holds(a) and not holds(b)
+    for _ in range(200):
+        mid = (a + b) / 2
+        if holds(mid):
+            a = mid
+        else:
+            b = mid
+    return b
 
 
 def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):

@@ -220,7 +220,7 @@ def _decay_suite(runs_online=1000, runs_offline=20):
         tr = simulate(cfg, prep)
         cert = prep.cert
         lo, hi = sym_eig_bounds(cert.P)
-        slack = 1e-12 * hi / lo  # admissibility slack mapped into V units
+        slack = 1e-12 * hi / lo  # rounding allowance mapped into V units
         for i, dec in enumerate(tr.decisions):
             bbar = decay_factor(cert.beta, len(dec.horizon), cfg.T)
             v0, v1 = tr.boundary_V[i], tr.boundary_V[i + 1]

@@ -203,9 +203,16 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
 
 
 def _tol_knobs(tree: ast.AST) -> list:
-    """The functions with a parameter, and the classes (as Class.tol) with an
+    """The module-level names ending in _TOL other than PSD_TOL, then the
+    functions with a parameter, and the classes (as Class.tol) with an
     annotated field, named `tol` in tree."""
-    found = []
+    found = [
+        t.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in ast.walk(node)
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store) and t.id.endswith("_TOL") and t.id != "PSD_TOL"
+    ]
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
@@ -217,14 +224,17 @@ def _tol_knobs(tree: ast.AST) -> list:
 
 
 def test_no_check_takes_a_tolerance_of_its_own():
-    # every PSD and region test reads PSD_TOL: a tolerance option is a second
-    # authority on what a certificate claims
+    # every PSD and region test reads PSD_TOL, and every runtime admission
+    # reads its inequality as computed: a tolerance option or constant is a
+    # second authority on what a certificate claims
     src = Path(__file__).resolve().parent.parent / "src" / "asynctrig"
     found = {path.name: _tol_knobs(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
     assert {name: knobs for name, knobs in found.items() if knobs} == {}
-    # the scan sees parameters of every kind and annotated fields, and passes locals
+    # the scan sees module-level *_TOL names, parameters of every kind and
+    # annotated fields, and passes PSD_TOL, selection windows and locals
     planted = (
+        "PSD_TOL = 1e-9\nSIGMA_STAR_RTOL = 1e-6\nSLACK_TOL = 1e-12\nLO_TOL, HI = 0.0, PSD_TOL\n"
         "def f(S, tol=1e-9): ...\ndef g(*, tol): ...\nclass F:\n    tol: float\n    S: object\n"
-        "def h(S):\n    tol = 1\n    return lambda tol: tol\n"
+        "def h(S):\n    tol = 1\n    X_TOL = 2\n    return lambda tol: tol\n"
     )
-    assert _tol_knobs(ast.parse(planted)) == ["f", "g", "F.tol", "<lambda>"]
+    assert _tol_knobs(ast.parse(planted)) == ["SLACK_TOL", "LO_TOL", "f", "g", "F.tol", "<lambda>"]

@@ -15,7 +15,7 @@ from asynctrig.partition import (
     region_multipliers,
     region_of,
 )
-from helpers import pair_multiplier, unfiltered_region_multipliers
+from helpers import bisect_states, pair_multiplier, unfiltered_region_multipliers
 
 
 def test_dim2_equiangular_sectors():
@@ -135,6 +135,28 @@ def test_degenerate_cap_covers_everything():
     for _ in range(100):
         x = rng.normal(size=4)
         assert region_of(x, regions) == 0
+    # states exactly orthogonal to the capped direction, where x'Qx is 0
+    assert region_of(np.array([0.0, 1.0]), make_partition(2, 1)) == 0
+    v = regions[0].direction
+    x = np.eye(4)[np.argmin(np.abs(v))]  # the first Halton coordinate maps to a zero entry of v
+    assert v @ x == 0.0
+    assert region_of(x, regions) == 0
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_a_state_just_outside_a_cone_is_looked_up_in_a_cone_holding_it(prepared_offline_unperturbed, axis):
+    # bisect from cone 0's direction toward one orthogonal to it until
+    # x'Q_0 x, as region_of computes it, is just below 0 (about -1e-17 |x|^2):
+    # a tolerance relative to |x|^2 would put x in region 0, whose horizons
+    # are certified on the cone only
+    regions = prepared_offline_unperturbed[1].regions
+    v = regions[0].direction
+    form = regions[0].Q
+    x = bisect_states(v, np.eye(len(v))[axis] - v[axis] * v, lambda x: x.dot(form).dot(x) >= 0)
+    assert -1e-15 < x.dot(form).dot(x) / x.dot(x) < 0
+    c = region_of(x, regions)
+    assert c is not None and c != 0
+    assert x.dot(regions[c].Q).dot(x) >= 0
 
 
 def test_Q_eigenstructure():

@@ -42,6 +42,7 @@ from asynctrig.triggers import (
 from helpers import (
     U_sigma_builder,
     benchmark_plant,
+    bisect_states,
     full_scan_select,
     horizon_transition,
     max_eps_feasible,
@@ -82,11 +83,10 @@ def online_perturbed():
 
 def _brute_force_feasible(eta, dp, horizons, cert):
     P = cert.P
-    slack = 1e-12 * float(eta @ eta) * spectral_norm(P)
     out = []
     for s in horizons:
         Phi = horizon_transition(dp, s)
-        if eta @ (Phi.T @ P @ Phi - decay_factor(cert.beta, len(s), cert.T) * P) @ eta <= slack:
+        if eta @ (Phi.T @ P @ Phi - decay_factor(cert.beta, len(s), cert.T) * P) @ eta <= 0.0:
             out.append(s)
     return out
 
@@ -212,6 +212,44 @@ def test_select_matches_the_full_scan_oracle(online_policies, name):
     assert "certified" in reasons
 
 
+def _select_values(online, eta):
+    """Every stored form's value at eta, by the block products `select` makes."""
+    outer = np.multiply.outer(eta, eta).ravel()
+    return np.concatenate([online.flat[lo:hi] @ outer + online.corners[lo:hi] for lo, hi in online.blocks])
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
+def test_no_form_is_admitted_below_zero(online_policies, name):
+    # bisect to a state where the best form's value, as select computes it,
+    # is about -1e-13 |eta|^2: a slack relative to |eta|^2 would admit that
+    # form there, with a negative margin
+    policy, P = online_policies[name]
+    online = getattr(policy, "policy", policy)
+    F, corner = online.forms[0], online.corners[0]
+    if corner == 0.0:  # unperturbed: F is indefinite; cross from its top to its bottom eigenvector
+        V = np.linalg.eigh(F)[1]
+        a, b = V[:, -1], V[:, 0]
+    else:  # perturbed: F's zero set on a ray, where the ray is outside E(P,1)
+        rng = np.random.default_rng(0)
+        while True:
+            d = rng.normal(size=len(F))
+            if d @ F @ d < 0 and corner * (d @ P @ d) > -2.0 * (d @ F @ d):
+                break
+        t = math.sqrt(corner / -(d @ F @ d))
+        a, b = 0.9 * t * d, 1.1 * t * d
+
+    eta = bisect_states(a, b, lambda eta: _select_values(online, eta)[0] >= -1e-13 * (eta @ eta))
+    values = _select_values(online, eta)
+    assert -1e-11 * (eta @ eta) < values[0] < 0
+    assert corner == 0.0 or eta @ P @ eta > 1.0
+    dec, ties = select_with_ties(policy, eta, 0, 0)
+    if dec.reason == "certified":
+        assert dec.margin >= 0
+        assert all(values[online.horizons.index(s)] >= 0 for s in ties)
+    else:
+        assert dec.reason == "forced-fallback" and (values < 0).all()
+
+
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
 def test_online_policy_stores_horizons_in_metric_order(online_policies, name):
     online = getattr(online_policies[name][0], "policy", online_policies[name][0])
@@ -289,8 +327,7 @@ def test_online_perturbed_outside_matches_quadratic_test(online_perturbed):
         eta *= rng.uniform(1.5, 10.0) / math.sqrt(eta @ cert.P @ eta)
         assert eta @ cert.P @ eta > 1.0
         v = np.concatenate([eta, [1.0]])
-        slack = -1e-12 * max(1.0, float(eta @ eta))
-        feas = [s for s in horizons if v @ U_all[s] @ v >= slack]
+        feas = [s for s in horizons if v @ U_all[s] @ v >= 0.0]
         if not feas:
             feas = [(2, 1, 2, 1)]
         dec, ties = select_with_ties(policy, eta, rng_seed=1, step_index=k)

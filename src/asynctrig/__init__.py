@@ -60,6 +60,7 @@ from .simulation import (
     Prepared,
     SimConfig,
     SimTrace,
+    TraceColumns,
     certify,
     prepare,
     read_trace_csv,

@@ -17,10 +17,12 @@ scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
 result must then pass `reverify_certificate`, the one feasibility
 authority, which checks the matrices `conditions` states.  The region forms
 of the two offline kinds are stated here too (`decay_forms`,
-`perturbed_forms`, and `region_forms`, which picks one), and each of these
-tests reads `PSD_TOL`; none takes a tolerance of its own.  The region tests
-are exact: one quadratic constraint makes the S-procedure lossless, and the
-perturbed one reduces exactly to the same 2n x 2n form as the unperturbed.
+`perturbed_forms`, and `region_forms`, which picks one).  Every verdict
+reads its inequality as computed, with no tolerance: a least eigenvalue
+above 0 (above the margin `PSD_MARGIN` for the unperturbed decay), or a
+region entry's lambda_max <= 0.  The region tests are exact: one quadratic
+constraint makes the S-procedure lossless, and the perturbed one reduces
+exactly to the same 2n x 2n form as the unperturbed.
 """
 
 import math
@@ -31,7 +33,7 @@ from scipy.linalg import eigvals
 
 from .errors import InfeasibleError
 from .matrix_core import (
-    PSD_TOL,
+    PSD_MARGIN,
     decay_form,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -151,13 +153,6 @@ def synthesize_unperturbed(Phi_star, beta: float, sigma_star: tuple, T: float) -
     return _accepted(UnperturbedCertificate(P=P, beta=beta, T=T, sigma_star=sigma_star), Phi_star)
 
 
-def _scaled_tol(P) -> float:
-    """PSD_TOL * min(1, lambda_max(P)): the inequalities are homogeneous in the
-    certificate, so an absolute tolerance would accept any non-certificate
-    scaled down far enough."""
-    return PSD_TOL * min(1.0, max(0.0, sym_eig_bounds(P)[1]))
-
-
 def synthesize_perturbed_online(
     Phi_star,
     beta: float,
@@ -230,10 +225,10 @@ def build_U_c(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linea
     u21 = -P Phi and u22 = (gamma2/chi) I - P, with chi the linear
     aggregate chi(|sigma|).  It is affine in P, and P is taken as given.
     The paper's matrix also has the decoupled corner u33 = gamma1 - gamma2,
-    which depends on neither P nor the horizon nor the region: `conditions`
-    states it as an entry of its own.  The region term enters only through
-    `perturbed_forms`.  Stacked horizons (..., 2n, 2n), with bbar and
-    chi_linear of shape (...), give a stack.
+    which depends on neither P nor the horizon nor the region:
+    `reverify_certificate` decides it on its own.  The region term enters
+    only through `perturbed_forms`.  Stacked horizons (..., 2n, 2n), with
+    bbar and chi_linear of shape (...), give a stack.
     """
     off = -P @ Phi_sigma
     u22 = gamma2 / np.asarray(chi_linear)[..., None, None] * np.eye(P.shape[0], dtype=int) - P
@@ -256,21 +251,21 @@ def synthesize_perturbed_offline(
     """P for the perturbed-offline mechanism: Lyapunov ansatz, exact scale.
 
     The paper's corner u33 = gamma1 - gamma2 depends on neither P nor the
-    horizon, so gamma2 > gamma1 + PSD_TOL is a ValueError, checked once.
-    P1 solves the weighted Lyapunov equation at the midpoint rate between
-    sr(Phi*)^2 and bbar - gamma1.  The unregioned matrix at chi[|sigma*|]
-    is affine in the scale, U(s P1) = B0 + s B1, so lambda_min(U) >=
-    -PSD_TOL holds on an interval of s.  It holds at s = 0, where only u22
-    = (gamma2/chi) I is nonzero, so the interval is [0, s_max], and s_max
-    is the least positive finite eigenvalue of the pencil (B0 + PSD_TOL I,
-    -B1).  The scale taken is the largest point of a log grid over [1e-6,
-    1e6] not above s_max, which keeps P on a fixed set of scales.
-    `reverify_certificate` of the result, at its scaled tolerance, is the
-    authority.
+    horizon, so gamma2 > gamma1 is a ValueError, checked once.  P1 solves
+    the weighted Lyapunov equation at the midpoint rate between sr(Phi*)^2
+    and bbar - gamma1.  The unregioned matrix at chi[|sigma*|] is affine in
+    the scale, U(s P1) = B0 + s B1, so lambda_min(U) >= -PSD_MARGIN holds on
+    an interval of s.  It holds at s = 0, where only u22 = (gamma2/chi) I is
+    nonzero, so the interval is [0, s_max], and s_max is the least positive
+    finite eigenvalue of the pencil (B0 + PSD_MARGIN I, -B1); the margin
+    only starts the search, as U(0) is singular.  The scale taken is the
+    largest point of a log grid over [1e-6, 1e6] not above s_max, which
+    keeps P on a fixed set of scales, and `reverify_certificate`'s strict
+    lambda_min(U) > 0 is the authority.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
-    if gamma2 > gamma1 + PSD_TOL:
+    if gamma2 > gamma1:
         raise ValueError(f"gamma2 must not exceed gamma1, got gamma1={gamma1}, gamma2={gamma2}")
     sigma_star = tuple(sigma_star)
     chi_linear = chi[len(sigma_star)]
@@ -286,7 +281,7 @@ def synthesize_perturbed_offline(
     P1 = solve_discrete_lyapunov(Phi_star, min(rho, 1.0), np.eye(nn))
     B0 = build_U_c(np.zeros((nn, nn)), gamma1, gamma2, Phi_star, bbar, chi_linear)
     B1 = build_U_c(P1, gamma1, gamma2, Phi_star, bbar, chi_linear) - B0
-    ends = eigvals(B0 + PSD_TOL * np.eye(B0.shape[0]), -B1)
+    ends = eigvals(B0 + PSD_MARGIN * np.eye(B0.shape[0]), -B1)
     ends = ends.real[np.isfinite(ends) & (ends.real > 0)]
     s_max = ends.min() if ends.size else math.inf
     scales = np.logspace(6, -6, 121)
@@ -319,24 +314,24 @@ def decay_forms(P, phis, bbars) -> RegionForms:
 def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> RegionForms:
     """The perturbed-offline region test, reduced exactly to 2n x 2n forms.
 
-    A region certifies a horizon when U_c + PSD_TOL I + eps blockdiag(Q_c, 0)
-    is PSD for some eps > 0, with U_c from `build_U_c`, and the paper's
-    corner gamma1 - gamma2 + PSD_TOL >= 0; the returned sign -1 (on full =
-    -U_c) is the one place that states the region term's sign.  With u..
-    the blocks of U_c + PSD_TOL I, that holds iff the corner holds, u22 > 0
-    (its singular boundary is dropped) and the Schur complement C = u11 -
-    u21' u22^{-1} u21 satisfies C + eps Q_c >= 0.  The first two do not
-    depend on the region, so they prune horizons once; the third is
-    lambda_max(PSD_TOL I - C - eps Q_c) <= PSD_TOL, the form S = PSD_TOL I - C.
+    A region certifies a horizon when U_c + eps blockdiag(Q_c, 0) is PSD
+    for some eps > 0, with U_c from `build_U_c`, and the paper's corner
+    gamma1 - gamma2 >= 0; the returned sign -1 (on full = -U_c) is the one
+    place that states the region term's sign.  With u.. the blocks of U_c,
+    that holds iff the corner holds, u22 > 0 (its singular boundary is
+    dropped) and the Schur complement C = u11 - u21' u22^{-1} u21 satisfies
+    C + eps Q_c >= 0.  The first two do not depend on the region, so they
+    prune horizons once; the third is lambda_max(-C - eps Q_c) <= 0, the
+    form S = -C.
     """
     nn = np.asarray(P).shape[0]
     U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
-    u22 = U0[:, nn:, nn:] + PSD_TOL * np.eye(nn)
-    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 - gamma2 + PSD_TOL >= 0)
+    u22 = U0[:, nn:, nn:]
+    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 >= gamma2)
     index = np.flatnonzero(keep)
     u11, u21 = U0[index, :nn, :nn], U0[index, nn:, :nn]
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
-    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # PSD_TOL I - C: the two PSD_TOL I cancel
+    S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # -C
     return RegionForms(index, S, -U0[index], -1.0)
 
 
@@ -406,41 +401,41 @@ def _accepted(cert, Phi_star):
 
 
 def conditions(cert, Phi_star) -> dict:
-    """name -> (matrix, floor): cert holds iff each matrix's least eigenvalue
-    is above its floor.  bbar is the decay over |sigma*|, chi = chi(|sigma*|)
-    from the certificate's map, and tol = `_scaled_tol(P)` = PSD_TOL
-    min(1, lambda_max(P)).
+    """name -> (matrix, floor): cert's matrix inequalities hold iff each
+    matrix's least eigenvalue, as computed, is above its floor.  bbar is the
+    decay over |sigma*| and chi = chi(|sigma*|) from the certificate's map.
     - every kind: P, floor 0 (the inequalities alone accept P = 0);
-    - unperturbed: decay = bbar P - sym(Phi*'P Phi*), floor PSD_TOL;
-    - perturbed online: M, floor 0, and L1 = (gamma - bbar) P -
-      sym(Phi*'(P+M)Phi*) and L2 = [[M, P], [P, (gamma/chi^2) I - P]],
-      floor -tol;
-    - perturbed offline: U_c = `build_U_c` at Phi*, floor -tol, and the
-      1 x 1 corner gamma1 - gamma2, floor -PSD_TOL.
-    The matrices use only @, +, -, scalar *, /, swapaxes and np.block, and
-    bbar takes P's scalar type, so `fractions.Fraction` entries in cert and
-    Phi* stay `Fraction`.
+    - unperturbed: decay = bbar P - sym(Phi*'P Phi*), floor PSD_MARGIN, a
+      margin;
+    - perturbed online: M, L1 = (gamma - bbar) P - sym(Phi*'(P+M)Phi*) and
+      L2 = [[M, P], [P, (gamma/chi^2) I - P]], each floor 0;
+    - perturbed offline: U_c = `build_U_c` at Phi*, floor 0.
+    The offline kind's scalar corner gamma1 - gamma2 >= 0 is no matrix:
+    `reverify_certificate` decides it exactly.  The matrices use only @, +,
+    -, scalar *, /, swapaxes and np.block, and bbar takes P's scalar type,
+    so `fractions.Fraction` entries in cert and Phi* stay `Fraction`.
     """
     if not isinstance(cert, tuple(CERTIFICATE_KINDS.values())):
         raise TypeError(f"not a certificate: {type(cert)!r}")
     P = cert.P
     bbar = type(P.flat[0])(decay_factor(cert.beta, len(cert.sigma_star), cert.T))
     if isinstance(cert, UnperturbedCertificate):
-        return {"P": (P, 0.0), "decay": (-decay_form(Phi_star, P, bbar), PSD_TOL)}
+        return {"P": (P, 0.0), "decay": (-decay_form(Phi_star, P, bbar), PSD_MARGIN)}
     chi = cert.chi[len(cert.sigma_star)]
-    tol = _scaled_tol(P)
     if isinstance(cert, PerturbedOnlineCertificate):
         M, gamma = cert.M, cert.gamma
         L1 = -decay_form(Phi_star, P, gamma - bbar, P + M)
         L2 = np.block([[M, P], [P, gamma / chi**2 * np.eye(P.shape[0], dtype=int) - P]])
-        return {"P": (P, 0.0), "M": (M, 0.0), "L1": (L1, -tol), "L2": (L2, -tol)}
-    U_c = build_U_c(P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi)
-    return {"P": (P, 0.0), "U_c": (U_c, -tol), "corner": (np.array([[cert.gamma1 - cert.gamma2]]), -PSD_TOL)}
+        return {"P": (P, 0.0), "M": (M, 0.0), "L1": (L1, 0.0), "L2": (L2, 0.0)}
+    return {"P": (P, 0.0), "U_c": (build_U_c(P, cert.gamma1, cert.gamma2, Phi_star, bbar, chi), 0.0)}
 
 
 def reverify_certificate(cert, Phi_star) -> bool:
-    """Every `conditions` entry of cert holds, and a perturbed kind's stored mu
-    equals `ultimate_bound` of its P, C' and varpi."""
+    """Every `conditions` entry of cert holds, a perturbed kind's stored mu
+    equals `ultimate_bound` of its P, C' and varpi, and the offline kind's
+    corner gamma1 - gamma2 is >= 0."""
     if not all(sym_eig_bounds(S)[0] > floor for S, floor in conditions(cert, Phi_star).values()):
+        return False
+    if isinstance(cert, PerturbedOfflineCertificate) and not cert.gamma1 >= cert.gamma2:  # NaN fails too
         return False
     return isinstance(cert, UnperturbedCertificate) or cert.mu == ultimate_bound(cert.P, cert.C_prime, cert.varpi)

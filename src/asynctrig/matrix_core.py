@@ -3,7 +3,7 @@
 Zero-order-hold integrals, symmetric eigenvalue bounds, spectral
 norm/radius, a weighted discrete Lyapunov solver, the per-horizon decay
 form, and the batched decision step of the exact single-constraint
-S-procedure.
+S-procedure, which reads lambda_max <= 0 as computed.
 All functions are pure; inputs are never mutated.
 """
 
@@ -12,8 +12,9 @@ from scipy.linalg import expm
 
 from .errors import InfeasibleError
 
-# default numerical margins: PSD tests and the Lyapunov solver's stability check
-PSD_TOL = 1e-9
+# margins, never allowances: the unperturbed decay must clear PSD_MARGIN and the
+# offline perturbed scale search starts at it; the Lyapunov solver's stability check
+PSD_MARGIN = 1e-9
 SCHUR_MARGIN = 1.0 - 1e-9
 
 
@@ -128,17 +129,17 @@ def decay_form(Phi, P, w, A=None) -> np.ndarray:
 
 
 def sprocedure_multipliers(S, Q, ends) -> np.ndarray:
-    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= PSD_TOL, or NaN.
+    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= 0, or NaN.
 
     Q is a stack of one form per row, or a single form that every row shares.
     lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
     interval whose finite ends are real eigenvalues of the pencil
-    (S - PSD_TOL I, -Q); ends[h] holds that pencil's eigenvalues for row h.
+    (S, -Q); ends[h] holds that pencil's eigenvalues for row h.
     One eps below the first positive end, one between each consecutive pair and
     one past the last therefore decide exactly; the real parts of complex
     eigenvalues only add test points, and non-finite ones from a singular Q
-    are dropped.  One batched eigvalsh decides every candidate of the stack,
-    and the smallest feasible one is returned.
+    are dropped.  One batched eigvalsh decides every candidate of the stack
+    as computed, and the smallest feasible one is returned.
     """
     ends = np.real(ends)
     ends = np.where(np.isfinite(ends) & (ends > 0), ends, np.nan)
@@ -153,6 +154,6 @@ def sprocedure_multipliers(S, Q, ends) -> np.ndarray:
     )
     h, k = np.nonzero(~np.isnan(candidates))
     feasible = np.zeros(candidates.shape, dtype=bool)
-    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= PSD_TOL
+    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= 0.0
     first = candidates[rows, feasible.argmax(axis=1)]
     return np.where(feasible.any(axis=1), first, np.nan)

@@ -8,11 +8,11 @@ so the N overlapping cones cover the whole space and membership is a single
 quadratic form, read as computed: x is in the cone iff x'Q_c x >= 0.
 
 A horizon is certified on a region by a multiplier eps > 0 with
-lambda_max(S + eps Q_c) <= PSD_TOL for its certificate form S.  `RegionForms`
-stacks those forms over the horizons once (each certificate kind builds its
-own, in `certificates`), and `region_multipliers`, the package's one region
-test, decides every (region, horizon) pair of a partition in one call, after
-an exact rejection on each cone's axis.
+lambda_max(S + eps Q_c) <= 0 as computed, for its certificate form S.
+`RegionForms` stacks those forms over the horizons once (each certificate
+kind builds its own, in `certificates`), and `region_multipliers`, the
+package's one region test, decides every (region, horizon) pair of a
+partition in one call, after an exact rejection on each cone's axis.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigvals
 from scipy.special import ndtri
 
-from .matrix_core import PSD_TOL, sprocedure_multipliers
+from .matrix_core import sprocedure_multipliers
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,10 @@ class RegionForms(NamedTuple):
     """One certificate's region test, stacked over horizons.
 
     Horizon index[k] is certified on the region with form Q_c by eps > 0
-    iff lambda_max(S[k] + eps sign Q_c) <= PSD_TOL.  full[k] is the
-    unreduced matrix of the same test, with sign Q_c entering its leading
-    block, and is the authority.  Horizons missing from index fail on every
-    region.  `certificates.decay_forms` and `certificates.perturbed_forms`
-    build them.
+    iff lambda_max(S[k] + eps sign Q_c) <= 0.  full[k] is the unreduced
+    matrix of the same test, with sign Q_c entering its leading block, and
+    is the authority.  Horizons missing from index fail on every region.
+    `certificates.decay_forms` and `certificates.perturbed_forms` build them.
     """
 
     index: np.ndarray
@@ -161,19 +160,18 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     or a stack (R, d, d), giving (R, K).  An exact axis rejection comes
     first: for the unit top eigenvector v of sign Q_c (the axis for sign +1,
     orthogonal to it for -1), v' sign Q_c v >= 0 gives lambda_max(S + eps
-    sign Q_c) >= v'Sv at every eps > 0, so v'Sv > PSD_TOL rules the pair out.
+    sign Q_c) >= v'Sv at every eps > 0, so v'Sv > 0 rules the pair out.
     One product with vec(v v') decides every pair.  It rejects only past
     v'Sv's rounding, d eps_mach ||S||_F, and only where v' sign Q_c v is
     above its own, d eps_mach ||Q_c||_F: at the pi/2 cap the top eigenvalue
     of -Q_c is rounding alone.  The survivors, each with its region's form,
     get their pencil ends as the reciprocals of one batched eigvals of
-    M = -(S - PSD_TOL I)^{-1} sign Q_c, accurate at the cap, where Q_c^{-1}
-    would swamp the finite ends; an eigenvalue of M below d eps_mach ||M||_F
-    is zero, an end at infinity.  Where some S - PSD_TOL I is exactly
-    singular, that solve fails, and the survivors take their ends from each
-    pair's generalized pencil (S - PSD_TOL I, -sign Q_c) instead.  The
-    certified pairs are rechecked on their full matrices, sign Q_c in the
-    leading block, by one batched eigvalsh.
+    M = -S^{-1} sign Q_c, accurate at the cap, where Q_c^{-1} would swamp
+    the finite ends; an eigenvalue of M below d eps_mach ||M||_F is zero, an
+    end at infinity.  Where some S is exactly singular, that solve fails, and
+    the survivors take their ends from each pair's generalized pencil (S,
+    -sign Q_c) instead.  The certified pairs are rechecked on their full
+    matrices, sign Q_c in the leading block, by one batched eigvalsh.
     """
     Q = forms.sign * np.asarray(Q_c, dtype=float)
     Qs = Q.reshape((-1,) + Q.shape[-2:])
@@ -182,12 +180,12 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     v = np.linalg.eigh(Qs)[1][:, :, -1]
     axis = np.einsum("ri,rij,rj->r", v, Qs, v) > rounding * np.linalg.norm(Qs, axis=(1, 2))
     vSv = (v[:, :, None] * v[:, None, :]).reshape(R, d * d) @ forms.S.reshape(K, d * d).T
-    r, k = np.nonzero(~axis[:, None] | (vSv <= PSD_TOL + rounding * np.linalg.norm(forms.S, axis=(1, 2))))
+    r, k = np.nonzero(~axis[:, None] | (vSv <= rounding * np.linalg.norm(forms.S, axis=(1, 2))))
     S, Qp = forms.S[k], Qs[r]
     try:
-        M = -np.linalg.solve(S - PSD_TOL * np.eye(d), Qp)
-    except np.linalg.LinAlgError:  # some S - PSD_TOL I is singular: each pair's generalized pencil instead
-        ends = np.array([eigvals(s - PSD_TOL * np.eye(d), -q) for s, q in zip(S, Qp)])
+        M = -np.linalg.solve(S, Qp)
+    except np.linalg.LinAlgError:  # some S is singular: each pair's generalized pencil instead
+        ends = np.array([eigvals(s, -q) for s, q in zip(S, Qp)])
     else:
         mu = np.linalg.eigvals(M)
         zero = np.abs(mu) <= rounding * np.linalg.norm(M, axis=(1, 2))[:, None]
@@ -196,7 +194,7 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     c = np.flatnonzero(~np.isnan(eps))
     E = np.zeros((len(c),) + forms.full.shape[1:])
     E[:, :d, :d] = Qp[c]
-    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > PSD_TOL]] = np.nan
+    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > 0.0]] = np.nan
     out = np.full((R, K), np.nan)
     out[r, k] = eps
     return out.reshape(Q.shape[:-2] + (K,))

@@ -97,13 +97,19 @@ class SimConfig:
 
 
 @dataclass
-class SimTrace:
+class TraceColumns:
+    """The per-step columns of a trace CSV: what `read_trace_csv` finds on disk."""
+
     times: np.ndarray
     X: np.ndarray
     XHAT: np.ndarray
     U: np.ndarray
     actions: np.ndarray
     V: np.ndarray
+
+
+@dataclass
+class SimTrace(TraceColumns):
     boundaries: list
     boundary_V: list
     decisions: list
@@ -315,7 +321,7 @@ def utilization_metrics(actions: np.ndarray, m: int) -> dict:
 # trace and decision-log CSV (LF endings, full-precision floats)
 
 
-def write_trace_csv(trace: SimTrace, path: str):
+def write_trace_csv(trace: TraceColumns, path: str):
     n = trace.X.shape[1]
     m_u = trace.U.shape[1]
     header = ",".join(
@@ -348,8 +354,8 @@ def write_decision_csv(trace: SimTrace, path: str):
     write_text(path, "\n".join(lines) + "\n")
 
 
-def read_trace_csv(path: str) -> SimTrace:
-    """Parse a trace CSV back into arrays (plots and report reuse this)."""
+def read_trace_csv(path: str) -> TraceColumns:
+    """Parse a trace CSV back into its columns (plots and report reuse this)."""
     with open(path, newline="") as fh:
         rdr = csv.reader(fh)
         header = next(rdr)
@@ -360,16 +366,11 @@ def read_trace_csv(path: str) -> SimTrace:
     m_u = sum(1 for h in header if h.startswith("u_"))
     # columns: step, t, x_*, xhat_*, u_*, action, V; numpy parses each text as float() does
     values = np.array(rows, dtype=float)
-    return SimTrace(
+    return TraceColumns(
         times=values[:, 1],
         X=values[:, 2 : 2 + n],
         XHAT=values[:, 2 + n : 2 + 2 * n],
         U=values[:, 2 + 2 * n : 2 + 2 * n + m_u],
         actions=values[:, -2].astype(int),
         V=values[:, -1],
-        boundaries=[],
-        boundary_V=[],
-        decisions=[],
-        decision_rows=[],
-        metrics={},
     )

@@ -19,7 +19,6 @@ from asynctrig.certificates import (
 from asynctrig.errors import InfeasibleError
 from asynctrig.horizons import action_codes, avg_idle_metric, horizon_to_text
 from asynctrig.matrix_core import (
-    PSD_TOL,
     solve_discrete_lyapunov,
     spectral_radius,
     sprocedure_multipliers,
@@ -478,16 +477,16 @@ def schur_threshold(plant: PlantModel, t_range=(1e-3, 1.0), tol: float = 1e-9) -
 
 
 def sprocedure_multiplier(S, Q):
-    """Some eps > 0 with lambda_max(S + eps Q) <= PSD_TOL, or None when none exists.
+    """Some eps > 0 with lambda_max(S + eps Q) <= 0, or None when none exists.
 
     One pair of `sprocedure_multipliers`, for any Q (singular too): the
     pencil ends come from the generalized eigenproblem, and `sym_eig_bounds`
     rechecks the eps found.
     """
     S, Q = symmetrize(S), symmetrize(Q)
-    ends = eigvals(S - PSD_TOL * np.eye(S.shape[0]), -Q)
+    ends = eigvals(S, -Q)
     eps = sprocedure_multipliers(S[None], Q, ends[None])[0]
-    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > PSD_TOL:
+    if np.isnan(eps) or sym_eig_bounds(S + eps * Q)[1] > 0.0:
         return None
     return float(eps)
 
@@ -495,7 +494,7 @@ def sprocedure_multiplier(S, Q):
 def pair_multiplier(forms, Q_c):
     """Multiplier certifying a one-horizon stack on the form Q_c, or None.
 
-    Any symmetric Q_c will do, and S - PSD_TOL I may be singular.  The eps found
+    Any symmetric Q_c will do, and S may be singular.  The eps found
     is rechecked on the full matrix, with sign Q_c in its leading block.
     """
     if not forms.index.size:
@@ -507,14 +506,14 @@ def pair_multiplier(forms, Q_c):
     d = Q_c.shape[0]
     E = np.zeros(forms.full.shape[1:])
     E[:d, :d] = forms.sign * Q_c
-    return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= PSD_TOL else None
+    return eps if sym_eig_bounds(forms.full[0] + eps * E)[1] <= 0.0 else None
 
 
 def unfiltered_region_multipliers(forms, Q_c) -> np.ndarray:
     """`partition.region_multipliers` on one region form without the axis
     rejection: every stacked horizon goes through the pencil and the recheck."""
     Q = forms.sign * np.asarray(Q_c, dtype=float)
-    M = -np.linalg.solve(forms.S - PSD_TOL * np.eye(len(Q)), Q)
+    M = -np.linalg.solve(forms.S, Q)
     mu = np.linalg.eigvals(M)
     zero = np.abs(mu) <= len(Q) * np.finfo(float).eps * np.linalg.norm(M, axis=(1, 2))[:, None]
     ends = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=~zero)
@@ -522,7 +521,7 @@ def unfiltered_region_multipliers(forms, Q_c) -> np.ndarray:
     k = np.flatnonzero(~np.isnan(eps))
     E = np.zeros(forms.full.shape[1:])
     E[: len(Q), : len(Q)] = Q
-    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > PSD_TOL]] = np.nan
+    eps[k[np.linalg.eigvalsh(forms.full[k] + eps[k, None, None] * E)[:, -1] > 0.0]] = np.nan
     return eps
 
 
@@ -544,12 +543,12 @@ def unpruned_table(cert, horizons, phis, m: int, regions):
 
 
 def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c):
-    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= PSD_TOL, or None."""
+    """Multiplier eps_c > 0 with lambda_max(Phi'P Phi - bbar P + eps Q_c) <= 0, or None."""
     return pair_multiplier(decay_forms(P, np.asarray(Phi_sigma, dtype=float)[None], [bbar]), Q_c)
 
 
 def max_eps_feasible(P, gamma1: float, gamma2: float, Phi_sigma, bbar: float, chi_linear: float, Q_c):
-    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= -PSD_TOL, or None.
+    """Multiplier eps_c > 0 with lambda_min(U_c(eps_c)) >= 0, or None.
 
     The one-pair test on the Schur-reduced form of `perturbed_forms`, with
     the assembled matrix as the authority.
@@ -681,7 +680,7 @@ def online_pair_holds(cert, Phi_star, tol: float) -> bool:
 
 def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: float, chi_map):
     """(P, M) at the first alpha in 2^-6 .. 2^6 whose scaled pair passes
-    `conditions`' L1 and L2 at their floor, or InfeasibleError."""
+    `conditions`' L1 and L2 strictly, or InfeasibleError."""
     chi = chi_map[len(sigma_star)] ** 2
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
@@ -701,17 +700,19 @@ def scan_perturbed_online(Phi_star, beta: float, gamma: float, sigma_star, T: fl
             P=P, M=M, gamma=gamma, chi=chi_map, varpi=0.0, C_prime=0.0, mu=0.0,
             sigma_star=tuple(sigma_star), beta=beta, T=T,
         )
-        if online_pair_holds(cert, Phi_star, PSD_TOL):
+        entries = conditions(cert, Phi_star)
+        if all(sym_eig_bounds(entries[name][0])[0] > 0 for name in ("L1", "L2")):
             return P, M
     raise InfeasibleError("no alpha passes")
 
 
 def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, sigma_star, T: float, chi_map):
     """P at the largest scale of a descending log grid over [1e-6, 1e6] whose
-    unregioned matrix passes, or InfeasibleError; the corner gamma1 - gamma2
-    of the paper's matrix must pass on its own, as no scale moves it."""
+    unregioned matrix is positive definite, or InfeasibleError; the corner
+    gamma1 - gamma2 >= 0 of the paper's matrix must pass on its own, as no
+    scale moves it."""
     chi_linear = chi_map[len(sigma_star)]
-    if gamma1 - gamma2 < -1e-9:
+    if not gamma1 - gamma2 >= 0:
         raise InfeasibleError("the corner gamma1 - gamma2 fails at every scale")
     bbar = decay_factor(beta, len(sigma_star), T)
     sr2 = spectral_radius(Phi_star) ** 2
@@ -722,6 +723,6 @@ def scan_perturbed_offline(Phi_star, beta: float, gamma1: float, gamma2: float, 
     P1 = solve_discrete_lyapunov(Phi_star, min(0.5 * (sr2 + target), 1.0), np.eye(nn))
     for s in np.logspace(6, -6, 121):
         P = s * P1
-        if sym_eig_bounds(U_c_oracle(P, gamma1, gamma2, Phi_star, bbar, chi_linear))[0] >= -1e-9:
+        if sym_eig_bounds(U_c_oracle(P, gamma1, gamma2, Phi_star, bbar, chi_linear))[0] > 0:
             return P
     raise InfeasibleError("no scale passes")

@@ -10,6 +10,7 @@ import pytest
 
 from asynctrig import certificates
 from asynctrig.certificates import (
+    PerturbedOfflineCertificate,
     PerturbedOnlineCertificate,
     UnperturbedCertificate,
     build_U_c,
@@ -293,17 +294,21 @@ def test_perturbed_offline_synthesis_eigencheck():
     cert = synthesize_perturbed_offline(Phi_star, 0.0, 0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     U = build_U_c(cert.P, 0.3, 0.1, Phi_star, 1.0, chi_lin[3])
     lo, _ = sym_eig_bounds(U)
-    assert lo >= -1e-9
+    assert lo > 0
     with pytest.raises(ValueError):
         synthesize_perturbed_offline(Phi_star, 0.0, -0.3, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     with pytest.raises(InfeasibleError):
         # gamma1 >= bbar leaves no decay budget at all
         synthesize_perturbed_offline(Phi_star, 0.0, 1.0, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
-    # the corner gamma1 - gamma2 depends on no scale: gamma2 > gamma1 is a configuration error
-    with pytest.raises(ValueError, match="gamma2 must not exceed gamma1"):
-        synthesize_perturbed_offline(Phi_star, 0.0, 0.1, 0.1 + 2e-9, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
+    # the corner gamma1 - gamma2 depends on no scale: gamma2 > gamma1 is a
+    # configuration error, however small the excess, and reverify decides the
+    # corner exactly: gamma1 = gamma2 passes, gamma2 one ulp above fails
+    for gamma2 in (0.1 + 2e-9, 0.1 + 5e-10):
+        with pytest.raises(ValueError, match="gamma2 must not exceed gamma1"):
+            synthesize_perturbed_offline(Phi_star, 0.0, 0.1, gamma2, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     equal = synthesize_perturbed_offline(Phi_star, 0.0, 0.1, 0.1, (1, 2, 2), 0.205, chi_lin, C_prime=0.0, varpi=0.0)
     assert reverify_certificate(equal, Phi_star)
+    assert not reverify_certificate(dataclasses.replace(equal, gamma2=math.nextafter(0.1, 1.0)), Phi_star)
 
 
 def _outcome(synthesize, *args, **kwargs):
@@ -601,3 +606,45 @@ def test_conditions_keep_fraction_entries_exact(name):
         assert floor == want_floor
         # the float matrices round every product; the exact ones only bbar, a float in both
         np.testing.assert_allclose(S.astype(float), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+def _offline_toy(gamma2_over_chi):
+    """Offline cert with P = I, Phi* = 0, bbar = 1, gamma1 = 0.3 and gamma2 = 0.1:
+    U_c = blockdiag(0.7 I, (gamma2/chi - 1) I), least eigenvalue gamma2/chi - 1."""
+    return PerturbedOfflineCertificate(
+        P=np.eye(2), gamma1=0.3, gamma2=0.1, chi={1: 0.1 / gamma2_over_chi}, varpi=0.0, C_prime=0.0,
+        mu=ultimate_bound(np.eye(2), 0.0, 0.0), sigma_star=(1,), beta=0.0, T=1.0,
+    )
+
+
+def _online_toy(gamma):
+    """Online cert with P = M = I, Phi* = 0, bbar = 1 and chi = 0.1: L1 = (gamma - 1) I,
+    and L2 = [[I, I], [I, (100 gamma - 1) I]] is positive definite."""
+    return PerturbedOnlineCertificate(
+        P=np.eye(2), M=np.eye(2), gamma=gamma, chi={1: 0.1}, varpi=0.0, C_prime=0.0,
+        mu=ultimate_bound(np.eye(2), 0.0, 0.0), sigma_star=(1,), beta=0.0, T=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, entry", [(_offline_toy, "U_c"), (_online_toy, "L1")], ids=["offline-U_c", "online-L1"]
+)
+def test_reverify_rejects_a_condition_just_below_zero(build, entry):
+    # lambda_min = -1e-10 is on the wrong side of the inequality, however
+    # small: the entry is decided as computed, with no allowance below 0
+    Phi_star = np.zeros((2, 2))
+    below, above = build(1.0 - 1e-10), build(1.0 + 1e-10)
+    for cert, sign in ((below, -1.0), (above, 1.0)):
+        S, _ = conditions(cert, Phi_star)[entry]
+        assert sym_eig_bounds(S)[0] == pytest.approx(sign * 1e-10, rel=1e-5)
+    assert not reverify_certificate(below, Phi_star)
+    assert reverify_certificate(above, Phi_star)
+
+
+def test_every_preset_certificate_is_checked_at_a_nonnegative_floor():
+    # no conditions entry of any kind admits a negative least eigenvalue
+    for name in PRESET_NAMES:
+        _, _, _, phis, star, cert = certify(preset_config(name))
+        floors = {key: floor for key, (_, floor) in conditions(cert, phis[star]).items()}
+        assert min(floors.values()) >= 0.0, (name, floors)
+        assert reverify_certificate(cert, phis[star])

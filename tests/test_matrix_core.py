@@ -7,7 +7,6 @@ from scipy.linalg import block_diag
 
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
-    PSD_TOL,
     decay_form,
     solve_discrete_lyapunov,
     spectral_norm,
@@ -175,13 +174,12 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
     # oracle: lambda_max(S + eps Q) on 50 points per decade over 1e-14..1e14;
     # the one-pair oracle and the package's batched region test both face it
     rng = np.random.default_rng(2024 + dim)
-    tol = PSD_TOL
     grid = np.logspace(-14.0, 14.0, 1401)
     scanned_feasible = outside_old_range = 0
     for _ in range(150):
         S, Q = _multiplier_draw(rng, dim)
         lmax = np.linalg.eigvalsh(S[None] + grid[:, None, None] * Q[None])[:, -1]
-        hits = grid[lmax <= tol]
+        hits = grid[lmax <= 0.0]
         eps = sprocedure_multiplier(S, Q)
         batched = _region_multiplier(S, Q)
         assert np.isnan(batched) == (eps is None)
@@ -195,7 +193,7 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
         for found in (eps, None if np.isnan(batched) else batched):
             if found is not None:
                 assert found > 0
-                assert sym_eig_bounds(S + found * Q)[1] <= tol
+                assert sym_eig_bounds(S + found * Q)[1] <= 0.0
     # the draws must exercise both verdicts and multipliers no log grid over
     # [1e-8, 1e8] can reach
     assert 30 <= scanned_feasible <= 120
@@ -203,15 +201,15 @@ def test_sprocedure_multiplier_finds_what_a_dense_scan_finds(dim):
 
 
 def _tol_knobs(tree: ast.AST) -> list:
-    """The module-level names ending in _TOL other than PSD_TOL, then the
-    functions with a parameter, and the classes (as Class.tol) with an
-    annotated field, named `tol` in tree."""
+    """The module-level names ending in _TOL, then the functions with a
+    parameter, and the classes (as Class.tol) with an annotated field, named
+    `tol` in tree."""
     found = [
         t.id
         for node in tree.body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for t in ast.walk(node)
-        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store) and t.id.endswith("_TOL") and t.id != "PSD_TOL"
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store) and t.id.endswith("_TOL")
     ]
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -224,17 +222,17 @@ def _tol_knobs(tree: ast.AST) -> list:
 
 
 def test_no_check_takes_a_tolerance_of_its_own():
-    # every PSD and region test reads PSD_TOL, and every runtime admission
-    # reads its inequality as computed: a tolerance option or constant is a
-    # second authority on what a certificate claims
+    # every certificate, region and runtime verdict reads its inequality as
+    # computed (the unperturbed decay at the PSD_MARGIN margin): a tolerance
+    # option or constant is a second authority on what a certificate claims
     src = Path(__file__).resolve().parent.parent / "src" / "asynctrig"
     found = {path.name: _tol_knobs(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
     assert {name: knobs for name, knobs in found.items() if knobs} == {}
     # the scan sees module-level *_TOL names, parameters of every kind and
-    # annotated fields, and passes PSD_TOL, selection windows and locals
+    # annotated fields, and passes margins, selection windows and locals
     planted = (
-        "PSD_TOL = 1e-9\nSIGMA_STAR_RTOL = 1e-6\nSLACK_TOL = 1e-12\nLO_TOL, HI = 0.0, PSD_TOL\n"
+        "PSD_TOL = 1e-9\nPSD_MARGIN = 1e-9\nSIGMA_STAR_RTOL = 1e-6\nSLACK_TOL = 1e-12\nLO_TOL, HI = 0.0, PSD_MARGIN\n"
         "def f(S, tol=1e-9): ...\ndef g(*, tol): ...\nclass F:\n    tol: float\n    S: object\n"
         "def h(S):\n    tol = 1\n    X_TOL = 2\n    return lambda tol: tol\n"
     )
-    assert _tol_knobs(ast.parse(planted)) == ["SLACK_TOL", "LO_TOL", "f", "g", "F.tol", "<lambda>"]
+    assert _tol_knobs(ast.parse(planted)) == ["PSD_TOL", "SLACK_TOL", "LO_TOL", "f", "g", "F.tol", "<lambda>"]

@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 
 from asynctrig import partition
 from asynctrig.certificates import decay_forms
-from asynctrig.matrix_core import PSD_TOL, sym_eig_bounds
+from asynctrig.matrix_core import sym_eig_bounds
 from asynctrig.partition import (
     RegionForms,
     make_partition,
@@ -241,6 +241,21 @@ def test_region_recheck_rejects_what_only_the_full_matrix_fails():
     np.testing.assert_array_equal(region_multipliers(stricter, Q), np.where(corner > 0, np.nan, pencil))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_region_entry_just_above_zero_is_not_certified(sign):
+    # S = delta I - sign Q_c: lambda_max(S + eps sign Q_c) = delta + lambda_max((eps - 1) sign Q_c)
+    # is least at eps = 1, where it is delta.  delta = +5e-10 is on the wrong
+    # side of the inequality, however small; -5e-10 is certified near eps = 1
+    Q = make_partition(4, 15)[0].Q
+    verdicts = []
+    for delta in (5e-10, -5e-10):
+        S = delta * np.eye(4) - sign * Q
+        assert sym_eig_bounds(S + sign * Q)[1] == pytest.approx(delta, rel=1e-5)
+        verdicts.append(region_multipliers(RegionForms(np.arange(1), S[None], S[None], sign), Q)[0])
+    assert np.isnan(verdicts[0])
+    assert verdicts[1] == pytest.approx(1.0, abs=1e-8)
+
+
 def _random_cones(rng, count: int, d: int) -> np.ndarray:
     """count cone forms v v' - cos^2(theta) I around random unit axes; the last three have
     theta = 1e-6, pi/2 - 1e-6 and the pi/2 cap."""
@@ -278,14 +293,13 @@ def test_axis_rejection_drops_only_pairs_the_pencil_rejects(sign, monkeypatch):
 
 
 def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
-    # knife-edge forms S = -c (I - u u') + (tol + delta) u u', u the vector the
-    # axis rejection reads, |delta| <= eps_mach c: every one survives the
-    # rejection on its own cone, and S - tol I is singular to working
-    # precision.  Where LU finds one exactly singular, the batched solve
+    # knife-edge forms S = -c (I - u u') + delta u u', u the vector the axis
+    # rejection reads, |delta| <= eps_mach c: every one survives the
+    # rejection on its own cone, and S is singular to working precision.  Where LU finds one exactly singular, the batched solve
     # raises; the call must then still decide every pair, as the one-pair
     # generalized-pencil oracle does.  Regular random forms ride along, so
     # the fallback certifies some pairs too.
-    d, tol = 4, PSD_TOL
+    d = 4
     fell_back = 0
     for trial in range(24):
         sign = 1.0 if trial % 2 == 0 else -1.0
@@ -295,14 +309,14 @@ def test_singular_pencil_pairs_fall_back_to_the_generalized_pencil():
         c = 10 ** rng.uniform(0, 6, size=(3, len(Q)))
         delta = rng.uniform(-1, 1, size=c.shape) * np.finfo(float).eps * c
         uu = u[:, :, None] * u[:, None, :]
-        knife = -c[..., None, None] * (np.eye(d) - uu) + (tol + delta)[..., None, None] * uu
+        knife = -c[..., None, None] * (np.eye(d) - uu) + delta[..., None, None] * uu
         G = rng.normal(size=(16, d, d))
         regular = 0.5 * (G + np.swapaxes(G, 1, 2)) - rng.uniform(-1, 3, size=(16, 1, 1)) * np.eye(d)
         S = np.concatenate([knife.reshape(-1, d, d), regular])
         forms = RegionForms(np.arange(len(S)), S, S, sign)
         eps = region_multipliers(forms, Q)
         try:
-            np.linalg.solve(S - tol * np.eye(d), np.broadcast_to(np.eye(d), S.shape))
+            np.linalg.solve(S, np.broadcast_to(np.eye(d), S.shape))
             continue  # not exactly singular: the batched path decided, and its ends are its own
         except np.linalg.LinAlgError:
             fell_back += 1

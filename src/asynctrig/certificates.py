@@ -320,19 +320,19 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> Regio
     place that states the region term's sign.  With u.. the blocks of U_c,
     that holds iff the corner holds, u22 > 0 (its singular boundary is
     dropped) and the Schur complement C = u11 - u21' u22^{-1} u21 satisfies
-    C + eps Q_c >= 0.  The first two do not depend on the region, so they
-    prune horizons once; the third is lambda_max(-C - eps Q_c) <= 0, the
-    form S = -C.
+    C + eps Q_c >= 0.  The first two do not depend on the region: u22 =
+    (gamma2/chi) I - P is positive definite iff gamma2/chi > lambda_max(P),
+    so they prune horizons once, before any U_c is assembled; the third is
+    lambda_max(-C - eps Q_c) <= 0, the form S = -C.
     """
     nn = np.asarray(P).shape[0]
-    U0 = build_U_c(P, gamma1, gamma2, phis, bbars, chis)
-    u22 = U0[:, nn:, nn:]
-    keep = (np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 >= gamma2)
-    index = np.flatnonzero(keep)
-    u11, u21 = U0[index, :nn, :nn], U0[index, nn:, :nn]
-    G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22[index], u21)
+    chis = np.asarray(chis)
+    index = np.flatnonzero((gamma2 / chis > np.linalg.eigvalsh(P)[-1]) & (gamma1 >= gamma2))
+    U0 = build_U_c(P, gamma1, gamma2, phis[index], np.asarray(bbars)[index], chis[index])
+    u11, u21, u22 = U0[:, :nn, :nn], U0[:, nn:, :nn], U0[:, nn:, nn:]
+    G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22, u21)
     S = 0.5 * (G + np.swapaxes(G, 1, 2)) - u11  # -C
-    return RegionForms(index, S, -U0[index], -1.0)
+    return RegionForms(index, S, -U0, -1.0)
 
 
 def region_forms(cert, codes, phis) -> RegionForms:

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: discretize, horizons, synthesize,
 partition, simulate, report, preset.  Configuration is one JSON document with
 sections {plant, discretization, horizons, mode, certificate, partition,
-simulation, output}; the named presets embed frozen benchmark parameters.
+simulation}; the named presets embed frozen benchmark parameters.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible or failed
 construction, 4 resource cap exceeded.
@@ -70,13 +70,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
+def _whole(value, key: str) -> int:
+    """An integer field's value: a JSON number equal to a whole number (6 or 6.0), never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:  # NaN, inf fail too
+        raise ConfigError(f"{key} must be a whole number, got {json.dumps(value)}")
+    return int(value)
+
+
 def _plant_from_section(sec: dict) -> PlantModel:
     D = sec.get("D")
     return PlantModel(
         A=np.array(sec["A"], dtype=float),
         B=np.array(sec["B"], dtype=float),
         K=np.array(sec["K"], dtype=float),
-        blocks=tuple(int(b) for b in sec["blocks"]),
+        blocks=tuple(_whole(b, "blocks") for b in sec["blocks"]),
         D=np.array(D, dtype=float) if D is not None else None,
         w_max=float(sec.get("w_max", 0.0)),
     )
@@ -111,21 +118,21 @@ def config_from_dict(data: dict) -> SimConfig:
         return SimConfig(
             plant=plant,
             T=float(disc["T"]),
-            l_min=int(hz["l_min"]),
-            l_max=int(hz["l_max"]),
+            l_min=_whole(hz["l_min"], "l_min"),
+            l_max=_whole(hz["l_max"], "l_max"),
             mode=str(mode),
             x0=np.array(sim["x0"], dtype=float),
             beta=float(cert.get("beta", 0.0)),
             gamma=float(cert.get("gamma", 0.0)),
             gamma1=float(cert.get("gamma1", 0.0)),
             gamma2=float(cert.get("gamma2", 0.0)),
-            N=int(part.get("N", 0)),
-            total_steps=int(sim.get("total_steps", DEFAULT_STEPS)),
-            seed=int(sim.get("seed", 0)),
-            substeps_per_T=int(disc.get("substeps_per_T", 100)),
+            N=_whole(part.get("N", 0), "N"),
+            total_steps=_whole(sim.get("total_steps", DEFAULT_STEPS), "total_steps"),
+            seed=_whole(sim.get("seed", 0), "seed"),
+            substeps_per_T=_whole(disc.get("substeps_per_T", 100), "substeps_per_T"),
             sigma_star=sigma_star,
             disturbance=disturbance,
-            horizon_cap=int(hz.get("cap", DEFAULT_CAP)),
+            horizon_cap=_whole(hz.get("cap", DEFAULT_CAP), "cap"),
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc.args[0]!r}")

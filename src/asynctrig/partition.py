@@ -54,25 +54,13 @@ def _primes(count: int) -> list:
 
 
 def _directions(dim: int, N: int) -> np.ndarray:
-    # low-discrepancy points -> inverse normal -> unit sphere, one hemisphere
+    # low-discrepancy points -> inverse normal -> unit sphere, one hemisphere (first nonzero
+    # coordinate positive).  Halton points lie in (0, 1), so ndtri is finite, and only the base-2
+    # coordinate of point 1 is 1/2: from dim 3 on (the only use) no g is 0, so none is skipped
     bases = _primes(dim)
-    vs = []
-    i = 1
-    while len(vs) < N:
-        u = np.array([_halton(i, b) for b in bases])
-        i += 1
-        g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-        nrm = np.linalg.norm(g)
-        if nrm < 1e-9:
-            continue
-        v = g / nrm
-        for comp in v:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    v = -v
-                break
-        vs.append(v)
-    return np.array(vs)
+    g = ndtri([[_halton(i, b) for b in bases] for i in range(1, N + 1)])
+    vs = [v / np.linalg.norm(v) for v in g]
+    return np.array([-v if v[np.flatnonzero(v)[0]] < 0 else v for v in vs])
 
 
 def _covering_radius(vs: np.ndarray) -> float:

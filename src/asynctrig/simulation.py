@@ -79,6 +79,8 @@ class SimConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.total_steps < self.l_max:
             raise ConfigError("total_steps must be at least l_max")
+        if self.substeps_per_T < 1:
+            raise ConfigError("substeps_per_T must be >= 1")
         n = self.plant.n
         x0 = np.asarray(self.x0, dtype=float).ravel()
         if not np.isfinite(x0).all():

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 from scipy.linalg import eigvals, expm
+from scipy.special import ndtri
 
-from asynctrig import svgplots, triggers
+from asynctrig import partition, svgplots, triggers
 from asynctrig.certificates import (
     PerturbedOnlineCertificate,
+    build_U_c,
     conditions,
     decay_factor,
     decay_forms,
@@ -540,6 +542,38 @@ def unpruned_table(cert, horizons, phis, m: int, regions):
         psi.append(tuple(horizons[i] for i in feas if metrics[i] == best))
         values.append(best)
     return tuple(psi), tuple(values)
+
+
+def guarded_directions(dim: int, N: int) -> np.ndarray:
+    """`partition._directions` with guards no Halton point reaches: the
+    coordinates clipped to [1e-12, 1 - 1e-12], a point whose normal vector
+    has norm below 1e-9 skipped for the next index, and the sign set by the
+    first coordinate above 1e-12 in magnitude."""
+    bases = partition._primes(dim)
+    vs = []
+    i = 1
+    while len(vs) < N:
+        u = np.array([partition._halton(i, b) for b in bases])
+        i += 1
+        g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+        nrm = np.linalg.norm(g)
+        if nrm < 1e-9:
+            continue
+        v = g / nrm
+        for comp in v:
+            if abs(comp) > 1e-12:
+                if comp < 0:
+                    v = -v
+                break
+        vs.append(v)
+    return np.array(vs)
+
+
+def assembled_prune(P, gamma1: float, gamma2: float, phis, bbars, chis) -> np.ndarray:
+    """The horizons `perturbed_forms` keeps, decided on every assembled U_c:
+    its u22 block's least eigenvalue above 0, and gamma1 >= gamma2."""
+    u22 = build_U_c(P, gamma1, gamma2, phis, np.asarray(bbars), np.asarray(chis))[:, len(P):, len(P):]
+    return np.flatnonzero((np.linalg.eigvalsh(u22)[:, 0] > 0) & (gamma1 >= gamma2))
 
 
 def sprocedure_feasible(Phi_sigma, P, bbar: float, Q_c):

@@ -45,6 +45,7 @@ from helpers import (
     P_REF,
     U_c_oracle,
     U_sigma_builder,
+    assembled_prune,
     benchmark_plant,
     full_scan_sigma_star,
     horizon_transition,
@@ -397,6 +398,61 @@ def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
     assert lo >= -1e-9
     # bbar - gamma1 = 1.2 leaves the two conditions no common multiplier
     assert np.isnan(_perturbed_multiplier(P, 0.5, 0.2, Phi, 1.7, 0.1, Q_c))
+
+
+def test_perturbed_forms_assemble_only_the_kept_horizons(monkeypatch):
+    # the u22 prune is decided before assembly: of the preset's 1 080
+    # horizons, U_c is built for the 108 kept, in one call
+    _, _, codes, phis, _, cert = certify(preset_config("offline-perturbed"))
+    sizes, build = [], certificates.build_U_c
+
+    def spy(P, gamma1, gamma2, Phi_sigma, *rest):
+        sizes.append(len(Phi_sigma))
+        return build(P, gamma1, gamma2, Phi_sigma, *rest)
+
+    monkeypatch.setattr(certificates, "build_U_c", spy)
+    forms = certificates.region_forms(cert, codes, phis)
+    assert len(phis) == 1080 and forms.index.size == 108
+    assert sizes == [108]
+    assert forms.full.shape == (108, 8, 8) and forms.S.shape == (108, 4, 4)
+
+
+def _forms_inputs(cert, codes):
+    """(bbars, chis) of each horizon of an `action_codes` array, as `region_forms` reads them."""
+    lengths = (codes >= 0).sum(axis=0).tolist()
+    return [decay_factor(cert.beta, l, cert.T) for l in lengths], [cert.chi[l] for l in lengths]
+
+
+@pytest.mark.parametrize("l_max, count", [(6, 1080), (4, 108)])  # the preset and the benchmark's cut
+def test_perturbed_forms_prune_equals_the_assembled_u22_test(l_max, count):
+    # both keep exactly the 108 horizons of lengths 3 and 4
+    config = dataclasses.replace(preset_config("offline-perturbed"), l_max=l_max)
+    _, _, codes, phis, _, cert = certify(config)
+    args = (cert.P, cert.gamma1, cert.gamma2, phis, *_forms_inputs(cert, codes))
+    kept = assembled_prune(*args)
+    assert len(phis) == count
+    np.testing.assert_array_equal(kept, np.flatnonzero((codes >= 0).sum(axis=0) <= 4))
+    np.testing.assert_array_equal(perturbed_forms(*args).index, kept)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perturbed_forms_prune_equals_the_assembled_u22_test_on_random_certificates(seed):
+    # gamma2/chi spread over lambda_max(P) e^{+-1}, none within 1e-6 relative of it
+    rng = np.random.default_rng(seed)
+    d, K = 2 * (2 + seed % 3), 200  # collective dimension 2n, n = 2..4
+    F = rng.standard_normal((d, d))
+    P = F @ F.T + 0.1 * np.eye(d)
+    phis = rng.standard_normal((K, d, d))
+    offsets = rng.uniform(-1.0, 1.0, K)
+    offsets = offsets[np.abs(offsets) > 1e-6]
+    gamma2 = 0.1
+    chis = gamma2 / (np.linalg.eigvalsh(P)[-1] * np.exp(offsets))
+    bbars = rng.uniform(0.5, 1.0, len(chis))
+    for gamma1 in (0.3, gamma2, 0.05):  # gamma1 < gamma2 prunes every horizon
+        args = (P, gamma1, gamma2, phis[: len(chis)], bbars, chis)
+        kept = assembled_prune(*args)
+        assert kept.size == 0 if gamma1 < gamma2 else 0 < kept.size < len(chis)
+        np.testing.assert_array_equal(perturbed_forms(*args).index, kept)
 
 
 def test_ultimate_bound_known_values_and_monotonicity():

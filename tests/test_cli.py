@@ -379,6 +379,65 @@ def test_gamma2_above_gamma1_is_a_configuration_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "perturbed-offline"
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("horizons", "l_max", 6.9),
+    ("simulation", "total_steps", 40.7),
+    ("simulation", "seed", 154.5),
+    ("simulation", "seed", True),
+    ("horizons", "cap", "1000"),
+    ("discretization", "substeps_per_T", float("inf")),
+    ("partition", "N", float("nan")),
+])
+def test_an_integer_field_that_is_no_whole_number_is_a_configuration_error(tmp_path, capsys, section, key, value):
+    # int() would truncate 6.9 to 6 while config_digest hashes 6.9: the run would not be the one recorded
+    cfgd = _config_dict()
+    cfgd[section] = {**cfgd.get(section, {}), key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a whole number, got {json.dumps(value)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_fractional_sensor_block_is_a_configuration_error(tmp_path, capsys):
+    cfgd = _config_dict()
+    cfgd["plant"]["blocks"] = [1.5, 0.5]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    assert main(["discretize", "--config", str(path)]) == 2
+    assert "blocks must be a whole number, got 1.5" in capsys.readouterr().err
+
+
+def test_whole_floats_read_as_integers():
+    cfgd = _config_dict(horizons={"l_min": 1.0, "l_max": 3.0, "sigma_star": "12"})
+    cfgd["simulation"]["seed"] = 7.0
+    cfg = config_from_dict(cfgd)
+    assert (cfg.l_min, cfg.l_max, cfg.seed) == (1, 3, 7)
+    assert all(type(v) is int for v in (cfg.l_min, cfg.l_max, cfg.seed))
+
+
+def test_zero_substeps_is_a_configuration_error_before_any_output(tmp_path, capsys):
+    # perturbed modes integrate the disturbance on substeps_per_T substeps; the
+    # check runs with the configuration's, so no --out-dir is left behind
+    cfgd = _config_dict(
+        plant={**_config_dict()["plant"], "D": [[1.0], [1.0]], "w_max": 1.0},
+        discretization={"T": 0.18, "substeps_per_T": 0},
+        horizons={"l_min": 1, "l_max": 6, "sigma_star": "2121"},
+        mode="online-perturbed",
+        certificate={"beta": 3.198, "gamma": 0.35},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "substeps_per_T must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, certificate, extra", [
     ("online-perturbed", {"beta": 3.19, "gamma": 0.35}, {}),
     ("offline-perturbed", {"beta": 0.0, "gamma1": 0.3, "gamma2": 0.1}, {"partition": {"N": 15}}),

@@ -15,7 +15,7 @@ from asynctrig.partition import (
     region_multipliers,
     region_of,
 )
-from helpers import bisect_states, pair_multiplier, unfiltered_region_multipliers
+from helpers import bisect_states, guarded_directions, pair_multiplier, unfiltered_region_multipliers
 
 
 def test_dim2_equiangular_sectors():
@@ -71,6 +71,23 @@ def test_higher_dim_frozen_half_angle():
     assert regions[0].half_angle == pytest.approx(0.9845769759044732, abs=1e-12)
     for reg in regions:
         assert np.linalg.norm(reg.direction) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_directions_equal_the_guarded_loop(dim):
+    # bit for bit, signed zeros included: the clip, the skip and the sign threshold never act
+    for N in (1, 2, 3, 15, 64, 500):
+        assert partition._directions(dim, N).tobytes() == guarded_directions(dim, N).tobytes()
+
+
+def test_halton_points_need_no_clip_and_no_skip():
+    # every coordinate lies in (0, 1), so ndtri is finite; only the base-2
+    # coordinate of point 1 is 1/2, so no point of dim >= 3 maps to g = 0
+    bases = partition._primes(8)
+    u = np.array([[partition._halton(i, b) for b in bases] for i in range(1, 5001)])
+    assert ((u > 0) & (u < 1)).all()
+    assert np.argwhere(u == 0.5).tolist() == [[0, 0]]
+    assert not (u[:, :3] == 0.5).all(axis=1).any()
 
 
 def test_higher_dim_coverage_fresh_seed():

@@ -75,3 +75,16 @@ def test_certificate_digests_hash_the_certified_numbers(tmp_path, capsys):
         expected.append(f"{digest}  {name}/certificate-numbers")
     capsys.readouterr()
     assert lines == expected
+
+
+def test_partition_digests_hash_what_the_partition_command_writes(tmp_path, capsys):
+    # the bytes `asynctrig partition` prints are the bytes it writes with --out
+    shapes = [(3, 7), (4, 3)]
+    lines = _preset_digests().partition_digests(shapes)
+    expected = []
+    for dim, count in shapes:
+        out = tmp_path / f"{dim}-{count}.json"
+        assert main(["partition", "--dim", str(dim), "--regions", str(count), "--out", str(out)]) == 0
+        expected.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  partition/{dim}-{count}")
+    capsys.readouterr()
+    assert lines == expected

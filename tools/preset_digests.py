@@ -1,5 +1,5 @@
 """sha256 of every file the four presets write, at fixed seeds, of each offline preset's table,
-and of each preset's certified numbers.
+of each preset's certified numbers, and of a few partitions.
 
     python3 tools/preset_digests.py > digests.txt
 
@@ -12,11 +12,13 @@ offline preset: the digest of its region table as `table_to_dict` JSON, then one
 (`perfbench/workloads.py::BENCH_OFFLINE`) and one
 `sha256  preset/capped-3/table.json` line for its certificate on the three
 capped cones of `make_partition(4, 3)`.
-Last it prints one `sha256  preset/certificate-numbers` line per preset: the
+Then it prints one `sha256  preset/certificate-numbers` line per preset: the
 digest of the raw float64 bytes of the certificate's P, then M and mu where
 the certificate has them.  That line stays put when only the layout of
-`certificate.json` changes.  Nothing is written into the checkout.  Two
-checkouts give byte-identical outputs, tables and certified numbers exactly
+`certificate.json` changes.  Last it prints one `sha256  partition/D-N` line
+per shape of PARTITIONS: the digest of what `asynctrig partition --dim D
+--regions N` prints.  Nothing is written into the checkout.  Two checkouts
+give byte-identical outputs, tables, certified numbers and partitions exactly
 when a `diff` of their printed lines is empty.
 """
 
@@ -42,6 +44,8 @@ from asynctrig.triggers import TablePolicy, table_to_dict  # noqa: E402
 from perfbench.workloads import BENCH_OFFLINE  # noqa: E402
 
 SEEDS = (154, 1, 2, 3)
+# (dim, regions): the offline presets' dim 4, the capped cones, and the directions of dims 3, 6 and 8
+PARTITIONS = ((3, 7), (4, 3), (4, 15), (6, 40), (8, 30))
 
 
 def preset_digests(presets, seeds) -> list:
@@ -93,6 +97,21 @@ def certificate_digests(presets) -> list:
     return lines
 
 
+def partition_digests(shapes) -> list:
+    """`sha256  partition/D-N` over the bytes `asynctrig partition --dim D --regions N` prints, per (D, N)."""
+    lines = []
+    for dim, count in shapes:
+        argv = ["partition", "--dim", str(dim), "--regions", str(count)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(argv)
+        if status != 0:
+            raise SystemExit(f"asynctrig {' '.join(argv)} exited with {status}")
+        lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  partition/{dim}-{count}")
+    return lines
+
+
 if __name__ == "__main__":
     lines = preset_digests(PRESET_NAMES, SEEDS) + table_digests(PRESET_NAMES) + certificate_digests(PRESET_NAMES)
+    lines += partition_digests(PARTITIONS)
     print("\n".join(lines))

@@ -34,6 +34,7 @@ from .presets import DEFAULT_STEPS, PRESET_NAMES, PRESET_NOTES, preset_config
 from .simulation import (
     SimConfig,
     certify,
+    check_seed,
     default_sine_disturbance,
     prepare,
     read_trace_csv,
@@ -257,6 +258,8 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, args) -> int:
             raise ConfigError("--sweep got an empty seed list")
         if len(set(seeds)) < len(seeds):
             raise ConfigError(f"--sweep repeats a seed: {args.sweep!r}")
+        for seed in seeds:  # each replaces cfg.seed below, past SimConfig's own check
+            check_seed(seed)
         semantic = {**semantic, "sweep": seeds}  # the swept seeds, not --seed, pick the traces
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)

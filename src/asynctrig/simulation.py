@@ -53,6 +53,15 @@ COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before a transition sta
 BLOCK_STEPS = 32  # simulate integrates the disturbance forcing of this many steps per call
 
 
+def check_seed(seed: int):
+    """Refuse a tie-break seed outside [-2**63, 2**63), the seeds the draw keys
+    exactly: each has its own 64-bit key (a negative one mod 2**64, as numpy's
+    Philox keys it), while a seed outside would share a key with one inside,
+    and numpy's key=[seed, step] would round it through float64."""
+    if not -(2**63) <= seed < 2**63:
+        raise ConfigError(f"seed must lie in [-2**63, 2**63), got {seed}")
+
+
 @dataclass
 class SimConfig:
     plant: PlantModel
@@ -77,6 +86,7 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        check_seed(self.seed)
         if self.total_steps < self.l_max:
             raise ConfigError("total_steps must be at least l_max")
         if self.substeps_per_T < 1:
@@ -244,21 +254,26 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     xh = config.x0[n:].copy()
     eta = config.x0
     steps = 0
+    u = K @ xh
     rows_x, rows_xh, rows_u, rows_a = [], [], [], []
     boundaries = []
     decisions = []
     decision_rows = []
+    texts = {}  # each chosen horizon's text, made once per run
 
     while steps < config.total_steps:
         dec = policy.select(eta, config.seed, steps)
         boundaries.append(steps)
         decisions.append(dec)
-        decision_rows.append((steps, taus[steps], config.mode, horizon_to_text(dec.horizon), dec.metric,
+        if dec.horizon not in texts:
+            texts[dec.horizon] = horizon_to_text(dec.horizon)
+        decision_rows.append((steps, taus[steps], config.mode, texts[dec.horizon], dec.metric,
                               dec.evaluated, int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
         for a in dec.horizon:
-            rows_x.append(x)  # x and xh are rebound each step, never mutated
-            xh = np.where(masks[a], x, xh)
-            u = K @ xh
+            rows_x.append(x)  # x, xh and u are rebound, never mutated
+            if a:  # an idle step reads no sensor (its mask row is all False): xh and u stay as they are
+                xh = np.where(masks[a], x, xh)
+                u = K @ xh
             x = A_T @ x + B_T @ u
             if perturbed:
                 if steps % BLOCK_STEPS == 0:

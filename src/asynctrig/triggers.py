@@ -14,9 +14,14 @@ Every policy answers select(eta, rng_seed, step_index) -> TriggerDecision.
 Each admission reads its inequality as computed, with no tolerance of its
 own: a form is admissible where its value is >= 0, a state is in a region
 where its cone's form is >= 0, and the gate idles where eta' P eta <= 1.
-Metric ties are broken uniformly at random with a counter-based generator
-keyed by (seed, step index), so decisions are reproducible and independent
-of execution order.
+Metric ties are broken uniformly at random by a counter-based draw keyed by
+(seed, step index), so decisions are reproducible and independent of
+execution order.  The draw is Philox4x64-10 (Salmon et al., SC'11) followed
+by Lemire's bounded-integer rejection (Lemire, ACM TOMACS 2019), computed in
+Python integers: it is bit-identical to numpy's
+`Generator(Philox(key=[seed, step])).integers(len(ties))` for every seed in
+[-2**63, 2**63), a negative seed keyed mod 2**64 as numpy keys it, and no
+generator object is built.
 """
 
 from typing import NamedTuple, Optional
@@ -44,11 +49,57 @@ class TriggerDecision(NamedTuple):  # a tuple: built once per decision, and chea
     margin: Optional[float] = None  # the chosen horizon's eta' F eta + c, where the online test scored it
 
 
+M32, M64 = (1 << 32) - 1, (1 << 64) - 1
+PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64's round multipliers
+PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and its Weyl key increments
+
+
+def _philox4x64(counter: int, k0: int, k1: int) -> tuple:
+    """The four 64-bit words of Philox4x64-10 at the counter block (counter, 0, 0, 0) under key (k0, k1)."""
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    for _ in range(10):
+        p0 = PHILOX_MUL[0] * c0
+        p1 = PHILOX_MUL[1] * c2
+        c0 = (p1 >> 64) ^ c1 ^ k0
+        c1 = p1 & M64
+        c2 = (p0 >> 64) ^ c3 ^ k1
+        c3 = p0 & M64
+        k0 = (k0 + PHILOX_BUMP[0]) & M64
+        k1 = (k1 + PHILOX_BUMP[1]) & M64
+    return c0, c1, c2, c3
+
+
+def _philox_words(k0: int, k1: int):
+    """The 32-bit words a fresh numpy Philox(key=[k0, k1]) hands out: the blocks
+    at counters 1, 2, ..., each 64-bit word's low half first."""
+    counter = 0
+    while True:
+        counter += 1
+        for word in _philox4x64(counter, k0, k1):
+            yield word & M32
+            yield word >> 32
+
+
 def _tie_break(ties, rng_seed: int, step_index: int):
-    if len(ties) == 1:  # the draw below would be integers(1), which is always 0
+    """ties[Generator(Philox(key=[rng_seed, step_index])).integers(len(ties))], as numpy draws it.
+
+    A tie set is part of a horizon list, so it holds at most 2**32 entries,
+    the counts numpy draws from 32-bit words.  It takes a whole word for
+    exactly 2**32, and else Lemire's method: m = word * n, rejected while its
+    low 32 bits fall below 2**32 mod n, and the draw is m's high 32 bits.
+    """
+    n = len(ties)
+    if n == 1:  # the draw would be integers(1), which is always 0
         return ties[0]
-    rng = np.random.Generator(np.random.Philox(key=[rng_seed, step_index]))
-    return ties[rng.integers(len(ties))]
+    words = _philox_words(rng_seed & M64, step_index & M64)
+    if n == 1 << 32:
+        return ties[next(words)]
+    m = next(words) * n
+    if m & M32 < n:  # n bounds the rejection threshold, which only this case computes
+        threshold = (1 << 32) % n
+        while m & M32 < threshold:
+            m = next(words) * n
+    return ties[m >> 32]
 
 
 def _metrics(codes, m: int) -> np.ndarray:

@@ -75,3 +75,21 @@ def test_preset_summary_keeps_every_process_and_its_median():
     assert _bench_pairs().summarize_presets(runs) == {
         "a": {"prepare_s": 2.0, "prepare_runs": [3.0, 1.0, 2.0], "simulate_s": 20.0, "simulate_runs": [30.0, 10.0, 20.0]}
     }
+
+
+def _pairs(parent, change):
+    return [{"parent": _run({"t": p}), "change": _run({"t": c})} for p, c in zip(parent, change)]
+
+
+def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parents_spread():
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.05, 0.95, 1.0]  # quartiles 0.9625 and 1.0375
+
+    def rule(change, better="lower"):
+        return _bench_pairs().summarize(_pairs(parent, change), {"t": better})["metrics"]["t"]["claim_rule"]
+
+    assert rule([p / 2 for p in parent])  # wins every pair, median 1.0 -> 0.5
+    assert rule([p / 2 for p in parent[:9]] + [2.0])  # 9 of 10 still claims
+    assert not rule([p / 2 for p in parent[:8]] + [2.0, 2.0])  # 8 of 10 does not
+    assert not rule([p - 0.05 for p in parent])  # wins every pair, but moves 0.05 < 0.075 spread
+    assert not rule([p / 2 for p in parent], better="higher")  # the move runs the wrong way
+    assert rule([2 * p for p in parent], better="higher")

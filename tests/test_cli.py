@@ -184,6 +184,39 @@ def test_sweep_rejects_a_repeated_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 1, -(2**63) - 1, 10**30])
+def test_every_seed_source_rejects_a_seed_the_draw_cannot_key(tmp_path, capsys, monkeypatch, seed):
+    # numpy's Philox key=[seed, step] rounds a seed of 2**63 or more through float64,
+    # so 2**63 and 2**63 + 1 would share every draw
+    monkeypatch.delenv("ASYNCTRIG_SEED", raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_dict(simulation={"x0": [5.0, -2.0], "seed": seed, "total_steps": 40})))
+    out = tmp_path / "out"
+    preset = ["preset", "online-unperturbed", "--steps", "40", "--out-dir", str(out)]
+    runs = [
+        (["simulate", "--config", str(path), "--out-dir", str(out)], None),
+        (preset + ["--seed", str(seed)], None),
+        (preset, str(seed)),
+        (preset + ["--sweep", f"1,{seed}"], None),
+    ]
+    for argv, env in runs:
+        if env is not None:
+            monkeypatch.setenv("ASYNCTRIG_SEED", env)
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "seed must lie in [-2**63, 2**63)" in err and "Traceback" not in err
+        assert not out.exists()
+        monkeypatch.delenv("ASYNCTRIG_SEED", raising=False)
+
+
+def test_the_seed_range_ends_are_accepted(tmp_path, capsys):
+    out = tmp_path / "ends"
+    argv = ["preset", "online-unperturbed", "--steps", "40", f"--sweep={-(2**63)},{2**63 - 1}", "--out-dir", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (out / f"trace_{-(2**63)}.csv").exists() and (out / f"trace_{2**63 - 1}.csv").exists()
+
+
 def test_a_rerun_into_a_used_directory_writes_the_bytes_of_a_fresh_one(tmp_path, capsys):
     # the longer run's files are all longer than the shorter run's, so each must be cut, not just overwritten
     used, fresh = tmp_path / "used", tmp_path / "fresh"

@@ -580,6 +580,20 @@ def test_blocked_loop_matches_the_stepwise_oracle_across_block_edges():
     assert all(any(b < k < e for b, e in spans) for k in (block, 2 * block))
 
 
+@pytest.mark.parametrize("name", simulation.PERTURBED_MODES)
+def test_blocked_loop_matches_the_stepwise_oracle_on_idle_heavy_runs(name, preset_traces):
+    # started deep inside E(P,1), the run opens on a stretch of gate idles, so
+    # the first steps apply the input of the initial estimate; idle steps keep
+    # x-hat and u, while the oracle samples with its selection matmuls every step
+    cfg, prep, _ = preset_traces[name]
+    for seed in (154, 5):
+        run = dataclasses.replace(cfg, x0=1e-3 * cfg.x0, total_steps=300, seed=seed)
+        tr = _matches_stepwise(run, prep)
+        gates = [dec.reason == "gate" for dec in tr.decisions]
+        assert all(gates[:16]) and 2 * sum(gates) > len(gates)
+        assert 4 * np.count_nonzero(tr.actions == 0) > tr.actions.size
+
+
 def test_blocked_loop_matches_the_stepwise_oracle_on_the_wide_plant():
     cfg = dataclasses.replace(_wide_config(15), total_steps=40)
     prep = prepare(cfg)

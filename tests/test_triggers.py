@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from asynctrig import triggers
 from asynctrig.certificates import (
     PerturbedOnlineCertificate,
     UnperturbedCertificate,
@@ -598,3 +599,73 @@ def test_tie_break_draws_from_the_keyed_generator():
         ties = tuple(range(10, 12 + i % 6))  # 2 to 7 ties
         expect = np.random.Generator(np.random.Philox(key=[seed, step])).integers(len(ties))
         assert _tie_break(ties, seed, step) == ties[expect]
+
+
+def _numpy_draw(n: int, seed: int, step: int) -> int:
+    return int(np.random.Generator(np.random.Philox(key=[seed, step])).integers(n))
+
+
+def test_tie_break_matches_numpy_at_negative_and_extreme_seeds():
+    # numpy keys a negative seed mod 2**64; the ends of the accepted range included
+    rng = np.random.default_rng(34)
+    seeds = [-(2**63), 2**63 - 1, -1, *(int(s) for s in rng.integers(-(2**63), 0, size=60))]
+    for seed in seeds:
+        for step in (0, 1, 99, 2**40):
+            for n in (2, 3, 7, 1000):
+                assert _tie_break(range(n), seed, step) == _numpy_draw(n, seed, step), (seed, step, n)
+
+
+def test_tie_break_matches_numpy_for_tie_counts_up_to_a_million():
+    rng = np.random.default_rng(35)
+    counts = [*range(2, 200), *np.unique(np.geomspace(200, 10**6, 300).astype(int)).tolist(), 10**6]
+    for n in counts:
+        for _ in range(4):
+            seed, step = int(rng.integers(-(2**63), 2**63)), int(rng.integers(0, 10**5))
+            assert _tie_break(range(n), seed, step) == _numpy_draw(n, seed, step), (seed, step, n)
+
+
+# (n, seed, step): draws whose Lemire rejections use up the eight 32-bit words
+# of the first counter block and read the second
+SECOND_BLOCK = [
+    (2**31 + 1, 154, 150),
+    (2**31 + 1, 154, 493),
+    (2**31 + 1, 154, 518),
+    (3 * 2**30 + 7, 154, 87757),
+    (3 * 2**30 + 7, 154, 90714),
+    (3 * 2**30 + 7, 154, 206285),
+]
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30 + 7, 2**32])
+def test_tie_break_matches_numpy_on_rejection_heavy_and_full_ranges(n):
+    # 2**31 + 1 rejects nearly half its words; 2**32 takes a whole word unbounded
+    rng = np.random.default_rng(n % 1000)
+    for _ in range(300):
+        seed, step = int(rng.integers(-(2**63), 2**63)), int(rng.integers(0, 10**5))
+        assert _tie_break(range(n), seed, step) == _numpy_draw(n, seed, step), (seed, step)
+
+
+@pytest.mark.parametrize("n, seed, step", SECOND_BLOCK)
+def test_tie_break_reads_the_second_counter_block_as_numpy_does(monkeypatch, n, seed, step):
+    counters = []
+    block = triggers._philox4x64
+
+    def spy(counter, k0, k1):
+        counters.append(counter)
+        return block(counter, k0, k1)
+
+    monkeypatch.setattr(triggers, "_philox4x64", spy)
+    assert _tie_break(range(n), seed, step) == _numpy_draw(n, seed, step)
+    assert counters == [1, 2]
+
+
+def test_tie_break_builds_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tie-break draw needs no numpy generator")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    draws = {_tie_break(("a", "b", "c"), 154, k) for k in range(40)}
+    assert draws == {"a", "b", "c"}
+    assert _tie_break(np.array([4, 9]), -7, 3) in (4, 9)
+    assert 0 <= _tie_break(range(2**32), 1, 2) < 2**32

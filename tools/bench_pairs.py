@@ -12,7 +12,10 @@ Both sides use their own checkout's perfbench and sources.  The
 record holds the change side's machine record, the protocol, and per
 workload the seven end-to-end metrics: every run's values, each side's
 median and quartiles, and the number of pairs the change won by the
-direction `BENCHMARK.json` gives; `layers` holds each side's per-layer
+direction `BENCHMARK.json` gives, and `claim_rule`, true where a claimed gain
+would stand: the change wins at least nine tenths of the pairs, and its
+median is better than the parent's by more than the parent's interquartile
+range; `layers` holds each side's per-layer
 metrics, the median over its traced runs, and `layer_runs` every traced
 run's values: one traced run cannot resolve a 10-20% change in a layer
 that takes a few hundredths of a second.  Last, `presets` holds, per side and preset,
@@ -127,12 +130,16 @@ def summarize(pairs, better: dict) -> dict:
         parent = [pair["parent"]["metrics"][name] for pair in pairs]
         change = [pair["change"]["metrics"][name] for pair in pairs]
         sign = 1.0 if direction == "higher" else -1.0
+        before = quartiles(parent)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        move = sign * (statistics.median(change) - statistics.median(parent))
         out["metrics"][name] = {
             "better": direction,
-            "parent": quartiles(parent),
+            "parent": before,
             "change": quartiles(change),
             "change_over_parent": statistics.median(change) / statistics.median(parent),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": wins,
+            "claim_rule": 10 * wins >= 9 * len(pairs) and move > before["q3"] - before["q1"],
             "pairs": len(pairs),
             "parent_runs": parent,
             "change_runs": change,

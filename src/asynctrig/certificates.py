@@ -106,6 +106,35 @@ def _radii(phis) -> np.ndarray:
     return np.abs(np.linalg.eigvals(phis)).max(axis=1)
 
 
+def _power_bounds(phis):
+    """(lower, upper): bounds on the spectral radius rho of each matrix of a (K, d, d) stack.
+
+    Four squarings give Phi^16 and |Phi|^16.  In exact arithmetic
+    |tr Phi^16| = |sum_i lambda_i^16| <= d rho^16 and rho^16 <= ||Phi^16||_F.
+    Each rounded product fl(XY) is within gamma_d |X||Y| of XY (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), so the computed
+    power is within ((1 + gamma_d)^15 - 1) |Phi|^16 ~ 15 d u |Phi|^16 of the
+    exact one, entrywise; e = 32 d u |Phi|^16, as computed, also covers the
+    rounding of |Phi|^16, of the trace and of the norm.  So lower = ((|tr| -
+    tr e)/d)^(1/16) and upper = ((||Phi^16||_F + ||e||_F)(1 + 32 d u))^(1/16);
+    the last-bit error of the 16th roots and any subnormal underflow are far
+    below the SIGMA_STAR_ATOL floor that `choose_sigma_star` adds to them.  A
+    power that overflowed gives lower 0 and upper inf.
+    """
+    d = phis.shape[-1]
+    power, size = phis, np.abs(phis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            power, size = power @ power, size @ size
+        rounding = 16 * d * np.finfo(float).eps  # 32 d u
+        err = rounding * size
+        trace = np.abs(np.trace(power, axis1=1, axis2=2)) - np.trace(err, axis1=1, axis2=2)
+        norm = (np.linalg.norm(power, axis=(1, 2)) + np.linalg.norm(err, axis=(1, 2))) * (1 + rounding)
+    lower = np.where(np.isfinite(trace) & (trace > 0), trace / d, 0.0) ** (1 / 16)
+    upper = np.where(np.isfinite(norm), norm, np.inf) ** (1 / 16)
+    return lower, upper
+
+
 def choose_sigma_star(phis, codes) -> int:
     """Index of the horizon of smallest spectral radius in its transition table (first wins).
 
@@ -115,9 +144,14 @@ def choose_sigma_star(phis, codes) -> int:
     its rotation gives YX, and XY and YX have the same eigenvalues.  So every
     horizon of a rotation class has the same spectral radius in exact
     arithmetic, and one eigensolve per class (its first member) finds the
-    least.  Roundoff can still order the members of a class, so every member
-    of each class whose radius is within SIGMA_STAR_RTOL of the least, or
-    SIGMA_STAR_ATOL where that is larger, is solved again, and the first of
+    least.  Only the classes that can win are solved: `_power_bounds` gives
+    each class a lower bound lb on its radius and U, the least upper bound,
+    bounds the least radius, so a class with lb > U + 2 tol, tol =
+    max(SIGMA_STAR_RTOL U, SIGMA_STAR_ATOL), lies outside the re-solve
+    window below even where roundoff moves either computed radius by up to
+    that window.  Roundoff can still order the members of a class, so every
+    member of each class whose radius is within SIGMA_STAR_RTOL of the least,
+    or SIGMA_STAR_ATOL where that is larger, is solved again, and the first of
     them with the smallest radius is returned: the horizon one eigensolve per
     horizon picks.
     """
@@ -126,9 +160,12 @@ def choose_sigma_star(phis, codes) -> int:
     if not np.isfinite(phis).all():
         raise ValueError("matrix entries must be finite")
     cls, first = rotation_classes(codes)
-    radii = _radii(phis[first])
+    lower, upper = _power_bounds(phis[first])
+    bound = upper.min()
+    kept = np.flatnonzero(~(lower > bound + 2 * max(SIGMA_STAR_RTOL * bound, SIGMA_STAR_ATOL)))
+    radii = _radii(phis[first[kept]])
     least = radii.min()
-    near = np.flatnonzero(radii <= least + max(SIGMA_STAR_RTOL * least, SIGMA_STAR_ATOL))
+    near = kept[radii <= least + max(SIGMA_STAR_RTOL * least, SIGMA_STAR_ATOL)]
     members = np.flatnonzero(np.isin(cls, near))
     return int(members[np.argmin(_radii(phis[members]))])
 

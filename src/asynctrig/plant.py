@@ -18,6 +18,8 @@ from .matrix_core import _as_matrix, spectral_norm, zoh_pair
 
 # Simpson panels of disturbance_step_bound; even, as its half-resolution error estimate needs
 BOUND_PANELS = 1000
+# transition_table steps at most this many trie nodes per product, so its temporaries stay small
+TABLE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,42 @@ def disturbance_step_bound(plant: PlantModel, T: float) -> float:
 
 def transition_table(dp: DiscretePlant, codes) -> np.ndarray:
     """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon of an `action_codes`
-    array, stacked in order as (H, 2n, 2n): the first action sits rightmost, and each
-    (position, action) pair steps all rows taking that action there at once."""
+    array, stacked in order as (H, 2n, 2n), the first action rightmost.
+
+    Horizons that share a prefix share its product, so the table is built on
+    the prefix trie, level by level: each node is A~_a @ (its parent node),
+    one product per node instead of one per (horizon, position), and each is
+    the product the horizon's own left-to-right loop makes, bit for bit.  No
+    level is held beside the table: each node lives in the row of one horizon
+    through it (one that ends there, if any), and every other horizon that
+    ends there copies that row before it moves on to a deeper node.
+    """
     steps = step_matrices(dp)
+    base = dp.m + 1
     phis = np.empty((codes.shape[1], 2 * dp.n, 2 * dp.n))
-    phis[:] = np.eye(2 * dp.n)
-    for pos, a in np.ndindex(len(codes), dp.m + 1):
-        rows = np.flatnonzero(codes[pos] == a)
-        phis[rows] = steps[a] @ phis[rows]
+    live = np.arange(codes.shape[1])  # the horizons longer than the level; all are nonempty
+    node = np.zeros(live.size, dtype=np.intp)  # each live horizon's node one level up; the root is 0
+    holder = np.zeros(1, dtype=np.intp)  # the row holding each node of the level above
+    for k in range(len(codes)):
+        node = node * base + codes[k, live]
+        present = np.zeros(holder.size * base, dtype=bool)
+        present[node] = True
+        nodes = np.flatnonzero(present)  # parent * base + action, one per node of this level
+        node = (np.cumsum(present) - 1)[node]
+        ends = codes[k + 1, live] < 0 if k + 1 < len(codes) else np.ones(live.size, dtype=bool)
+        rows = np.empty(nodes.size, dtype=np.intp)
+        rows[node] = live
+        rows[node[ends]] = live[ends]
+        parents = holder[nodes // base]
+        src = phis if k else np.eye(2 * dp.n)[None]  # the root is the identity
+        # a node whose row holds its parent is stepped last, once every sibling has read the parent
+        order = np.argsort(rows == parents, kind="stable")
+        for lo in range(0, order.size, TABLE_CHUNK):
+            part = order[lo : lo + TABLE_CHUNK]
+            phis[rows[part]] = steps[nodes[part] % base] @ src[parents[part]]
+        copies = np.flatnonzero(ends & (live != rows[node]))
+        phis[live[copies]] = phis[rows[node[copies]]]
+        live, node, holder = live[~ends], node[~ends], rows
     return phis
 
 

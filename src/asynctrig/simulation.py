@@ -236,6 +236,7 @@ def prepare(config: SimConfig) -> Prepared:
 
 
 def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace:
+    check_seed(config.seed)  # a seed assigned after construction would otherwise share another's draws
     plant = config.plant
     prepared = prepared if prepared is not None else prepare(config)
     dp, cert, policy, integrator = prepared.dp, prepared.cert, prepared.policy, prepared.integrator

@@ -1,7 +1,9 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
 import csv
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigvals, expm
@@ -36,6 +38,22 @@ from asynctrig.plant import (
     step_matrices,
 )
 from asynctrig.simulation import PERTURBED_MODES, SimTrace, default_sine_disturbance
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from its file: perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wide_config(steps: int):
+    """The wide-horizons benchmark case: a 3-state, 3-sensor plant and horizon lengths 1..7."""
+    return perfbench_module("workloads").wide_config(steps)
+
 
 # the two-state benchmark plant used across the suite
 A2 = np.array([[0.0, 1.0], [-2.0, 3.0]])

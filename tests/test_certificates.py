@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +26,7 @@ from asynctrig.certificates import (
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import action_codes, enumerate_horizons
+from asynctrig.horizons import action_codes, enumerate_horizons, rotation_classes
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
 from asynctrig.partition import region_multipliers
 from asynctrig.plant import (
@@ -54,6 +52,7 @@ from helpers import (
     regioned_U_c,
     scan_perturbed_offline,
     scan_perturbed_online,
+    wide_config,
 )
 
 NO_DISTURBANCE = dict(varpi=0.0, C_prime=0.0)
@@ -99,12 +98,7 @@ def test_choose_sigma_star_rejects_overflowed_products():
 
 
 def test_choose_sigma_star_matches_the_full_scan_on_the_wide_horizons_plant():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    config = workloads.wide_config(15)
+    config = wide_config(15)
     dp = DiscretePlant.from_plant(config.plant, config.T)
     horizons = enumerate_horizons(dp.m, 1, 7)
     codes = action_codes(horizons)
@@ -147,6 +141,86 @@ def test_choose_sigma_star_rechecks_rotations_at_roundoff_level(monkeypatch):
     assert horizons[choose_sigma_star(phis, codes)] == (2, 1)
     monkeypatch.setattr(certificates, "SIGMA_STAR_ATOL", 0.0)
     assert horizons[choose_sigma_star(phis, codes)] == (0,)
+
+
+def _class_representatives(dp, l_max):
+    horizons = enumerate_horizons(dp.m, 1, l_max)
+    codes = action_codes(horizons)
+    return transition_table(dp, codes)[rotation_classes(codes)[1]]
+
+
+def test_power_bounds_enclose_the_computed_radius_of_every_class():
+    config = wide_config(15)
+    stacks = [_class_representatives(DiscretePlant.from_plant(config.plant, config.T), 7)]
+    rng = np.random.default_rng(35)
+    while len(stacks) < 51:
+        n = 2 + len(stacks) % 2
+        draw = random_schur_stabilizable(rng, n=n)
+        if draw is not None:
+            stacks.append(_class_representatives(DiscretePlant.from_plant(*draw), 6 if n == 2 else 5))
+    for phis in stacks:
+        lower, upper = certificates._power_bounds(phis)
+        radii = certificates._radii(phis)
+        assert (lower <= radii).all() and (radii <= upper).all()
+        assert (lower > 0).any()
+
+
+def test_power_bounds_stay_below_the_exact_radius():
+    # diagonal and Jordan-block matrices, whose radii are known exactly: lb = rho
+    # for lambda I but for the rounding term, and a nilpotent block has lb = rho = 0
+    rng = np.random.default_rng(7)
+    mats, rho = [], []
+    for lam in (0.5, -0.9, 1.3, 1e-3, 0.0, 7.0):
+        for size in (1, 3, 6):
+            J = lam * np.eye(6) + np.diag(np.r_[np.ones(size - 1), np.zeros(6 - size)], 1)
+            mats.append(J)
+            rho.append(abs(lam))
+        mats.append(lam * np.eye(6))
+        rho.append(abs(lam))
+    for _ in range(40):
+        eigs = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.0, 2.0, 6)
+        mats.append(np.diag(eigs))
+        rho.append(np.abs(eigs).max())
+    lower, upper = certificates._power_bounds(np.array(mats))
+    assert (lower <= np.array(rho)).all() and (np.array(rho) <= upper).all()
+    assert lower[np.array(rho) == 0].max() == 0.0
+
+
+def test_choose_sigma_star_never_drops_an_overflowing_power(monkeypatch):
+    # N is nilpotent but its rounded square is inf - inf: its power gives no bound,
+    # so its class is solved although the other class's upper bound is far smaller
+    N = np.array([[2.0**530, 2.0**530], [-(2.0**530), -(2.0**530)]])
+    small = np.diag([0.5, 0.25])
+    lower, upper = certificates._power_bounds(np.array([N, 1e20 * np.eye(2), small]))
+    assert lower[:2].tolist() == [0.0, 0.0] and upper[:2].tolist() == [math.inf, math.inf]
+    assert lower[2] > 0.0 and upper[2] < 1.0
+    radii, solved = certificates._radii, []
+
+    def spy(phis):
+        solved.extend(phis)
+        return radii(phis)
+
+    monkeypatch.setattr(certificates, "_radii", spy)
+    choose_sigma_star(np.array([small, N]), action_codes([(1,), (2,)]))
+    assert any(np.array_equal(Phi, N) for Phi in solved)
+
+
+def test_choose_sigma_star_solves_only_the_classes_that_can_win(monkeypatch):
+    # 21 844 horizons in 3 360 rotation classes; the power bounds keep a few hundred
+    config = wide_config(15)
+    dp = DiscretePlant.from_plant(config.plant, config.T)
+    horizons = enumerate_horizons(dp.m, 1, 7)
+    codes = action_codes(horizons)
+    phis = transition_table(dp, codes)
+    radii, solved = certificates._radii, []
+
+    def spy(stack):
+        solved.append(len(stack))
+        return radii(stack)
+
+    monkeypatch.setattr(certificates, "_radii", spy)
+    assert horizons[choose_sigma_star(phis, codes)] == full_scan_sigma_star(horizons, phis)
+    assert sum(solved) < 400, solved
 
 
 def test_unperturbed_certificate_decay_margin():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asynctrig.horizons import action_codes
+from asynctrig.horizons import action_codes, enumerate_horizons
 from asynctrig.matrix_core import spectral_norm, zoh_pair
 from asynctrig.plant import (
     DiscretePlant,
@@ -14,7 +16,16 @@ from asynctrig.plant import (
     transition_table,
 )
 from asynctrig.presets import preset_config
-from helpers import A2, B2, K2, benchmark_plant, horizon_transition, per_node_disturbance_bound
+from helpers import (
+    A2,
+    B2,
+    K2,
+    benchmark_plant,
+    horizon_transition,
+    per_node_disturbance_bound,
+    random_schur_stabilizable,
+    wide_config,
+)
 
 
 def test_plant_model_validation():
@@ -86,14 +97,79 @@ def test_transition_table_matches_direct_products():
         assert np.allclose(table[i], horizon_transition(dp, s))
 
 
+def _assert_rows_are_horizon_transitions(dp, horizons):
+    # bit for bit, the sign of a zero and any non-finite entry included
+    table = transition_table(dp, action_codes(horizons))
+    assert table.shape == (len(horizons), 2 * dp.n, 2 * dp.n)
+    for Phi, s in zip(table, horizons):
+        assert Phi.tobytes() == horizon_transition(dp, s).tobytes(), s
+    return table
+
+
 def test_transition_table_rows_equal_horizon_transition_exactly():
     # mixed lengths out of order, one horizon listed twice, none shorter than 3
     dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
     horizons = [(2, 0, 1, 1), (1, 2, 0), (0, 0, 0, 2, 1), (1, 2, 0), (2, 2, 2), (0, 1, 2, 1)]
-    table = transition_table(dp, action_codes(horizons))
-    assert table.shape == (len(horizons), 4, 4)
-    for Phi, s in zip(table, horizons):
-        assert np.array_equal(Phi, horizon_transition(dp, s)), s
+    _assert_rows_are_horizon_transitions(dp, horizons)
+
+
+def _random_plants(seed, count):
+    rng = np.random.default_rng(seed)
+    while count:
+        draw = random_schur_stabilizable(rng, n=int(rng.integers(2, 4)))
+        if draw is not None:
+            count -= 1
+            yield rng, DiscretePlant.from_plant(*draw)
+
+
+def test_transition_table_trie_on_random_lists_with_duplicates_and_shared_prefixes():
+    for rng, dp in _random_plants(35, 12):
+        every = enumerate_horizons(dp.m, 1, 5)
+        picks = rng.integers(0, len(every), size=int(rng.integers(1, 400)))
+        horizons = [every[i] for i in picks]  # drawn with replacement, in no order
+        assert len(set(horizons)) < len(horizons) or len(horizons) < 40
+        _assert_rows_are_horizon_transitions(dp, horizons)
+
+
+def test_transition_table_trie_where_no_prefix_is_a_horizon():
+    # l_min > 1: the trie's upper levels are prefixes only, held in rows of longer horizons
+    for rng, dp in _random_plants(36, 8):
+        l_min = int(rng.integers(2, 4))
+        every = enumerate_horizons(dp.m, l_min, 5)
+        horizons = [every[i] for i in rng.permutation(len(every))[: int(rng.integers(1, len(every)))]]
+        _assert_rows_are_horizon_transitions(dp, horizons + horizons[:3])
+
+
+def test_transition_table_trie_of_length_one_horizons():
+    dp = DiscretePlant.from_plant(benchmark_plant(), 0.25)
+    table = _assert_rows_are_horizon_transitions(dp, [(2,), (0,), (2,), (1,), (0,)])
+    steps = step_matrices(dp)
+    assert all(np.array_equal(Phi, steps[a]) for Phi, a in zip(table, (2, 0, 2, 1, 0)))
+
+
+def test_transition_table_trie_keeps_the_overflowed_rows():
+    # e^300 per period: the three-step products of this unstable plant overflow
+    dp = DiscretePlant.from_plant(PlantModel(A=[[300.0]], B=[[1.0]], K=[[-1.0]], blocks=(1,)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _assert_rows_are_horizon_transitions(dp, enumerate_horizons(1, 1, 3))
+    assert np.isfinite(table[:6]).all() and not np.isfinite(table[6:]).all()
+
+
+def test_transition_table_holds_no_trie_level_beside_the_table():
+    # the deepest level of the wide-horizons trie, 4**7 nodes, would be 4 such shares;
+    # the table's other temporaries stay within one
+    config = wide_config(15)
+    dp = DiscretePlant.from_plant(config.plant, config.T)
+    codes = action_codes(enumerate_horizons(dp.m, 1, 7))
+    share = int((codes[-1] >= 0).sum()) // (dp.m + 1) * (2 * dp.n) ** 2 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phis = transition_table(dp, codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= phis.nbytes + share, (peak - phis.nbytes) / share
 
 
 def test_discretization_matches_zoh_pair():

@@ -1,9 +1,8 @@
 import dataclasses
 import gc
-import importlib.util
+import importlib
 import math
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from helpers import (
     schur_threshold,
     special_value_traces,
     stepwise_simulate,
+    wide_config,
 )
 
 
@@ -487,6 +487,19 @@ def test_prepare_builds_the_quadrature_table_once(monkeypatch):
         assert built == [], name
 
 
+@pytest.mark.parametrize("seed", [2**64 + 154, 2**63, -(2**63) - 1])
+def test_simulate_checks_a_seed_assigned_after_construction(seed):
+    # SimConfig checks its seed when it is built; the draw keys a seed mod 2**64,
+    # so 2**64 + 154 set afterwards would replay seed 154's decisions
+    cfg = preset_config("online-unperturbed", total_steps=20)
+    prep = prepare(cfg)
+    cfg.seed = seed
+    with pytest.raises(ConfigError, match=r"seed must lie in \[-2\*\*63, 2\*\*63\)"):
+        simulate(cfg, prep)
+    with pytest.raises(ConfigError, match="seed must lie"):
+        simulate(cfg)
+
+
 @pytest.mark.parametrize("limit, collected", [(0, True), (2**62, False)])
 def test_prepare_collects_before_large_tables(monkeypatch, limit, collected):
     # an old policy whose select a caller wrapped is a reference cycle; with the
@@ -518,15 +531,6 @@ def test_simulate_decides_through_the_policy(online_run):
     finally:
         del prep.policy.select
     assert seen and tr.decisions == seen
-
-
-def _wide_config(steps: int):
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.wide_config(steps)
 
 
 def _matches_stepwise(cfg, prep):
@@ -595,7 +599,7 @@ def test_blocked_loop_matches_the_stepwise_oracle_on_idle_heavy_runs(name, prese
 
 
 def test_blocked_loop_matches_the_stepwise_oracle_on_the_wide_plant():
-    cfg = dataclasses.replace(_wide_config(15), total_steps=40)
+    cfg = dataclasses.replace(wide_config(15), total_steps=40)
     prep = prepare(cfg)
     assert 2 * cfg.plant.n == 6 and cfg.plant.blocks == (1, 1, 1)
     for seed in (154, 11):

@@ -27,9 +27,9 @@ from .certificates import (
 )
 from .errors import ConfigError, InfeasibleError, ResourceCapError
 from .horizons import (
-    action_codes,
     avg_idle_metric,
     enumerate_horizons,
+    horizon_codes,
     horizon_from_text,
     horizon_to_text,
 )

@@ -138,7 +138,7 @@ def _power_bounds(phis):
 def choose_sigma_star(phis, codes) -> int:
     """Index of the horizon of smallest spectral radius in its transition table (first wins).
 
-    phis must be the transition table of the horizons of the `action_codes`
+    phis must be the transition table of the horizons of the code
     array codes, stacked in the same order.  A rotation of a horizon
     multiplies the same step matrices in rotated order: where sigma gives XY,
     its rotation gives YX, and XY and YX have the same eigenvalues.  So every
@@ -374,7 +374,7 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> Regio
 
 def region_forms(cert, codes, phis) -> RegionForms:
     """The offline region test of an unperturbed or perturbed-offline certificate
-    on the horizons of an `action_codes` array, with phis their transition table."""
+    on the horizons of a code array, with phis their transition table."""
     lengths = (codes >= 0).sum(axis=0)
     bbars = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
     if isinstance(cert, UnperturbedCertificate):

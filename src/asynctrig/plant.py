@@ -158,7 +158,7 @@ def disturbance_step_bound(plant: PlantModel, T: float) -> float:
 
 
 def transition_table(dp: DiscretePlant, codes) -> np.ndarray:
-    """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon of an `action_codes`
+    """Phi_sigma = A~_(sigma[-1]) ... A~_(sigma[0]) for every horizon of a code
     array, stacked in order as (H, 2n, 2n), the first action rightmost.
 
     Horizons that share a prefix share its product, so the table is built on

@@ -23,7 +23,7 @@ from .certificates import (
     synthesize_unperturbed,
 )
 from .errors import ConfigError
-from .horizons import DEFAULT_CAP, action_codes, enumerate_horizons, horizon_to_text
+from .horizons import DEFAULT_CAP, horizon_at, horizon_codes, horizon_index, horizon_to_text
 from .partition import make_partition
 from .plant import (
     DiscretePlant,
@@ -162,7 +162,7 @@ class _DisturbanceIntegrator:
 
 class Prepared(NamedTuple):
     dp: DiscretePlant
-    horizons: list
+    codes: np.ndarray  # the horizons' code array, as certify returns it
     cert: object
     regions: Optional[list]  # None for the online modes
     table: Optional[TablePolicy]  # the offline modes' table policy, also inside policy; None online
@@ -173,29 +173,27 @@ class Prepared(NamedTuple):
 def certify(config: SimConfig) -> tuple:
     """Run the certificate stage: discretize, enumerate, choose sigma*, synthesize.
 
-    Returns (dp, horizons, codes, phis, star, cert), star being sigma*'s
-    index in the horizons.  The horizons' action-code array and transition
-    stack are built once here, shared by the choice of sigma* and the
-    synthesis, and returned for a caller that tabulates or tests the same
-    horizons; any infeasibility surfaces here.
+    Returns (dp, codes, phis, star, cert): the horizons' code array
+    (`horizon_codes`), their transition stack, and sigma*'s index in both.
+    The codes and the stack are built once here, shared by the choice of
+    sigma* and the synthesis, and returned for a caller that tabulates or
+    tests the same horizons; no horizon tuple is built but sigma*'s.  A
+    configured sigma*'s index is computed from its digits; any infeasibility
+    surfaces here.
     """
     plant = config.plant
     dp = DiscretePlant.from_plant(plant, config.T)
-    horizons = enumerate_horizons(plant.m, config.l_min, config.l_max, config.horizon_cap)
-    if len(horizons) * (2 * plant.n) ** 2 * 8 >= COLLECT_BEFORE_BYTES:
+    codes = horizon_codes(plant.m, config.l_min, config.l_max, config.horizon_cap)
+    if codes.shape[1] * (2 * plant.n) ** 2 * 8 >= COLLECT_BEFORE_BYTES:
         # an earlier prepare's tables caught in a reference cycle (a policy whose bound
         # select a caller wrapped) stay resident until the oldest generation is collected
         gc.collect()
-    codes = action_codes(horizons)
     phis = transition_table(dp, codes)
     if config.sigma_star:
-        try:
-            star = horizons.index(tuple(config.sigma_star))
-        except ValueError:
-            raise ConfigError(f"fallback horizon {tuple(config.sigma_star)} is not in the enumerated set") from None
+        star = horizon_index(config.sigma_star, plant.m, config.l_min, config.l_max)
     else:
         star = choose_sigma_star(phis, codes)
-    sigma_star, Phi_star = horizons[star], phis[star]
+    sigma_star, Phi_star = horizon_at(codes, star), phis[star]
     if config.mode not in PERTURBED_MODES:
         cert = synthesize_unperturbed(Phi_star, config.beta, sigma_star, config.T)
     else:
@@ -211,7 +209,7 @@ def certify(config: SimConfig) -> tuple:
                 Phi_star, config.beta, config.gamma1, config.gamma2, sigma_star, config.T, chi,
                 C_prime=C_prime, varpi=varpi,
             )
-    return dp, horizons, codes, phis, star, cert
+    return dp, codes, phis, star, cert
 
 
 def prepare(config: SimConfig) -> Prepared:
@@ -221,18 +219,18 @@ def prepare(config: SimConfig) -> Prepared:
     online test, both built on certify's transition stack, which no
     Prepared keeps; a perturbed mode wraps either in the E(P,1) gate.
     """
-    dp, horizons, codes, phis, star, cert = certify(config)
+    dp, codes, phis, star, cert = certify(config)
     regions = table = None
     if config.mode in OFFLINE_MODES:
         regions = make_partition(2 * dp.n, config.N)
-        policy = table = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
+        policy = table = TablePolicy(cert, phis, dp.m, regions, codes, star)
     else:
-        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes, star)
+        policy = OnlinePolicy(cert, phis, dp.m, codes, star)
     integrator = None
     if config.mode in PERTURBED_MODES:
         policy = GatedPolicy(policy, cert.P)
         integrator = _DisturbanceIntegrator(config.plant, config.T, config.substeps_per_T)
-    return Prepared(dp, horizons, cert, regions, table, policy, integrator)
+    return Prepared(dp, codes, cert, regions, table, policy, integrator)
 
 
 def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
-from .horizons import avg_idle_metric, horizon_to_text
+from .horizons import avg_idle_metric, horizon_at, horizon_to_text
 from .matrix_core import decay_form, symmetrize
 from .partition import region_multipliers, region_of
 
@@ -103,7 +103,7 @@ def _tie_break(ties, rng_seed: int, step_index: int):
 
 
 def _metrics(codes, m: int) -> np.ndarray:
-    """avg_idle_metric of every horizon of an `action_codes` array, bit for bit: both
+    """avg_idle_metric of every horizon of a code array, bit for bit: both
     divide the same two exact integers."""
     lengths = (codes >= 0).sum(axis=0)
     return ((codes == 0).sum(axis=0) + lengths) / (m * lengths)
@@ -124,9 +124,11 @@ class OnlinePolicy:
     scores at most two blocks, each one product of the flattened forms with
     vec(eta eta'): the best levels up to the first level end at or past
     FORM_CHUNK forms, then the rest.  When nothing is admissible, sigma* is
-    taken and the decision's reason is forced-fallback.  horizons is a list
-    of tuples, as `enumerate_horizons` gives, codes its `action_codes` array,
-    and star sigma*'s index in both, as `certify` returns it.
+    taken and the decision's reason is forced-fallback.  codes is the
+    horizons' code array, phis their transition stack and star sigma*'s
+    index in both, as `certify` returns them.  The policy keeps the codes in
+    metric order; a decision's horizon tuple is built at the first decision
+    that returns its position and reused after (`horizon`).
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -140,21 +142,22 @@ class OnlinePolicy:
     against gamma - bbar = 0.25.  Both signs cannot match the paper.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, codes, star: int):
+    def __init__(self, cert, phis, m: int, codes, star: int):
         metrics = _metrics(codes, m)
         order = np.argsort(-metrics, kind="stable")
-        self.horizons = [horizons[i] for i in order.tolist()]
+        self.codes = codes[:, order]
+        self.built = {}  # metric-order position -> its horizon tuple, once a decision returned it
         self.metrics = metrics[order]
         self.fallback_index = int(np.flatnonzero(order == star)[0])  # sigma*'s position in metric order
         self.m = m
-        H = len(horizons)
+        H = codes.shape[1]
         level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
         self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
         split = int(level_ends[level_ends >= min(FORM_CHUNK, H)][0])
         self.blocks = ((0, split), (split, H))
         P = symmetrize(cert.P)
         nn = P.shape[0]
-        lengths = (codes >= 0).sum(axis=0)[order]
+        lengths = (self.codes >= 0).sum(axis=0)
         rhos = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
         if isinstance(cert, UnperturbedCertificate):
             A, w, self.corners = P, rhos, np.zeros(H)
@@ -166,6 +169,13 @@ class OnlinePolicy:
             sl = slice(lo, lo + FORM_CHUNK)
             self.forms[sl] = -decay_form(phis[order[sl]], P, w[sl], A)
         self.flat = self.forms.reshape(H, nn * nn)
+
+    def horizon(self, i) -> tuple:
+        """The horizon at metric-order position i, built once."""
+        horizon = self.built.get(i)
+        if horizon is None:
+            horizon = self.built[i] = horizon_at(self.codes, i)
+        return horizon
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)
@@ -182,7 +192,7 @@ class OnlinePolicy:
             i = self.fallback_index
             reason, margin = "forced-fallback", self.flat[i] @ outer + self.corners[i]
         return TriggerDecision(
-            horizon=self.horizons[i],
+            horizon=self.horizon(i),
             metric=float(self.metrics[i]),
             evaluated=hi,
             reason=reason,
@@ -200,12 +210,13 @@ class TablePolicy:
     where nothing qualifies gets sigma* alone.  psi holds each region's
     tuple of optimal horizons, metric their shared metric value, and
     certified its number of certified horizons (0 where psi is the fallback
-    alone).  horizons is a list of tuples, as `enumerate_horizons` gives,
-    codes its `action_codes` array, and star sigma*'s index in both, as
-    `certify` returns it.  Every lookup miss gets the one decision miss.
+    alone).  codes is the horizons' code array, phis their transition stack
+    and star sigma*'s index in both, as `certify` returns them; only the
+    horizons psi and miss hold are built as tuples.  Every lookup miss gets
+    the one decision miss.
     """
 
-    def __init__(self, cert, horizons, phis, m: int, regions, codes, star: int):
+    def __init__(self, cert, phis, m: int, regions, codes, star: int):
         fallback = np.array([star])
         metrics = _metrics(codes, m)
         forms = region_forms(cert, codes, phis)
@@ -214,13 +225,13 @@ class TablePolicy:
         for row in certified:
             feas = forms.index[row] if row.any() else fallback
             best = metrics[feas].max()
-            psi.append(tuple(horizons[i] for i in feas[metrics[feas] == best]))
+            psi.append(tuple(horizon_at(codes, i) for i in feas[metrics[feas] == best]))
             values.append(float(best))
         self.psi, self.metric = tuple(psi), tuple(values)
         self.certified = tuple(certified.sum(axis=1).tolist())
         self.regions = regions
         self.m = m
-        self.miss = TriggerDecision(horizons[star], float(metrics[star]), 0, "table-miss")
+        self.miss = TriggerDecision(horizon_at(codes, star), float(metrics[star]), 0, "table-miss")
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         c = region_of(np.asarray(eta, dtype=float), self.regions)

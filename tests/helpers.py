@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from asynctrig.certificates import (
     young_gain,
 )
 from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import action_codes, avg_idle_metric, horizon_to_text
+from asynctrig.horizons import avg_idle_metric, horizon_at, horizon_to_text
 from asynctrig.matrix_core import (
     solve_discrete_lyapunov,
     spectral_radius,
@@ -40,6 +41,21 @@ from asynctrig.plant import (
 from asynctrig.simulation import PERTURBED_MODES, SimTrace, default_sine_disturbance
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def action_codes(horizons) -> np.ndarray:
+    """The code array of a list of horizon tuples, built from the tuples themselves:
+    the oracle of `horizon_codes`, and the codes of any hand-picked horizon list."""
+    lengths = np.fromiter(map(len, horizons), np.intp, len(horizons))
+    flat = np.fromiter(chain.from_iterable(horizons), np.int8, int(lengths.sum()))
+    codes = np.full((len(horizons), lengths.max(initial=0)), -1, dtype=np.int8)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat  # row by row, as chain lists them
+    return np.ascontiguousarray(codes.T)
+
+
+def horizon_list(codes) -> list:
+    """Every horizon of a code array, as tuples, in its order."""
+    return [horizon_at(codes, i) for i in range(codes.shape[1])]
 
 
 def perfbench_module(name: str):
@@ -675,8 +691,8 @@ def full_scan_select(policy, eta, rng_seed: int, step_index: int = 0):
     feas = [i for i in range(H) if values[i] >= 0.0] or [policy.fallback_index]
     best = max(policy.metrics[i] for i in feas)
     ties = [i for i in feas if policy.metrics[i] == best]
-    chosen = policy.horizons[triggers._tie_break(ties, rng_seed, step_index)]
-    return chosen, float(best), tuple(policy.horizons[i] for i in ties)
+    chosen = policy.horizon(triggers._tie_break(ties, rng_seed, step_index))
+    return chosen, float(best), tuple(policy.horizon(i) for i in ties)
 
 
 def bisect_states(a, b, holds):
@@ -714,7 +730,7 @@ def select_with_ties(policy, eta, rng_seed: int, step_index: int = 0):
     finally:
         triggers._tie_break = draw
     positions = seen[0] if seen else (online.fallback_index,)
-    return dec, tuple(online.horizons[i] for i in positions)
+    return dec, tuple(online.horizon(i) for i in positions)
 
 
 def online_pair_holds(cert, Phi_star, tol: float) -> bool:

@@ -35,6 +35,7 @@ from helpers import (
     U_c_oracle,
     U_sigma_builder,
     benchmark_plant,
+    horizon_list,
     horizon_transition,
     max_eps_feasible,
     online_pair_holds,
@@ -133,7 +134,7 @@ def test_criterion_5_online_perturbed_preset(say):
     contained = tr.metrics["guub_contained"]
     sim_ok = contained and 0.61 <= red <= 0.76 and dt < 30.0
 
-    dp, horizons, cert = prep.dp, prep.horizons, prep.cert
+    dp, horizons, cert = prep.dp, horizon_list(prep.codes), prep.cert
     Phi_star = horizon_transition(dp, tuple(cert.sigma_star))
     bbar_star = decay_factor(cert.beta, len(cert.sigma_star), cert.T)
     chi_star = cert.chi[len(cert.sigma_star)] ** 2
@@ -235,7 +236,7 @@ def _step_inequality_suite(draws=1000):
     """One-step certified bound under worst-case lumped disturbances."""
     cfg = preset_config("online-perturbed")
     prep = prepare(cfg)
-    dp, horizons, cert, policy = prep.dp, prep.horizons, prep.cert, prep.policy
+    dp, horizons, cert, policy = prep.dp, horizon_list(prep.codes), prep.cert, prep.policy
     P, gamma = cert.P, cert.gamma
     phis = {s: horizon_transition(dp, s) for s in horizons}
     u_sigma = U_sigma_builder(P, cert.M, gamma)

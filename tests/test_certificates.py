@@ -25,8 +25,8 @@ from asynctrig.certificates import (
     ultimate_bound,
     young_gain,
 )
-from asynctrig.errors import InfeasibleError
-from asynctrig.horizons import action_codes, enumerate_horizons, rotation_classes
+from asynctrig.errors import ConfigError, InfeasibleError
+from asynctrig.horizons import enumerate_horizons, rotation_classes
 from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
 from asynctrig.partition import region_multipliers
 from asynctrig.plant import (
@@ -43,6 +43,7 @@ from helpers import (
     P_REF,
     U_c_oracle,
     U_sigma_builder,
+    action_codes,
     assembled_prune,
     benchmark_plant,
     full_scan_sigma_star,
@@ -477,7 +478,7 @@ def test_max_eps_feasible_finds_multipliers_outside_any_fixed_range():
 def test_perturbed_forms_assemble_only_the_kept_horizons(monkeypatch):
     # the u22 prune is decided before assembly: of the preset's 1 080
     # horizons, U_c is built for the 108 kept, in one call
-    _, _, codes, phis, _, cert = certify(preset_config("offline-perturbed"))
+    _, codes, phis, _, cert = certify(preset_config("offline-perturbed"))
     sizes, build = [], certificates.build_U_c
 
     def spy(P, gamma1, gamma2, Phi_sigma, *rest):
@@ -501,7 +502,7 @@ def _forms_inputs(cert, codes):
 def test_perturbed_forms_prune_equals_the_assembled_u22_test(l_max, count):
     # both keep exactly the 108 horizons of lengths 3 and 4
     config = dataclasses.replace(preset_config("offline-perturbed"), l_max=l_max)
-    _, _, codes, phis, _, cert = certify(config)
+    _, codes, phis, _, cert = certify(config)
     args = (cert.P, cert.gamma1, cert.gamma2, phis, *_forms_inputs(cert, codes))
     kept = assembled_prune(*args)
     assert len(phis) == count
@@ -567,6 +568,9 @@ def test_serialization_round_trip_reverifies():
     assert np.allclose(back.P, cert.P)
     assert back.sigma_star == (1, 2)
     assert reverify_certificate(back, Phi)
+    for text in ("\u0661\u0662", "1\u00b2"):  # Arabic-Indic digits, a superscript two
+        with pytest.raises(ConfigError, match=f"invalid horizon string {text!r}"):
+            certificate_from_dict({**certificate_to_dict(cert), "sigma_star": text})
     tampered = certificate_from_dict({**certificate_to_dict(cert), "P": (2 * np.eye(4)).tolist()})
     assert not reverify_certificate(tampered, Phi)
     # A zero pair passes the perturbed inequalities themselves; only positive
@@ -630,7 +634,7 @@ def test_perturbed_certificates_store_each_number_once():
 
 def _loaded_preset_certificate(name):
     """A perturbed preset's certificate as certificate.json holds it, and its Phi*."""
-    _, _, _, phis, star, cert = certify(preset_config(name))
+    _, _, phis, star, cert = certify(preset_config(name))
     data = json.loads(json.dumps(certificate_to_dict(cert)))
     return data, phis[star]
 
@@ -668,7 +672,7 @@ def _resynthesize(cert, Phi_star):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_every_synthesis_is_accepted_by_reverify(name, monkeypatch):
     # one acceptance check for all kinds: a certificate reverify rejects is never returned
-    _, _, _, phis, star, cert = certify(preset_config(name))
+    _, _, phis, star, cert = certify(preset_config(name))
     Phi_star = phis[star]
     assert reverify_certificate(_resynthesize(cert, Phi_star), Phi_star)
     checked = []
@@ -724,7 +728,7 @@ def _as_fractions(value):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_conditions_keep_fraction_entries_exact(name):
-    _, _, _, phis, star, cert = certify(preset_config(name))
+    _, _, phis, star, cert = certify(preset_config(name))
     Phi_star = phis[star]
     exact = dataclasses.replace(cert, **{f.name: _as_fractions(getattr(cert, f.name)) for f in dataclasses.fields(cert)})
     floats = conditions(cert, Phi_star)
@@ -774,7 +778,7 @@ def test_reverify_rejects_a_condition_just_below_zero(build, entry):
 def test_every_preset_certificate_is_checked_at_a_nonnegative_floor():
     # no conditions entry of any kind admits a negative least eigenvalue
     for name in PRESET_NAMES:
-        _, _, _, phis, star, cert = certify(preset_config(name))
+        _, _, phis, star, cert = certify(preset_config(name))
         floors = {key: floor for key, (_, floor) in conditions(cert, phis[star]).items()}
         assert min(floors.values()) >= 0.0, (name, floors)
         assert reverify_certificate(cert, phis[star])

@@ -85,7 +85,7 @@ def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, req
     capsys.readouterr()
     assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
     config, prep, _ = request.getfixturevalue("prepared_" + name.replace("-", "_"))
-    _, _, codes, phis, _, cert = certify(config)
+    _, codes, phis, _, cert = certify(config)
     forms = region_forms(cert, codes, phis)
     counts = [int(np.count_nonzero(~np.isnan(unfiltered_region_multipliers(forms, reg.Q)))) for reg in prep.regions]
     manifest = json.loads((runs[0] / "manifest.json").read_text())
@@ -103,6 +103,14 @@ def test_sigma_star_outside_the_horizon_set_is_a_config_error(tmp_path, capsys, 
     path.write_text(json.dumps(cfgd))
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "not in the enumerated set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("star", ["\u0661\u0662", "1\u00b2"])
+def test_sigma_star_of_non_ascii_digits_is_a_config_error(star):
+    # Arabic-Indic "12" would parse to (1, 2); a superscript two would fail inside int()
+    cfgd = _config_dict(horizons={"l_min": 1, "l_max": 3, "sigma_star": star})
+    with pytest.raises(ConfigError, match=f"invalid horizon string {star!r}"):
+        config_from_dict(cfgd)
 
 
 def test_digest_tracks_semantic_changes(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asynctrig.horizons import action_codes, enumerate_horizons
+from asynctrig.horizons import enumerate_horizons
 from asynctrig.matrix_core import spectral_norm, zoh_pair
 from asynctrig.plant import (
     DiscretePlant,
@@ -20,6 +20,7 @@ from helpers import (
     A2,
     B2,
     K2,
+    action_codes,
     benchmark_plant,
     horizon_transition,
     per_node_disturbance_bound,

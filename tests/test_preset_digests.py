@@ -52,8 +52,8 @@ def test_table_digests_hash_each_offline_table():
     config = preset_config("offline-perturbed")
     prep = prepare(config)
     cut = prepare(dataclasses.replace(config, l_max=4))
-    dp, horizons, codes, phis, star, cert = certify(config)
-    capped = TablePolicy(cert, horizons, phis, dp.m, make_partition(4, 3), codes, star)
+    dp, codes, phis, star, cert = certify(config)
+    capped = TablePolicy(cert, phis, dp.m, make_partition(4, 3), codes, star)
     assert lines == [
         _table_line(prep.table, "offline-perturbed/table.json"),
         _table_line(cut.table, "offline-perturbed/bench-cut/table.json"),

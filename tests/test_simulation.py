@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import asynctrig
 from asynctrig.errors import ConfigError
 from asynctrig import simulation
-from asynctrig.horizons import action_codes
+from asynctrig.horizons import horizon_codes, horizon_index
 from asynctrig.plant import PlantModel, step_matrices, transition_table
 from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import (
@@ -28,6 +29,7 @@ from asynctrig.triggers import GatedPolicy, OnlinePolicy, TablePolicy
 from helpers import (
     benchmark_plant,
     full_scan_sigma_star,
+    horizon_list,
     horizon_transition,
     oracle_write_decision_csv,
     oracle_write_trace_csv,
@@ -385,37 +387,42 @@ def test_prepare_rejects_overflowing_transition_products():
 
 def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
-    # every later stage reads certify's code array, so only simulation builds one
-    for module in ("plant", "certificates", "triggers"):
+    # every later stage reads certify's code array, so only simulation builds one,
+    # in closed form: no module builds the horizon tuples to code them
+    assert not hasattr(asynctrig, "action_codes")
+    for module in ("horizons", "simulation", "plant", "certificates", "triggers"):
         assert not hasattr(importlib.import_module(f"asynctrig.{module}"), "action_codes"), module
+    for module in ("plant", "certificates", "triggers"):
+        assert not hasattr(importlib.import_module(f"asynctrig.{module}"), "horizon_codes"), module
+    assert not hasattr(simulation, "enumerate_horizons")
     calls, coded = [], []
 
     def counting(dp, codes):
         calls.append(codes)
         return transition_table(dp, codes)
 
-    def counting_codes(horizons):
-        coded.append(list(horizons))
-        return action_codes(horizons)
+    def counting_codes(*args):
+        coded.append(horizon_codes(*args))
+        return coded[-1]
 
     monkeypatch.setattr(simulation, "transition_table", counting)
-    monkeypatch.setattr(simulation, "action_codes", counting_codes)
+    monkeypatch.setattr(simulation, "horizon_codes", counting_codes)
     for name in PRESET_NAMES:
         small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
         calls.clear(), coded.clear()
-        dp, horizons, codes, phis, _, cert = simulation.certify(cfg)
-        assert coded == [horizons] and len(calls) == 1 and calls[0] is codes, name
-        assert phis.shape == (len(horizons), 4, 4) and codes.shape[1] == len(horizons)
+        dp, codes, phis, _, cert = simulation.certify(cfg)
+        assert len(coded) == 1 and coded[0] is codes and len(calls) == 1 and calls[0] is codes, name
+        assert phis.shape == (codes.shape[1], 4, 4) and codes.shape[1] == len(horizon_list(codes))
         calls.clear(), coded.clear()
         prep = prepare(cfg)
-        assert coded == [prep.horizons] and len(calls) == 1, name
+        assert len(coded) == 1 and coded[0] is prep.codes and len(calls) == 1, name
         offline = name in simulation.OFFLINE_MODES
         assert (prep.table is not None) == (prep.regions is not None) == offline, name
         inner = getattr(prep.policy, "policy", prep.policy)
         assert type(inner) is (TablePolicy if offline else OnlinePolicy) and (prep.table is inner) == offline, name
         assert isinstance(prep.policy, GatedPolicy) == (name in simulation.PERTURBED_MODES), name
-        assert prep.horizons == horizons and np.array_equal(prep.cert.P, cert.P), name
+        assert np.array_equal(prep.codes, codes) and np.array_equal(prep.cert.P, cert.P), name
 
 
 def test_certify_chooses_the_full_scan_sigma_star(monkeypatch):
@@ -436,31 +443,30 @@ def test_certify_chooses_the_full_scan_sigma_star(monkeypatch):
         small = {"l_max": 3} if name.startswith("offline") else {}
         cfg = dataclasses.replace(preset_config(name), sigma_star=None, **small)
         Phis.clear()
-        dp, horizons, _, phis, index, cert = simulation.certify(cfg)
+        dp, codes, phis, index, cert = simulation.certify(cfg)
+        horizons = horizon_list(codes)
         star = full_scan_sigma_star(horizons, phis)
         assert cert.sigma_star == star == horizons[index], name
         assert len(Phis) == 1 and np.array_equal(Phis[0], horizon_transition(dp, star)), name
 
 
 def test_prepare_looks_sigma_star_up_once(monkeypatch):
-    # certify finds each preset's configured sigma* in the horizon list and
-    # hands its index on: no policy searches the list for it again
+    # certify computes each preset's configured sigma*'s index from its digits
+    # and hands it on: no policy looks sigma* up again
     calls = []
 
-    class CountingList(list):
-        def index(self, *args):
-            calls.append(args)
-            return super().index(*args)
+    def counting_index(*args):
+        calls.append(args)
+        return horizon_index(*args)
 
-    enumerate_horizons = simulation.enumerate_horizons
-    monkeypatch.setattr(simulation, "enumerate_horizons", lambda *args: CountingList(enumerate_horizons(*args)))
+    monkeypatch.setattr(simulation, "horizon_index", counting_index)
     for name in PRESET_NAMES:
         cfg = preset_config(name)
         calls.clear()
         prep = prepare(cfg)
-        assert calls == [(cfg.sigma_star,)], name
+        assert calls == [(cfg.sigma_star, cfg.plant.m, cfg.l_min, cfg.l_max)], name
         inner = getattr(prep.policy, "policy", prep.policy)
-        fallback = inner.miss.horizon if prep.table is not None else inner.horizons[inner.fallback_index]
+        fallback = inner.miss.horizon if prep.table is not None else inner.horizon(inner.fallback_index)
         assert fallback == cfg.sigma_star == prep.cert.sigma_star, name
 
 

@@ -15,7 +15,7 @@ from asynctrig.certificates import (
     synthesize_unperturbed,
 )
 from asynctrig.errors import ConfigError, InfeasibleError
-from asynctrig.horizons import action_codes, avg_idle_metric, enumerate_horizons, horizon_from_text
+from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
 from asynctrig.matrix_core import spectral_norm, symmetrize
 from asynctrig.partition import (
     ConicRegion,
@@ -42,9 +42,11 @@ from asynctrig.triggers import (
 )
 from helpers import (
     U_sigma_builder,
+    action_codes,
     benchmark_plant,
     bisect_states,
     full_scan_select,
+    horizon_list,
     horizon_transition,
     max_eps_feasible,
     random_schur_stabilizable,
@@ -63,7 +65,7 @@ def online_unperturbed():
     Phi_star = horizon_transition(dp, (1, 2))
     cert = synthesize_unperturbed(Phi_star, 0.0, (1, 2), 0.3)
     codes = action_codes(horizons)
-    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes, horizons.index((1, 2)))
+    policy = OnlinePolicy(cert, transition_table(dp, codes), dp.m, codes, horizons.index((1, 2)))
     return dp, horizons, cert, policy
 
 
@@ -78,7 +80,7 @@ def online_perturbed():
     Phi_star = horizon_transition(dp, (2, 1, 2, 1))
     cert = synthesize_perturbed_online(Phi_star, beta, 0.35, (2, 1, 2, 1), 0.18, chi, varpi=0.0, C_prime=0.0)
     codes = action_codes(horizons)
-    policy = OnlinePolicy(cert, horizons, transition_table(dp, codes), dp.m, codes, horizons.index((2, 1, 2, 1)))
+    policy = OnlinePolicy(cert, transition_table(dp, codes), dp.m, codes, horizons.index((2, 1, 2, 1)))
     return dp, horizons, cert, GatedPolicy(policy, cert.P)
 
 
@@ -142,6 +144,17 @@ def test_tie_break_deterministic_and_varied(online_unperturbed):
     assert len(seen) >= 2  # the counter key actually varies the draw
 
 
+def test_online_decisions_reuse_each_horizon_tuple(online_unperturbed):
+    # a position's tuple is built at the first decision that returns it; later decisions return that object
+    _, horizons, _, policy = online_unperturbed
+    eta = np.zeros(4)
+    first = [policy.select(eta, rng_seed=42, step_index=k).horizon for k in range(30)]
+    again = [policy.select(eta, rng_seed=42, step_index=k).horizon for k in range(30)]
+    assert all(a is b for a, b in zip(first, again))
+    assert 2 <= len(policy.built) and all(policy.built[i] == horizon_list(policy.codes)[i] for i in policy.built)
+    assert set(first) <= set(horizons)
+
+
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
 def test_online_forms_equal_the_per_horizon_formulas(name):
     # byte-identical traces start here: the stacked build must give every
@@ -150,8 +163,9 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
     policy = prep.policy.policy if isinstance(prep.policy, GatedPolicy) else prep.policy
     cert, P = prep.cert, prep.cert.P
     nn = P.shape[0]
-    assert sorted(policy.horizons) == sorted(prep.horizons)
-    for i, s in enumerate(policy.horizons):
+    horizons = horizon_list(policy.codes)
+    assert sorted(horizons) == sorted(horizon_list(prep.codes))
+    for i, s in enumerate(horizons):
         Phi = horizon_transition(prep.dp, s)
         rho = decay_factor(cert.beta, len(s), cert.T)
         if isinstance(cert, UnperturbedCertificate):
@@ -185,7 +199,7 @@ def online_policies():
     preset = {name: prepare(preset_config(name)) for name in ("online-unperturbed", "online-perturbed")}
     policies = {name: (prep.policy, prep.cert.P) for name, prep in preset.items()}
     random_policy = _random_plant_policy()
-    assert len(random_policy.horizons) == 5460
+    assert random_policy.codes.shape[1] == 5460
     policies["random-3x3"] = (random_policy, None)
     return policies
 
@@ -246,7 +260,7 @@ def test_no_form_is_admitted_below_zero(online_policies, name):
     dec, ties = select_with_ties(policy, eta, 0, 0)
     if dec.reason == "certified":
         assert dec.margin >= 0
-        assert all(values[online.horizons.index(s)] >= 0 for s in ties)
+        assert all(values[horizon_list(online.codes).index(s)] >= 0 for s in ties)
     else:
         assert dec.reason == "forced-fallback" and (values < 0).all()
 
@@ -255,12 +269,13 @@ def test_no_form_is_admitted_below_zero(online_policies, name):
 def test_online_policy_stores_horizons_in_metric_order(online_policies, name):
     online = getattr(online_policies[name][0], "policy", online_policies[name][0])
     metrics = online.metrics
+    horizons = horizon_list(online.codes)
     assert np.all(np.diff(metrics) <= 0.0)
-    assert np.array_equal(metrics, [avg_idle_metric(s, online.m) for s in online.horizons])
+    assert np.array_equal(metrics, [avg_idle_metric(s, online.m) for s in horizons])
     levels = {}
-    for s, value in zip(online.horizons, metrics):
+    for s, value in zip(horizons, metrics):
         levels.setdefault(value, []).append(s)
-    rank = {s: i for i, s in enumerate(enumerate_horizons(online.m, 1, max(map(len, online.horizons))))}
+    rank = {s: i for i, s in enumerate(enumerate_horizons(online.m, 1, max(map(len, horizons))))}
     for members in levels.values():
         assert [rank[s] for s in members] == sorted(rank[s] for s in members)
     # each position's level end, and the first block ends at the first level end at or past FORM_CHUNK
@@ -294,7 +309,7 @@ def test_stacked_builds_peak_below_twice_their_result(perturbed):
         table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        policy = OnlinePolicy(cert, horizons, phis, dp.m, codes, horizons.index(star))
+        policy = OnlinePolicy(cert, phis, dp.m, codes, horizons.index(star))
         policy_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -374,7 +389,7 @@ def test_offline_table_entries_are_certified(prepared_offline_unperturbed):
 def test_offline_perturbed_gate_and_certification(prepared_offline_perturbed):
     cfg, prep, _ = prepared_offline_perturbed
     dp, horizons, cert, regions, table, policy = (
-        prep.dp, prep.horizons, prep.cert, prep.regions, prep.table, prep.policy
+        prep.dp, horizon_list(prep.codes), prep.cert, prep.regions, prep.table, prep.policy
     )
     assert isinstance(policy, GatedPolicy) and policy.policy is table
     lam_hi = max(np.linalg.eigvalsh(cert.P))
@@ -436,7 +451,8 @@ def test_table_to_dict_round_trips_horizon_text(prepared_offline_unperturbed):
 
 def _pair_verdicts(certified, regions):
     """Every (region, horizon) verdict of the one-pair region tests."""
-    _, horizons, _, phis, _, cert = certified
+    _, codes, phis, _, cert = certified
+    horizons = horizon_list(codes)
     verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
     for j, s in enumerate(horizons):
         bbar = decay_factor(cert.beta, len(s), cert.T)
@@ -453,9 +469,9 @@ def _pair_verdicts(certified, regions):
 
 def _batched_verdicts(certified, regions):
     """Every (region, horizon) verdict of one `region_multipliers` call on the stacked region forms."""
-    _, horizons, codes, phis, _, cert = certified
+    _, codes, phis, _, cert = certified
     forms = region_forms(cert, codes, phis)
-    verdicts = np.zeros((len(regions), len(horizons)), dtype=bool)
+    verdicts = np.zeros((len(regions), codes.shape[1]), dtype=bool)
     verdicts[:, forms.index] = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
     return forms, verdicts
 
@@ -468,7 +484,7 @@ CUT_PRESETS = {
 
 
 def _certified(case, request):
-    """`certify`'s (dp, horizons, codes, phis, star, cert) of a fixture's or a cut preset's config, and its regions."""
+    """`certify`'s (dp, codes, phis, star, cert) of a fixture's or a cut preset's config, and its regions."""
     if case in CUT_PRESETS:
         name, changes = CUT_PRESETS[case]
         config = dataclasses.replace(preset_config(name), **changes)
@@ -488,7 +504,7 @@ def test_batched_region_test_matches_the_pair_tests(case, request):
     assert batched.any()
     if case == "prepared_offline_perturbed":
         # u22 fails for the long horizons on every region, before any region work
-        pruned = np.setdiff1d(np.arange(len(certified[1])), forms.index)
+        pruned = np.setdiff1d(np.arange(certified[1].shape[1]), forms.index)
         assert pruned.size > 0 and not batched[:, pruned].any()
 
 
@@ -539,9 +555,9 @@ TABLE_CASES = ["prepared_offline_unperturbed", "prepared_offline_perturbed", *CU
 def test_pruned_table_equals_the_unpruned_table(case, request):
     # the table builder rejects pairs on the cone's axis before any pencil;
     # the oracle sends every pair of every region through the pencil
-    for (dp, horizons, codes, phis, star, cert), regions in _table_cases(case, request):
-        table = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
-        psi, metric = unpruned_table(cert, horizons, phis, dp.m, regions)
+    for (dp, codes, phis, star, cert), regions in _table_cases(case, request):
+        table = TablePolicy(cert, phis, dp.m, regions, codes, star)
+        psi, metric = unpruned_table(cert, horizon_list(codes), phis, dp.m, regions)
         assert table.psi == psi
         assert table.metric == metric
         assert len(table.certified) == len(regions)
@@ -552,7 +568,7 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
     # one call on the (R, d, d) stack returns (R, K), each row bit for bit the
     # row of a call on that region's form alone and of the unfiltered pencil
     # pass, NaN at the same pairs
-    for (_, _, codes, phis, _, cert), regions in _table_cases(case, request):
+    for (_, codes, phis, _, cert), regions in _table_cases(case, request):
         forms = region_forms(cert, codes, phis)
         stacked = region_multipliers(forms, np.array([reg.Q for reg in regions]))
         single = np.array([region_multipliers(forms, reg.Q) for reg in regions])
@@ -564,12 +580,12 @@ def test_stacked_region_call_matches_single_form_calls(case, request):
 def test_table_lookup_miss_falls_back_to_sigma_star(prepared_offline_unperturbed):
     # one narrow cone around e1 leaves e2 uncovered: a miss must take the
     # globally certified fallback, not the entries of the nearest region
-    dp, horizons, codes, phis, star, cert = certify(prepared_offline_unperturbed[0])
+    dp, codes, phis, star, cert = certify(prepared_offline_unperturbed[0])
     theta = 0.1
     e1 = np.eye(4)[0]
     Q = np.outer(e1, e1) - math.cos(theta) ** 2 * np.eye(4)
     regions = [ConicRegion(index=0, direction=e1, half_angle=theta, Q=Q)]
-    policy = TablePolicy(cert, horizons, phis, dp.m, regions, codes, star)
+    policy = TablePolicy(cert, phis, dp.m, regions, codes, star)
     sigma_star = tuple(cert.sigma_star)
     assert len(policy.psi) == len(policy.metric) == 1 and sigma_star not in policy.psi[0]
     hole = 3.0 * np.eye(4)[1]

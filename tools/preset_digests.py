@@ -74,11 +74,9 @@ def table_digests(presets) -> list:
     for name in presets:
         if name in OFFLINE_MODES:
             config = preset_config(name)
-            dp, horizons, codes, phis, star, cert = certify(config)
+            dp, codes, phis, star, cert = certify(config)
             # the preset's own table, as prepare builds it, and the capped one, on one transition stack
-            full, capped = [
-                TablePolicy(cert, horizons, phis, dp.m, make_partition(4, N), codes, star) for N in (config.N, 3)
-            ]
+            full, capped = [TablePolicy(cert, phis, dp.m, make_partition(4, N), codes, star) for N in (config.N, 3)]
             cut = prepare(dataclasses.replace(config, **BENCH_OFFLINE[name])).table
             for table, label in ((full, ""), (cut, "bench-cut/"), (capped, "capped-3/")):
                 text = json.dumps(table_to_dict(table), indent=2) + "\n"

@@ -34,6 +34,7 @@ from .horizons import (
     horizon_to_text,
 )
 from .matrix_core import (
+    definite,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,

@@ -17,10 +17,13 @@ scale, so its largest feasible scale is an eigenvalue of one pencil.  Every
 result must then pass `reverify_certificate`, the one feasibility
 authority, which checks the matrices `conditions` states.  The region forms
 of the two offline kinds are stated here too (`decay_forms`,
-`perturbed_forms`, and `region_forms`, which picks one).  Every verdict
-reads its inequality as computed, with no tolerance: a least eigenvalue
-above 0 (above the margin `PSD_MARGIN` for the unperturbed decay), or a
-region entry's lambda_max <= 0.  The region tests are exact: one quadratic
+`perturbed_forms`, and `region_forms`, which picks one).  Every matrix
+verdict is decided conservatively by `matrix_core.definite`, exactly on
+`Fraction` entries, with no tolerance: a `conditions` matrix minus its floor
+is positive definite (the floor is the margin `PSD_MARGIN` for the
+unperturbed decay, else 0), and a region entry's matrix is negative
+definite; a matrix that is singular, or within rounding of it, fails.  The
+region tests are exact: one quadratic
 constraint makes the S-procedure lossless, and the perturbed one reduces
 exactly to the same 2n x 2n form as the unperturbed.
 """
@@ -35,6 +38,7 @@ from .errors import InfeasibleError
 from .matrix_core import (
     PSD_MARGIN,
     decay_form,
+    definite,
     solve_discrete_lyapunov,
     spectral_radius,
     sym_eig_bounds,
@@ -297,8 +301,8 @@ def synthesize_perturbed_offline(
     finite eigenvalue of the pencil (B0 + PSD_MARGIN I, -B1); the margin
     only starts the search, as U(0) is singular.  The scale taken is the
     largest point of a log grid over [1e-6, 1e6] not above s_max, which
-    keeps P on a fixed set of scales, and `reverify_certificate`'s strict
-    lambda_min(U) > 0 is the authority.
+    keeps P on a fixed set of scales, and `reverify_certificate`'s U > 0,
+    decided by `definite`, is the authority.
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError(f"gamma1 and gamma2 must be positive, got {gamma1}, {gamma2}")
@@ -357,14 +361,17 @@ def perturbed_forms(P, gamma1: float, gamma2: float, phis, bbars, chis) -> Regio
     place that states the region term's sign.  With u.. the blocks of U_c,
     that holds iff the corner holds, u22 > 0 (its singular boundary is
     dropped) and the Schur complement C = u11 - u21' u22^{-1} u21 satisfies
-    C + eps Q_c >= 0.  The first two do not depend on the region: u22 =
-    (gamma2/chi) I - P is positive definite iff gamma2/chi > lambda_max(P),
-    so they prune horizons once, before any U_c is assembled; the third is
-    lambda_max(-C - eps Q_c) <= 0, the form S = -C.
+    C + eps Q_c >= 0.  The first two do not depend on the region, so they
+    prune horizons once, before any U_c is assembled: u22 = (gamma2/chi) I -
+    P, computed as `build_U_c` computes it, is decided conservatively by
+    `definite`, once per distinct chi.  The third is -C - eps Q_c < 0, the
+    form S = -C, and the region test rechecks the assembled matrix.
     """
     nn = np.asarray(P).shape[0]
     chis = np.asarray(chis)
-    index = np.flatnonzero((gamma2 / chis > np.linalg.eigvalsh(P)[-1]) & (gamma1 >= gamma2))
+    distinct, inverse = np.unique(chis, return_inverse=True)
+    u22 = gamma2 / distinct[:, None, None] * np.eye(nn, dtype=int) - P  # as `build_U_c` computes it
+    index = np.flatnonzero(definite(u22)[inverse] & (gamma1 >= gamma2))
     U0 = build_U_c(P, gamma1, gamma2, phis[index], np.asarray(bbars)[index], chis[index])
     u11, u21, u22 = U0[:, :nn, :nn], U0[:, nn:, :nn], U0[:, nn:, nn:]
     G = np.swapaxes(u21, 1, 2) @ np.linalg.solve(u22, u21)
@@ -439,7 +446,8 @@ def _accepted(cert, Phi_star):
 
 def conditions(cert, Phi_star) -> dict:
     """name -> (matrix, floor): cert's matrix inequalities hold iff each
-    matrix's least eigenvalue, as computed, is above its floor.  bbar is the
+    matrix minus floor I is positive definite, which `reverify_certificate`
+    decides conservatively by `definite` (exactly on `Fraction` entries).  bbar is the
     decay over |sigma*| and chi = chi(|sigma*|) from the certificate's map.
     - every kind: P, floor 0 (the inequalities alone accept P = 0);
     - unperturbed: decay = bbar P - sym(Phi*'P Phi*), floor PSD_MARGIN, a
@@ -470,8 +478,16 @@ def conditions(cert, Phi_star) -> dict:
 def reverify_certificate(cert, Phi_star) -> bool:
     """Every `conditions` entry of cert holds, a perturbed kind's stored mu
     equals `ultimate_bound` of its P, C' and varpi, and the offline kind's
-    corner gamma1 - gamma2 is >= 0."""
-    if not all(sym_eig_bounds(S)[0] > floor for S, floor in conditions(cert, Phi_star).values()):
+    corner gamma1 - gamma2 is >= 0.  The entries are decided conservatively
+    by `definite`, one call per matrix size, so an entry that is singular,
+    or within rounding of it, fails, and so does a non-symmetric or
+    non-finite one."""
+    stacks = {}  # matrix size -> (matrices, floors): one `definite` call per size
+    for S, floor in conditions(cert, Phi_star).values():
+        matrices, floors = stacks.setdefault(S.shape, ([], []))
+        matrices.append(S)
+        floors.append(floor)
+    if not all(definite(np.array(matrices), np.array(floors)).all() for matrices, floors in stacks.values()):
         return False
     if isinstance(cert, PerturbedOfflineCertificate) and not cert.gamma1 >= cert.gamma2:  # NaN fails too
         return False

@@ -78,6 +78,13 @@ def _whole(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """A real field's value: a finite JSON number (0.5 or 2), never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")  # NaN fails the <= too
+    return float(value)
+
+
 def _plant_from_section(sec: dict) -> PlantModel:
     D = sec.get("D")
     return PlantModel(
@@ -86,7 +93,7 @@ def _plant_from_section(sec: dict) -> PlantModel:
         K=np.array(sec["K"], dtype=float),
         blocks=tuple(_whole(b, "blocks") for b in sec["blocks"]),
         D=np.array(D, dtype=float) if D is not None else None,
-        w_max=float(sec.get("w_max", 0.0)),
+        w_max=_real(sec.get("w_max", 0.0), "w_max"),
     )
 
 
@@ -115,18 +122,18 @@ def config_from_dict(data: dict) -> SimConfig:
             dd = _section(sim, "disturbance")
             if dd.get("kind") != "sine":
                 raise ConfigError(f"unknown disturbance kind {dd.get('kind')!r}; only 'sine' is built in")
-            disturbance = default_sine_disturbance(plant, float(dd.get("pi_multiple", 5.0)))
+            disturbance = default_sine_disturbance(plant, _real(dd.get("pi_multiple", 5.0), "pi_multiple"))
         return SimConfig(
             plant=plant,
-            T=float(disc["T"]),
+            T=_real(disc["T"], "T"),
             l_min=_whole(hz["l_min"], "l_min"),
             l_max=_whole(hz["l_max"], "l_max"),
             mode=str(mode),
             x0=np.array(sim["x0"], dtype=float),
-            beta=float(cert.get("beta", 0.0)),
-            gamma=float(cert.get("gamma", 0.0)),
-            gamma1=float(cert.get("gamma1", 0.0)),
-            gamma2=float(cert.get("gamma2", 0.0)),
+            beta=_real(cert.get("beta", 0.0), "beta"),
+            gamma=_real(cert.get("gamma", 0.0), "gamma"),
+            gamma1=_real(cert.get("gamma1", 0.0), "gamma1"),
+            gamma2=_real(cert.get("gamma2", 0.0), "gamma2"),
             N=_whole(part.get("N", 0), "N"),
             total_steps=_whole(sim.get("total_steps", DEFAULT_STEPS), "total_steps"),
             seed=_whole(sim.get("seed", 0), "seed"),

@@ -2,10 +2,14 @@
 
 Zero-order-hold integrals, symmetric eigenvalue bounds, spectral
 norm/radius, a weighted discrete Lyapunov solver, the per-horizon decay
-form, and the batched decision step of the exact single-constraint
-S-procedure, which reads lambda_max <= 0 as computed.
+form, `definite`, the one yes/no test of a matrix inequality (exact on
+rationals, conservative on floats), and the batched decision step of the
+exact single-constraint S-procedure, which it decides.
 All functions are pure; inputs are never mutated.
 """
+
+import math
+import numbers
 
 import numpy as np
 from scipy.linalg import expm
@@ -16,6 +20,9 @@ from .errors import InfeasibleError
 # offline perturbed scale search starts at it; the Lyapunov solver's stability check
 PSD_MARGIN = 1e-9
 SCHUR_MARGIN = 1.0 - 1e-9
+# twice the unit roundoff, and the least subnormal: `definite`'s rounding bound
+_EPS = np.finfo(float).eps
+_ETA = np.finfo(float).smallest_subnormal
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -128,18 +135,86 @@ def decay_form(Phi, P, w, A=None) -> np.ndarray:
     return (G + np.swapaxes(G, -1, -2)) / 2 - np.asarray(w)[..., None, None] * P
 
 
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Rational) or math.isfinite(x)
+
+
+def definite(A, floor=0.0) -> np.ndarray:
+    """Whether A - floor I > 0, for each matrix of a (..., d, d) stack, as a bool array.
+
+    floor is one number or one per matrix.  A matrix that is not exactly
+    symmetric, or holds a non-finite entry, is False.  Each matrix is
+    factored without pivoting, one column at a time over the whole stack, and
+    is positive definite iff every pivot is > 0.  An object array is read
+    exactly: every entry, and floor, becomes the `Fraction` it equals, and
+    the loop is LDL' with only +, -, * and /, so the verdict is exact.
+
+    A float array is decided conservatively by Cholesky of B = fl(A - s I),
+    s >= floor + c with c = 2(d+3) u t + 2d(d+2) eta, t = sum_i max(a_ii -
+    floor, 0), u the unit roundoff and eta the least subnormal.  Proof
+    (after S. M. Rump, "Verification of positive definiteness", BIT 46,
+    2006).  If every pivot of B is > 0, Higham (Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3) gives R'R = B + dB with |dB| <=
+    g|R'||R| + e 11', g = gamma_{d+1} = (d+1)u/(1 - (d+1)u), where e <= (d +
+    max_i r_ii) eta covers the products and quotients that underflow.  By
+    Cauchy-Schwarz (|R'||R|)_ij <= |r_i||r_j| for the columns r_i of R, and
+    |r_i|^2 <= (b_ii + d eta)/(1 - g), so ||dB||_2 <= (g + d eta)(t_B + d^2
+    eta)/(1 - g) + d(d+1) eta with t_B = tr B, and lambda_min(B) >
+    -||dB||_2 as R'R > 0.  The subtraction of s rounds only the diagonal,
+    each b_ii by at most 2u b_ii, and 0 < b_ii <= (1+u)(a_ii - floor), so
+    t_B <= (1+u) t.  So, for d u < 0.01, lambda_min(A - floor I) > c -
+    (d+4)(1 + 4du) u t - (d(d+1)+1) eta >= 0: c as computed covers its own
+    rounding, as t and c round by a relative (d+3)u at most, the product
+    u t by eta/2 at most, and s is rounded up.  A non-finite entry or an
+    overflow makes some pivot -inf or NaN, since every entry below the
+    diagonal feeds a later pivot, so it is False too; no floating-point
+    warning is raised.
+    """
+    A = np.asarray(A)
+    shape, d = A.shape[:-2], A.shape[-1]
+    A = A.reshape(-1, d, d).transpose(1, 2, 0)  # (d, d, K): each step is a few long loops over the stack
+    floor = np.asarray(floor)
+    floor = floor.reshape(-1) if floor.ndim else floor
+    with np.errstate(all="ignore"):
+        if A.dtype == object:
+            # imported here: fractions imports decimal, and only exact callers need it
+            from fractions import Fraction
+
+            finite = np.frompyfunc(_finite, 1, 1)(A).astype(bool)
+            ok = finite.all(axis=(0, 1))
+            A = np.ascontiguousarray(np.frompyfunc(Fraction, 1, 1)(np.where(finite, A, 0)))
+            pivots = A.reshape(d * d, -1)[:: d + 1]  # a view of the diagonals, where the pivots end up
+            pivots -= np.asarray(np.frompyfunc(Fraction, 1, 1)(floor), dtype=object)
+        else:
+            A = np.array(A, dtype=float, order="C")
+            ok = True
+            pivots = A.reshape(d * d, -1)[:: d + 1]
+            t = np.maximum(pivots - floor, 0.0).sum(axis=0)
+            pivots -= np.nextafter(floor + ((d + 3) * _EPS * t + 2 * d * (d + 2) * _ETA), np.inf)
+        ok &= (A == A.transpose(1, 0, 2)).all(axis=(0, 1))
+        for k in range(d - 1):
+            col = A[k + 1 :, k]
+            if A.dtype == object:
+                left, right = col / np.where(pivots[k] > 0, pivots[k], 1), col
+            else:
+                left = right = col / np.sqrt(pivots[k])
+            A[k + 1 :, k + 1 :] -= left[:, None] * right[None, :]
+        return (ok & (pivots > 0).all(axis=0)).reshape(shape)
+
+
 def sprocedure_multipliers(S, Q, ends) -> np.ndarray:
-    """Per form S[h] of a stack, some eps > 0 with lambda_max(S[h] + eps Q[h]) <= 0, or NaN.
+    """Per form S[h] of a stack, some eps > 0 with S[h] + eps Q[h] < 0, or NaN.
 
     Q is a stack of one form per row, or a single form that every row shares.
-    lambda_max(S + eps Q) is convex in eps, so the feasible eps form an
+    lambda_max(S + eps Q) is convex in eps, so the feasible eps form an open
     interval whose finite ends are real eigenvalues of the pencil
     (S, -Q); ends[h] holds that pencil's eigenvalues for row h.
     One eps below the first positive end, one between each consecutive pair and
     one past the last therefore decide exactly; the real parts of complex
     eigenvalues only add test points, and non-finite ones from a singular Q
-    are dropped.  One batched eigvalsh decides every candidate of the stack
-    as computed, and the smallest feasible one is returned.
+    are dropped.  One `definite` call decides every candidate of the stack
+    conservatively, as -(S + eps Q) > 0, and the smallest feasible one is
+    returned; a candidate matrix that overflows is not feasible.
     """
     ends = np.real(ends)
     ends = np.where(np.isfinite(ends) & (ends > 0), ends, np.nan)
@@ -149,11 +224,12 @@ def sprocedure_multipliers(S, Q, ends) -> np.ndarray:
     count = np.count_nonzero(~np.isnan(ends), axis=1)
     rows = np.arange(len(ends))
     last = ends[rows, np.maximum(count - 1, 0)]
-    candidates = np.column_stack(
-        [np.where(count > 0, ends[:, 0] / 2, 1.0), (ends[:, :-1] + ends[:, 1:]) / 2, 2 * last]
-    )
-    h, k = np.nonzero(~np.isnan(candidates))
-    feasible = np.zeros(candidates.shape, dtype=bool)
-    feasible[h, k] = np.linalg.eigvalsh(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h])[:, -1] <= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed candidate or matrix is not definite
+        candidates = np.column_stack(
+            [np.where(count > 0, ends[:, 0] / 2, 1.0), (ends[:, :-1] + ends[:, 1:]) / 2, 2 * last]
+        )
+        h, k = np.nonzero(~np.isnan(candidates))
+        feasible = np.zeros(candidates.shape, dtype=bool)
+        feasible[h, k] = definite(-(S[h] + candidates[h, k, None, None] * np.broadcast_to(Q, S.shape)[h]))
     first = candidates[rows, feasible.argmax(axis=1)]
     return np.where(feasible.any(axis=1), first, np.nan)

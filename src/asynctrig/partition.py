@@ -8,7 +8,8 @@ so the N overlapping cones cover the whole space and membership is a single
 quadratic form, read as computed: x is in the cone iff x'Q_c x >= 0.
 
 A horizon is certified on a region by a multiplier eps > 0 with
-lambda_max(S + eps Q_c) <= 0 as computed, for its certificate form S.
+S + eps Q_c < 0, for its certificate form S, decided conservatively by
+`matrix_core.definite` (no eigenvalue is read to decide it).
 `RegionForms` stacks those forms over the horizons once (each certificate
 kind builds its own, in `certificates`), and `region_multipliers`, the
 package's one region test, decides every (region, horizon) pair of a
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigvals
 from scipy.special import ndtri
 
-from .matrix_core import sprocedure_multipliers
+from .matrix_core import definite, sprocedure_multipliers
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,8 @@ class RegionForms(NamedTuple):
     """One certificate's region test, stacked over horizons.
 
     Horizon index[k] is certified on the region with form Q_c by eps > 0
-    iff lambda_max(S[k] + eps sign Q_c) <= 0.  full[k] is the unreduced
+    iff S[k] + eps sign Q_c < 0, decided conservatively by
+    `matrix_core.definite`.  full[k] is the unreduced
     matrix of the same test, with sign Q_c entering its leading block, and
     is the authority.  Horizons missing from index fail on every region.
     `certificates.decay_forms` and `certificates.perturbed_forms` build them.
@@ -159,7 +161,9 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     end at infinity.  Where some S is exactly singular, that solve fails, and
     the survivors take their ends from each pair's generalized pencil (S,
     -sign Q_c) instead.  The certified pairs are rechecked on their full
-    matrices, sign Q_c in the leading block, by one batched eigvalsh.
+    matrices, sign Q_c in the leading block: full + eps E < 0, decided
+    conservatively by one `definite` call, so a full matrix that is singular,
+    or within rounding of it, fails.
     """
     Q = forms.sign * np.asarray(Q_c, dtype=float)
     Qs = Q.reshape((-1,) + Q.shape[-2:])
@@ -182,7 +186,7 @@ def region_multipliers(forms: RegionForms, Q_c) -> np.ndarray:
     c = np.flatnonzero(~np.isnan(eps))
     E = np.zeros((len(c),) + forms.full.shape[1:])
     E[:, :d, :d] = Qp[c]
-    eps[c[np.linalg.eigvalsh(forms.full[k[c]] + eps[c, None, None] * E)[:, -1] > 0.0]] = np.nan
+    eps[c[~definite(-(forms.full[k[c]] + eps[c, None, None] * E))]] = np.nan
     out = np.full((R, K), np.nan)
     out[r, k] = eps
     return out.reshape(Q.shape[:-2] + (K,))

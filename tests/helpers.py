@@ -77,6 +77,12 @@ B2 = np.array([[0.0], [1.0]])
 K2 = np.array([[1.0, -4.0]])
 
 
+# X X' for an integer X of rank 3: exactly singular, so no strict matrix
+# inequality on it holds, yet eigvalsh reads its least eigenvalue as +1.8e-15
+_GRAM_FACTOR = np.array([[-2.0, 1.0, 2.0], [-2.0, -1.0, 2.0], [1.0, 0.0, 1.0], [0.0, 3.0, 2.0]])
+SINGULAR_GRAM = _GRAM_FACTOR @ _GRAM_FACTOR.T
+
+
 # an externally recorded (P, M) pair for the online-perturbed preset's
 # configuration; it is not a certificate for it (see criterion 5)
 P_REF = np.array(

@@ -27,7 +27,7 @@ from asynctrig.certificates import (
 )
 from asynctrig.errors import ConfigError, InfeasibleError
 from asynctrig.horizons import enumerate_horizons, rotation_classes
-from asynctrig.matrix_core import spectral_radius, sym_eig_bounds, symmetrize
+from asynctrig.matrix_core import definite, spectral_radius, sym_eig_bounds, symmetrize
 from asynctrig.partition import region_multipliers
 from asynctrig.plant import (
     DiscretePlant,
@@ -41,6 +41,7 @@ from asynctrig.simulation import certify
 from helpers import (
     M_REF,
     P_REF,
+    SINGULAR_GRAM,
     U_c_oracle,
     U_sigma_builder,
     action_codes,
@@ -773,6 +774,25 @@ def test_reverify_rejects_a_condition_just_below_zero(build, entry):
         assert sym_eig_bounds(S)[0] == pytest.approx(sign * 1e-10, rel=1e-5)
     assert not reverify_certificate(below, Phi_star)
     assert reverify_certificate(above, Phi_star)
+
+
+def test_reverify_rejects_an_exactly_singular_P_that_eigvalsh_reads_as_positive():
+    # Phi* = 0 and bbar - gamma1 = 1/2 make U_c = blockdiag(P/2, (gamma2/chi) I - P),
+    # singular with P; eigvalsh reads both P and U_c just above 0, and an
+    # eigenvalue verdict accepted the certificate
+    def toy(P):
+        return PerturbedOfflineCertificate(
+            P=P, gamma1=0.5, gamma2=0.1, chi={1: 0.1 / 32}, varpi=0.0, C_prime=0.0,
+            mu=ultimate_bound(P, 0.0, 0.0), sigma_star=(1,), beta=0.0, T=1.0,
+        )
+
+    Phi_star = np.zeros((4, 4))
+    cert = toy(SINGULAR_GRAM)
+    readings = {name: np.linalg.eigvalsh(S)[0] for name, (S, _) in conditions(cert, Phi_star).items()}
+    assert all(0.0 < value < 1e-14 for value in readings.values()), readings
+    assert not reverify_certificate(cert, Phi_star)
+    assert not any(definite(_as_fractions(S), floor) for S, floor in conditions(cert, Phi_star).values())
+    assert reverify_certificate(toy(SINGULAR_GRAM + 1e-6 * np.eye(4)), Phi_star)
 
 
 def test_every_preset_certificate_is_checked_at_a_nonnegative_floor():

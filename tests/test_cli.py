@@ -443,6 +443,47 @@ def test_an_integer_field_that_is_no_whole_number_is_a_configuration_error(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("discretization", "T", True),
+    ("discretization", "T", "0.1"),
+    ("discretization", "T", float("nan")),
+    ("discretization", "T", float("inf")),
+    ("certificate", "beta", "0.5"),
+    ("certificate", "beta", float("-inf")),
+    ("certificate", "beta", float("nan")),
+    ("certificate", "gamma", None),
+    ("certificate", "gamma1", [0.3]),
+    pytest.param("certificate", "gamma2", 10**400, id="certificate-gamma2-past-float-range"),
+    ("plant", "w_max", "1.0"),
+])
+def test_a_real_field_that_is_no_finite_number_is_a_configuration_error(tmp_path, capsys, section, key, value):
+    # float() would read true as 1.0 and "0.1" as 0.1, and a NaN T failed only once --out-dir existed
+    cfgd = _config_dict()
+    cfgd[section] = {**cfgd.get(section, {}), key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfgd))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a finite number, got {json.dumps(value)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_disturbance_multiple_that_is_no_finite_number_is_a_configuration_error():
+    cfgd = _config_dict()
+    cfgd["simulation"]["disturbance"] = {"kind": "sine", "pi_multiple": "5"}
+    with pytest.raises(ConfigError, match='pi_multiple must be a finite number, got "5"'):
+        config_from_dict(cfgd)
+
+
+def test_real_fields_read_whole_numbers_as_floats():
+    cfgd = _config_dict(discretization={"T": 1}, certificate={"beta": 0, "gamma": 2, "gamma1": 0.5, "gamma2": 0})
+    cfg = config_from_dict(cfgd)
+    assert (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2) == (1.0, 0.0, 2.0, 0.5, 0.0)
+    assert all(type(v) is float for v in (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.plant.w_max))
+
+
 def test_a_fractional_sensor_block_is_a_configuration_error(tmp_path, capsys):
     cfgd = _config_dict()
     cfgd["plant"]["blocks"] = [1.5, 0.5]

@@ -1,21 +1,31 @@
 import ast
+import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from asynctrig.errors import InfeasibleError
 from asynctrig.matrix_core import (
     decay_form,
+    definite,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
+    sprocedure_multipliers,
     sym_eig_bounds,
     symmetrize,
     zoh_pair,
 )
 from asynctrig.partition import RegionForms, region_multipliers
+from asynctrig.presets import PRESET_NAMES, preset_config
+from asynctrig.simulation import prepare
 from helpers import A2, B2, power_iteration_norm, simpson_zoh_B, sprocedure_multiplier, taylor_expm
 
 
@@ -222,9 +232,10 @@ def _tol_knobs(tree: ast.AST) -> list:
 
 
 def test_no_check_takes_a_tolerance_of_its_own():
-    # every certificate, region and runtime verdict reads its inequality as
-    # computed (the unperturbed decay at the PSD_MARGIN margin): a tolerance
-    # option or constant is a second authority on what a certificate claims
+    # every certificate and region verdict is decided by `definite`, and every
+    # runtime verdict reads its inequality as computed (the unperturbed decay at
+    # the PSD_MARGIN margin): a tolerance option or constant is a second
+    # authority on what a certificate claims
     src = Path(__file__).resolve().parent.parent / "src" / "asynctrig"
     found = {path.name: _tol_knobs(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
     assert {name: knobs for name, knobs in found.items() if knobs} == {}
@@ -236,3 +247,113 @@ def test_no_check_takes_a_tolerance_of_its_own():
         "def h(S):\n    tol = 1\n    X_TOL = 2\n    return lambda tol: tol\n"
     )
     assert _tol_knobs(ast.parse(planted)) == ["PSD_TOL", "SLACK_TOL", "LO_TOL", "f", "g", "F.tol", "<lambda>"]
+
+
+# 150 examples, drawn the same way on every run
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def _fractions(A) -> np.ndarray:
+    return np.frompyfunc(Fraction, 1, 1)(A)
+
+
+@st.composite
+def _near_singular_stacks(draw):
+    """(stack, Gram stack, singular), d <= 8.  Each Gram member is X X' for an
+    integer X, so its float entries are exact: X is d x r with r < d, which
+    makes it singular, or unit lower triangular, with det X = 1.  The stack
+    shifts each by 0 or +/-tiny on the diagonal, adds a random symmetric
+    member, and at times makes one member non-finite."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = rng.integers(0, d + 1, size=draw(st.integers(1, 5)))
+    factors = [np.tril(rng.integers(-4, 5, size=(d, d)), -1) + np.eye(d) if r == d else rng.integers(-4, 5, size=(d, r)) for r in ranks]
+    grams = np.array([X @ X.T for X in factors], dtype=float)
+    scale = 1.0 + np.abs(grams).max(axis=(1, 2))
+    shifts = rng.choice([0.0, 1.0, -1.0], size=len(ranks)) * 10.0 ** rng.uniform(-18, -6, size=len(ranks)) * scale
+    stack = grams + shifts[:, None, None] * np.eye(d)
+    stack = np.concatenate([stack, symmetrize(rng.normal(size=(d, d)))[None] * 10.0 ** rng.uniform(-3, 3)])
+    if draw(st.booleans()):
+        bad = rng.integers(0, len(stack))
+        i, j = rng.integers(0, d, size=2)
+        stack[bad, i, j] = stack[bad, j, i] = rng.choice([np.inf, -np.inf, np.nan])
+    return stack, grams, ranks < d
+
+
+@PROPERTY
+@given(_near_singular_stacks())
+def test_definite_is_conservative_on_floats_and_exact_on_fractions(drawn):
+    stack, grams, singular = drawn
+
+    def no_float(self):
+        raise AssertionError("a Fraction was converted to float")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = definite(stack)
+        with mock.patch.object(Fraction, "__float__", no_float):
+            exact = definite(stack.astype(object))  # each float entry read as its Fraction
+            tiny = Fraction(1, 10**40)  # far below any float shift of these entries
+            exact_grams = _fractions(grams)
+            assert (definite(exact_grams) == ~singular).all()
+            assert definite(exact_grams, -tiny).all()
+            assert (definite(exact_grams, tiny) == ~singular).all()
+    assert exact.dtype == floats.dtype == bool and exact.shape == floats.shape == (len(stack),)
+    assert not (floats & ~exact).any()  # the float verdict never accepts what the exact one rejects
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    assert not exact[~finite].any() and not floats[~finite].any()
+    lam = np.linalg.eigvalsh(stack[finite])[:, 0]
+    clear = np.abs(lam) > 1e-8 * np.linalg.norm(stack[finite], 2, axis=(1, 2))
+    assert (floats[finite][clear] == (lam[clear] > 0)).all()
+
+
+def test_definite_reads_its_floor_and_the_shape_of_the_stack():
+    assert definite(np.eye(3)).shape == ()
+    assert definite(np.eye(3)) and not definite(np.eye(3), 1.0) and definite(np.eye(3), 0.999)
+    stack = np.array([np.eye(2), 2 * np.eye(2), -np.eye(2)]).reshape(3, 1, 2, 2)
+    np.testing.assert_array_equal(definite(stack, np.array([[1.5], [1.5], [-2.0]])), [[False], [True], [True]])
+    assert not definite(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
+    assert not definite(_fractions(np.array([[1.0, 0.5], [0.4, 1.0]])))
+    # an exactly singular matrix fails, however its float eigenvalues read
+    ones = np.ones((3, 3))
+    assert not definite(ones) and not definite(_fractions(ones))
+    assert definite(_fractions(ones) + _fractions(np.eye(3)) * Fraction(1, 10**30))
+
+
+def test_overflowing_candidates_are_rejected_without_a_warning():
+    # S + eps Q overflows at every candidate, and overflowed entries decide nothing
+    # (the last row's candidate past its pencil end 1e308 is itself inf)
+    S = np.array([np.diag([-1e308, -1.0]), np.diag([1e308, 1e308]), -np.eye(2)])
+    Q = np.diag([-1e308, 0.0])
+    with np.errstate(over="ignore"):
+        overflowed = -(S + Q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(sprocedure_multipliers(S, Q, np.array([[np.nan, np.nan], [np.nan, np.nan], [1e308, np.nan]]))).all()
+        assert not definite(overflowed).any()
+        # 1e300 / sqrt(1e-300) overflows inside the loop; then an inf and a NaN entry
+        huge = np.array([[[1e-300, 1e300], [1e300, 1e300]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
+        assert not definite(huge).any()
+        assert not definite(huge.astype(object)).any()
+
+
+def test_no_verdict_calls_an_eigensolver(monkeypatch):
+    # every yes/no answer in prepare comes from `definite`; eigenvalues are
+    # still read where their value is used (mu, young_gain, the synthesis scale)
+    verdicts = {"sprocedure_multipliers", "region_multipliers", "reverify_certificate", "perturbed_forms"}
+    package = Path(sys.modules["asynctrig"].__file__).parent
+    eigvalsh = np.linalg.eigvalsh
+    callers = []
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and (Path(frame.f_code.co_filename).parent != package or frame.f_code.co_name == "sym_eig_bounds"):
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name if frame else None)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for name in PRESET_NAMES:
+        prepare(preset_config(name))
+    assert {"ultimate_bound", "young_gain"} <= set(callers)
+    assert verdicts.isdisjoint(callers), callers

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.spatial import ConvexHull
 
 from asynctrig import partition
@@ -15,7 +16,7 @@ from asynctrig.partition import (
     region_multipliers,
     region_of,
 )
-from helpers import bisect_states, guarded_directions, pair_multiplier, unfiltered_region_multipliers
+from helpers import SINGULAR_GRAM, bisect_states, guarded_directions, pair_multiplier, unfiltered_region_multipliers
 
 
 def test_dim2_equiangular_sectors():
@@ -356,3 +357,14 @@ def test_partition_serialization_round_trip():
         assert a.half_angle == b["half_angle"]
         np.testing.assert_array_equal(a.direction, b["direction"])
         np.testing.assert_array_equal(a.Q, b["Q"])
+
+
+def test_region_recheck_rejects_an_exactly_singular_full_matrix():
+    # the reduced form -I is certified on every cone, but the full matrix adds the
+    # block -X X', exactly singular, whose top eigenvalue eigvalsh reads just below 0
+    Qs = np.array([reg.Q for reg in make_partition(2, 3)])
+    full = block_diag(-np.eye(2), -SINGULAR_GRAM)
+    assert -1e-14 < np.linalg.eigvalsh(full)[-1] < 0.0
+    assert np.isnan(region_multipliers(RegionForms(np.arange(1), -np.eye(2)[None], full[None], 1.0), Qs)).all()
+    shifted = full - 1e-6 * np.eye(6)
+    assert not np.isnan(region_multipliers(RegionForms(np.arange(1), -np.eye(2)[None], shifted[None], 1.0), Qs)).any()

@@ -102,8 +102,10 @@ def decay_factor(beta: float, length: int, T: float) -> float:
 
 def per_length(f, lengths) -> np.ndarray:
     """f(l) for every entry of lengths, with one call per distinct length."""
-    distinct, inverse = np.unique(lengths, return_inverse=True)
-    return np.array([f(l) for l in distinct.tolist()])[inverse]
+    table = np.zeros(lengths.max() + 1)
+    for l in np.flatnonzero(np.bincount(lengths)).tolist():  # counted, not sorted
+        table[l] = f(l)
+    return table[lengths]
 
 
 def _radii(phis) -> np.ndarray:

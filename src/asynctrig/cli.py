@@ -299,6 +299,9 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, args) -> int:
     }
     if prepared.table is not None:  # the offline modes: each region's count of certified horizons
         manifest["regions"] = [{"certified": n, "fallback_only": n == 0} for n in prepared.table.certified]
+    else:  # the online modes: the horizon forms the online test keeps, of all; no state admits the rest
+        online = getattr(prepared.policy, "policy", prepared.policy)
+        manifest["online_forms"] = {"kept": len(online.forms), "total": prepared.codes.shape[1]}
     manifest_path = os.path.join(outdir, "manifest.json")
     _write_json(manifest, manifest_path)
     for seed in seeds:

@@ -30,14 +30,15 @@ import numpy as np
 
 from .certificates import UnperturbedCertificate, decay_factor, per_length, region_forms, young_gain
 from .horizons import avg_idle_metric, horizon_at, horizon_to_text
-from .matrix_core import decay_form, symmetrize
+from .matrix_core import _EPS, _ETA, decay_form, definite, symmetrize
 from .partition import region_multipliers, region_of
 
 IDLE_HORIZON = (0,)
 
-# horizons per slice of OnlinePolicy's form build; also the least width of
-# select's first block, so retuning the build moves select's early exit
+# the least width of select's first block: it scores the best levels up to the first level end at or past it
 FORM_CHUNK = 64
+# horizons per slice of OnlinePolicy's form build and of its prune
+BUILD_CHUNK = 512
 
 
 class TriggerDecision(NamedTuple):  # a tuple: built once per decision, and cheaper to build than a dataclass
@@ -102,11 +103,49 @@ def _tie_break(ties, rng_seed: int, step_index: int):
     return ties[m >> 32]
 
 
-def _metrics(codes, m: int) -> np.ndarray:
-    """avg_idle_metric of every horizon of a code array, bit for bit: both
-    divide the same two exact integers."""
+def _metrics(codes, m: int) -> tuple:
+    """(metrics, lengths): avg_idle_metric of every horizon of a code array,
+    bit for bit, as both divide the same two exact integers, and its length."""
     lengths = (codes >= 0).sum(axis=0)
-    return ((codes == 0).sum(axis=0) + lengths) / (m * lengths)
+    return ((codes == 0).sum(axis=0) + lengths) / (m * lengths), lengths
+
+
+def _admissible_somewhere(forms, corners) -> np.ndarray:
+    """False for each form F of a (K, d, d) stack, with its corner c, whose value
+    fl(vec(F)' fl(vec(eta eta')) + c), as `select` computes it, is < 0 at every
+    float state eta; True where that is not shown.
+
+    A form is False when c <= -(n + 1) eta_min, the entries of |F| sum to a
+    <= 0.99, and `definite(-F, floor=tau)`, with tau = (n + 1) eps a rounded
+    up, n = d^2, eps = 2u and eta_min the least subnormal.  Proof.
+    `definite` makes -F - tau I > 0 hold exactly, so eta' F eta <= -tau
+    |eta|^2 and every f_ii < 0.  If some eta_i^2 overflows, f_ii eta_i^2 is
+    -inf, and a sum holding -inf or NaN is -inf or NaN in any order, with or
+    without FMA: not >= 0.  Else every entry of fl(vec(eta eta')) is at most
+    Omega, the largest float, as |eta_i eta_j| <= max(eta_i^2, eta_j^2) and
+    rounding is monotone, and a < 0.992 exactly (the computed 0.99 covers its
+    rounding), so every product and partial sum stays below (1 + gamma_n) a
+    Omega < Omega: nothing overflows.  With fl(x y) = x y (1 + delta) + e, |delta| <= u, |e|
+    <= eta_min / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    (2.8)) and a sum exact where it is subnormal, the value before c is, in
+    any summation order, within gamma_{n+1} |eta|'|F||eta| + (n + 1) eta_min
+    / 2 of eta' F eta, and |eta|'|F||eta| <= ||F||_F |eta|^2 <= a |eta|^2.
+    tau >= gamma_{n+1} a: its factor 2 covers the rounding of a and of the
+    product, the step up an underflow.  So that value is at most (n + 1)
+    eta_min / 2, its exact sum with c is < 0, and it rounds to a float < 0;
+    eta = 0 gives c itself.  A stack with no corner that low is not factored.
+    """
+    keep = np.ones(len(forms), dtype=bool)
+    n = forms.shape[-1] ** 2
+    (low,) = np.nonzero(corners <= -(n + 1) * _ETA)
+    for lo in range(0, low.size, BUILD_CHUNK):  # one slice of candidates at a time: no temporary spans the stack
+        idx = low[lo : lo + BUILD_CHUNK]
+        S = -forms[idx]
+        with np.errstate(over="ignore"):  # an overflowed a is inf, and that form is kept
+            a = np.abs(S).reshape(-1, n) @ np.ones(n)
+            tau = np.nextafter((n + 1) * _EPS * a, np.inf)
+        keep[idx] = ~((a <= 0.99) & definite(S, floor=tau))
+    return keep
 
 
 class OnlinePolicy:
@@ -117,10 +156,13 @@ class OnlinePolicy:
     Phi_s with a zero corner c_s.  Perturbed, F_s = (rho_s - gamma) P -
     Phi_s'(P + M) Phi_s and the corner is c_s = gamma - chi(|s|)^2
     lambda_bar (`young_gain`).  A certified decision's margin is the value
-    the test admitted, so it is >= 0.  The horizons are stored in metric
-    order, best first, each metric level in horizon order, so the first
-    admissible position holds the best metric and its level's admissible
-    positions are the ties, in the order a full scan lists them.  `select`
+    the test admitted, so it is >= 0.  Only the forms some state might admit
+    are kept (`_admissible_somewhere`), and sigma*'s: on the online-perturbed
+    preset 120 of 1 092, as the rest are negative definite with a negative
+    corner.  The kept horizons are stored in metric order, best first, each
+    metric level in horizon order, so the first admissible position holds
+    the best metric and its level's admissible positions are the ties, in
+    the order a full scan of every horizon lists them.  `select`
     scores at most two blocks, each one product of the flattened forms with
     vec(eta eta'): the best levels up to the first level end at or past
     FORM_CHUNK forms, then the rest.  When nothing is admissible, sigma* is
@@ -143,32 +185,38 @@ class OnlinePolicy:
     """
 
     def __init__(self, cert, phis, m: int, codes, star: int):
-        metrics = _metrics(codes, m)
+        metrics, lengths = _metrics(codes, m)
         order = np.argsort(-metrics, kind="stable")
+        H = order.size
+        P = symmetrize(cert.P)
+        nn = P.shape[0]
+        lengths = lengths[order]
+        rhos = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
+        if isinstance(cert, UnperturbedCertificate):
+            A, w, corners = P, rhos, np.zeros(H)
+        else:
+            A, w = P + symmetrize(cert.M), rhos - cert.gamma
+            corners = cert.gamma - per_length(lambda l: cert.chi[l] ** 2, lengths) * young_gain(P, cert.M)
+        forms = np.empty((H, nn, nn))
+        for lo in range(0, H, BUILD_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
+            sl = slice(lo, lo + BUILD_CHUNK)
+            np.negative(decay_form(phis[order[sl]], P, w[sl], A), out=forms[sl])
+        keep = _admissible_somewhere(forms, corners)
+        keep[order == star] = True  # sigma*'s form stays, for the fallback's margin
+        if not keep.all():
+            order, forms, corners = order[keep], forms[keep], corners[keep]
+        kept = len(forms)
+        self.forms, self.corners = forms, corners
+        self.flat = forms.reshape(kept, nn * nn)
         self.codes = codes[:, order]
         self.built = {}  # metric-order position -> its horizon tuple, once a decision returned it
         self.metrics = metrics[order]
         self.fallback_index = int(np.flatnonzero(order == star)[0])  # sigma*'s position in metric order
         self.m = m
-        H = codes.shape[1]
-        level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, H)
+        level_ends = np.append(np.flatnonzero(np.diff(self.metrics)) + 1, kept)
         self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
-        split = int(level_ends[level_ends >= min(FORM_CHUNK, H)][0])
-        self.blocks = ((0, split), (split, H))
-        P = symmetrize(cert.P)
-        nn = P.shape[0]
-        lengths = (self.codes >= 0).sum(axis=0)
-        rhos = per_length(lambda l: decay_factor(cert.beta, l, cert.T), lengths)
-        if isinstance(cert, UnperturbedCertificate):
-            A, w, self.corners = P, rhos, np.zeros(H)
-        else:
-            A, w = P + symmetrize(cert.M), rhos - cert.gamma
-            self.corners = cert.gamma - per_length(lambda l: cert.chi[l] ** 2, lengths) * young_gain(P, cert.M)
-        self.forms = np.empty((H, nn, nn))
-        for lo in range(0, H, FORM_CHUNK):  # gathers and writes one slice at a time: no temporary spans the stack
-            sl = slice(lo, lo + FORM_CHUNK)
-            self.forms[sl] = -decay_form(phis[order[sl]], P, w[sl], A)
-        self.flat = self.forms.reshape(H, nn * nn)
+        split = int(level_ends[level_ends >= min(FORM_CHUNK, kept)][0])
+        self.blocks = ((0, split), (split, kept))
 
     def horizon(self, i) -> tuple:
         """The horizon at metric-order position i, built once."""
@@ -218,7 +266,7 @@ class TablePolicy:
 
     def __init__(self, cert, phis, m: int, regions, codes, star: int):
         fallback = np.array([star])
-        metrics = _metrics(codes, m)
+        metrics = _metrics(codes, m)[0]
         forms = region_forms(cert, codes, phis)
         certified = ~np.isnan(region_multipliers(forms, np.array([reg.Q for reg in regions])))
         psi, values = [], []

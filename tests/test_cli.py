@@ -91,6 +91,17 @@ def test_offline_manifest_lists_what_each_region_certified(tmp_path, capsys, req
     manifest = json.loads((runs[0] / "manifest.json").read_text())
     assert manifest["regions"] == [{"certified": n, "fallback_only": n == 0} for n in counts]
     assert len(counts) == 15 and min(counts) > 0
+    assert "online_forms" not in manifest
+
+
+@pytest.mark.parametrize("name, kept, total", [("online-unperturbed", 39, 39), ("online-perturbed", 120, 1092)])
+def test_online_manifest_counts_the_forms_the_policy_keeps(tmp_path, capsys, name, kept, total):
+    # the online-perturbed stack drops the forms no state admits; online-unperturbed has none
+    assert main(["preset", name, "--steps", "20", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["online_forms"] == {"kept": kept, "total": total}
+    assert "regions" not in manifest
 
 
 @pytest.mark.parametrize("star", ["1212", "13"])

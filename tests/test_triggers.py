@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asynctrig import triggers
 from asynctrig.certificates import (
@@ -16,7 +19,7 @@ from asynctrig.certificates import (
 )
 from asynctrig.errors import ConfigError, InfeasibleError
 from asynctrig.horizons import avg_idle_metric, enumerate_horizons, horizon_from_text
-from asynctrig.matrix_core import spectral_norm, symmetrize
+from asynctrig.matrix_core import definite, spectral_norm, symmetrize
 from asynctrig.partition import (
     ConicRegion,
     make_partition,
@@ -55,6 +58,11 @@ from helpers import (
     unfiltered_region_multipliers,
     unpruned_table,
 )
+
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+# the forms each online policy keeps: only online-perturbed has forms no state admits
+KEPT_FORMS = {"online-unperturbed": 39, "online-perturbed": 120, "random-3x3": 5460}
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +166,15 @@ def test_online_decisions_reuse_each_horizon_tuple(online_unperturbed):
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed"])
 def test_online_forms_equal_the_per_horizon_formulas(name):
     # byte-identical traces start here: the stacked build must give every
-    # horizon's own form bit for bit, not merely to rounding
+    # kept horizon's own form bit for bit, not merely to rounding; a dropped
+    # horizon's form is shown never admissible, exactly
     prep = prepare(preset_config(name))
     policy = prep.policy.policy if isinstance(prep.policy, GatedPolicy) else prep.policy
     cert, P = prep.cert, prep.cert.P
     nn = P.shape[0]
-    horizons = horizon_list(policy.codes)
-    assert sorted(horizons) == sorted(horizon_list(prep.codes))
-    for i, s in enumerate(horizons):
+    position = {s: i for i, s in enumerate(horizon_list(policy.codes))}
+    dropped, dropped_corners = [], []
+    for s in horizon_list(prep.codes):
         Phi = horizon_transition(prep.dp, s)
         rho = decay_factor(cert.beta, len(s), cert.T)
         if isinstance(cert, UnperturbedCertificate):
@@ -175,8 +184,16 @@ def test_online_forms_equal_the_per_horizon_formulas(name):
             form, corner = U[:nn, :nn], U[nn, nn]
             PM = symmetrize(P) + symmetrize(cert.M)  # the one-horizon block, written out
             assert np.array_equal(form, -symmetrize(Phi.T @ PM @ Phi) + (rho - cert.gamma) * symmetrize(P)), s
-        assert np.array_equal(policy.forms[i], form), s
-        assert policy.corners[i] == corner, s
+        if s in position:
+            assert np.array_equal(policy.forms[position[s]], form), s
+            assert policy.corners[position[s]] == corner, s
+        else:
+            dropped.append(form)
+            dropped_corners.append(corner)
+    assert len(position) == KEPT_FORMS[name] and len(position) + len(dropped) == prep.codes.shape[1]
+    if dropped:  # F < 0 and c < 0 in exact arithmetic: eta' F eta + c < 0 at every real eta
+        assert definite(-np.array(dropped).astype(object)).all()
+        assert max(dropped_corners) < 0
 
 
 def _random_plant_policy():
@@ -204,6 +221,19 @@ def online_policies():
     return policies
 
 
+def _oracle_states(dim: int, P, rng, count: int = 300):
+    """(eta, tie-break seed) pairs: eta in a uniform direction, at a log-uniform
+    scale over [1e-3, 1e3] or, given P, at V = eta' P eta log-uniform over [1,
+    1e4], outside the gate."""
+    for _ in range(count):
+        d = rng.normal(size=dim)
+        if P is None:
+            eta = d * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:
+            eta = d * math.sqrt(10.0 ** rng.uniform(0.0, 4.0) / (d @ P @ d))
+        yield eta, int(rng.integers(2**31 - 1))
+
+
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
 def test_select_matches_the_full_scan_oracle(online_policies, name):
     # the early exit scores the forms with one product per block, the oracle
@@ -211,20 +241,120 @@ def test_select_matches_the_full_scan_oracle(online_policies, name):
     # differs, so the identity of the decisions is checked, not assumed
     policy, P = online_policies[name]
     online = getattr(policy, "policy", policy)
-    rng = np.random.default_rng(41)
     reasons = set()
-    for k in range(300):
-        d = rng.normal(size=online.forms.shape[1])
-        if P is None:
-            eta = d * 10.0 ** rng.uniform(-3.0, 3.0)
-        else:  # V = eta' P eta log-uniform over [1, 1e4], outside the gate
-            eta = d * math.sqrt(10.0 ** rng.uniform(0.0, 4.0) / (d @ P @ d))
-        seed = int(rng.integers(2**31 - 1))
+    for k, (eta, seed) in enumerate(_oracle_states(online.forms.shape[1], P, np.random.default_rng(41))):
         dec, ties = select_with_ties(policy, eta, seed, k)
         assert (dec.horizon, dec.metric, ties) == full_scan_select(online, eta, seed, k), k
         assert dec.evaluated in {hi for _, hi in online.blocks}
         reasons.add(dec.reason)
     assert "certified" in reasons
+
+
+def _keep_every_form(forms, corners):
+    return np.ones(len(forms), dtype=bool)
+
+
+@pytest.fixture(scope="module")
+def unpruned_policies():
+    """The `OnlinePolicy` of each of `online_policies`, built without the prune: one form per horizon."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triggers, "_admissible_somewhere", _keep_every_form)
+        policies = {name: prepare(preset_config(name)).policy for name in ("online-unperturbed", "online-perturbed")}
+        policies["random-3x3"] = _random_plant_policy()
+    return {name: getattr(policy, "policy", policy) for name, policy in policies.items()}
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
+def test_pruned_select_matches_the_unpruned_full_scan(online_policies, unpruned_policies, name):
+    # the prune drops only forms that no state admits: a full scan of every
+    # horizon's form picks the same horizon, metric and ties, and the
+    # unpruned select the same reason and margin
+    policy, P = online_policies[name]
+    online, full = getattr(policy, "policy", policy), unpruned_policies[name]
+    assert len(online.forms) == KEPT_FORMS[name] and len(full.forms) == full.codes.shape[1]
+    reasons = set()
+    for k, (eta, seed) in enumerate(_oracle_states(online.forms.shape[1], P, np.random.default_rng(43))):
+        dec, ties = select_with_ties(policy, eta, seed, k)
+        assert (dec.horizon, dec.metric, ties) == full_scan_select(full, eta, seed, k), k
+        unpruned = full.select(eta, seed, k)
+        assert (dec.reason, dec.margin) == (unpruned.reason, unpruned.margin), k
+        assert dec.evaluated <= unpruned.evaluated
+        reasons.add(dec.reason)
+    assert reasons == ({"certified", "forced-fallback"} if name == "online-perturbed" else {"certified"})
+
+
+@pytest.fixture(scope="module")
+def pruned_forms(unpruned_policies):
+    """The forms, with their corners, that the prune drops from the online-perturbed preset's stack."""
+    full = unpruned_policies["online-perturbed"]
+    keep = triggers._admissible_somewhere(full.forms, full.corners)
+    return full.forms[~keep], full.corners[~keep]
+
+
+def test_pruned_forms_meet_the_rounding_bound_exactly(pruned_forms):
+    # the prune's float verdict, rechecked in Fraction: -F - gamma_{n+1} a I > 0,
+    # a = sum |f_ij| < 1 - 2 gamma_n and c <= -(n + 1) eta_min, where the proof needs them
+    forms, corners = pruned_forms
+    assert len(forms) == 972
+    n = forms.shape[1] ** 2
+    u = Fraction(np.finfo(float).eps) / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    exact = np.frompyfunc(Fraction, 1, 1)(forms.astype(object))
+    a = np.abs(exact).reshape(len(forms), n).sum(axis=1)
+    assert (a < 1 - 2 * n * u / (1 - n * u)).all()
+    assert definite(-exact, floor=gamma * a).all()
+    assert all(Fraction(c) <= -(n + 1) * Fraction(np.finfo(float).smallest_subnormal) for c in corners)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-1.99, 1.99), min_size=4, max_size=4), st.integers(-1100, 511))
+@example([0.0, 0.0, 0.0, 0.0], 0)
+@example([1.0, -1.0, 0.5, -0.25], -1074)  # subnormal and zero entries
+@example([1.99, 1.99, -1.99, 1.99], 511)  # each square just below overflow
+def test_no_pruned_form_admits_a_float_state(pruned_forms, direction, exponent):
+    # the value select computes, vec(F)' fl(vec(eta eta')) + c, is < 0 from
+    # eta = 0 up to squares just below overflow, with no floating-point warning
+    forms, corners = pruned_forms
+    eta = np.ldexp(np.array(direction), exponent)
+    values = forms.reshape(len(forms), -1) @ np.multiply.outer(eta, eta).ravel() + corners
+    assert (values < 0.0).all()
+
+
+def test_no_pruned_form_admits_a_state_whose_square_overflows(pruned_forms):
+    # an overflowed eta_i^2 meets F's negative diagonal: -inf or NaN, never >= 0
+    forms, corners = pruned_forms
+    for eta in ([2.0**600, 1.0, -1.0, 0.0], [2.0**600, -(2.0**600), 2.0**511, 0.0], [np.inf, 0.0, 0.0, 1.0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = np.multiply.outer(np.array(eta), np.array(eta)).ravel()
+            values = forms.reshape(len(forms), -1) @ outer + corners
+        assert not (values >= 0.0).any()
+
+
+def test_prune_keeps_what_it_cannot_show_never_admissible():
+    # negative definite with a negative corner is dropped; a form past the
+    # entry-sum bound, an indefinite one and one whose corner is not below
+    # -(n + 1) eta_min stay
+    eta_min = np.finfo(float).smallest_subnormal
+    forms = np.array([-0.1 * np.eye(2), -np.eye(2), np.diag([0.1, -0.1]), -0.1 * np.eye(2), -0.1 * np.eye(2)])
+    corners = np.array([-1.0, -1.0, -1.0, -5 * eta_min, -4 * eta_min])
+    assert triggers._admissible_somewhere(forms, corners).tolist() == [False, True, True, False, True]
+    # and one whose least eigenvalue clears `definite`'s own shift but not the product's rounding bound
+    u = np.finfo(float).eps / 2
+    near = np.diag([-0.2, -0.2, -0.2, -15 * u])  # tau = 34 u a = 20.4 u > 15 u > definite's 14 u tr(-F) = 8.4 u
+    assert definite(-near)
+    assert triggers._admissible_somewhere(np.array([-0.2 * np.eye(4), near]), -np.ones(2)).tolist() == [False, True]
+
+
+def test_sigma_star_form_survives_the_prune(monkeypatch, online_unperturbed):
+    # with every other form dropped, select scores sigma* alone and falls back to it
+    dp, horizons, cert, _ = online_unperturbed
+    monkeypatch.setattr(triggers, "_admissible_somewhere", lambda forms, corners: np.zeros(len(forms), dtype=bool))
+    codes = action_codes(horizons)
+    policy = OnlinePolicy(cert, transition_table(dp, codes), dp.m, codes, horizons.index((1, 2)))
+    assert horizon_list(policy.codes) == [(1, 2)] and policy.blocks == ((0, 1), (1, 1))
+    for k, eta in enumerate(np.random.default_rng(5).normal(size=(20, 4))):
+        dec = policy.select(eta, 0, k)
+        assert dec.horizon == (1, 2) and dec.evaluated == 1 and dec.margin >= 0.0
 
 
 def _select_values(online, eta):

@@ -35,7 +35,7 @@ from .plant import (
     step_matrices,
     transition_table,
 )
-from .svgplots import float_texts, write_text
+from .svgplots import float_texts, time_texts, write_text
 from .triggers import GatedPolicy, OnlinePolicy, TablePolicy
 
 # perfbench/passes.py still looks these old names up before each loop; simulate never calls them
@@ -254,6 +254,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     eta = config.x0
     steps = 0
     u = K @ xh
+    Bu = B_T @ u  # the input's forcing: u changes only where a step reads a sensor, and Bu with it
     rows_x, rows_xh, rows_u, rows_a = [], [], [], []
     boundaries = []
     decisions = []
@@ -268,19 +269,20 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
             texts[dec.horizon] = horizon_to_text(dec.horizon)
         decision_rows.append((steps, taus[steps], config.mode, texts[dec.horizon], dec.metric,
                               dec.evaluated, int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
+        rows_a.extend(dec.horizon)
         for a in dec.horizon:
             rows_x.append(x)  # x, xh and u are rebound, never mutated
             if a:  # an idle step reads no sensor (its mask row is all False): xh and u stay as they are
                 xh = np.where(masks[a], x, xh)
                 u = K @ xh
-            x = A_T @ x + B_T @ u
+                Bu = B_T @ u
+            x = A_T @ x + Bu
             if perturbed:
                 if steps % BLOCK_STEPS == 0:
                     forcing = integrator.integrate(w_signal, times[steps : steps + BLOCK_STEPS])
                 x = x + forcing[steps % BLOCK_STEPS]
             rows_xh.append(xh)
             rows_u.append(u)
-            rows_a.append(a)
             steps += 1
         eta = np.concatenate([x, xh])
 
@@ -338,6 +340,8 @@ def utilization_metrics(actions: np.ndarray, m: int) -> dict:
 
 
 def write_trace_csv(trace: TraceColumns, path: str):
+    """Write the per-step columns, every float as its `repr`: t from `time_texts`, formatted
+    once per time axis, and the other columns once per distinct bit pattern (`float_texts`)."""
     n = trace.X.shape[1]
     m_u = trace.U.shape[1]
     header = ",".join(
@@ -347,23 +351,26 @@ def write_trace_csv(trace: TraceColumns, path: str):
         + [f"u_{j+1}" for j in range(m_u)]
         + ["action", "V"]
     )
-    # each row's floats are t, x, xhat, u and V, in the shortest round-tripping text
-    values = np.column_stack([trace.times, trace.X, trace.XHAT, trace.U, trace.V])
+    # after t, each row's floats are x, xhat, u and V
+    values = np.column_stack([trace.X, trace.XHAT, trace.U, trace.V])
     texts = float_texts(values)
     width = values.shape[1]
+    rows = zip(time_texts(trace.times)[0], range(0, len(texts), width), trace.actions.tolist())
     lines = [header]
-    lines += [
-        f"{k},{','.join(texts[s : s + width - 1])},{a},{texts[s + width - 1]}"
-        for k, (s, a) in enumerate(zip(range(0, len(texts), width), trace.actions.tolist()))
-    ]
+    lines += [f"{k},{t},{','.join(texts[s : s + width - 1])},{a},{texts[s + width - 1]}" for k, (t, s, a) in enumerate(rows)]
     write_text(path, "\n".join(lines) + "\n")
 
 
 def write_decision_csv(trace: SimTrace, path: str):
+    """Write one row per decision, every float as its `repr`; a tau logged at its step's
+    time takes that time's text from `time_texts` (a nonzero tau equal to it has its bits)."""
+    times, axis = trace.times.tolist(), time_texts(trace.times)[0]
+    n = len(axis)
     # no field needs CSV quoting (all texts are letters, digits and dashes); a missing region or margin is empty
     lines = ["step,tau,mode,horizon,metric,evaluated,inside_ellipsoid,reason,region,margin"]
     lines += [
-        f"{step},{float(tau)!r},{mode},{horizon},{float(metric)!r},{evaluated},{inside},{reason},"
+        f"{step},{axis[step] if 0 <= step < n and tau and tau == times[step] else repr(float(tau))},{mode},"
+        f"{horizon},{float(metric)!r},{evaluated},{inside},{reason},"
         f"{'' if region is None else region},{'' if margin is None else repr(float(margin))}"
         for step, tau, mode, horizon, metric, evaluated, inside, reason, region, margin in trace.decision_rows
     ]

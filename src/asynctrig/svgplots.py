@@ -7,6 +7,7 @@ parse the maps, invert them on the polyline points, and the original numbers
 come back to within rounding.
 """
 
+import functools
 import math
 import os
 import re
@@ -17,13 +18,14 @@ import numpy as np
 W, H = 800, 500
 ML, MR, MT, MB = 70, 20, 28, 45
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+AXIS_MEMO = 8  # time axes whose texts `time_texts` keeps; the traces of one configuration share a few
 
 
 def _affine(lo: float, hi: float, p0: float, p1: float):
-    # px = a + s * value; degenerate ranges get a unit span
+    # px = a + s * value; degenerate ranges get a unit span, or none where lo + 1 rounds to lo
     if not hi > lo:
         hi = lo + 1.0
-    s = (p1 - p0) / (hi - lo)
+    s = (p1 - p0) / (hi - lo) if hi != lo else 0.0
     return p0 - s * lo, s
 
 
@@ -71,6 +73,23 @@ def write_text(path, text: str):
 def _pixels(values: np.ndarray) -> list:
     # one repr per element, for pixels that seldom repeat; tolist() yields Python floats
     return list(map(repr, values.tolist()))
+
+
+def time_texts(times) -> tuple:
+    """(t, px_t, px_step): `repr(float(t))` of every time, their x pixels on the frame of
+    `states_svg` and `lyapunov_svg`, and the x pixels of steps 0..len(times) on `schedule_svg`'s.
+    A memo of the AXIS_MEMO latest axes, keyed by their exact bytes, formats each axis once."""
+    return _axis_texts(np.ascontiguousarray(times, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=AXIS_MEMO)
+def _axis_texts(key: bytes) -> tuple:
+    ts = np.frombuffer(key)
+    ax, sx = _affine(float(ts[0]), float(ts[-1]), ML, W - MR) if ts.size else (0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an axis with no finite pixel map still gets its t texts
+        px_t = _pixels(ax + sx * ts)
+    bx, bs = _affine(0.0, float(ts.size), ML, W - MR)  # schedule_svg's frame: one step per time
+    return tuple(_pixels(ts)), tuple(px_t), tuple(_pixels(bx + bs * np.arange(ts.size + 1)))
 
 
 def _poly(pxs, pys, stroke, ident, dash=None):
@@ -145,9 +164,9 @@ def states_svg(trace) -> str:
     maps, body = _frame(
         "state and held estimate", "t", "value", float(ts[0]), float(ts[-1]), *_padded(float(vals.min()), float(vals.max()))
     )
-    ax, sx, ay, sy = maps
+    ay, sy = maps[2:]
     # the time axis is shared by every series; a held estimate repeats its value until refreshed
-    px_t = _pixels(ax + sx * ts)
+    px_t = time_texts(ts)[1]
     px_X = _pixels((ay + sy * trace.X).T.ravel())
     px_XHAT = float_texts((ay + sy * trace.XHAT).T)
     legend = []
@@ -168,8 +187,8 @@ def lyapunov_svg(trace, mu: float = 0.0) -> str:
         ylo = min(ylo, math.log10(mu))
         yhi = max(yhi, math.log10(mu))
     maps, body = _frame("certificate value (log scale)", "t", "log10 V", float(ts[0]), float(ts[-1]), *_padded(ylo, yhi))
-    ax, sx, ay, sy = maps
-    px_t = _pixels(ax + sx * ts)
+    ay, sy = maps[2:]
+    px_t = time_texts(ts)[1]
     body.append(_poly(px_t, _pixels(ay + sy * logv), COLORS[0], "logV"))
     legend = [("log10 V", COLORS[0], False)]
     if mu > 0:
@@ -184,9 +203,9 @@ def schedule_svg(trace) -> str:
     steps = acts.size
     m = int(acts.max()) if steps else 1
     maps, body = _frame("sensor schedule", "step", "action", 0.0, float(steps), -0.5, max(m, 1) + 0.5)
-    ax, sx, ay, sy = maps
+    ay, sy = maps[2:]
     # step-post: the action chosen at step k holds on [k, k+1); every point is a step or an action level
-    px_step = _pixels(ax + sx * np.arange(steps + 1))
+    px_step = time_texts(trace.times)[2]  # a trace has one time per action
     py_action = _pixels(ay + sy * np.arange(m + 1))
     pxs, pys = [""] * (2 * steps), [""] * (2 * steps)
     pxs[0::2], pxs[1::2] = px_step[:-1], px_step[1:]
@@ -196,7 +215,7 @@ def schedule_svg(trace) -> str:
 
 
 def emit_plots(trace, outdir: str, mu: float = 0.0) -> list:
-    """Write the three standard views; returns the file paths."""
+    """Write the three standard views; returns the file paths.  Their time-axis texts come from `time_texts`."""
     if trace.actions.size == 0:
         raise ValueError("cannot plot an empty trace")
     os.makedirs(outdir, exist_ok=True)

@@ -169,8 +169,14 @@ class OnlinePolicy:
     taken and the decision's reason is forced-fallback.  codes is the
     horizons' code array, phis their transition stack and star sigma*'s
     index in both, as `certify` returns them.  The policy keeps the codes in
-    metric order; a decision's horizon tuple is built at the first decision
-    that returns its position and reused after (`horizon`).
+    metric order; a decision's horizon tuple and float metric are built at
+    the first decision that returns its position and reused after
+    (`horizon`, `built`, `metric_at`), so they grow with the positions
+    decisions return, not with the horizon count.
+
+    Per call, `select` scores each block on views kept from construction
+    (`scored`) with one gemv, adds the corners in place, and searches for
+    the best level's end only when a second admissible form could tie.
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -210,6 +216,7 @@ class OnlinePolicy:
         self.flat = forms.reshape(kept, nn * nn)
         self.codes = codes[:, order]
         self.built = {}  # metric-order position -> its horizon tuple, once a decision returned it
+        self.metric_at = {}  # and -> its metric as a float
         self.metrics = metrics[order]
         self.fallback_index = int(np.flatnonzero(order == star)[0])  # sigma*'s position in metric order
         self.m = m
@@ -217,35 +224,37 @@ class OnlinePolicy:
         self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
         split = int(level_ends[level_ends >= min(FORM_CHUNK, kept)][0])
         self.blocks = ((0, split), (split, kept))
+        self.scored = tuple((lo, hi, self.flat[lo:hi], corners[lo:hi]) for lo, hi in self.blocks)
 
     def horizon(self, i) -> tuple:
-        """The horizon at metric-order position i, built once."""
+        """The horizon at metric-order position i, built once, with its metric."""
         horizon = self.built.get(i)
         if horizon is None:
             horizon = self.built[i] = horizon_at(self.codes, i)
+            self.metric_at[i] = float(self.metrics[i])
         return horizon
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)
-        outer = np.multiply.outer(eta, eta).ravel()
-        for lo, hi in self.blocks:
-            values = self.flat[lo:hi] @ outer + self.corners[lo:hi]
-            feas = np.flatnonzero(values >= 0.0)
+        outer = (eta[:, None] * eta).ravel()
+        for lo, hi, flat, corners in self.scored:
+            values = flat.dot(outer)  # flat @ outer bit for bit: the same BLAS gemv, at less call overhead
+            values += corners
+            (feas,) = (values >= 0.0).nonzero()
             if feas.size:
-                ties = lo + feas[: np.searchsorted(feas, self.level_end[lo + feas[0]] - lo)]
+                head = feas[:2].tolist()
+                end = self.level_end[lo + head[0]] - lo  # one past the best admissible level, in the block
+                if len(head) > 1 and head[1] < end:
+                    ties = lo + feas[: np.searchsorted(feas, end)]
+                else:
+                    ties = (lo + head[0],)
                 i = _tie_break(ties, rng_seed, step_index)
                 reason, margin = "certified", values[i - lo]
                 break
         else:  # hi is now the stack's end: every form was scored
             i = self.fallback_index
             reason, margin = "forced-fallback", self.flat[i] @ outer + self.corners[i]
-        return TriggerDecision(
-            horizon=self.horizon(i),
-            metric=float(self.metrics[i]),
-            evaluated=hi,
-            reason=reason,
-            margin=float(margin),
-        )
+        return TriggerDecision(self.horizon(i), self.metric_at[i], hi, reason, None, float(margin))
 
 
 class TablePolicy:
@@ -296,7 +305,11 @@ class TablePolicy:
 
 class GatedPolicy:
     """The perturbed mechanisms' gate: inside E(P,1), wait one period without
-    sampling; elsewhere defer to the wrapped policy."""
+    sampling; elsewhere defer to the wrapped policy.
+
+    The gate reads eta.dot(P).dot(eta), the value of eta @ P @ eta bit for
+    bit at less call overhead, as `partition.region_of` reads its forms.
+    """
 
     def __init__(self, policy, P):
         self.policy = policy
@@ -310,7 +323,7 @@ class GatedPolicy:
 
     def select(self, eta, rng_seed: int, step_index: int = 0) -> TriggerDecision:
         eta = np.asarray(eta, dtype=float)
-        if eta @ self.P @ eta <= 1.0:
+        if eta.dot(self.P).dot(eta) <= 1.0:
             return self.idle
         return self.policy.select(eta, rng_seed, step_index)
 

@@ -66,14 +66,21 @@ def test_preset_times_cover_each_preset_on_the_checkout_sources():
     times = _bench_pairs().time_presets(ROOT)
     assert list(times) == ["online-unperturbed", "offline-unperturbed", "online-perturbed", "offline-perturbed"]
     for name, entry in times.items():
-        assert sorted(entry) == ["prepare_s", "simulate_s"], name
+        assert sorted(entry) == ["prepare_s", "simulate_s", "write_s"], name
         assert all(isinstance(v, float) and 0 < v < 60 for v in entry.values()), name
 
 
 def test_preset_summary_keeps_every_process_and_its_median():
-    runs = [{"a": {"prepare_s": p, "simulate_s": 10 * p}} for p in (3.0, 1.0, 2.0)]
+    runs = [{"a": {"prepare_s": p, "simulate_s": 10 * p, "write_s": p / 4}} for p in (3.0, 1.0, 2.0)]
     assert _bench_pairs().summarize_presets(runs) == {
-        "a": {"prepare_s": 2.0, "prepare_runs": [3.0, 1.0, 2.0], "simulate_s": 20.0, "simulate_runs": [30.0, 10.0, 20.0]}
+        "a": {
+            "prepare_s": 2.0,
+            "prepare_runs": [3.0, 1.0, 2.0],
+            "simulate_s": 20.0,
+            "simulate_runs": [30.0, 10.0, 20.0],
+            "write_s": 0.5,
+            "write_runs": [0.75, 0.25, 0.5],
+        }
     }
 
 

@@ -40,6 +40,23 @@ def test_preset_digests_hash_every_output_of_a_run(tmp_path, monkeypatch):
     assert lines == expected
 
 
+def test_sweep_digests_hash_every_output_of_a_sweep(tmp_path, monkeypatch):
+    # one prepare, then each seed's trace, decisions and plots: the writers' warm time-axis path
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    lines = _preset_digests().sweep_digests([("online-unperturbed", (2, 3))])
+    assert list(work.iterdir()) == []
+    out = tmp_path / "out"
+    assert main(["preset", "online-unperturbed", "--sweep", "2,3", "--plots", "--out-dir", str(out)]) == 0
+    expected = [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  online-unperturbed/sweep-2,3/{p.relative_to(out).as_posix()}"
+        for p in sorted(p for p in out.rglob("*") if p.is_file())
+    ]
+    assert len(expected) == 12  # certificate and manifest, and per seed a trace, decisions and three plots
+    assert lines == expected
+
+
 def _table_line(table, label: str) -> str:
     text = json.dumps(table_to_dict(table), indent=2) + "\n"
     return f"{hashlib.sha256(text.encode()).hexdigest()}  {label}"

@@ -1,23 +1,31 @@
 import ast
+import dataclasses
 import os
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asynctrig import svgplots
 from asynctrig.presets import preset_config
-from asynctrig.simulation import SimTrace, prepare, simulate
+from asynctrig.simulation import SimTrace, prepare, read_trace_csv, simulate, write_trace_csv
 from asynctrig.svgplots import (
+    AXIS_MEMO,
     emit_plots,
     float_texts,
     lyapunov_svg,
     parse_polyline,
     schedule_svg,
     states_svg,
+    time_texts,
     write_text,
 )
-from helpers import oracle_svgs, special_value_traces
+from helpers import oracle_svgs, oracle_write_trace_csv, special_value_traces
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +143,68 @@ def test_float_texts_formats_each_bit_pattern_as_repr():
     assert float_texts(arr) == [repr(v) for v in arr.ravel().tolist()]
     assert float_texts(arr.T) == [repr(v) for v in arr.T.ravel().tolist()]
     assert float_texts(np.array([])) == []
+
+
+@PROPERTY
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_time_texts_are_the_repr_of_every_time(values):
+    # any float, -0.0, nan, infinities and subnormals included: the memo is keyed by bits, not values
+    times = np.array(values)
+    t, px_t, px_step = time_texts(times)
+    assert t == tuple(repr(float(v)) for v in times)
+    assert (len(px_t), len(px_step)) == (times.size, times.size + 1)
+
+
+def test_a_warm_time_axis_gives_what_a_cold_one_gives(trace):
+    svgplots._axis_texts.cache_clear()
+    cold = time_texts(trace.times)
+    cold_docs = [states_svg(trace), lyapunov_svg(trace, mu=2.0), schedule_svg(trace)]
+    warm = time_texts(trace.times.copy())  # equal bytes in another array
+    assert svgplots._axis_texts.cache_info().hits >= 1
+    assert warm == cold
+    assert [states_svg(trace), lyapunov_svg(trace, mu=2.0), schedule_svg(trace)] == cold_docs
+    # the memo holds at most AXIS_MEMO axes, the latest
+    for k in range(AXIS_MEMO + 3):
+        time_texts(trace.times + k)
+    assert svgplots._axis_texts.cache_info().currsize == AXIS_MEMO
+
+
+def test_a_time_one_ulp_away_changes_only_its_own_text(trace):
+    base = time_texts(trace.times)[0]
+    for k in (0, trace.times.size // 2, trace.times.size - 1):
+        moved = trace.times.copy()
+        moved[k] = np.nextafter(moved[k], np.inf)
+        texts = time_texts(moved)[0]
+        assert [i for i, (a, b) in enumerate(zip(base, texts)) if a != b] == [k]
+        assert texts[k] == repr(float(moved[k]))
+
+
+def test_a_trace_read_back_writes_the_same_csv_and_plots(preset_traces, tmp_path):
+    # the read-back axis has the bytes of the written one: its texts come warm from the memo
+    traces = [tr for _, _, tr in preset_traces.values()] + special_value_traces()
+    for i, tr in enumerate(traces):
+        first, second = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        first.mkdir()
+        write_trace_csv(tr, str(first / "trace.csv"))
+        emit_plots(tr, str(first), mu=2.0)
+        back = read_trace_csv(str(first / "trace.csv"))
+        second.mkdir()
+        write_trace_csv(back, str(second / "trace.csv"))
+        emit_plots(back, str(second), mu=2.0)
+        for name in ("trace.csv", "states.svg", "lyapunov.svg", "schedule.svg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), (i, name)
+
+
+def test_traces_on_one_time_axis_keep_their_own_state_texts(trace, tmp_path):
+    other = dataclasses.replace(
+        trace, X=-3.0 * trace.X, XHAT=trace.XHAT + 0.25, U=0.5 * trace.U, V=7.0 * trace.V, actions=trace.actions[::-1]
+    )
+    for i, tr in enumerate((trace, other, trace)):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_trace_csv(tr, str(got))
+        oracle_write_trace_csv(tr, str(want))
+        assert got.read_bytes() == want.read_bytes(), i
+        assert [states_svg(tr), lyapunov_svg(tr, mu=2.0), schedule_svg(tr)] == oracle_svgs(tr, mu=2.0), i
 
 
 def test_write_text_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):

@@ -396,6 +396,61 @@ def test_no_form_is_admitted_below_zero(online_policies, name):
 
 
 @pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
+def test_a_certified_margin_has_the_bits_of_the_block_product_at_its_position(online_policies, name):
+    # select adds the corners to its block product in place: the margin it reports
+    # is, bit for bit, the product-plus-corner value at the chosen position
+    policy, P = online_policies[name]
+    online = getattr(policy, "policy", policy)
+    position = {s: i for i, s in enumerate(horizon_list(online.codes))}
+    certified = 0
+    for k, (eta, seed) in enumerate(_oracle_states(online.forms.shape[1], P, np.random.default_rng(47))):
+        dec = policy.select(eta, seed, k)
+        if dec.reason == "certified":
+            assert dec.margin.hex() == float(_select_values(online, eta)[position[dec.horizon]]).hex(), k
+            certified += 1
+    assert certified
+
+
+@pytest.fixture(scope="module")
+def gated_policies(online_policies, prepared_offline_perturbed):
+    """The gated policy of each perturbed preset."""
+    return {
+        "online-perturbed": online_policies["online-perturbed"][0],
+        "offline-perturbed": prepared_offline_perturbed[1].policy,
+    }
+
+
+@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
+def test_the_gate_idles_exactly_where_eta_P_eta_is_at_most_one(gated_policies, name):
+    # bisect to the E(P,1) boundary along random rays; at the crossing and a few
+    # ulps to either side, the gate idles exactly where eta @ P @ eta <= 1.0
+    policy = gated_policies[name]
+    P = policy.P
+    assert isinstance(policy, GatedPolicy)
+
+    def inside(eta):
+        return eta @ P @ eta <= 1.0
+
+    rng = np.random.default_rng(53)
+    seen = set()
+    for _ in range(40):
+        d = rng.normal(size=len(P))
+        d /= math.sqrt(d @ P @ d)
+        edge = bisect_states(0.5 * d, 2.0 * d, inside)
+        states = [edge]
+        for target in (0.0 * d, 2.0 * d):
+            eta = edge
+            for _ in range(3):
+                eta = np.nextafter(eta, target)
+                states.append(eta)
+        for eta in states:
+            gated = policy.select(eta, 0, 0).reason == "gate"
+            assert gated == inside(eta)
+            seen.add(gated)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["online-unperturbed", "online-perturbed", "random-3x3"])
 def test_online_policy_stores_horizons_in_metric_order(online_policies, name):
     online = getattr(online_policies[name][0], "policy", online_policies[name][0])
     metrics = online.metrics

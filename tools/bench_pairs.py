@@ -19,7 +19,7 @@ range; `layers` holds each side's per-layer
 metrics, the median over its traced runs, and `layer_runs` every traced
 run's values: one traced run cannot resolve a 10-20% change in a layer
 that takes a few hundredths of a second.  Last, `presets` holds, per side and preset,
-the best-of-5 `prepare` and `simulate` seconds at 100 steps of each of
+the best-of-5 `prepare`, `simulate` and write seconds at 100 steps of each of
 PAIRS fresh processes per side, alternating as the pairs do, and their
 medians: one process's best-of-5 swings up to 2x from the next on a shared
 box, so a single one cannot compare the sides.
@@ -27,9 +27,11 @@ box, so a single one cannot compare the sides.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,24 +54,31 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def preset_seconds() -> dict:
-    """Best-of-PRESET_REPEATS `prepare` and `simulate` seconds of each preset at PRESET_STEPS steps,
-    from the asynctrig found first on sys.path."""
+    """Best-of-PRESET_REPEATS `prepare`, `simulate` and write seconds of each preset at PRESET_STEPS
+    steps, from the asynctrig found first on sys.path.  write_s is `write_trace_csv`,
+    `write_decision_csv` and `emit_plots` of the run's trace into a temporary directory."""
     from asynctrig.presets import PRESET_NAMES, preset_config
-    from asynctrig.simulation import prepare, simulate
+    from asynctrig.simulation import prepare, simulate, write_decision_csv, write_trace_csv
+    from asynctrig.svgplots import emit_plots
 
     out = {}
-    for name in PRESET_NAMES:
-        config = preset_config(name, total_steps=PRESET_STEPS)
-        prepare_s, simulate_s = [], []
-        for _ in range(PRESET_REPEATS):
-            t0 = time.perf_counter()
-            prepared = prepare(config)
-            t1 = time.perf_counter()
-            simulate(config, prepared)
-            t2 = time.perf_counter()
-            prepare_s.append(t1 - t0)
-            simulate_s.append(t2 - t1)
-        out[name] = {"prepare_s": min(prepare_s), "simulate_s": min(simulate_s)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PRESET_NAMES:
+            config = preset_config(name, total_steps=PRESET_STEPS)
+            times = {"prepare_s": [], "simulate_s": [], "write_s": []}
+            for _ in range(PRESET_REPEATS):
+                t0 = time.perf_counter()
+                prepared = prepare(config)
+                t1 = time.perf_counter()
+                trace = simulate(config, prepared)
+                t2 = time.perf_counter()
+                write_trace_csv(trace, os.path.join(tmp, "trace.csv"))
+                write_decision_csv(trace, os.path.join(tmp, "decisions.csv"))
+                emit_plots(trace, os.path.join(tmp, "plots"), mu=trace.metrics.get("mu", 0.0))
+                t3 = time.perf_counter()
+                for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+                    times[key].append(seconds)
+            out[name] = {key: min(values) for key, values in times.items()}
     return out
 
 
@@ -84,11 +93,11 @@ def time_presets(checkout: Path) -> dict:
 
 
 def summarize_presets(runs) -> dict:
-    """Per preset, each process's best-of-5 seconds and their median, from `time_presets` results."""
+    """Per preset and timed stage, each process's best-of-5 seconds and their median, from `time_presets` results."""
     out = {}
     for name in runs[0]:
         out[name] = {}
-        for key in ("prepare_s", "simulate_s"):
+        for key in ("prepare_s", "simulate_s", "write_s"):
             values = [run[name][key] for run in runs]
             out[name][key] = statistics.median(values)
             out[name][key[:-2] + "_runs"] = values
@@ -166,8 +175,9 @@ def main(argv=None) -> int:
             "order": "alternating: the parent runs first in pairs 1, 3, 5, ..., the change in pairs 2, 4, 6, ...",
             "layers": f"{TRACED} alternating pairs of runs after the pairs, with --trace 1 instead of --trace 0; "
             "the median of each metric over each side's runs",
-            "presets": f"best of {PRESET_REPEATS} prepare and simulate per preset at {PRESET_STEPS} steps in one "
-            f"process, {PAIRS} alternating pairs of processes after the workloads, median over each side's processes",
+            "presets": f"best of {PRESET_REPEATS} prepare, simulate and write (trace CSV, decision CSV, plots) per "
+            f"preset at {PRESET_STEPS} steps in one process, {PAIRS} alternating pairs of processes after the "
+            "workloads, median over each side's processes",
         },
         "workloads": {},
     }

@@ -6,7 +6,10 @@ of each preset's certified numbers, and of a few partitions.
 Runs `asynctrig preset NAME --seed S --plots` for each preset and seed into
 a temporary directory, importing the package from the checkout this script
 lives in, and prints one `sha256  preset/seed/file` line per output file, in
-a fixed order.  Then it prints one `sha256  preset/table.json` line per
+a fixed order.  Then it prints the same lines, as `sha256  preset/sweep-S1,S2/file`,
+for one `asynctrig preset NAME --sweep S1,S2,... --plots` run per entry of
+SWEEPS: each seed's trace, decisions and plots, written on one `prepare`,
+and the sweep's manifest.  Then it prints one `sha256  preset/table.json` line per
 offline preset: the digest of its region table as `table_to_dict` JSON, then one
 `sha256  preset/bench-cut/table.json` line for the benchmark's cut of it
 (`perfbench/workloads.py::BENCH_OFFLINE`) and one
@@ -44,8 +47,23 @@ from asynctrig.triggers import TablePolicy, table_to_dict  # noqa: E402
 from perfbench.workloads import BENCH_OFFLINE  # noqa: E402
 
 SEEDS = (154, 1, 2, 3)
+# (preset, seeds) of the --sweep runs, one prepare and a trace per seed: online-unperturbed's seeds
+# break ties apart, so its traces differ on shared time axes; online-perturbed's never tie
+SWEEPS = (("online-unperturbed", (1, 2, 3)), ("online-perturbed", (1, 2, 3)), ("offline-unperturbed", (1, 2)))
 # (dim, regions): the offline presets' dim 4, the capped cones, and the directions of dims 3, 6 and 8
 PARTITIONS = ((3, 7), (4, 3), (4, 15), (6, 40), (8, 30))
+
+
+def _run_digests(tmp: Path, label: str, name: str, options: list) -> list:
+    """`sha256  name/label/file` for every output of `asynctrig preset name ... --plots`, sorted."""
+    out = tmp / name / label
+    argv = ["preset", name, *options, "--plots", "--out-dir", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit(f"asynctrig {' '.join(argv)} exited with {status}")
+    paths = sorted(p for p in out.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(tmp).as_posix()}" for p in paths]
 
 
 def preset_digests(presets, seeds) -> list:
@@ -54,15 +72,18 @@ def preset_digests(presets, seeds) -> list:
     with tempfile.TemporaryDirectory() as tmp:
         for name in presets:
             for seed in seeds:
-                out = Path(tmp) / name / str(seed)
-                argv = ["preset", name, "--seed", str(seed), "--plots", "--out-dir", str(out)]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    status = main(argv)
-                if status != 0:
-                    raise SystemExit(f"asynctrig {' '.join(argv)} exited with {status}")
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
+                lines += _run_digests(Path(tmp), str(seed), name, ["--seed", str(seed)])
+    return lines
+
+
+def sweep_digests(sweeps) -> list:
+    """`sha256  preset/sweep-S1,S2,.../file` for every output of one `--sweep` run per (preset, seeds),
+    sorted within a run: every seed's trace, decisions and plots on one prepare, and the manifest."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seeds in sweeps:
+            seeds = ",".join(map(str, seeds))
+            lines += _run_digests(Path(tmp), f"sweep-{seeds}", name, ["--sweep", seeds])
     return lines
 
 
@@ -110,6 +131,7 @@ def partition_digests(shapes) -> list:
 
 
 if __name__ == "__main__":
-    lines = preset_digests(PRESET_NAMES, SEEDS) + table_digests(PRESET_NAMES) + certificate_digests(PRESET_NAMES)
+    lines = preset_digests(PRESET_NAMES, SEEDS) + sweep_digests(SWEEPS)
+    lines += table_digests(PRESET_NAMES) + certificate_digests(PRESET_NAMES)
     lines += partition_digests(PARTITIONS)
     print("\n".join(lines))

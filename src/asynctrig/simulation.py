@@ -53,6 +53,14 @@ COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before a transition sta
 BLOCK_STEPS = 32  # simulate integrates the disturbance forcing of this many steps per call
 
 
+def _step_product(n: int):
+    """The matrix-vector product `simulate` steps an n-state plant with: `ndarray.dot`, which
+    has the bits of `@` at less call overhead, except where both operands hold one element.
+    There it multiplies them as scalars, and a zero product keeps its sign (-0.0), while `@`
+    sums it onto +0.0; so a 1-state plant steps with `@`, and its trace prints 0.0 there too."""
+    return np.matmul if n == 1 else np.ndarray.dot
+
+
 def check_seed(seed: int):
     """Refuse a tie-break seed outside [-2**63, 2**63), the seeds the draw keys
     exactly: each has its own 64-bit key (a negative one mod 2**64, as numpy's
@@ -234,6 +242,22 @@ def prepare(config: SimConfig) -> Prepared:
 
 
 def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace:
+    """Close the loop from config.x0 for total_steps periods, finishing the last horizon.
+
+    At each horizon boundary the policy selects on eta = (x, xhat); its
+    actions then run open-loop.  A step with action a != 0 copies sensor
+    block a of x into xhat and recomputes u = K xhat and B_T u, so B_T u
+    changes only on a read; every step makes x+ = A_T.dot(x), then adds
+    B_T u in place, and, perturbed, the step's disturbance forcing: a row of
+    a block that `integrate` computes for BLOCK_STEPS steps at once and the
+    loop consumes one row per step.  The products run on the C-contiguous
+    matrices `DiscretePlant` stores, with the same bits as `@`
+    (`_step_product`; a 1-state plant steps with `@` itself).  The tail
+    stacks each step's x, xhat and u rows into X, XHAT and U with one
+    concatenate each, and takes every V, at each step and boundary and of
+    the final state, from one batched product with P.  `prepared` is the
+    result of `prepare(config)`, built here when not given.
+    """
     check_seed(config.seed)  # a seed assigned after construction would otherwise share another's draws
     plant = config.plant
     prepared = prepared if prepared is not None else prepare(config)
@@ -245,6 +269,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     n = plant.n
     masks = list(refresh_masks(plant.blocks))
     A_T, B_T, K = dp.A_T, dp.B_T, plant.K
+    dot = _step_product(n)
     # t += T over the most steps a run takes: total_steps - 1, then a horizon of the longest length
     times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + config.l_max - 2, config.T)])
     taus = times.tolist()
@@ -253,8 +278,8 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     xh = config.x0[n:].copy()
     eta = config.x0
     steps = 0
-    u = K @ xh
-    Bu = B_T @ u  # the input's forcing: u changes only where a step reads a sensor, and Bu with it
+    u = dot(K, xh)
+    Bu = dot(B_T, u)  # the input's forcing: u changes only where a step reads a sensor, and Bu with it
     rows_x, rows_xh, rows_u, rows_a = [], [], [], []
     boundaries = []
     decisions = []
@@ -271,22 +296,24 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
                               dec.evaluated, int(dec.reason == "gate"), dec.reason, dec.region, dec.margin))
         rows_a.extend(dec.horizon)
         for a in dec.horizon:
-            rows_x.append(x)  # x, xh and u are rebound, never mutated
+            rows_x.append(x)  # a stored row is never mutated: x is a fresh array before each in-place add
             if a:  # an idle step reads no sensor (its mask row is all False): xh and u stay as they are
                 xh = np.where(masks[a], x, xh)
-                u = K @ xh
-                Bu = B_T @ u
-            x = A_T @ x + Bu
+                u = dot(K, xh)
+                Bu = dot(B_T, u)
+            x = dot(A_T, x)  # A_T @ x bit for bit (`_step_product`); the in-place adds are the same IEEE sums
+            x += Bu
             if perturbed:
                 if steps % BLOCK_STEPS == 0:
-                    forcing = integrator.integrate(w_signal, times[steps : steps + BLOCK_STEPS])
-                x = x + forcing[steps % BLOCK_STEPS]
+                    forcing = iter(integrator.integrate(w_signal, times[steps : steps + BLOCK_STEPS]))
+                x += next(forcing)
             rows_xh.append(xh)
             rows_u.append(u)
             steps += 1
         eta = np.concatenate([x, xh])
 
-    X, XHAT, actions = np.array(rows_x), np.array(rows_xh), np.array(rows_a, dtype=int)
+    X, XHAT = np.concatenate(rows_x).reshape(steps, n), np.concatenate(rows_xh).reshape(steps, n)
+    actions = np.array(rows_a, dtype=int)
     # (x, held estimate) rows of every step, and the final state last
     E = np.concatenate([np.vstack([X, x]), np.vstack([config.x0[n:], XHAT])], axis=1)[:, None]
     V_all = np.matmul(np.matmul(E, P), E.transpose(0, 2, 1)).ravel()  # on (1, 2n) rows: eta @ P @ eta bit for bit
@@ -314,7 +341,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
         times=times[:steps],
         X=X,
         XHAT=XHAT,
-        U=np.array(rows_u),
+        U=np.concatenate(rows_u).reshape(steps, plant.m_u),
         actions=actions,
         V=V,
         boundaries=boundaries,

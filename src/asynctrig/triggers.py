@@ -174,9 +174,10 @@ class OnlinePolicy:
     (`horizon`, `built`, `metric_at`), so they grow with the positions
     decisions return, not with the horizon count.
 
-    Per call, `select` scores each block on views kept from construction
-    (`scored`) with one gemv, adds the corners in place, and searches for
-    the best level's end only when a second admissible form could tie.
+    Per call, `select` scores each nonempty block on views kept from
+    construction (`scored`) with one gemv, adds the corners in place, and
+    searches for the best level's end only when a second admissible form
+    could tie.
 
     Perturbed, that fallback is common.  The certificate's first inequality
     (`conditions` entry L1) is the negated `decay_form` at w = gamma - bbar
@@ -224,7 +225,7 @@ class OnlinePolicy:
         self.level_end = np.repeat(level_ends, np.diff(level_ends, prepend=0))  # one past each position's level
         split = int(level_ends[level_ends >= min(FORM_CHUNK, kept)][0])
         self.blocks = ((0, split), (split, kept))
-        self.scored = tuple((lo, hi, self.flat[lo:hi], corners[lo:hi]) for lo, hi in self.blocks)
+        self.scored = tuple((lo, hi, self.flat[lo:hi], corners[lo:hi]) for lo, hi in self.blocks if lo < hi)
 
     def horizon(self, i) -> tuple:
         """The horizon at metric-order position i, built once, with its metric."""
@@ -253,7 +254,7 @@ class OnlinePolicy:
                 break
         else:  # hi is now the stack's end: every form was scored
             i = self.fallback_index
-            reason, margin = "forced-fallback", self.flat[i] @ outer + self.corners[i]
+            reason, margin = "forced-fallback", self.flat[i].dot(outer) + self.corners[i]
         return TriggerDecision(self.horizon(i), self.metric_at[i], hi, reason, None, float(margin))
 
 

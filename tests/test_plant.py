@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from asynctrig.horizons import enumerate_horizons
@@ -16,6 +18,7 @@ from asynctrig.plant import (
     transition_table,
 )
 from asynctrig.presets import preset_config
+from asynctrig.simulation import _step_product
 from helpers import (
     A2,
     B2,
@@ -27,6 +30,8 @@ from helpers import (
     random_schur_stabilizable,
     wide_config,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
 def test_plant_model_validation():
@@ -180,6 +185,53 @@ def test_discretization_matches_zoh_pair():
     assert np.allclose(dp.A_T, A_T)
     assert np.allclose(dp.B_T, B_T)
     assert np.allclose(dp.BK_T, B_T @ K2)
+
+
+@st.composite
+def _plants_and_states(draw):
+    """A random plant with n <= 4 states and m_u <= 2 inputs, a period T, and a state, estimate and input."""
+    n, m_u = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+
+    def matrix(rows, cols, bound):
+        entries = st.floats(-bound, bound, allow_subnormal=False)
+        return np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+    plant = PlantModel(A=matrix(n, n, 3.0), B=matrix(n, m_u, 3.0), K=matrix(m_u, n, 3.0), blocks=(n,))
+    T = draw(st.floats(1e-3, 1.0))
+    return plant, T, matrix(1, n, 1e3)[0], matrix(1, n, 1e3)[0], matrix(1, m_u, 1e3)[0]
+
+
+@PROPERTY
+@given(_plants_and_states())
+# one-element operands whose products are -0.0: ndarray.dot would keep that sign, @ reads +0.0
+@example((PlantModel(A=[[-1.0]], B=[[1.0]], K=[[-2.0]], blocks=(1,)), 0.5, np.zeros(1), np.zeros(1), np.array([-0.0])))
+def test_stored_zoh_matrices_are_contiguous_and_step_with_the_bits_of_the_strided_views(drawn):
+    # simulate steps with `_step_product` on the stored copies (.dot where n > 1); the old loop
+    # used @ on views into the augmented exponential, as tests/helpers.py::stepwise_simulate
+    # still does on the copies, so only this property sees a layout- or product-induced bit change
+    plant, T, x, xh, u = drawn
+    n = plant.n
+    dot = _step_product(n)
+    dp = DiscretePlant.from_plant(plant, T)
+    for M in (dp.A_T, dp.B_T, dp.BK_T):
+        assert M.flags["C_CONTIGUOUS"]
+    aug = np.zeros((n + plant.m_u, n + plant.m_u))
+    aug[:n, :n], aug[:n, n:] = plant.A, plant.B
+    E = expm(aug * T)
+    A_view, B_view = E[:n, :n], E[:n, n:]
+    step = dot(dp.A_T, x)
+    step += dot(dp.B_T, u)
+    pairs = [
+        (dp.A_T, A_view),
+        (dp.B_T, B_view),
+        (dp.BK_T, B_view @ plant.K),
+        (dot(plant.K, xh), plant.K @ xh),
+        (dot(dp.B_T, u), B_view @ u),
+        (dot(dp.A_T, x), A_view @ x),
+        (step, A_view @ x + B_view @ u),
+    ]
+    for got, old in pairs:  # bit patterns, so a zero's sign counts too
+        np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(old).view(np.int64))
 
 
 def test_disturbance_bound_zero_dynamics_exact():

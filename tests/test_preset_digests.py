@@ -10,8 +10,9 @@ from asynctrig.certificates import certificate_from_dict
 from asynctrig.cli import main
 from asynctrig.partition import make_partition
 from asynctrig.presets import preset_config
-from asynctrig.simulation import certify, prepare
+from asynctrig.simulation import certify, prepare, simulate, write_decision_csv, write_trace_csv
 from asynctrig.triggers import TablePolicy, table_to_dict
+from helpers import perfbench_module, wide_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,4 +105,25 @@ def test_partition_digests_hash_what_the_partition_command_writes(tmp_path, caps
         assert main(["partition", "--dim", str(dim), "--regions", str(count), "--out", str(out)]) == 0
         expected.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  partition/{dim}-{count}")
     capsys.readouterr()
+    assert lines == expected
+
+
+def test_wide_digests_hash_the_wide_plant_traces_and_decisions(tmp_path, monkeypatch):
+    # the benchmark's 3-state, 3-sensor plant, from its x0 and one generated state, on one prepare
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    lines = _preset_digests().wide_digests(15, 1, 40)
+    assert list(work.iterdir()) == []
+    config = wide_config(15)
+    prep = prepare(config)
+    ((eta0, seed),) = perfbench_module("workloads").initial_states(np.random.default_rng(40), prep.cert.P, 1)
+    expected = []
+    for label, run in (("x0", config), ("state-0", dataclasses.replace(config, x0=eta0, seed=seed))):
+        trace = simulate(run, prep)
+        assert trace.X.shape[1] == 3 and trace.metrics["steps"] >= 15
+        for name, write in (("trace.csv", write_trace_csv), ("decisions.csv", write_decision_csv)):
+            path = tmp_path / f"{label}-{name}"
+            write(trace, str(path))
+            expected.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  wide-15/{label}/{name}")
     assert lines == expected

@@ -385,6 +385,18 @@ def test_prepare_rejects_overflowing_transition_products():
         prepare(cfg)
 
 
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0]])
+def test_a_one_state_loop_prints_the_zero_input_of_the_at_product(tmp_path, x0):
+    # u = K xhat with K < 0 and xhat = 0: @ reads +0.0, a one-element ndarray.dot -0.0
+    plant = PlantModel(A=[[0.5]], B=[[1.0]], K=[[-2.0]], blocks=(1,))
+    cfg = SimConfig(plant=plant, T=0.2, l_min=1, l_max=3, mode="online-unperturbed", x0=x0, beta=0.1, total_steps=6)
+    trace = _matches_stepwise(cfg, prepare(cfg))
+    zeros = trace.U == 0.0
+    assert zeros[0, 0] and not np.signbit(trace.U[zeros]).any()
+    write_trace_csv(trace, str(tmp_path / "trace.csv"))
+    assert "-0.0" not in (tmp_path / "trace.csv").read_text().replace("\n", ",").split(",")
+
+
 def test_prepare_builds_one_transition_table(monkeypatch):
     # sigma* chosen automatically in every mode; offline cut small to stay cheap
     # every later stage reads certify's code array, so only simulation builds one,

@@ -357,6 +357,34 @@ def test_sigma_star_form_survives_the_prune(monkeypatch, online_unperturbed):
         assert dec.horizon == (1, 2) and dec.evaluated == 1 and dec.margin >= 0.0
 
 
+def test_select_scores_no_empty_block(online_policies):
+    # kept <= FORM_CHUNK leaves the split's second block empty: select scores only the first
+    for policy, _ in online_policies.values():
+        online = getattr(policy, "policy", policy)
+        spans = [(lo, hi) for lo, hi, _, _ in online.scored]
+        assert all(lo < hi for lo, hi in spans)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == len(online.flat)
+    unperturbed = online_policies["online-unperturbed"][0]
+    assert unperturbed.blocks == ((0, 39), (39, 39)) and len(unperturbed.scored) == 1
+
+
+def test_a_forced_fallback_reports_every_kept_form_and_the_margin_bits(monkeypatch):
+    # sigma* alone is kept, one block; far outside sigma*'s ellipsoid nothing is admissible
+    monkeypatch.setattr(triggers, "_admissible_somewhere", lambda forms, corners: np.zeros(len(forms), dtype=bool))
+    dp, codes, phis, star, cert = certify(preset_config("online-perturbed"))
+    policy = OnlinePolicy(cert, phis, dp.m, codes, star)
+    assert policy.blocks == ((0, 1), (1, 1)) and len(policy.scored) == 1
+    fallbacks = 0
+    for k, eta in enumerate(np.random.default_rng(7).normal(size=(40, 4)) * 1e3):
+        dec = policy.select(eta, 0, k)
+        if dec.reason == "forced-fallback":
+            outer = (eta[:, None] * eta).ravel()
+            assert dec.evaluated == 1 and dec.horizon == horizon_list(codes)[star]
+            assert np.float64(dec.margin).tobytes() == (policy.flat[0] @ outer + policy.corners[0]).tobytes()
+            fallbacks += 1
+    assert fallbacks > 0
+
+
 def _select_values(online, eta):
     """Every stored form's value at eta, by the block products `select` makes."""
     outer = np.multiply.outer(eta, eta).ravel()

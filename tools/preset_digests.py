@@ -20,9 +20,13 @@ digest of the raw float64 bytes of the certificate's P, then M and mu where
 the certificate has them.  That line stays put when only the layout of
 `certificate.json` changes.  Last it prints one `sha256  partition/D-N` line
 per shape of PARTITIONS: the digest of what `asynctrig partition --dim D
---regions N` prints.  Nothing is written into the checkout.  Two checkouts
-give byte-identical outputs, tables, certified numbers and partitions exactly
-when a `diff` of their printed lines is empty.
+--regions N` prints.  Then it prints one `sha256  wide-S/label/file` line
+per trace and decision log of the benchmark's 3-state, 3-sensor plant
+(`perfbench/workloads.py::wide_config(S)` at S = WIDE_STEPS), run from its
+x0 and from WIDE_STATES initial states that `initial_states` draws at
+WIDE_STATE_SEED.  Nothing is written into the checkout.  Two checkouts give
+byte-identical outputs, tables, certified numbers, partitions and wide-plant
+runs exactly when a `diff` of their printed lines is empty.
 """
 
 import contextlib
@@ -42,9 +46,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from asynctrig.cli import main  # noqa: E402
 from asynctrig.partition import make_partition  # noqa: E402
 from asynctrig.presets import PRESET_NAMES, preset_config  # noqa: E402
-from asynctrig.simulation import OFFLINE_MODES, certify, prepare  # noqa: E402
+from asynctrig.simulation import (  # noqa: E402
+    OFFLINE_MODES,
+    certify,
+    prepare,
+    simulate,
+    write_decision_csv,
+    write_trace_csv,
+)
 from asynctrig.triggers import TablePolicy, table_to_dict  # noqa: E402
-from perfbench.workloads import BENCH_OFFLINE  # noqa: E402
+from perfbench.workloads import BENCH_OFFLINE, initial_states, wide_config  # noqa: E402
 
 SEEDS = (154, 1, 2, 3)
 # (preset, seeds) of the --sweep runs, one prepare and a trace per seed: online-unperturbed's seeds
@@ -52,6 +63,10 @@ SEEDS = (154, 1, 2, 3)
 SWEEPS = (("online-unperturbed", (1, 2, 3)), ("online-perturbed", (1, 2, 3)), ("offline-unperturbed", (1, 2)))
 # (dim, regions): the offline presets' dim 4, the capped cones, and the directions of dims 3, 6 and 8
 PARTITIONS = ((3, 7), (4, 3), (4, 15), (6, 40), (8, 30))
+# the wide plant's run length, as the benchmark runs it, and the generated initial states beside its x0
+WIDE_STEPS = 15
+WIDE_STATES = 2
+WIDE_STATE_SEED = 40
 
 
 def _run_digests(tmp: Path, label: str, name: str, options: list) -> list:
@@ -130,8 +145,29 @@ def partition_digests(shapes) -> list:
     return lines
 
 
+def wide_digests(steps: int, states: int, seed: int) -> list:
+    """`sha256  wide-steps/label/file` for the trace and decision log of wide_config(steps), run
+    from its x0 (label x0) and from `states` initial states drawn at seed (labels state-0, ...),
+    each run on one prepare and written by the package writers."""
+    config = wide_config(steps)
+    prep = prepare(config)
+    runs = [("x0", config)] + [
+        (f"state-{k}", dataclasses.replace(config, x0=eta0, seed=tie_seed))
+        for k, (eta0, tie_seed) in enumerate(initial_states(np.random.default_rng(seed), prep.cert.P, states))
+    ]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, run in runs:
+            trace = simulate(run, prep)
+            for name, write in (("trace.csv", write_trace_csv), ("decisions.csv", write_decision_csv)):
+                path = Path(tmp) / f"{label}-{name}"
+                write(trace, str(path))
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  wide-{steps}/{label}/{name}")
+    return lines
+
+
 if __name__ == "__main__":
     lines = preset_digests(PRESET_NAMES, SEEDS) + sweep_digests(SWEEPS)
     lines += table_digests(PRESET_NAMES) + certificate_digests(PRESET_NAMES)
-    lines += partition_digests(PARTITIONS)
+    lines += partition_digests(PARTITIONS) + wide_digests(WIDE_STEPS, WIDE_STATES, WIDE_STATE_SEED)
     print("\n".join(lines))

@@ -35,7 +35,6 @@ from .simulation import (
     SimConfig,
     certify,
     check_seed,
-    default_sine_disturbance,
     prepare,
     read_trace_csv,
     simulate,
@@ -117,12 +116,12 @@ def config_from_dict(data: dict) -> SimConfig:
         sigma_star = None
         if hz.get("sigma_star"):
             sigma_star = horizon_from_text(str(hz["sigma_star"]))
-        disturbance = None
+        pi_multiple = SimConfig.pi_multiple
         if sim.get("disturbance") is not None:
             dd = _section(sim, "disturbance")
             if dd.get("kind") != "sine":
                 raise ConfigError(f"unknown disturbance kind {dd.get('kind')!r}; only 'sine' is built in")
-            disturbance = default_sine_disturbance(plant, _real(dd.get("pi_multiple", 5.0), "pi_multiple"))
+            pi_multiple = _real(dd.get("pi_multiple", pi_multiple), "pi_multiple")
         return SimConfig(
             plant=plant,
             T=_real(disc["T"], "T"),
@@ -137,9 +136,8 @@ def config_from_dict(data: dict) -> SimConfig:
             N=_whole(part.get("N", 0), "N"),
             total_steps=_whole(sim.get("total_steps", DEFAULT_STEPS), "total_steps"),
             seed=_whole(sim.get("seed", 0), "seed"),
-            substeps_per_T=_whole(disc.get("substeps_per_T", 100), "substeps_per_T"),
             sigma_star=sigma_star,
-            disturbance=disturbance,
+            pi_multiple=pi_multiple,
             horizon_cap=_whole(hz.get("cap", DEFAULT_CAP), "cap"),
         )
     except KeyError as exc:
@@ -268,9 +266,9 @@ def _run_and_emit(cfg: SimConfig, semantic: dict, args) -> int:
         for seed in seeds:  # each replaces cfg.seed below, past SimConfig's own check
             check_seed(seed)
         semantic = {**semantic, "sweep": seeds}  # the swept seeds, not --seed, pick the traces
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
     prepared = prepare(cfg)
+    outdir = args.out_dir
+    os.makedirs(outdir, exist_ok=True)  # after prepare, so a configuration it rejects leaves no output
     cert = prepared.cert
     outputs = []
     cert_path = os.path.join(outdir, "certificate.json")

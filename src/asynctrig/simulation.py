@@ -1,17 +1,17 @@
 """Closed-loop simulator.
 
-The true plant is advanced with the exact ZOH linear map each period; the
-disturbance convolution integral is added by fixed-substep quadrature, with
-the signal sampled once per 32-step block at all nodes.  A trigger policy is
-consulted at horizon boundaries only: inside a horizon the committed actions
-are applied open-loop, which is the whole point of self-triggering.
+The true plant is advanced with the exact ZOH linear map each period and, in
+the perturbed modes, the exact forcing of the sine disturbance: one row per
+step, from one augmented exponential that `prepare` takes.  A trigger policy
+is consulted at horizon boundaries only: inside a horizon the committed
+actions are applied open-loop, which is the whole point of self-triggering.
 """
 
 import csv
 import gc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,7 +28,6 @@ from .partition import make_partition
 from .plant import (
     DiscretePlant,
     PlantModel,
-    _simpson_weights,
     disturbance_step_bound,
     growth_constants,
     refresh_masks,
@@ -50,7 +49,6 @@ MODES = (
 PERTURBED_MODES = ("online-perturbed", "offline-perturbed")
 OFFLINE_MODES = ("offline-unperturbed", "offline-perturbed")
 COLLECT_BEFORE_BYTES = 2**20  # prepare collects garbage before a transition stack of this many bytes
-BLOCK_STEPS = 32  # simulate integrates the disturbance forcing of this many steps per call
 
 
 def _step_product(n: int):
@@ -85,10 +83,8 @@ class SimConfig:
     N: int = 0
     total_steps: int = 100
     seed: int = 0
-    substeps_per_T: int = 100
     sigma_star: Optional[tuple] = None
-    # w(times) -> shape times.shape + (n_w,), called once per BLOCK_STEPS periods on all their quadrature times
-    disturbance: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    pi_multiple: float = 5.0  # perturbed modes: w(t) = w_max sin(pi_multiple pi t), split across the channels
     horizon_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
@@ -97,8 +93,8 @@ class SimConfig:
         check_seed(self.seed)
         if self.total_steps < self.l_max:
             raise ConfigError("total_steps must be at least l_max")
-        if self.substeps_per_T < 1:
-            raise ConfigError("substeps_per_T must be >= 1")
+        if not math.isfinite(self.pi_multiple):
+            raise ConfigError(f"pi_multiple must be finite, got {self.pi_multiple!r}")
         n = self.plant.n
         x0 = np.asarray(self.x0, dtype=float).ravel()
         if not np.isfinite(x0).all():
@@ -137,35 +133,32 @@ class SimTrace(TraceColumns):
     metrics: dict = field(default_factory=dict)
 
 
-def default_sine_disturbance(plant: PlantModel, pi_multiple: float = 5.0) -> Callable[[np.ndarray], np.ndarray]:
-    """w(t) = w_max sin(k pi t), split across channels at unit overall norm;
-    t is a scalar or an array of times, and w(t) has shape t.shape + (n_w,)."""
-    n_w = plant.D.shape[1]
-    scale = plant.w_max / math.sqrt(n_w)
-    return lambda t: np.repeat((scale * np.sin(pi_multiple * math.pi * t))[..., None], n_w, axis=-1)
-
-
 class _DisturbanceIntegrator:
-    """Quadrature of int_0^T e^{As} D w(t+s) ds on a fixed substep grid.
+    """The exact forcing int_0^T e^{A(T-s)} D w(t+s) ds of the sine w(t) = w_max/sqrt(n_w)
+    sin(omega t) on every channel, omega = pi_multiple pi.
 
-    The matrices e^{A(T-s)}D are one stacked exponential at the 2*substeps+1
-    half-step nodes (the sample at offset s propagates for the remaining T-s);
-    `integrate` samples the signal once, at all nodes of every step given.
-    Weights follow the classic fourth-order rule (ends 1, odd nodes 4, even
-    nodes 2, times h/6).  It depends on the plant, T and the substep count
-    only, so `prepare` builds it once and every `simulate` on it shares it.
+    D w(t) = d sin(omega t) with d = D 1 w_max/sqrt(n_w), and z(t) = (sin omega t, cos omega t)
+    solves z' = Omega z, Omega = [[0, omega], [-omega, 0]].  So the forcing is G z(t), with G
+    the top-right n x 2 block of expm([[A, d e_1'], [0, Omega]] T) (Van Loan, "Computing
+    integrals involving the matrix exponential", IEEE TAC 23(3), 1978).  It depends on the
+    plant, T and pi_multiple only, so `prepare` builds it once and every `simulate` shares it.
     """
 
-    def __init__(self, plant: PlantModel, T: float, substeps: int):
-        if substeps < 1:
-            raise ConfigError("substeps_per_T must be >= 1")
-        self.nodes = np.linspace(0.0, T, 2 * substeps + 1)
-        self.EAD = expm(plant.A[None] * (T - self.nodes)[:, None, None]) @ plant.D
-        self.weights = _simpson_weights(substeps, T)
+    def __init__(self, plant: PlantModel, T: float, pi_multiple: float):
+        n, n_w = plant.D.shape
+        self.omega = pi_multiple * math.pi
+        M = np.zeros((n + 2, n + 2))
+        M[:n, :n] = plant.A
+        M[:n, n] = plant.D.sum(axis=1) * (plant.w_max / math.sqrt(n_w))
+        M[n:, n:] = [[0.0, self.omega], [-self.omega, 0.0]]
+        self.G = expm(M * T)[:n, n:]
 
-    def integrate(self, w: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> np.ndarray:
-        """The forcing of each step starting at a time in ts, one row per time."""
-        return self.weights @ np.einsum("kij,skj->ski", self.EAD, w(np.asarray(ts)[:, None] + self.nodes))
+    def integrate(self, ts: np.ndarray) -> np.ndarray:
+        """The forcing of each step starting at a time in ts, one row per time: the rows
+        (sin omega t, cos omega t) G'.  Taken column by column, without a matrix product,
+        so a row has the same bits however many times are given and whatever the BLAS."""
+        wt = self.omega * np.asarray(ts, dtype=float)[:, None]
+        return np.sin(wt) * self.G[:, 0] + np.cos(wt) * self.G[:, 1]
 
 
 class Prepared(NamedTuple):
@@ -221,7 +214,7 @@ def certify(config: SimConfig) -> tuple:
 
 
 def prepare(config: SimConfig) -> Prepared:
-    """Certify, then build the run's one policy and its disturbance quadrature.
+    """Certify, then build the run's one policy and its disturbance forcing.
 
     An offline mode's policy is the region table, an online mode's the
     online test, both built on certify's transition stack, which no
@@ -237,7 +230,7 @@ def prepare(config: SimConfig) -> Prepared:
     integrator = None
     if config.mode in PERTURBED_MODES:
         policy = GatedPolicy(policy, cert.P)
-        integrator = _DisturbanceIntegrator(config.plant, config.T, config.substeps_per_T)
+        integrator = _DisturbanceIntegrator(config.plant, config.T, config.pi_multiple)
     return Prepared(dp, codes, cert, regions, table, policy, integrator)
 
 
@@ -248,10 +241,9 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     actions then run open-loop.  A step with action a != 0 copies sensor
     block a of x into xhat and recomputes u = K xhat and B_T u, so B_T u
     changes only on a read; every step makes x+ = A_T.dot(x), then adds
-    B_T u in place, and, perturbed, the step's disturbance forcing: a row of
-    a block that `integrate` computes for BLOCK_STEPS steps at once and the
-    loop consumes one row per step.  The products run on the C-contiguous
-    matrices `DiscretePlant` stores, with the same bits as `@`
+    B_T u in place, and, perturbed, the step's row of the forcing that
+    `integrate` computes for every step of the run at once.  The products
+    run on the C-contiguous matrices `DiscretePlant` stores, with the same bits as `@`
     (`_step_product`; a 1-state plant steps with `@` itself).  The tail
     stacks each step's x, xhat and u rows into X, XHAT and U with one
     concatenate each, and takes every V, at each step and boundary and of
@@ -263,7 +255,6 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     prepared = prepared if prepared is not None else prepare(config)
     dp, cert, policy, integrator = prepared.dp, prepared.cert, prepared.policy, prepared.integrator
     perturbed = config.mode in PERTURBED_MODES
-    w_signal = (config.disturbance or default_sine_disturbance(plant)) if perturbed else None
     P = cert.P
 
     n = plant.n
@@ -273,6 +264,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
     # t += T over the most steps a run takes: total_steps - 1, then a horizon of the longest length
     times = np.add.accumulate(np.r_[0.0, np.full(config.total_steps + config.l_max - 2, config.T)])
     taus = times.tolist()
+    forcing = integrator.integrate(times) if perturbed else None
 
     x = config.x0[:n].copy()
     xh = config.x0[n:].copy()
@@ -304,9 +296,7 @@ def simulate(config: SimConfig, prepared: Optional[Prepared] = None) -> SimTrace
             x = dot(A_T, x)  # A_T @ x bit for bit (`_step_product`); the in-place adds are the same IEEE sums
             x += Bu
             if perturbed:
-                if steps % BLOCK_STEPS == 0:
-                    forcing = iter(integrator.integrate(w_signal, times[steps : steps + BLOCK_STEPS]))
-                x += next(forcing)
+                x += forcing[steps]
             rows_xh.append(xh)
             rows_u.append(u)
             steps += 1

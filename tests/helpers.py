@@ -38,7 +38,7 @@ from asynctrig.plant import (
     _simpson_weights,
     step_matrices,
 )
-from asynctrig.simulation import PERTURBED_MODES, SimTrace, default_sine_disturbance
+from asynctrig.simulation import PERTURBED_MODES, SimTrace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -441,12 +441,11 @@ def stepwise_simulate(config, prepared) -> SimTrace:
     """`simulation.simulate` one period at a time, without its metrics.
 
     Each step concatenates the collective state and takes its V, samples
-    with the two selection matmuls of the step matrix's lower block row, and adds the 201-node quadrature of that
-    step's disturbance alone.
+    with the two selection matmuls of the step matrix's lower block row, and adds the integrator's forcing row of
+    that step's start time alone.
     """
     plant, dp, P, integ = config.plant, prepared.dp, prepared.cert.P, prepared.integrator
     perturbed = config.mode in PERTURBED_MODES
-    w = (config.disturbance or default_sine_disturbance(plant)) if perturbed else None
     n = plant.n
     sel = [(G[n:, :n], G[n:, n:]) for G in step_matrices(dp)]
     x, xh = config.x0[:n].copy(), config.x0[n:].copy()
@@ -470,7 +469,7 @@ def stepwise_simulate(config, prepared) -> SimTrace:
             u = plant.K @ xh
             x = dp.A_T @ x + dp.B_T @ u
             if perturbed:
-                x = x + integ.weights @ np.einsum("kij,kj->ki", integ.EAD, w(t + integ.nodes))
+                x = x + integ.integrate([t])[0]
             rows_xh.append(xh)
             rows_u.append(u)
             rows_a.append(a)

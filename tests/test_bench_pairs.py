@@ -62,6 +62,16 @@ def test_traced_run_output_parses_to_its_layer_metrics():
     assert (run["correct"], run["failed"], run["attempted"]) == (True, 0, 4)
 
 
+def test_blas_record_names_the_build_and_a_forced_core_type(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    record = _bench_pairs().blas_record()
+    assert record["openblas_coretype"] == "Haswell"
+    assert {"blas", "lapack"} <= set(record["build"]) and record["build"]["blas"]["name"]
+    json.dumps(record)  # it goes into the JSON record as it is
+    monkeypatch.delenv("OPENBLAS_CORETYPE")
+    assert _bench_pairs().blas_record()["openblas_coretype"] is None
+
+
 def test_preset_times_cover_each_preset_on_the_checkout_sources():
     times = _bench_pairs().time_presets(ROOT)
     assert list(times) == ["online-unperturbed", "offline-unperturbed", "online-perturbed", "offline-perturbed"]

@@ -437,7 +437,7 @@ def test_gamma2_above_gamma1_is_a_configuration_error(tmp_path, capsys):
     ("simulation", "seed", 154.5),
     ("simulation", "seed", True),
     ("horizons", "cap", "1000"),
-    ("discretization", "substeps_per_T", float("inf")),
+    ("horizons", "l_min", float("inf")),
     ("partition", "N", float("nan")),
 ])
 def test_an_integer_field_that_is_no_whole_number_is_a_configuration_error(tmp_path, capsys, section, key, value):
@@ -490,9 +490,11 @@ def test_a_disturbance_multiple_that_is_no_finite_number_is_a_configuration_erro
 
 def test_real_fields_read_whole_numbers_as_floats():
     cfgd = _config_dict(discretization={"T": 1}, certificate={"beta": 0, "gamma": 2, "gamma1": 0.5, "gamma2": 0})
+    cfgd["simulation"]["disturbance"] = {"kind": "sine", "pi_multiple": 3}
     cfg = config_from_dict(cfgd)
-    assert (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2) == (1.0, 0.0, 2.0, 0.5, 0.0)
-    assert all(type(v) is float for v in (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.plant.w_max))
+    assert (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.pi_multiple) == (1.0, 0.0, 2.0, 0.5, 0.0, 3.0)
+    fields = (cfg.T, cfg.beta, cfg.gamma, cfg.gamma1, cfg.gamma2, cfg.pi_multiple, cfg.plant.w_max)
+    assert all(type(v) is float for v in fields)
 
 
 def test_a_fractional_sensor_block_is_a_configuration_error(tmp_path, capsys):
@@ -512,22 +514,24 @@ def test_whole_floats_read_as_integers():
     assert all(type(v) is int for v in (cfg.l_min, cfg.l_max, cfg.seed))
 
 
-def test_zero_substeps_is_a_configuration_error_before_any_output(tmp_path, capsys):
-    # perturbed modes integrate the disturbance on substeps_per_T substeps; the
-    # check runs with the configuration's, so no --out-dir is left behind
-    cfgd = _config_dict(
-        plant={**_config_dict()["plant"], "D": [[1.0], [1.0]], "w_max": 1.0},
-        discretization={"T": 0.18, "substeps_per_T": 0},
-        horizons={"l_min": 1, "l_max": 6, "sigma_star": "2121"},
-        mode="online-perturbed",
-        certificate={"beta": 3.198, "gamma": 0.35},
-    )
+@pytest.mark.parametrize("section, changes, code, message", [
+    ("discretization", {"T": -0.18}, 2, "T must be positive"),
+    ("discretization", {"T": 0}, 2, "T must be positive"),
+    ("horizons", {"l_min": 0}, 2, "need 1 <= l_min <= l_max"),
+    ("horizons", {"l_min": 4}, 2, "need 1 <= l_min <= l_max"),
+    ("horizons", {"sigma_star": "1111"}, 2, "is not in the enumerated set"),
+    ("horizons", {"cap": 10}, 4, "exceeds cap 10"),
+])
+def test_a_configuration_prepare_rejects_leaves_no_output(tmp_path, capsys, section, changes, code, message):
+    # the checks run in prepare, past config_from_dict; --out-dir is made only once it returns
+    cfgd = _config_dict()
+    cfgd[section] = {**cfgd[section], **changes}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfgd))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == code
     err = capsys.readouterr().err
-    assert "substeps_per_T must be >= 1" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from asynctrig.presets import PRESET_NAMES, preset_config
 from asynctrig.simulation import (
     SimConfig,
     _DisturbanceIntegrator,
-    default_sine_disturbance,
     prepare,
     read_trace_csv,
     simulate,
@@ -78,6 +77,9 @@ def test_config_rejects_bad_inputs():
         SimConfig(**{**good, "mode": "offline-unperturbed", "N": 0})
     with pytest.raises(ConfigError):
         SimConfig(**{**good, "mode": "online-perturbed"})  # no disturbance channel
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="pi_multiple must be finite"):
+            SimConfig(**{**good, "pi_multiple": bad})
 
 
 def test_x0_expansion_to_collective_state():
@@ -149,154 +151,61 @@ def test_utilization_metrics_rejects_empty_trace():
         utilization_metrics(np.array([], dtype=int), 2)
 
 
-def test_disturbance_integrator_matches_dense_quadrature():
-    # int_0^T e^{A(T-s)} D w(t0+s) ds against a 20001-node trapezoid reference
-    plant = benchmark_plant(perturbed=True)
-    T = 0.18
-    integ = _DisturbanceIntegrator(plant, T, substeps=100)
-    w = default_sine_disturbance(plant)
-    for t0 in (0.0, 0.37, 1.234):
-        got = integ.integrate(w, [t0])[0]
-        s_grid = np.linspace(0.0, T, 20001)
-        vals = np.array([expm(plant.A * float(T - s)) @ plant.D @ w(t0 + s) for s in s_grid])
-        ref = np.trapezoid(vals, s_grid, axis=0)
-        np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-12)
+def _disturbed_plant(name: str, n_w: int) -> PlantModel:
+    """The benchmark plant, or a random 3-state one, with n_w disturbance channels of distinct columns."""
+    if name == "benchmark":
+        return dataclasses.replace(benchmark_plant(perturbed=True), D=np.array([[1.0, 0.5], [1.0, -0.3]])[:, :n_w], w_max=0.8)
+    rng = np.random.default_rng(41)
+    return PlantModel(A=rng.normal(size=(3, 3)), B=rng.normal(size=(3, 1)), K=rng.normal(size=(1, 3)),
+                      blocks=(1, 1, 1), D=rng.normal(size=(3, n_w)), w_max=0.8)
 
 
-def test_disturbance_integrator_matches_the_node_loop():
-    # one disturbance channel: each node's product is a single multiply, so
-    # the stacked product must equal a mat-vec per node exactly
-    plant = benchmark_plant(perturbed=True)
-    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
-    w = default_sine_disturbance(plant)
-    for t0 in (0.0, 0.37, 1.234):
-        vals = np.array([integ.EAD[j] @ np.atleast_1d(w(t0 + s)) for j, s in enumerate(integ.nodes)])
-        np.testing.assert_array_equal(integ.integrate(w, [t0])[0], integ.weights @ vals)
-
-
-def test_disturbance_integrator_refines_consistently():
-    plant = benchmark_plant(perturbed=True)
-    w = default_sine_disturbance(plant)
-    coarse = _DisturbanceIntegrator(plant, 0.18, substeps=100).integrate(w, [0.5])[0]
-    fine = _DisturbanceIntegrator(plant, 0.18, substeps=400).integrate(w, [0.5])[0]
-    np.testing.assert_allclose(coarse, fine, rtol=1e-10, atol=1e-14)
-    with pytest.raises(ConfigError):
-        _DisturbanceIntegrator(plant, 0.18, substeps=0)
-
-
+@pytest.mark.parametrize("pi_multiple", [3.0, 5.0])
 @pytest.mark.parametrize("n_w", [1, 2])
-def test_sine_disturbance_samples_all_nodes_at_once(n_w):
-    base = benchmark_plant(perturbed=True)
-    plant = dataclasses.replace(base, D=np.ones((2, n_w)), w_max=0.8)
-    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
-    for k in (5.0, 3.0):
-        w = default_sine_disturbance(plant, pi_multiple=k)
-        for t in (0.0, 0.37, 12.345):
-            W = w(t + integ.nodes)
-            assert W.shape == (integ.nodes.size, n_w)
-            expect = [0.8 / math.sqrt(n_w) * math.sin(k * math.pi * (t + s)) for s in integ.nodes]
-            for j in range(n_w):
-                assert W[:, j].tolist() == expect
-
-
-def test_integrate_samples_the_disturbance_once_per_block():
-    # one call of w per integrate call, on every node of every step given;
-    # each row equals that step integrated alone
-    plant = benchmark_plant(perturbed=True)
-    integ = _DisturbanceIntegrator(plant, 0.18, substeps=100)
-    w = default_sine_disturbance(plant)
-    calls = []
-
-    def counting(t):
-        calls.append(np.shape(t))
-        return w(t)
-
-    blocks = [0.18 * np.arange(32), 5.76 + 0.18 * np.arange(7), np.array([7.02])]
-    for ts in blocks:
-        rows = integ.integrate(counting, ts)
-        assert rows.shape == (ts.size, plant.n)
-        for t, row in zip(ts, rows):
-            np.testing.assert_array_equal(row, integ.weights @ np.einsum("kij,kj->ki", integ.EAD, w(t + integ.nodes)))
-    assert calls == [(ts.size, 2 * 100 + 1) for ts in blocks]
-
-
-def test_simulate_samples_the_disturbance_once_per_block():
-    cfg = dataclasses.replace(preset_config("online-perturbed"), total_steps=200)
-    prep = prepare(cfg)
-    w = default_sine_disturbance(cfg.plant)
-    shapes = []
-
-    def counting(t):
-        shapes.append(np.shape(t))
-        return w(t)
-
-    tr = simulate(dataclasses.replace(cfg, disturbance=counting), prep)
-    steps, block, nodes = tr.actions.size, simulation.BLOCK_STEPS, 2 * cfg.substeps_per_T + 1
-    assert steps > cfg.total_steps and len(shapes) == math.ceil(steps / block) == 7
-    assert shapes[:-1] == [(block, nodes)] * 6
-    # the last block reaches at most as far as the longest horizon could run
-    assert shapes[-1][1] == nodes and steps - 6 * block <= shapes[-1][0] <= cfg.total_steps + cfg.l_max - 1 - 6 * block
-
-
-@pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
-def test_stacked_node_exponentials_match_the_node_loop(name):
-    cfg = preset_config(name)
-    plant, T = cfg.plant, cfg.T
-    integ = _DisturbanceIntegrator(plant, T, cfg.substeps_per_T)
-    loop = np.array([expm(plant.A * float(T - s)) @ plant.D for s in integ.nodes])
-    np.testing.assert_array_equal(integ.EAD, loop)
-
-
-def test_zero_disturbance_reduces_to_linear_advance():
-    cfg = preset_config("online-perturbed")
-    cfg.total_steps = 20
-    cfg.disturbance = lambda t: np.zeros(np.shape(t) + (1,))
-    prep = prepare(cfg)
-    tr = simulate(cfg, prep)
-    dp = prep.dp
-    for k in range(tr.actions.size - 1):
-        step = dp.A_T @ tr.X[k] + dp.B_T @ tr.U[k]
-        np.testing.assert_array_equal(tr.X[k + 1], step)
+@pytest.mark.parametrize("plant_name", ["benchmark", "random-3"])
+def test_disturbance_integrator_matches_dense_quadrature(plant_name, n_w, pi_multiple):
+    # int_0^T e^{A(T-s)} D w(t0+s) ds against a 20001-node trapezoid reference, where
+    # w(t) = w_max/sqrt(n_w) sin(pi_multiple pi t) on each channel, at global time t0 + s
+    plant = _disturbed_plant(plant_name, n_w)
+    T = 0.18
+    ts = [0.0, 0.37, 1.234, 12.345]
+    got = _DisturbanceIntegrator(plant, T, pi_multiple).integrate(ts)
+    assert got.shape == (len(ts), plant.n)
+    s_grid = np.linspace(0.0, T, 20001)
+    EAD = expm(plant.A[None] * (T - s_grid)[:, None, None]) @ plant.D
+    for t0, row in zip(ts, got):
+        w = plant.w_max / math.sqrt(n_w) * np.sin(pi_multiple * math.pi * (t0 + s_grid))
+        vals = np.einsum("sij,sj->si", EAD, np.repeat(w[:, None], n_w, axis=1))
+        np.testing.assert_allclose(row, np.trapezoid(vals, s_grid, axis=0), rtol=1e-7, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["online-perturbed", "offline-perturbed"])
 def test_varpi_bounds_what_the_disturbance_adds_in_a_step(name):
     """Every step's disturbance increment x_{k+1} - A_T x_k - B_T u_k is at most varpi.
 
-    Checked under the preset's sine and under the constant w = w_max/sqrt(n_w)
-    on every channel, at seeds 154, 1, 2 and 3.  The constant signal is tight:
-    the presets' D is an eigenvector of A, so e^{As} D never turns and the
-    triangle inequality in varpi = w_max int ||e^{As} D|| ds holds with
-    equality; its largest ratio is 1 + 1.5e-13 online and 1 + 4.4e-14
-    offline, against 0.70 and 0.62 for the sine.  The 1e-9 allowance covers
-    the integrator's 100-substep quadrature of that integral, which may
-    exceed the exact value by its own error; a bound off by more than 1e-9
+    Checked under the preset's sine at seeds 154, 1, 2 and 3, and for the
+    constant w = w_max/sqrt(n_w) on every channel, whose increment is exactly
+    the top-right block of expm([[A, d], [0, 0]] T), d = D 1 w_max/sqrt(n_w).
+    The constant signal is tight: the presets' D is an eigenvector of A, so
+    e^{As} D never turns and the triangle inequality in
+    varpi = w_max int ||e^{As} D|| ds holds with equality.  The 1e-9
+    allowance covers varpi's own Simpson estimate of that integral, which may
+    fall short of the exact value by its error; a bound off by more than 1e-9
     relative fails here.
     """
     cfg = preset_config(name)
     prep = prepare(cfg)
     varpi, dp = prep.cert.varpi, prep.dp
-    n_w = cfg.plant.D.shape[1]
-
-    def constant(t):
-        return np.full(np.shape(t) + (n_w,), cfg.plant.w_max / math.sqrt(n_w))
-
-    for disturbance in (None, constant):
-        cfg.disturbance = disturbance
-        for seed in (154, 1, 2, 3):
-            cfg.seed = seed
-            tr = simulate(cfg, prep)
-            added = tr.X[1:] - tr.X[:-1] @ dp.A_T.T - tr.U[:-1] @ dp.B_T.T
-            assert np.linalg.norm(added, axis=1).max() <= varpi * (1 + 1e-9)
-
-
-def test_sine_disturbance_uses_global_time():
-    plant = benchmark_plant(perturbed=True)
-    w = default_sine_disturbance(plant, pi_multiple=5.0)
-    t = 0.77
-    expect = plant.w_max * math.sin(5.0 * math.pi * t)
-    np.testing.assert_allclose(w(t), [expect], rtol=1e-15)
-    assert w(0.0)[0] == 0.0
+    plant = cfg.plant
+    for seed in (154, 1, 2, 3):
+        tr = simulate(dataclasses.replace(cfg, seed=seed), prep)
+        added = tr.X[1:] - tr.X[:-1] @ dp.A_T.T - tr.U[:-1] @ dp.B_T.T
+        assert np.linalg.norm(added, axis=1).max() <= varpi * (1 + 1e-9)
+    n, n_w = plant.D.shape
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n], M[:n, n] = plant.A, plant.D.sum(axis=1) * (plant.w_max / math.sqrt(n_w))
+    constant = np.linalg.norm(expm(M * cfg.T)[:n, n])
+    assert varpi * (1 - 1e-9) <= constant <= varpi * (1 + 1e-9)
 
 
 def _assert_same_bits(got, want):
@@ -482,7 +391,7 @@ def test_prepare_looks_sigma_star_up_once(monkeypatch):
         assert fallback == cfg.sigma_star == prep.cert.sigma_star, name
 
 
-def test_prepare_builds_the_quadrature_table_once(monkeypatch):
+def test_prepare_builds_the_disturbance_integrator_once(monkeypatch):
     built = []
 
     class Spy(_DisturbanceIntegrator):
@@ -493,11 +402,11 @@ def test_prepare_builds_the_quadrature_table_once(monkeypatch):
     monkeypatch.setattr(simulation, "_DisturbanceIntegrator", Spy)
     for name in PRESET_NAMES:
         small = {"l_max": 3, "N": 3} if name.startswith("offline") else {}
-        cfg = dataclasses.replace(preset_config(name), sigma_star=None, total_steps=12, **small)
+        cfg = dataclasses.replace(preset_config(name), sigma_star=None, total_steps=12, pi_multiple=3.0, **small)
         perturbed = name in simulation.PERTURBED_MODES
         built.clear()
         prep = prepare(cfg)
-        assert len(built) == int(perturbed), name
+        assert [args[1:] for args in built] == [(cfg.T, 3.0)] * perturbed, name
         assert isinstance(prep.integrator, Spy) if perturbed else prep.integrator is None, name
         built.clear()
         simulate(cfg, prep)
@@ -561,45 +470,21 @@ def _matches_stepwise(cfg, prep):
     return got
 
 
-def _drifting_disturbance(t):
-    t = np.asarray(t)
-    return (0.8 * np.cos(2.3 * t) * np.exp(-0.01 * t))[..., None]
-
-
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_blocked_loop_matches_the_stepwise_oracle_on_the_presets(name, preset_traces):
     cfg, prep, _ = preset_traces[name]
     for seed in (154, 1, 2, 3):
         _matches_stepwise(dataclasses.replace(cfg, seed=seed), prep)
-    if name in simulation.PERTURBED_MODES:
-        _matches_stepwise(dataclasses.replace(cfg, disturbance=_drifting_disturbance), prep)
 
 
 def test_blocked_loop_matches_the_stepwise_oracle_on_two_disturbance_channels():
     base = preset_config("online-perturbed")
     cfg = dataclasses.replace(base, plant=dataclasses.replace(base.plant, D=np.array([[1.0, 0.5], [1.0, -0.3]])))
-    prep = prepare(cfg)
-    assert prep.integrator.EAD.shape[-1] == 2
-    for seed in (154, 1):
-        _matches_stepwise(dataclasses.replace(cfg, seed=seed), prep)
-
-    def two_tone(t):
-        t = np.asarray(t)
-        return np.stack([np.sin(3.0 * t), 0.4 * np.cos(7.0 * t)], axis=-1)
-
-    _matches_stepwise(dataclasses.replace(cfg, disturbance=two_tone), prep)
-
-
-def test_blocked_loop_matches_the_stepwise_oracle_across_block_edges():
-    # 70 steps is no multiple of the block; horizons straddle steps 32 and 64,
-    # and the last one runs past total_steps
-    cfg = preset_config("online-perturbed", total_steps=70)
-    prep = prepare(cfg)
-    tr = _matches_stepwise(cfg, prep)
-    spans = [(b, b + len(dec.horizon)) for b, dec in zip(tr.boundaries, tr.decisions)]
-    block = simulation.BLOCK_STEPS
-    assert cfg.total_steps % block and tr.actions.size > cfg.total_steps
-    assert all(any(b < k < e for b, e in spans) for k in (block, 2 * block))
+    for pi_multiple in (5.0, 3.0):
+        run = dataclasses.replace(cfg, pi_multiple=pi_multiple)
+        prep = prepare(run)
+        for seed in (154, 1):
+            _matches_stepwise(dataclasses.replace(run, seed=seed), prep)
 
 
 @pytest.mark.parametrize("name", simulation.PERTURBED_MODES)

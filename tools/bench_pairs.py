@@ -9,7 +9,8 @@ change checkout (this one by default), one after the other; which side runs
 first alternates from pair to pair.  After the pairs, each side runs the
 workload TRACED more times with `--trace 1`, in the same alternating order.
 Both sides use their own checkout's perfbench and sources.  The
-record holds the change side's machine record, the protocol, and per
+record holds the change side's machine record, this script's own `blas`
+section (`blas_record`), the protocol, and per
 workload the seven end-to-end metrics: every run's values, each side's
 median and quartiles, and the number of pairs the change won by the
 direction `BENCHMARK.json` gives, and `claim_rule`, true where a claimed gain
@@ -45,6 +46,15 @@ PRESET_STEPS = 100
 def order(i: int) -> tuple:
     """The sides in the order they run in pair i, counted from 0: the parent first when i is even."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def blas_record() -> dict:
+    """The BLAS and LAPACK numpy was built with, and the OPENBLAS_CORETYPE that both sides' runs
+    inherit (None when unset): discrete outputs can depend on the BLAS kernel that runs them."""
+    import numpy as np
+
+    build = np.show_config(mode="dicts")["Build Dependencies"]
+    return {"build": build, "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -169,6 +179,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "machine": None,
+        "blas": blas_record(),
         "protocol": {
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
             "pairs": PAIRS,
